@@ -6,8 +6,7 @@ gauge invariances tying them together."""
 from .errors import (ChartDomainError, ConjugatePointError, ConvergenceError,
                      EscapeError, LorlabError, NoLiftError,
                      NotPositiveDefiniteError, PreconditionError,
-                     SignatureError, SingularMetricError, StepBudgetError,
-                     TangencyError)
+                     SignatureError, SingularMetricError, TangencyError)
 from .fields import CovectorField, ScalarField, SymTwoTensorField
 from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                        CausalClass, GeodesicPath, MetricField,
@@ -29,8 +28,9 @@ from .stationary import (LinearizedEquivalence, MagneticConnector,
                          boundary_normal_coords, conformal_normalize,
                          curve_flux, from_raw, lift_magnetic, lift_residual,
                          linearization_equivalence, magnetic_connector,
-                         magnetic_integrate, magnetic_michel,
-                         magnetic_scatter, project_and_verify,
+                         magnetic_connectors_batch, magnetic_integrate,
+                         magnetic_michel, magnetic_scatter,
+                         magnetic_scatter_batch, project_and_verify,
                          reconstruct_exit, reduced_time_component,
                          thmmag_verify)
 from .gauge import (GaugePair, HamiltonianPath, ReparamReport, apply_gauge,

@@ -20,15 +20,13 @@ from .connect import (MetricFamily, connecting_geodesics_batch, linearize_r,
 from .fields import CovectorField, ScalarField, SymTwoTensorField
 from .gauge import (apply_gauge, compose_gauge, conformal_reparam_check,
                     hamiltonian_flow, scattering_invariance)
-from .geometry import (LORENTZIAN, MetricField, boundary_project,
-                       integrate_geodesic)
+from .geometry import LORENTZIAN, MetricField, integrate_geodesic
 from .lightray import (ftc_residual, kernel_conformal_test,
                        kernel_potential_test)
 from .scattering import scatter, scatter_batch
-from .stationary import (MagneticSystem, StationaryMetric, action_A,
-                         boundary_normal_coords, linearization_equivalence,
-                         magnetic_integrate, magnetic_michel,
-                         magnetic_scatter, magnetic_scatter_batch,
+from .stationary import (StationaryMetric, boundary_normal_coords,
+                         linearization_equivalence, magnetic_integrate,
+                         magnetic_michel, magnetic_scatter,
                          project_and_verify, reconstruct_exit,
                          reduced_time_component, thmmag_verify)
 
@@ -187,50 +185,6 @@ def criterion_michel() -> CriterionResult:
 # 4. linearization of r against the light ray transform
 # ---------------------------------------------------------------------------
 
-def _stretch_family(tau_scale: float = 1.0) -> MetricFamily:
-    """g_tau = -dt^2 + (1 + tau) |dx|^2 on the disk chart."""
-
-    def eval_tau(tau):
-        d = np.array([-1.0, 1.0 + tau, 1.0 + tau])
-
-        def func(x):
-            return np.broadcast_to(np.diag(d), np.shape(x)[:-1] + (3, 3))
-
-        def dfunc(x):
-            return np.zeros(np.shape(x)[:-1] + (3, 3, 3))
-
-        return MetricField(dim=3, signature=LORENTZIAN, func=func,
-                           dfunc=dfunc)
-
-    f = SymTwoTensorField(dim=3, func=lambda x: np.broadcast_to(
-        np.diag([0.0, 1.0, 1.0]), np.shape(x)[:-1] + (3, 3)))
-    return MetricFamily(eval=eval_tau, derivative_at_0=f)
-
-
-def _conformal_family(g0: MetricField) -> MetricFamily:
-    c = scenarios.conformal_bump(0.5)
-
-    def cfull(x):
-        return c(np.asarray(x, float)[..., 1:])
-
-    def cgrad(x):
-        x = np.asarray(x, float)
-        out = np.zeros_like(x)
-        out[..., 1:] = c.gradient(x[..., 1:])
-        return out
-
-    def eval_tau(tau):
-        fac = ScalarField(func=lambda x: 1.0 + tau * cfull(x),
-                          grad=lambda x: tau * cgrad(x), positive=True)
-        from .gauge import scale_metric
-        return scale_metric(g0, fac)
-
-    f = SymTwoTensorField(
-        dim=3, func=lambda x: cfull(x)[..., None, None]
-        * np.asarray(g0.func(x), float))
-    return MetricFamily(eval=eval_tau, derivative_at_0=f)
-
-
 def _potential_family(g0: MetricField) -> MetricFamily:
     """g_tau = g + tau d^s v with v = (1-|x|^2)^2 a, a constant, in the
     flat product chart (so d^s is the symmetrized Jacobian, closed
@@ -289,7 +243,7 @@ def criterion_linearize() -> CriterionResult:
     def run():
         pd = scenarios.build("product_disk")
         pairs = scenarios.null_pairs(pd, 20, seed=13)
-        fam = _stretch_family()
+        fam = scenarios.stretch_family()
         worst = 0.0
         for x, y in pairs:
             rep = linearize_r(fam, x, y, fd_step=1e-4)
@@ -297,7 +251,8 @@ def criterion_linearize() -> CriterionResult:
         checks = [Check("non-gauge family relative error", worst, 1e-3)]
 
         both = 0.0
-        for fam in (_conformal_family(pd.metric), _potential_family(pd.metric)):
+        for fam in (scenarios.conformal_family(pd.metric),
+                    _potential_family(pd.metric)):
             for x, y in pairs[:5]:
                 rep = linearize_r(fam, x, y, fd_step=1e-4)
                 both = max(both, abs(rep.fd_value),
@@ -459,15 +414,7 @@ def criterion_linearized_equivalence() -> CriterionResult:
                                     keep_path=False)
             pairs.append((x, mrec.y))
 
-        def bump(p):
-            p = np.asarray(p, float)
-            return np.exp(-np.einsum("...i,...i->...", p, p))
-
-        dh_bump = SymTwoTensorField(dim=2, func=lambda p: bump(p)[
-            ..., None, None] * np.eye(2))
-        dom_poly = CovectorField(dim=2, func=lambda p: np.stack(
-            [0.3 * np.asarray(p, float)[..., 1] ** 2,
-             0.2 + 0.1 * np.asarray(p, float)[..., 0]], axis=-1))
+        dh_bump, dom_poly = scenarios.equivalence_fields()
         zero_h = SymTwoTensorField.zero(2)
         zero_w = CovectorField.zero(2)
         perturbations = [("dh-only", dh_bump, zero_w),
@@ -543,20 +490,12 @@ def criterion_invariance() -> CriterionResult:
 def criterion_reparam() -> CriterionResult:
     def run():
         pd = scenarios.build("product_disk")
-        x0 = np.array([0.0, -0.5, 0.1])
-        xi0 = pd.metric.matrix(x0) @ np.array([1.0, 0.8, 0.6])
-
+        x0, xi0 = scenarios.reparam_start(pd)
         rep1 = conformal_reparam_check(pd.metric, ScalarField.constant(1.0),
                                        x0, xi0, sigma_max=0.6)
         rep4 = conformal_reparam_check(pd.metric, ScalarField.constant(4.0),
                                        x0, xi0, sigma_max=0.6)
-
-        def cg(x):
-            xs = np.asarray(x, float)[..., 1:]
-            return 1.0 + 0.3 * np.exp(-np.einsum("...i,...i->...", xs, xs))
-
-        repg = conformal_reparam_check(pd.metric,
-                                       ScalarField(func=cg, positive=True),
+        repg = conformal_reparam_check(pd.metric, scenarios.gaussian_factor(),
                                        x0, xi0, sigma_max=0.6)
         mono = float((np.diff(repg.alpha) <= 0).sum())
         checks = [
@@ -578,14 +517,7 @@ def criterion_reparam() -> CriterionResult:
 
 def criterion_normal_coords() -> CriterionResult:
     def run():
-        def om_func(p):
-            p = np.asarray(p, float)
-            th, d = p[..., 0], p[..., 1]
-            return np.stack([0.1 * (1.0 - d) ** 2 + 0.05 * d * np.sin(th),
-                             0.3 * d + 0.1 * np.cos(th)], axis=-1)
-
-        omega = CovectorField(dim=2, func=om_func)
-        phi, gauged = boundary_normal_coords(omega)
+        phi, gauged = boundary_normal_coords(scenarios.collar_one_form())
         th = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
         dd = np.linspace(0.0, 0.4, 8)
         grid = np.stack(np.meshgrid(th, dd, indexing="ij"), axis=-1)
@@ -623,20 +555,8 @@ def criterion_orders() -> CriterionResult:
         (x, y), = scenarios.null_pairs(pd, 1, seed=41)
         rho2 = float(np.sum((y[1:] - x[1:]) ** 2))
 
-        def eval_tau(tau):
-            d = np.array([-1.0, np.exp(tau), np.exp(tau)])
-
-            def func(p):
-                return np.broadcast_to(np.diag(d),
-                                       np.shape(p)[:-1] + (3, 3))
-
-            def dfunc(p):
-                return np.zeros(np.shape(p)[:-1] + (3, 3, 3))
-
-            return MetricField(dim=3, signature=LORENTZIAN, func=func,
-                               dfunc=dfunc)
-
-        fam = MetricFamily(eval=eval_tau)
+        fam = MetricFamily(eval=lambda tau: scenarios.constant_metric(
+            3, [-1.0, np.exp(tau), np.exp(tau)], LORENTZIAN))
         exact = 0.5 * rho2
         errs = []
         for h in (4e-3, 2e-3, 1e-3):

@@ -39,9 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write the flat records as CSV")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for the deterministic boundary grids")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for interface stability; runs are "
-                            "single-threaded and deterministic")
     return parser
 
 
@@ -81,9 +78,6 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if args.threads < 1:
-        print("error: --threads must be positive", file=sys.stderr)
         return EXIT_PARSE
 
     runner = RUNNERS[args.command]

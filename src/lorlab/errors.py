@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class LorlabError(Exception):
     """Base class for all errors raised by lorlab."""
@@ -33,10 +35,6 @@ class EscapeError(LorlabError):
     """Ray never met the target hypersurface within the parameter budget."""
 
 
-class StepBudgetError(LorlabError):
-    """Integrator exceeded its step budget."""
-
-
 class ConjugatePointError(LorlabError):
     """Two-point shooting Jacobian is numerically singular."""
 
@@ -47,3 +45,14 @@ class ConvergenceError(LorlabError):
 
 class PreconditionError(LorlabError):
     """An operation was called outside its stated preconditions."""
+
+
+@contextmanager
+def ray_errors(index: int):
+    """Prefix the message of an error raised inside with the index of the
+    batch item (ray or pair) it concerns; the error type is kept."""
+    try:
+        yield
+    except (LorlabError, ValueError) as exc:
+        exc.args = (f"ray {index}: {exc}",) + exc.args[1:]
+        raise

@@ -15,7 +15,7 @@ import numpy as np
 from . import acceptance, scenarios
 from .connect import connecting_geodesics_batch, linearize_r, michel_check
 from .errors import LorlabError
-from .fields import CovectorField, ScalarField, SymTwoTensorField
+from .fields import ScalarField
 from .gauge import conformal_reparam_check
 from .scattering import scatter_batch
 from .stationary import (boundary_normal_coords, linearization_equivalence,
@@ -168,7 +168,7 @@ def run_verify_thm1(config: dict, seed: int) -> dict:
     sc = _build_scenario(config, "product_disk")
     n = int(config.get("n", 10))
     tol = float(config.get("tolerance", 1e-3))
-    fam = acceptance._stretch_family()
+    fam = scenarios.stretch_family()
     records, residuals = [], []
     for x, y in scenarios.null_pairs(sc, n, seed=seed):
         rep = linearize_r(fam, x, y, fd_step=1e-4)
@@ -235,12 +235,7 @@ def run_lin_equivalence(config: dict, seed: int) -> dict:
     sc = _build_scenario(config, "stationary_rot")
     n = int(config.get("n", 5))
     tol = float(config.get("tolerance", 1e-6))
-    dh = SymTwoTensorField(dim=2, func=lambda p: np.exp(
-        -np.einsum("...i,...i->...", np.asarray(p, float),
-                   np.asarray(p, float)))[..., None, None] * np.eye(2))
-    dom = CovectorField(dim=2, func=lambda p: np.stack(
-        [0.3 * np.asarray(p, float)[..., 1] ** 2,
-         0.2 + 0.1 * np.asarray(p, float)[..., 0]], axis=-1))
+    dh, dom = scenarios.equivalence_fields()
     records, residuals = [], []
     for x, u in scenarios.magnetic_entries(sc, n, seed=seed):
         mrec = magnetic_scatter(sc.magnetic, sc.spatial_boundary, x, u,
@@ -272,17 +267,11 @@ def run_conformal_reparam(config: dict, seed: int) -> dict:
     t0 = time.perf_counter()
     sc = _build_scenario(config, "product_disk")
     tol = float(config.get("tolerance", 1e-6))
-    x0 = np.array([0.0, -0.5, 0.1])
-    xi0 = sc.metric.matrix(x0) @ np.array([1.0, 0.8, 0.6])
+    x0, xi0 = scenarios.reparam_start(sc)
     records, residuals = [], []
     cases = [("constant 1", ScalarField.constant(1.0)),
-             ("constant 4", ScalarField.constant(4.0))]
-
-    def cg(x):
-        xs = np.asarray(x, float)[..., 1:]
-        return 1.0 + 0.3 * np.exp(-np.einsum("...i,...i->...", xs, xs))
-
-    cases.append(("gaussian", ScalarField(func=cg, positive=True)))
+             ("constant 4", ScalarField.constant(4.0)),
+             ("gaussian", scenarios.gaussian_factor())]
     for label, c in cases:
         rep = conformal_reparam_check(sc.metric, c, x0, xi0, sigma_max=0.6)
         residuals.append(rep.max_deviation)
@@ -295,14 +284,7 @@ def run_conformal_reparam(config: dict, seed: int) -> dict:
 def run_normal_coords(config: dict, seed: int) -> dict:
     t0 = time.perf_counter()
     tol = float(config.get("tolerance", 1e-8))
-
-    def om_func(p):
-        p = np.asarray(p, float)
-        th, d = p[..., 0], p[..., 1]
-        return np.stack([0.1 * (1.0 - d) ** 2 + 0.05 * d * np.sin(th),
-                         0.3 * d + 0.1 * np.cos(th)], axis=-1)
-
-    phi, gauged = boundary_normal_coords(CovectorField(dim=2, func=om_func))
+    phi, gauged = boundary_normal_coords(scenarios.collar_one_form())
     th = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
     dd = np.linspace(0.0, 0.4, 8)
     records, residuals = [], []

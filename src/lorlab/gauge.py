@@ -211,9 +211,7 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
         state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         xs[i + 1], xis[i + 1] = state[0, 0], state[0, 1]
     sigma = np.linspace(0.0, sigma_max, n + 1)
-    return HamiltonianPath(sigma=sigma, x=xs, xi=xis,
-                           h_values=np.array([hval(xs[i], xis[i])
-                                              for i in range(n + 1)]))
+    return HamiltonianPath(sigma=sigma, x=xs, xi=xis, h_values=hval(xs, xis))
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,20 @@
 Metric evaluation, Christoffel symbols, fixed-step RK4 geodesic
 integration with hypersurface stopping, causal classification, and
 boundary normals/projections.  The integrator runs on a batch of
-states at once; single-ray entry points wrap the batch of one.
+states at once; single-ray entry points are batches of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import (ChartDomainError, EscapeError, NoLiftError,
-                     SignatureError, SingularMetricError, StepBudgetError,
-                     TangencyError)
-from .fields import Array, _central_diff, fd_step
+                     PreconditionError, SignatureError, SingularMetricError,
+                     TangencyError, ray_errors)
+from .fields import Array, _central_diff
 
 DET_FLOOR = 1e-12
 CAUSAL_TOL = 1e-9
@@ -76,9 +76,6 @@ class MetricField:
         if self.dfunc is not None:
             return np.asarray(self.dfunc(np.asarray(x, float)), float)
         return _central_diff(self.func, x, (self.dim, self.dim))
-
-    def inverse(self, x: Array) -> Array:
-        return np.linalg.inv(self.matrix(x))
 
 
 def inner(g: MetricField, x: Array, u: Array, w: Array) -> Union[float, Array]:
@@ -245,16 +242,8 @@ class GeodesicPath:
             raise ValueError("non-finite path samples")
 
     @property
-    def start(self) -> tuple[Array, Array]:
-        return self.x[0], self.v[0]
-
-    @property
     def end(self) -> tuple[Array, Array]:
         return self.x[-1], self.v[-1]
-
-    @property
-    def length_parameter(self) -> float:
-        return float(self.sigma[-1] - self.sigma[0])
 
     def speed_drift(self, metric: MetricField) -> float:
         """max over samples of |(v,v)_g - speed_squared|."""
@@ -302,14 +291,6 @@ def integrate_flow_fixed(accel, x0: Array, v0: Array, sigma_max: float,
         x, v = _rk4_step(accel, x, v, h)
         xs[i + 1], vs[i + 1] = x, v
     return np.linspace(0.0, sigma_max, n + 1), xs, vs
-
-
-@dataclass
-class _HitState:
-    index: int
-    sigma: float
-    x: Array
-    v: Array
 
 
 def _refine_hit(accel, S: BoundaryHypersurface, x: Array, v: Array,
@@ -385,9 +366,13 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
         vs.append(v.copy())
         k += 1
     if np.any(active):
+        lost = np.flatnonzero(active)
+        blown = lost[~np.all(np.isfinite(x[lost]), axis=1)]
         raise EscapeError(
-            f"{int(active.sum())} ray(s) never met the target surface "
-            f"within sigma budget {max_sigma}")
+            f"ray(s) {lost.tolist()} never met the target surface within "
+            f"sigma budget {max_sigma}"
+            + (f"; non-finite state on ray(s) {blown.tolist()}"
+               if blown.size else ""))
     xs = np.array(xs)
     vs = np.array(vs)
     out = []
@@ -395,7 +380,7 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
         m = hit_index[b]
         sig, xe, ve = _refine_hit(accel, S, xs[m, b], vs[m, b], m * step, step)
         if abs(float(S.value(xe))) > 100 * SURFACE_TOL:
-            raise EscapeError("boundary hit refinement failed")
+            raise EscapeError(f"ray {b}: boundary hit refinement failed")
         sigma = np.append(np.arange(m + 1) * step, sig)
         px = np.vstack([xs[: m + 1, b], xe[None, :]])
         pv = np.vstack([vs[: m + 1, b], ve[None, :]])
@@ -407,42 +392,93 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
     return out
 
 
-def integrate_flow_path(accel, metric_for_speed: MetricField, x0: Array,
-                        v0: Array, stop, step: float = 1e-3,
-                        max_sigma: float = 10.0,
-                        require_interior_first: bool = False) -> GeodesicPath:
-    """Fixed-step RK4 path of the flow x'' = accel(x, x') from (x0, v0).
+def _check_finite(x: Array, v: Array, what: str) -> None:
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+        raise ValueError(f"non-finite {what}")
+
+
+def _check_transversal(S: BoundaryHypersurface, g: MetricField, x: Array,
+                       v: Array, what: str) -> None:
+    nu = boundary_normal(S, g, x)
+    if abs(float(v @ g.matrix(x) @ nu)) < TANGENCY_TOL * np.linalg.norm(v):
+        raise TangencyError(f"{what} tangent to the hypersurface")
+
+
+def integrate_flow_paths(accel, metric_for_speed: MetricField, x0: Array,
+                         v0: Array, stop, step: float = 1e-3,
+                         max_sigma: float = 10.0,
+                         require_interior_first: bool = False,
+                         unit_speed: bool = False) -> list[GeodesicPath]:
+    """Fixed-step RK4 paths of the flow x'' = accel(x, x') from a batch
+    of initial data (B, dim), marched in lockstep.
 
     ``stop`` is either a float (final parameter value) or a
-    BoundaryHypersurface, in which case the final sample lies on {b=0}
-    and tangential arrivals are rejected.  ``metric_for_speed`` only
-    sets the conserved speed_squared bookkeeping.
+    BoundaryHypersurface, in which case each final sample lies on {b=0}
+    and tangential arrivals are rejected.  Before the march every ray
+    must have finite data and ``metric_for_speed`` its declared signature
+    at the start; that metric also sets the conserved speed_squared, which
+    ``unit_speed`` requires to be one.  Errors name the failing ray.
     """
-    x0 = np.asarray(x0, float)
-    v0 = np.asarray(v0, float)
-    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(v0))):
-        raise ValueError("non-finite initial data")
-    speed2 = float(inner(metric_for_speed, x0, v0, v0))
-    if isinstance(stop, BoundaryHypersurface):
-        (sigma, xs, vs), = integrate_flow_to_surface(
-            accel, x0[None], v0[None], stop, step, max_sigma,
-            require_interior_first=require_interior_first)
-        nu = boundary_normal(stop, metric_for_speed, xs[-1])
-        gm = metric_for_speed.matrix(xs[-1])
-        if abs(float(vs[-1] @ gm @ nu)) < TANGENCY_TOL * np.linalg.norm(vs[-1]):
-            raise TangencyError("ray tangent to stopping hypersurface")
-        return GeodesicPath(sigma=sigma, x=xs, v=vs, speed_squared=speed2)
-    sigma, xs, vs = integrate_flow_fixed(accel, x0[None], v0[None],
-                                         float(stop), step)
-    return GeodesicPath(sigma=sigma, x=xs[:, 0], v=vs[:, 0],
-                        speed_squared=speed2)
+    x0 = np.atleast_2d(np.asarray(x0, float))
+    v0 = np.atleast_2d(np.asarray(v0, float))
+    speed2 = []
+    for i, (x, v) in enumerate(zip(x0, v0)):
+        with ray_errors(i):
+            _check_finite(x, v, "initial data")
+            speed2.append(float(inner(metric_for_speed, x, v, v)))
+            if unit_speed and abs(speed2[-1] - 1.0) > 1e-8:
+                raise PreconditionError(
+                    f"initial velocity has (v,v) = {speed2[-1]:g}, not 1")
+    if not isinstance(stop, BoundaryHypersurface):
+        sigma, xs, vs = integrate_flow_fixed(accel, x0, v0, float(stop), step)
+        return [GeodesicPath(sigma=sigma, x=xs[:, i], v=vs[:, i],
+                             speed_squared=s) for i, s in enumerate(speed2)]
+    sols = integrate_flow_to_surface(
+        accel, x0, v0, stop, step, max_sigma,
+        require_interior_first=require_interior_first)
+    paths = []
+    for i, (sigma, xs, vs) in enumerate(sols):
+        with ray_errors(i):
+            _check_transversal(stop, metric_for_speed, xs[-1], vs[-1],
+                               "exit")
+            paths.append(GeodesicPath(sigma=sigma, x=xs, v=vs,
+                                      speed_squared=speed2[i]))
+    return paths
+
+
+def scatter_paths(accel, g: MetricField, U: BoundaryHypersurface,
+                  V: BoundaryHypersurface, xs: Array, v_projs: Array, lift,
+                  step: float, max_sigma: float, unit_speed: bool = False):
+    """Shoot a batch of boundary entries (B, dim) from U to V in one
+    lockstep march; the checks every scattering relation shares.
+
+    Each entry must be finite and lie on U; ``lift(x, v_proj)`` completes
+    it inward, and the completion must be g-transversal to U.  The march
+    and its checks are those of integrate_flow_paths.  Errors name the
+    failing ray.  Returns the entries as (B, dim) arrays and the paths.
+    """
+    xs = np.atleast_2d(np.asarray(xs, float))
+    v_projs = np.atleast_2d(np.asarray(v_projs, float))
+    lifts = np.empty_like(xs)
+    for i, (x, vp) in enumerate(zip(xs, v_projs)):
+        with ray_errors(i):
+            _check_finite(x, vp, "entry data")
+            if not abs(float(U.value(x))) <= 1e-9:
+                raise PreconditionError("entry point not on the boundary")
+            lifts[i] = lift(x, vp)
+            _check_transversal(U, g, x, lifts[i], "entry")
+    return xs, v_projs, integrate_flow_paths(
+        accel, g, xs, lifts, V, step, max_sigma,
+        require_interior_first=U is V, unit_speed=unit_speed)
 
 
 def integrate_geodesic(g: MetricField, x0: Array, v0: Array,
                        stop, step: float = 1e-3, max_sigma: float = 10.0,
                        require_interior_first: bool = False) -> GeodesicPath:
-    """Fixed-step RK4 geodesic of g; see integrate_flow_path for stops."""
-    g.matrix(np.asarray(x0, float), validate=True)
-    return integrate_flow_path(geodesic_accel(g), g, x0, v0, stop, step,
-                               max_sigma,
-                               require_interior_first=require_interior_first)
+    """Fixed-step RK4 geodesic of g: the batch of one of
+    integrate_flow_paths, which documents the stops and checks."""
+    (path,) = integrate_flow_paths(
+        geodesic_accel(g), g, np.asarray(x0, float)[None],
+        np.asarray(v0, float)[None], stop, step, max_sigma,
+        require_interior_first=require_interior_first)
+    return path

@@ -6,12 +6,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PreconditionError, TangencyError
+from .errors import PreconditionError
 from .fields import Array
 from .geometry import (BoundaryHypersurface, GeodesicPath, MetricField,
-                       boundary_normal, boundary_project, geodesic_accel,
-                       inner, integrate_flow_to_surface, integrate_geodesic,
-                       lightlike_completion, TANGENCY_TOL)
+                       boundary_project, geodesic_accel, inner,
+                       lightlike_completion, scatter_paths)
 
 UNIT_INDUCED = "unit_g_prime"
 TIME_COMPONENT = "time_component"
@@ -36,51 +35,42 @@ class ScatteringRecord:
     path: GeodesicPath | None = None
 
 
+def _scatter_rays(g: MetricField, U: BoundaryHypersurface,
+                  V: BoundaryHypersurface, xs: Array, v_projs: Array,
+                  step: float, max_sigma: float,
+                  keep_paths: bool) -> list[ScatteringRecord]:
+    """The one implementation behind scatter and scatter_batch."""
+    xs, v_projs, paths = scatter_paths(
+        geodesic_accel(g), g, U, V, xs, v_projs,
+        lambda x, vp: lightlike_completion(g, U, x, vp, orientation=-1.0),
+        step, max_sigma)
+    return [ScatteringRecord(x=x, v_proj=vp, y=p.end[0],
+                             w_proj=boundary_project(g, V, *p.end),
+                             travel=float(p.sigma[-1]),
+                             path=p if keep_paths else None)
+            for x, vp, p in zip(xs, v_projs, paths)]
+
+
 def scatter(g: MetricField, U: BoundaryHypersurface, V: BoundaryHypersurface,
             x: Array, v_proj: Array, step: float = 1e-3,
             max_sigma: float = 10.0, keep_path: bool = True) -> ScatteringRecord:
     """Shoot the lightlike geodesic with inward completion of v_proj from
-    x in U to its first transversal intersection with V."""
-    x = np.asarray(x, float)
-    if abs(float(U.value(x))) > 1e-9:
-        raise PreconditionError("entry point not on U")
-    v = lightlike_completion(g, U, x, v_proj, orientation=-1.0)
-    nu = boundary_normal(U, g, x)
-    gm = g.matrix(x)
-    if abs(float(v @ gm @ nu)) < TANGENCY_TOL * np.linalg.norm(v):
-        raise TangencyError("entry ray tangent to U")
-    path = integrate_geodesic(g, x, v, stop=V, step=step, max_sigma=max_sigma,
-                              require_interior_first=U is V)
-    y, w = path.end
-    w_proj = boundary_project(g, V, y, w)
-    return ScatteringRecord(x=x, v_proj=np.asarray(v_proj, float), y=y,
-                            w_proj=w_proj, travel=float(path.sigma[-1]),
-                            path=path if keep_path else None)
+    x in U to its first transversal intersection with V: the batch of one
+    of scatter_batch."""
+    (rec,) = _scatter_rays(g, U, V, np.asarray(x, float)[None],
+                           np.asarray(v_proj, float)[None], step, max_sigma,
+                           keep_path)
+    return rec
 
 
 def scatter_batch(g: MetricField, U: BoundaryHypersurface,
                   V: BoundaryHypersurface, xs: Array, v_projs: Array,
                   step: float = 1e-3, max_sigma: float = 10.0,
                   keep_paths: bool = False) -> list[ScatteringRecord]:
-    """Vectorized scatter over a grid of entries (one RK4 march for all)."""
-    xs = np.atleast_2d(np.asarray(xs, float))
-    v_projs = np.atleast_2d(np.asarray(v_projs, float))
-    lifts = np.array([lightlike_completion(g, U, x, vp, orientation=-1.0)
-                      for x, vp in zip(xs, v_projs)])
-    accel = geodesic_accel(g)
-    sols = integrate_flow_to_surface(accel, xs, lifts, V, step, max_sigma,
-                                     require_interior_first=U is V)
-    records = []
-    for x, vp, (sigma, px, pv) in zip(xs, v_projs, sols):
-        y, w = px[-1], pv[-1]
-        w_proj = boundary_project(g, V, y, w)
-        path = None
-        if keep_paths:
-            path = GeodesicPath(sigma=sigma, x=px, v=pv,
-                                speed_squared=float(inner(g, x, pv[0], pv[0])))
-        records.append(ScatteringRecord(x=x, v_proj=vp, y=y, w_proj=w_proj,
-                                        travel=float(sigma[-1]), path=path))
-    return records
+    """scatter over a batch of entries (B, dim), one RK4 march for all,
+    with the checks of geometry.scatter_paths; NoLiftError when an entry
+    has no lightlike completion."""
+    return _scatter_rays(g, U, V, xs, v_projs, step, max_sigma, keep_paths)
 
 
 def normalize(rec: ScatteringRecord, mode: str, g: MetricField) -> ScatteringRecord:

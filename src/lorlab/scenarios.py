@@ -13,7 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import Array, CovectorField, ScalarField
+from .connect import MetricFamily
+from .fields import Array, CovectorField, ScalarField, SymTwoTensorField
 from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                        MetricField)
 from .stationary import MagneticSystem, StationaryMetric
@@ -35,7 +36,8 @@ class Scenario:
 # building blocks
 # ---------------------------------------------------------------------------
 
-def _constant_metric(dim: int, diag: Array, signature: str) -> MetricField:
+def constant_metric(dim: int, diag: Array, signature: str) -> MetricField:
+    """Constant diagonal metric diag(diag) with analytic zero partials."""
     mat = np.diag(np.asarray(diag, float))
 
     def func(x):
@@ -136,7 +138,7 @@ def minkowski_slab(n_space: int = 2, thickness: float = 1.0) -> Scenario:
     diag[0] = -1.0
     return Scenario(
         name="minkowski_slab",
-        metric=_constant_metric(dim, diag, LORENTZIAN),
+        metric=constant_metric(dim, diag, LORENTZIAN),
         entry_surface=_time_slice(0.0, dim, exterior_sign=-1.0),
         exit_surface=_time_slice(thickness, dim, exterior_sign=+1.0),
         params={"n_space": n_space, "thickness": thickness})
@@ -144,12 +146,12 @@ def minkowski_slab(n_space: int = 2, thickness: float = 1.0) -> Scenario:
 
 def product_disk() -> Scenario:
     cyl = _cylinder()
-    h = _constant_metric(2, np.ones(2), RIEMANNIAN)
+    h = constant_metric(2, np.ones(2), RIEMANNIAN)
     m = StationaryMetric(lam=ScalarField.constant(1.0),
                          omega=CovectorField.zero(2), base=h)
     return Scenario(
         name="product_disk",
-        metric=_constant_metric(3, np.array([-1.0, 1.0, 1.0]), LORENTZIAN),
+        metric=constant_metric(3, np.array([-1.0, 1.0, 1.0]), LORENTZIAN),
         entry_surface=cyl, exit_surface=cyl,
         stationary=m, magnetic=MagneticSystem(base=h,
                                               omega=CovectorField.zero(2)),
@@ -213,7 +215,7 @@ def perturbed_product(amplitude: float = 0.1) -> Scenario:
 
 def stationary_rot(B: float = 0.2) -> Scenario:
     omega = _rotation_form(float(B))
-    h = _constant_metric(2, np.ones(2), RIEMANNIAN)
+    h = constant_metric(2, np.ones(2), RIEMANNIAN)
     m = StationaryMetric(lam=ScalarField.constant(1.0), omega=omega, base=h)
     cyl = _cylinder()
     return Scenario(
@@ -381,6 +383,84 @@ def conformal_bump(amplitude: float = 0.1) -> ScalarField:
             -np.einsum("...i,...i->...", x, x))[..., None] * x
 
     return ScalarField(func=func, grad=grad, positive=True)
+
+
+def stretch_family() -> MetricFamily:
+    """g_tau = -dt^2 + (1 + tau) |dx|^2 on the disk chart."""
+    f = SymTwoTensorField(dim=3, func=lambda x: np.broadcast_to(
+        np.diag([0.0, 1.0, 1.0]), np.shape(x)[:-1] + (3, 3)))
+    return MetricFamily(eval=lambda tau: constant_metric(
+        3, [-1.0, 1.0 + tau, 1.0 + tau], LORENTZIAN), derivative_at_0=f)
+
+
+def conformal_family(g0: MetricField) -> MetricFamily:
+    """g_tau = (1 + tau c) g0 with c = conformal_bump(0.5) of the spatial
+    coordinates: a pure conformal (gauge) family."""
+    from .gauge import scale_metric
+    c = spacetime_field(conformal_bump(0.5))
+
+    def eval_tau(tau):
+        return scale_metric(g0, ScalarField(
+            func=lambda x: 1.0 + tau * c(x),
+            grad=lambda x: tau * c.gradient(x), positive=True))
+
+    f = SymTwoTensorField(dim=3, func=lambda x: c(x)[..., None, None]
+                          * np.asarray(g0.func(x), float))
+    return MetricFamily(eval=eval_tau, derivative_at_0=f)
+
+
+def equivalence_fields() -> tuple[SymTwoTensorField, CovectorField]:
+    """Variations (dh, dom) of the base metric and the one-form on the
+    unit disk: dh = exp(-|x|^2) Id and dom = (0.3 y^2, 0.2 + 0.1 x)."""
+
+    def bump(p):
+        p = np.asarray(p, float)
+        return np.exp(-np.einsum("...i,...i->...", p, p))
+
+    dh = SymTwoTensorField(dim=2, func=lambda p: bump(p)[
+        ..., None, None] * np.eye(2))
+    dom = CovectorField(dim=2, func=lambda p: np.stack(
+        [0.3 * np.asarray(p, float)[..., 1] ** 2,
+         0.2 + 0.1 * np.asarray(p, float)[..., 0]], axis=-1))
+    return dh, dom
+
+
+def gaussian_factor() -> ScalarField:
+    """Conformal factor 1 + 0.3 exp(-|x|^2) of the spatial coordinates."""
+    return spacetime_field(conformal_bump(0.3))
+
+
+def reparam_start(scenario: Scenario) -> tuple[Array, Array]:
+    """Null start (x0, xi0) of the conformal reparametrization check:
+    xi0 lowers the lightlike vector (1, 0.8, 0.6) at x0."""
+    x0 = np.array([0.0, -0.5, 0.1])
+    return x0, scenario.metric.matrix(x0) @ np.array([1.0, 0.8, 0.6])
+
+
+def collar_one_form() -> CovectorField:
+    """One-form on the collar chart (theta, d), d the normal distance,
+    with a normal component that does not vanish."""
+
+    def om_func(p):
+        p = np.asarray(p, float)
+        th, d = p[..., 0], p[..., 1]
+        return np.stack([0.1 * (1.0 - d) ** 2 + 0.05 * d * np.sin(th),
+                         0.3 * d + 0.1 * np.cos(th)], axis=-1)
+
+    return CovectorField(dim=2, func=om_func)
+
+
+def spacetime_field(c: ScalarField) -> ScalarField:
+    """The spatial field c as a field of the spacetime point (t, x)."""
+
+    def grad(x):
+        x = np.asarray(x, float)
+        out = np.zeros_like(x)
+        out[..., 1:] = c.gradient(x[..., 1:])
+        return out
+
+    return ScalarField(func=lambda x: c(np.asarray(x, float)[..., 1:]),
+                       grad=grad, positive=c.positive)
 
 
 def null_pairs(scenario: Scenario, n: int, seed: int = 0,

@@ -17,13 +17,13 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
-from .errors import NoLiftError, PreconditionError, TangencyError
+from .errors import NoLiftError, PreconditionError
 from .fields import Array, CovectorField, ScalarField, SymTwoTensorField
-from .geometry import (LORENTZIAN, RIEMANNIAN, TANGENCY_TOL,
-                       BoundaryHypersurface, GeodesicPath, MetricField,
-                       boundary_normal, boundary_project, geodesic_accel,
-                       inner, integrate_flow_fixed, integrate_flow_path,
-                       integrate_geodesic)
+from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
+                       GeodesicPath, MetricField, boundary_normal,
+                       boundary_project, geodesic_accel, inner,
+                       integrate_flow_fixed, integrate_flow_paths,
+                       integrate_geodesic, scatter_paths)
 from .lightray import light_ray_transform, magnetic_linearized_transform
 from .scattering import ScatteringRecord, scatter
 from .connect import solve_two_point
@@ -189,14 +189,13 @@ def magnetic_accel(mag: MagneticSystem, speed_from_velocity: bool = False):
 def magnetic_integrate(mag: MagneticSystem, x0: Array, u0: Array, stop,
                        step: float = 1e-3, max_sigma: float = 10.0,
                        require_interior_first: bool = False) -> GeodesicPath:
-    """Arc-length magnetic geodesic from (x0, u0); u0 must be h-unit."""
-    x0 = np.asarray(x0, float)
-    u0 = np.asarray(u0, float)
-    if abs(float(inner(mag.base, x0, u0, u0)) - 1.0) > 1e-8:
-        raise PreconditionError("initial velocity is not h-unit")
-    return integrate_flow_path(magnetic_accel(mag), mag.base, x0, u0, stop,
-                               step, max_sigma,
-                               require_interior_first=require_interior_first)
+    """Arc-length magnetic geodesic from (x0, u0); u0 must be h-unit.
+    The batch of one of integrate_flow_paths."""
+    (path,) = integrate_flow_paths(
+        magnetic_accel(mag), mag.base, np.asarray(x0, float)[None],
+        np.asarray(u0, float)[None], stop, step, max_sigma,
+        require_interior_first=require_interior_first, unit_speed=True)
+    return path
 
 
 def curve_flux(omega: CovectorField, path: GeodesicPath) -> float:
@@ -219,67 +218,45 @@ class MagneticRecord:
     path: Optional[GeodesicPath] = None
 
 
-def magnetic_scatter(mag: MagneticSystem, S: BoundaryHypersurface, x: Array,
-                     u_proj: Array, step: float = 1e-3,
-                     max_sigma: float = 10.0,
-                     keep_path: bool = True) -> MagneticRecord:
-    """Shoot the unit-speed magnetic geodesic with inward completion of
-    the sub-unit tangential entry u_proj, back to the boundary."""
-    x = np.asarray(x, float)
-    u_proj = np.asarray(u_proj, float)
-    if abs(float(S.value(x))) > 1e-9:
-        raise PreconditionError("entry point not on the boundary")
-    q = float(inner(mag.base, x, u_proj, u_proj))
-    if q >= 1.0:
-        raise NoLiftError(
-            f"tangential entry has |u'|_h^2 = {q:g} >= 1; no unit completion")
-    nu = boundary_normal(S, mag.base, x)
-    a = -np.sqrt(1.0 - q)
-    if abs(a) < TANGENCY_TOL:
-        raise TangencyError("magnetic entry tangent to the boundary")
-    u = u_proj + a * nu
-    path = magnetic_integrate(mag, x, u, stop=S, step=step,
-                              max_sigma=max_sigma,
-                              require_interior_first=True)
-    y, w = path.end
-    w_proj = boundary_project(mag.base, S, y, w)
-    length = float(path.sigma[-1])
-    action = length - curve_flux(mag.omega, path)
-    return MagneticRecord(x=x, u_proj=u_proj, y=y, w_proj=w_proj,
-                          length=length, action=action,
-                          path=path if keep_path else None)
-
-
 def magnetic_scatter_batch(mag: MagneticSystem, S: BoundaryHypersurface,
                            xs: Array, u_projs: Array, step: float = 1e-3,
                            max_sigma: float = 10.0,
                            keep_paths: bool = False) -> list[MagneticRecord]:
-    """Vectorized magnetic_scatter over a grid of boundary entries."""
-    from .geometry import integrate_flow_to_surface
-    xs = np.atleast_2d(np.asarray(xs, float))
-    u_projs = np.atleast_2d(np.asarray(u_projs, float))
-    lifts = []
-    for x, up in zip(xs, u_projs):
+    """Shoot the unit-speed magnetic geodesics with inward completions of
+    the sub-unit tangential entries u_projs (B, n) from xs on S back to S,
+    one RK4 march for all.  The checks are those of scatter_batch, with
+    NoLiftError for |u'|_h >= 1; errors name the failing ray."""
+
+    def lift(x, up):
         q = float(inner(mag.base, x, up, up))
         if q >= 1.0:
-            raise NoLiftError("tangential entry with |u'|_h >= 1 in batch")
-        lifts.append(up - np.sqrt(1.0 - q) * boundary_normal(S, mag.base, x))
-    sols = integrate_flow_to_surface(magnetic_accel(mag), xs, np.array(lifts),
-                                     S, step, max_sigma,
-                                     require_interior_first=True)
+            raise NoLiftError(f"tangential entry has |u'|_h^2 = {q:g} >= 1; "
+                              "no unit completion")
+        return up - np.sqrt(1.0 - q) * boundary_normal(S, mag.base, x)
+
+    xs, u_projs, paths = scatter_paths(magnetic_accel(mag), mag.base, S, S,
+                                       xs, u_projs, lift, step, max_sigma,
+                                       unit_speed=True)
     records = []
-    for x, up, (sigma, px, pv) in zip(xs, u_projs, sols):
-        y, w = px[-1], pv[-1]
-        w_proj = boundary_project(mag.base, S, y, w)
-        path = GeodesicPath(sigma=sigma, x=px, v=pv,
-                            speed_squared=float(inner(mag.base, x, pv[0],
-                                                      pv[0])))
-        length = float(sigma[-1])
-        action = length - curve_flux(mag.omega, path)
-        records.append(MagneticRecord(x=x, u_proj=up, y=y, w_proj=w_proj,
-                                      length=length, action=action,
-                                      path=path if keep_paths else None))
+    for x, up, path in zip(xs, u_projs, paths):
+        length = float(path.sigma[-1])
+        records.append(MagneticRecord(
+            x=x, u_proj=up, y=path.end[0],
+            w_proj=boundary_project(mag.base, S, *path.end), length=length,
+            action=length - curve_flux(mag.omega, path),
+            path=path if keep_paths else None))
     return records
+
+
+def magnetic_scatter(mag: MagneticSystem, S: BoundaryHypersurface, x: Array,
+                     u_proj: Array, step: float = 1e-3,
+                     max_sigma: float = 10.0,
+                     keep_path: bool = True) -> MagneticRecord:
+    """Magnetic scattering of one boundary entry: the batch of one of
+    magnetic_scatter_batch."""
+    return magnetic_scatter_batch(mag, S, np.asarray(x, float)[None],
+                                  np.asarray(u_proj, float)[None], step,
+                                  max_sigma, keep_path)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -302,45 +279,47 @@ class MagneticConnector:
         return self.length - self.flux
 
 
+def magnetic_connectors_batch(mag: MagneticSystem, xs: Array, ys: Array,
+                              seeds: Optional[Array] = None,
+                              n_steps: int = 400, tol: float = 1e-10,
+                              **kw) -> list[MagneticConnector]:
+    """Solve the magnetic two-point problems for a batch of endpoint
+    pairs by shooting the smooth [0, 1]-parametrized flow, then rescale
+    each connector to arc length."""
+    xs = np.atleast_2d(np.asarray(xs, float))
+    ys = np.atleast_2d(np.asarray(ys, float))
+    accel = magnetic_accel(mag, speed_from_velocity=True)
+    ws = solve_two_point(accel, xs, ys, seeds=seeds, n_steps=n_steps,
+                         tol=tol, **kw)
+    tau, zx, zv = integrate_flow_fixed(accel, xs, ws, 1.0, 1.0 / n_steps)
+    out = []
+    for b, (x, y, w) in enumerate(zip(xs, ys, ws)):
+        length = float(np.sqrt(inner(mag.base, x, w, w)))
+        unit = GeodesicPath(sigma=length * tau, x=zx[:, b],
+                            v=zv[:, b] / length,
+                            speed_squared=float(inner(mag.base, x, w / length,
+                                                      w / length)))
+        out.append(MagneticConnector(path=unit, x=x, y=y, length=length,
+                                     flux=curve_flux(mag.omega, unit),
+                                     initial_w=w))
+    return out
+
+
 def magnetic_connector(mag: MagneticSystem, x: Array, y: Array,
                        seed: Optional[Array] = None, n_steps: int = 400,
                        tol: float = 1e-10, **kw) -> MagneticConnector:
-    """Solve the magnetic two-point problem by shooting the smooth
-    [0, 1]-parametrized flow, then rescale to arc length."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    accel = magnetic_accel(mag, speed_from_velocity=True)
+    """The batch of one of magnetic_connectors_batch."""
     seeds = None if seed is None else np.asarray(seed, float)[None]
-    (w,) = solve_two_point(accel, x[None], y[None], seeds=seeds,
-                           n_steps=n_steps, tol=tol, **kw)
-    tau, zx, zv = integrate_flow_fixed(accel, x[None], w[None], 1.0,
-                                       1.0 / n_steps)
-    length = float(np.sqrt(inner(mag.base, x, w, w)))
-    unit = GeodesicPath(sigma=length * tau, x=zx[:, 0], v=zv[:, 0] / length,
-                        speed_squared=float(inner(mag.base, x, w / length,
-                                                  w / length)))
-    return MagneticConnector(path=unit, x=x, y=y, length=length,
-                             flux=curve_flux(mag.omega, unit), initial_w=w)
+    (conn,) = magnetic_connectors_batch(
+        mag, np.asarray(x, float)[None], np.asarray(y, float)[None],
+        seeds=seeds, n_steps=n_steps, tol=tol, **kw)
+    return conn
 
 
 def action_A(mag: MagneticSystem, x: Array, y: Array,
              seed: Optional[Array] = None, **kw) -> float:
     """Magnetic action of the connector: length minus flux of omega."""
     return magnetic_connector(mag, x, y, seed=seed, **kw).action
-
-
-def _connector_actions(mag: MagneticSystem, xs: Array, ys: Array,
-                       seeds: Array, n_steps: int) -> Array:
-    """Batched actions of magnetic connectors for endpoint pairs."""
-    accel = magnetic_accel(mag, speed_from_velocity=True)
-    ws = solve_two_point(accel, xs, ys, seeds=seeds, n_steps=n_steps,
-                         tol=1e-12)
-    tau, zx, zv = integrate_flow_fixed(accel, xs, ws, 1.0, 1.0 / n_steps)
-    hm = mag.base.matrix(xs)
-    lengths = np.sqrt(np.einsum("bi,bij,bj->b", ws, hm, ws))
-    vals = np.einsum("mbi,mbi->mb", mag.omega(zx), zv)
-    fluxes = simpson(vals, x=tau, axis=0)
-    return lengths - fluxes
 
 
 def magnetic_michel(mag: MagneticSystem, S: BoundaryHypersurface, x: Array,
@@ -371,8 +350,9 @@ def magnetic_michel(mag: MagneticSystem, S: BoundaryHypersurface, x: Array,
             b[j] += s * fd_step
             yp = np.asarray(S.chart(b), float)
             xs.append(x), ys.append(yp), seeds.append(w0 + (yp - y))
-    acts = _connector_actions(mag, np.array(xs), np.array(ys),
-                              np.array(seeds), n_steps)
+    acts = np.array([c.action for c in magnetic_connectors_batch(
+        mag, np.array(xs), np.array(ys), np.array(seeds), n_steps=n_steps,
+        tol=1e-12)])
     dA_da = (acts[0:2 * p:2] - acts[1:2 * p:2]) / (2 * fd_step)
     dA_db = (acts[2 * p::2] - acts[2 * p + 1::2]) / (2 * fd_step)
 

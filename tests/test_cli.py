@@ -69,8 +69,8 @@ def test_unknown_command_is_parse_error(capsys):
     assert run(["no-such-command"]) == EXIT_PARSE
 
 
-def test_negative_threads_rejected():
-    assert run(["scatter", "--threads", "0"]) == EXIT_PARSE
+def test_threads_option_removed(capsys):
+    assert run(["scatter", "--threads", "1"]) == EXIT_PARSE
 
 
 def test_tolerance_violation_exits_numerical(tmp_path):

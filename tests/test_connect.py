@@ -5,7 +5,6 @@ from lorlab import (MetricFamily, connecting_geodesic,
                     connecting_geodesics_batch, defining_r, linearize_r,
                     michel_check, sigma_detect)
 from lorlab import scenarios
-from lorlab.acceptance import _conformal_family, _stretch_family
 
 
 def test_connector_energy_examples(product_disk):
@@ -71,7 +70,7 @@ def test_michel_residual_small(product_disk):
 
 def test_linearize_matches_transform(product_disk):
     (x, y), = scenarios.null_pairs(product_disk, 1, seed=4)
-    rep = linearize_r(_stretch_family(), x, y, fd_step=1e-4)
+    rep = linearize_r(scenarios.stretch_family(), x, y, fd_step=1e-4)
     assert rep.kappa == 0.5
     assert rep.rel_error < 1e-3
     # closed form: r(tau) = ((1 + tau) rho^2 - dt^2) / 2, derivative rho^2/2
@@ -81,7 +80,7 @@ def test_linearize_matches_transform(product_disk):
 
 def test_linearize_conformal_family_vanishes(product_disk):
     (x, y), = scenarios.null_pairs(product_disk, 1, seed=4)
-    rep = linearize_r(_conformal_family(product_disk.metric), x, y,
+    rep = linearize_r(scenarios.conformal_family(product_disk.metric), x, y,
                       fd_step=1e-4)
     assert abs(rep.fd_value) < 1e-6
     assert abs(rep.kappa * rep.lrt_value) < 1e-6
@@ -91,7 +90,7 @@ def test_elliptic_factor_covariance(product_disk):
     """Multiplying the defining function by a constant kappa multiplies
     its linearization by kappa."""
     (x, y), = scenarios.null_pairs(product_disk, 1, seed=6)
-    fam = _stretch_family()
+    fam = scenarios.stretch_family()
     base = linearize_r(fam, x, y, fd_step=1e-4)
     taus = np.array([-1e-4, 1e-4])
     kappa = 2.5

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from lorlab import (TIME_COMPONENT, UNIT_INDUCED, NoLiftError, TangencyError,
-                    inner, normalize, scatter, scatter_batch)
-from lorlab import scenarios
+from lorlab import (TIME_COMPONENT, UNIT_INDUCED, EscapeError, NoLiftError,
+                    PreconditionError, TangencyError, inner,
+                    magnetic_scatter, magnetic_scatter_batch, normalize,
+                    scatter, scatter_batch)
+from lorlab import geometry, scenarios
 
 
 def test_slab_straight_line_exit(slab):
@@ -74,7 +76,7 @@ def test_normalize_modes(product_disk):
     assert np.allclose(ru.w_proj, again.w_proj, atol=1e-12)
 
 
-def test_scatter_batch_matches_scalar(product_disk):
+def test_scatter_batch_matches_scalar(product_disk, stationary_rot):
     entries = scenarios.scattering_entries(product_disk, 6, seed=3)
     xs = np.array([x for x, _ in entries])
     vs = np.array([v for _, v in entries])
@@ -87,6 +89,22 @@ def test_scatter_batch_matches_scalar(product_disk):
         assert np.allclose(rb.w_proj, rs.w_proj, atol=1e-9)
         assert rb.travel == pytest.approx(rs.travel, abs=1e-9)
 
+    sr = stationary_rot
+    entries = scenarios.magnetic_entries(sr, 3, seed=3)
+    xs = np.array([x for x, _ in entries])
+    us = np.array([u for _, u in entries])
+    recs = magnetic_scatter_batch(sr.magnetic, sr.spatial_boundary, xs, us,
+                                  keep_paths=True)
+    for (x, u), rb in zip(entries, recs):
+        rs = magnetic_scatter(sr.magnetic, sr.spatial_boundary, x, u,
+                              keep_path=True)
+        assert np.allclose(rb.y, rs.y, atol=1e-9)
+        assert np.allclose(rb.w_proj, rs.w_proj, atol=1e-9)
+        assert rb.length == pytest.approx(rs.length, abs=1e-9)
+        assert rb.action == pytest.approx(rs.action, abs=1e-9)
+        assert np.allclose(rb.path.x, rs.path.x, atol=1e-9)
+        assert rb.path.speed_squared == pytest.approx(1.0, abs=1e-8)
+
 
 def test_entries_are_admissible(stationary_rot):
     entries = scenarios.scattering_entries(stationary_rot, 10, seed=5)
@@ -95,3 +113,42 @@ def test_entries_are_admissible(stationary_rot):
         rec = scatter(stationary_rot.metric, stationary_rot.entry_surface,
                       stationary_rot.exit_surface, x, v, keep_path=True)
         assert rec.path.speed_drift(stationary_rot.metric) < 1e-8
+
+
+def test_batch_entry_off_boundary_raises(product_disk, stationary_rot):
+    pd, sr = product_disk, stationary_rot
+    xs = np.array([[0.0, 1.0, 0.0], [0.0, 0.9, 0.0]])
+    vs = np.array([[1.0, 0.0, 0.3], [1.0, 0.0, 0.3]])
+    with pytest.raises(PreconditionError, match="ray 1"):
+        scatter_batch(pd.metric, pd.entry_surface, pd.exit_surface, xs, vs)
+    with pytest.raises(PreconditionError, match="ray 1"):
+        magnetic_scatter_batch(sr.magnetic, sr.spatial_boundary,
+                               np.array([[1.0, 0.0], [0.9, 0.0]]),
+                               np.zeros((2, 2)))
+
+
+def test_batch_nan_entry_raises_before_march(product_disk, monkeypatch):
+    def no_march(*args, **kwargs):
+        raise AssertionError("marched non-finite entry data")
+
+    monkeypatch.setattr(geometry, "integrate_flow_to_surface", no_march)
+    xs = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    vs = np.array([[1.0, 0.0, 0.3], [1.0, np.nan, 0.0]])
+    with pytest.raises(ValueError, match="ray 1: non-finite"):
+        scatter_batch(product_disk.metric, product_disk.entry_surface,
+                      product_disk.exit_surface, xs, vs)
+
+
+def test_batch_errors_name_the_ray(product_disk, stationary_rot):
+    pd, sr = product_disk, stationary_rot
+    # chords of length 2 sqrt(1 - b^2): b = 0.9 exits within the budget,
+    # the radial entry b = 0 does not
+    xs = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    vs = np.array([[1.0, 0.0, 0.9], [1.0, 0.0, 0.0]])
+    with pytest.raises(EscapeError, match=r"ray\(s\) \[1\]"):
+        scatter_batch(pd.metric, pd.entry_surface, pd.exit_surface, xs, vs,
+                      max_sigma=1.0)
+    with pytest.raises(NoLiftError, match="ray 1"):
+        magnetic_scatter_batch(sr.magnetic, sr.spatial_boundary,
+                               np.array([[1.0, 0.0], [0.0, 1.0]]),
+                               np.array([[0.0, 0.5], [1.0, 0.0]]))
