@@ -63,10 +63,12 @@ def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
             J = (ends - (F + ys)[:, None, :]) / delta[:, None, None]
             J = np.swapaxes(J, 1, 2)            # J[b, out, in]
             conds = np.linalg.cond(J)
-            if np.any(conds > cond_limit):
+            bad = np.flatnonzero(conds > cond_limit)
+            if bad.size:
                 raise ConjugatePointError(
-                    f"shooting Jacobian condition {conds.max():.3g} exceeds "
-                    f"{cond_limit:.1g}; endpoints may be conjugate")
+                    f"pair(s) {bad.tolist()}: shooting Jacobian condition "
+                    f"{conds.max():.3g} exceeds {cond_limit:.1g}; endpoints "
+                    "may be conjugate")
         dv = np.linalg.solve(J, F[..., None])[..., 0]
         v_new = np.where(done[:, None], v, v - dv)
         F_new = _endpoints(accel, xs, v_new, n_steps) - ys
@@ -76,8 +78,8 @@ def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
             J = None                            # stale Jacobian, rebuild
         v, F, res = v_new, F_new, res_new
     raise ConvergenceError(
-        f"two-point shooting: residual {res.max():.3g} after {max_iter} "
-        "iterations")
+        f"pair(s) {np.flatnonzero(res > tol).tolist()}: two-point shooting "
+        f"residual {res.max():.3g} after {max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------

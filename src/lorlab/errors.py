@@ -32,7 +32,8 @@ class NoLiftError(LorlabError):
 
 
 class EscapeError(LorlabError):
-    """Ray never met the target hypersurface within the parameter budget."""
+    """Ray never met the target hypersurface within the parameter budget,
+    or its state turned non-finite on the way."""
 
 
 class ConjugatePointError(LorlabError):

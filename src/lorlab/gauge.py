@@ -185,9 +185,10 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
         cv = c(x)
         return 0.5 * np.einsum("...k,...kl,...l->...", xi, ginv, xi) / cv
 
-    def rhs(state):
+    def rhs(state, check=True):
+        # the metric check runs at the state a step starts from only
         x, xi = state[..., 0, :], state[..., 1, :]
-        ginv = np.linalg.inv(g.matrix(x))
+        ginv = np.linalg.inv(g.matrix(x) if check else g.evaluate(x))
         cinv = 1.0 / c(x)
         dg = g.partials(x)
         # d_i g^{kl} = -(g^{-1} d_i g g^{-1})^{kl}
@@ -205,9 +206,9 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
     xs[0], xis[0] = x0, xi0
     for i in range(n):
         k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
+        k2 = rhs(state + 0.5 * h * k1, check=False)
+        k3 = rhs(state + 0.5 * h * k2, check=False)
+        k4 = rhs(state + h * k3, check=False)
         state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         xs[i + 1], xis[i + 1] = state[0, 0], state[0, 1]
     sigma = np.linspace(0.0, sigma_max, n + 1)

@@ -13,9 +13,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (ChartDomainError, EscapeError, NoLiftError,
-                     PreconditionError, SignatureError, SingularMetricError,
-                     TangencyError, ray_errors)
+from .errors import (ChartDomainError, EscapeError, LorlabError,
+                     NoLiftError, PreconditionError, SignatureError,
+                     SingularMetricError, TangencyError, ray_errors)
 from .fields import Array, _central_diff
 
 DET_FLOOR = 1e-12
@@ -46,11 +46,20 @@ class MetricField:
     dfunc: Optional[Callable[[Array], Array]] = None
     domain: Optional[Callable[[Array], Array]] = None
 
-    def matrix(self, x: Array, validate: bool = False) -> Array:
+    def evaluate(self, x: Array) -> Array:
+        """Matrix values at x with the chart-domain check only."""
         x = np.asarray(x, float)
         if self.domain is not None and not np.all(self.domain(x)):
             raise ChartDomainError("point outside chart domain")
-        g = np.asarray(self.func(x), float)
+        return np.asarray(self.func(x), float)
+
+    def matrix(self, x: Array, validate: bool = False) -> Array:
+        """Matrix values at x, checked: chart domain, finite values,
+        symmetry and a determinant off zero; with ``validate`` also the
+        declared signature."""
+        g = self.evaluate(x)
+        if not np.all(np.isfinite(g)):
+            raise SingularMetricError("non-finite metric values")
         asym = np.abs(g - np.swapaxes(g, -1, -2)).max()
         scale = np.abs(g).max()
         if asym > 1e-12 * max(scale, 1.0):
@@ -97,16 +106,35 @@ def christoffel(g: MetricField, x: Array) -> Array:
     return np.einsum("...kl,...lij->...kij", ginv, low)
 
 
-def geodesic_accel(g: MetricField):
-    """Acceleration closure a(x, v) = -Gamma^k_ij v^i v^j, batched."""
+def metric_solve(gm: Array, rhs: Array) -> Array:
+    """gm^{-1} rhs for a batch of vectors; SingularMetricError when a
+    matrix of the batch is singular."""
+    try:
+        return np.linalg.solve(gm, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise SingularMetricError("singular metric matrix") from None
 
-    def accel(x: Array, v: Array) -> Array:
-        gm = g.matrix(x)
-        dg = g.partials(x)
-        t1 = np.einsum("...ilj,...i,...j->...l", dg, v, v)
-        t2 = np.einsum("...lij,...i,...j->...l", dg, v, v)
-        rhs = t1 - 0.5 * t2
-        return -np.linalg.solve(gm, rhs[..., None])[..., 0]
+
+def geodesic_term(g: MetricField, gm: Array, x: Array, v: Array) -> Array:
+    """-Gamma^k_ij v^i v^j at x, batched, given the matrix values gm of
+    g there."""
+    dg = g.partials(x)
+    t1 = np.einsum("...ilj,...i,...j->...l", dg, v, v)
+    t2 = np.einsum("...lij,...i,...j->...l", dg, v, v)
+    return -metric_solve(gm, t1 - 0.5 * t2)
+
+
+def geodesic_accel(g: MetricField):
+    """Acceleration closure a(x, v) = -Gamma^k_ij v^i v^j, batched.
+
+    With ``check`` (the default) the metric passes MetricField.matrix;
+    without, only its chart-domain check.  _rk4_step checks at the state
+    a step starts from and skips the check at the three inner stages.
+    """
+
+    def accel(x: Array, v: Array, check: bool = True) -> Array:
+        return geodesic_term(g, g.matrix(x) if check else g.evaluate(x),
+                             x, v)
 
     return accel
 
@@ -259,76 +287,121 @@ class GeodesicPath:
 def _rk4_step(accel, x: Array, v: Array, h) -> tuple[Array, Array]:
     """One RK4 step of the second-order system x'' = accel(x, x').
 
-    ``h`` may be a scalar or a per-batch-item array of shape (B,).
+    ``h`` may be a scalar or a per-batch-item array of shape (B,).  Only
+    stage 1, the accepted state the step starts from, asks ``accel`` for
+    the metric check.
     """
     h = np.asarray(h, float)
     if h.ndim == 1:
         h = h[:, None]
     a1 = accel(x, v)
     x2, v2 = x + 0.5 * h * v, v + 0.5 * h * a1
-    a2 = accel(x2, v2)
+    a2 = accel(x2, v2, check=False)
     x3, v3 = x + 0.5 * h * (v + 0.5 * h * a1), v + 0.5 * h * a2
-    a3 = accel(x3, v3)
+    a3 = accel(x3, v3, check=False)
     x4, v4 = x + h * (v + 0.5 * h * a2), v + h * a3
-    a4 = accel(x4, v4)
+    a4 = accel(x4, v4, check=False)
     xn = x + h * v + (h * h / 6.0) * (a1 + a2 + a3)
     vn = v + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
     return xn, vn
 
 
+def _ray_step(accel, x: Array, v: Array, h,
+              rays: Array) -> tuple[Array, Array]:
+    """_rk4_step on rows that hold the rays ``rays``.  An error of the
+    step is raised again by the first ray that raises it on its own, with
+    the ray named by ray_errors."""
+    try:
+        return _rk4_step(accel, x, v, h)
+    except (LorlabError, ValueError):
+        hs = np.broadcast_to(np.asarray(h, float), len(rays))
+        for i, ray in enumerate(rays):
+            with ray_errors(int(ray)):
+                _rk4_step(accel, x[i:i + 1], v[i:i + 1], hs[i:i + 1])
+        raise
+
+
+def _check_step(k: int, xn: Array, vn: Array, x: Array, v: Array,
+                rays: Array) -> None:
+    """EscapeError when step k left a ray's state non-finite, naming the
+    ray, the step and the ray's state before it."""
+    if np.isfinite(xn).all() and np.isfinite(vn).all():
+        return
+    i = np.flatnonzero(~(np.isfinite(xn).all(axis=1)
+                         & np.isfinite(vn).all(axis=1)))[0]
+    raise EscapeError(
+        f"ray {int(rays[i])}: state non-finite after step {k}; last finite "
+        f"state x = {x[i].tolist()}, v = {v[i].tolist()}")
+
+
 def integrate_flow_fixed(accel, x0: Array, v0: Array, sigma_max: float,
                          step: float) -> tuple[Array, Array, Array]:
     """Integrate a batch to sigma_max with uniform steps; returns
-    (sigma (M,), xs (M, B, dim), vs (M, B, dim))."""
+    (sigma (M,), xs (M, B, dim), vs (M, B, dim)).  EscapeError as soon
+    as a state turns non-finite."""
     x = np.atleast_2d(np.asarray(x0, float)).copy()
     v = np.atleast_2d(np.asarray(v0, float)).copy()
+    rays = np.arange(x.shape[0])
     n = max(1, int(round(sigma_max / step)))
     h = sigma_max / n
     xs = np.empty((n + 1,) + x.shape)
     vs = np.empty_like(xs)
     xs[0], vs[0] = x, v
     for i in range(n):
-        x, v = _rk4_step(accel, x, v, h)
+        xn, vn = _ray_step(accel, x, v, h, rays)
+        _check_step(i + 1, xn, vn, x, v, rays)
+        x, v = xn, vn
         xs[i + 1], vs[i + 1] = x, v
     return np.linspace(0.0, sigma_max, n + 1), xs, vs
 
 
+REFINE_TOL = 1e-15        # Newton correction at which a hit is accepted
+REFINE_MAX_ITER = 60      # bisection of h down to rounding
+
+
 def _refine_hit(accel, S: BoundaryHypersurface, x: Array, v: Array,
-                sigma0: float, h: float):
-    """Locate the b=0 crossing inside (sigma0, sigma0+h] from state (x, v)."""
-    xb = x[None, :]
-    vb = v[None, :]
+                f0: Array, f1: Array, h: float, sigma0: Array):
+    """Locate, for a batch of rays, the b=0 crossing inside the step of
+    length h from the last interior samples (x, v), where S.side is f0 < 0,
+    to the crossing samples, where it is f1 >= 0.
 
-    def state_at(d):
-        if d == 0.0:
-            return x, v
-        xn, vn = _rk4_step(accel, xb, vb, d)
-        return xn[0], vn[0]
-
-    def phi(d):
-        return float(S.side(state_at(d)[0]))
-
-    lo, hi = 0.0, h
-    flo = phi(lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = phi(mid)
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-16 * max(1.0, abs(sigma0)):
+    One safeguarded Newton search on the step length d in [0, h] runs for
+    all rays at once, each iterate one RK4 step of length d from (x, v).
+    It starts from the linear interpolation of side, uses the slope
+    exterior_sign * grad b . v, and keeps a bracket per ray whose midpoint
+    replaces any Newton iterate that leaves it or has a zero or
+    non-finite slope.  A ray stops when its Newton correction is below
+    REFINE_TOL * max(1, sigma0).  Returns (d, x(d), v(d)).
+    """
+    B = x.shape[0]
+    lo, hi = np.zeros(B), np.full(B, float(h))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = h * f0 / (f0 - f1)
+    d = np.where((d >= 0.0) & (d <= h), d, 0.5 * h)
+    tol = REFINE_TOL * np.maximum(1.0, sigma0)
+    de, xe, ve = np.empty(B), np.empty_like(x), np.empty_like(v)
+    todo = np.arange(B)
+    for _ in range(REFINE_MAX_ITER):
+        dt = d[todo]
+        xc, vc = _ray_step(accel, x[todo], v[todo], dt, todo)
+        de[todo], xe[todo], ve[todo] = dt, xc, vc
+        f = S.side(xc)
+        slope = S.exterior_sign * np.einsum(
+            "bi,bi->b", np.asarray(S.gradient(xc), float), vc)
+        below = f < 0.0
+        lo[todo[below]] = dt[below]
+        hi[todo[~below]] = dt[~below]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dn = dt - f / slope
+        lo_t, hi_t = lo[todo], hi[todo]
+        bisect = ~((dn > lo_t) & (dn < hi_t))
+        dn[bisect] = 0.5 * (lo_t[bisect] + hi_t[bisect])
+        going = (f != 0.0) & (np.abs(dn - dt) > tol[todo])
+        d[todo[going]] = dn[going]
+        todo = todo[going]
+        if not todo.size:
             break
-    d = 0.5 * (lo + hi)
-    for _ in range(3):
-        xc, vc = state_at(d)
-        b = float(S.side(xc))
-        slope = float(np.asarray(S.gradient(xc), float) @ vc) * S.exterior_sign
-        if slope == 0.0:
-            break
-        d = min(max(d - b / slope, 0.0), h)
-    xc, vc = state_at(d)
-    return sigma0 + d, xc, vc
+    return de, xe, ve
 
 
 def integrate_flow_to_surface(accel, x0: Array, v0: Array,
@@ -337,9 +410,10 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
                               require_interior_first: bool = False):
     """March a batch until each ray crosses to the exterior side of S.
 
-    Returns per-ray (sigma, x, v) sample arrays including the refined
-    final sample on {b=0}.  Raises EscapeError listing rays that never
-    crossed within max_sigma.
+    Rays that have crossed stop marching.  Returns per-ray (sigma, x, v)
+    sample arrays including the refined final sample on {b=0}.  Raises
+    EscapeError listing rays that never crossed within max_sigma, or
+    naming the first ray whose state turns non-finite.
     """
     x = np.atleast_2d(np.asarray(x0, float)).copy()
     v = np.atleast_2d(np.asarray(v0, float)).copy()
@@ -350,40 +424,48 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
     phi = S.side(x)
     seen_interior = phi < -SURFACE_TOL
     hit_index = np.full(B, -1, dtype=int)
+    f_in, f_out = np.empty(B), np.empty(B)   # side around the crossing
     active = np.ones(B, dtype=bool)
     k = 0
     while np.any(active) and k < n_max:
-        xn, vn = _rk4_step(accel, x, v, step)
+        rays = np.flatnonzero(active)
+        xa, va = x[rays], v[rays]
+        xn, vn = _ray_step(accel, xa, va, step, rays)
+        _check_step(k + 1, xn, vn, xa, va, rays)
         phin = S.side(xn)
-        crossing = active & (phin >= 0.0)
+        crossing = phin >= 0.0
         if require_interior_first:
-            crossing &= seen_interior
-        seen_interior |= phin < -SURFACE_TOL
-        hit_index[crossing] = k
-        active &= ~crossing
-        x, v = xn, vn
+            crossing &= seen_interior[rays]
+        seen_interior[rays] |= phin < -SURFACE_TOL
+        hit = rays[crossing]
+        hit_index[hit] = k
+        f_in[hit], f_out[hit] = phi[hit], phin[crossing]
+        active[hit] = False
+        phi[rays] = phin
+        x[rays], v[rays] = xn, vn
         xs.append(x.copy())
         vs.append(v.copy())
         k += 1
     if np.any(active):
-        lost = np.flatnonzero(active)
-        blown = lost[~np.all(np.isfinite(x[lost]), axis=1)]
         raise EscapeError(
-            f"ray(s) {lost.tolist()} never met the target surface within "
-            f"sigma budget {max_sigma}"
-            + (f"; non-finite state on ray(s) {blown.tolist()}"
-               if blown.size else ""))
+            f"ray(s) {np.flatnonzero(active).tolist()} never met the target "
+            f"surface within sigma budget {max_sigma}")
     xs = np.array(xs)
     vs = np.array(vs)
+    rays = np.arange(B)
+    sigma0 = hit_index * step
+    d, xe, ve = _refine_hit(accel, S, xs[hit_index, rays],
+                            vs[hit_index, rays], f_in, f_out, step, sigma0)
+    missed = ~(np.abs(np.asarray(S.value(xe), float)) <= 100 * SURFACE_TOL)
+    if np.any(missed):
+        raise EscapeError(f"ray {int(np.flatnonzero(missed)[0])}: boundary "
+                          "hit refinement failed")
     out = []
     for b in range(B):
         m = hit_index[b]
-        sig, xe, ve = _refine_hit(accel, S, xs[m, b], vs[m, b], m * step, step)
-        if abs(float(S.value(xe))) > 100 * SURFACE_TOL:
-            raise EscapeError(f"ray {b}: boundary hit refinement failed")
-        sigma = np.append(np.arange(m + 1) * step, sig)
-        px = np.vstack([xs[: m + 1, b], xe[None, :]])
-        pv = np.vstack([vs[: m + 1, b], ve[None, :]])
+        sigma = np.append(np.arange(m + 1) * step, sigma0[b] + d[b])
+        px = np.vstack([xs[: m + 1, b], xe[b][None, :]])
+        pv = np.vstack([vs[: m + 1, b], ve[b][None, :]])
         if sigma[-1] - sigma[-2] < 1e-13:
             sigma = np.delete(sigma, -2)
             px = np.delete(px, -2, axis=0)

@@ -21,9 +21,9 @@ from .errors import NoLiftError, PreconditionError
 from .fields import Array, CovectorField, ScalarField, SymTwoTensorField
 from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                        GeodesicPath, MetricField, boundary_normal,
-                       boundary_project, geodesic_accel, inner,
-                       integrate_flow_fixed, integrate_flow_paths,
-                       integrate_geodesic, scatter_paths)
+                       boundary_project, geodesic_accel, geodesic_term,
+                       inner, integrate_flow_fixed, integrate_flow_paths,
+                       integrate_geodesic, metric_solve, scatter_paths)
 from .lightray import light_ray_transform, magnetic_linearized_transform
 from .scattering import ScatteringRecord, scatter
 from .connect import solve_two_point
@@ -160,28 +160,31 @@ class MagneticSystem:
     def two_form(self, x: Array) -> Array:
         return self.omega.exterior_derivative(x)
 
-    def lorentz_force(self, x: Array, u: Array) -> Array:
-        """Y u with h(Y u, .) = d(omega)(u, .), batched."""
+    def lorentz_force(self, x: Array, u: Array,
+                      hm: Optional[Array] = None) -> Array:
+        """Y u with h(Y u, .) = d(omega)(u, .), batched; ``hm`` is the
+        matrix of h at x when the caller has it."""
         x = np.asarray(x, float)
         u = np.asarray(u, float)
         A = self.two_form(x)
         rhs = np.einsum("...ij,...i->...j", A, u)
-        return np.linalg.solve(self.base.matrix(x), rhs[..., None])[..., 0]
+        return metric_solve(self.base.matrix(x) if hm is None else hm, rhs)
 
 
 def magnetic_accel(mag: MagneticSystem, speed_from_velocity: bool = False):
     """Acceleration of the charge-one magnetic flow x'' = -Gamma(h) x'x'
     + Y x'.  With speed_from_velocity the force carries a factor |x'|_h,
-    which makes the [0, 1]-parametrized flow a smooth shooting target."""
-    geo = geodesic_accel(mag.base)
+    which makes the [0, 1]-parametrized flow a smooth shooting target.
+    h is evaluated once per call and checked as in geodesic_accel."""
+    base = mag.base
 
-    def accel(x: Array, v: Array) -> Array:
-        force = mag.lorentz_force(x, v)
+    def accel(x: Array, v: Array, check: bool = True) -> Array:
+        hm = base.matrix(x) if check else base.evaluate(x)
+        force = mag.lorentz_force(x, v, hm)
         if speed_from_velocity:
-            hm = mag.base.matrix(x)
             speed = np.sqrt(np.einsum("...i,...ij,...j->...", v, hm, v))
             force = speed[..., None] * force
-        return geo(x, v) + force
+        return geodesic_term(base, hm, x, v) + force
 
     return accel
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lorlab import (MetricFamily, connecting_geodesic,
+from lorlab import (RIEMANNIAN, ConjugatePointError, ConvergenceError,
+                    MetricField, MetricFamily, connecting_geodesic,
                     connecting_geodesics_batch, defining_r, linearize_r,
                     michel_check, sigma_detect)
 from lorlab import scenarios
@@ -121,3 +122,39 @@ def test_fd_order_of_linearization(product_disk):
     errs = [abs(linearize_r(fam, x, y, fd_step=h).fd_value - 0.5 * rho2)
             for h in (4e-3, 2e-3)]
     assert np.log2(errs[0] / errs[1]) > 1.8
+
+
+def _round_sphere():
+    """Unit sphere in (polar, azimuth) coordinates."""
+    def func(x):
+        x = np.asarray(x, float)
+        g = np.zeros(x.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = np.sin(x[..., 0]) ** 2
+        return g
+
+    return MetricField(dim=2, signature=RIEMANNIAN, func=func)
+
+
+def test_conjugate_point_error_names_the_pair():
+    """Pair 1 ends near the antipode of its start, where the shooting
+    Jacobian is close to singular (condition about 160); pair 0 is short
+    (condition about 1.2)."""
+    xs = np.array([[np.pi / 2, 0.0], [np.pi / 2, 0.0]])
+    ys = np.array([[np.pi / 2 + 0.3, 1.0],
+                   [np.pi / 2 + 0.02, np.pi - 0.02]])
+    with pytest.raises(ConjugatePointError, match=r"^pair\(s\) \[1\]: "):
+        connecting_geodesics_batch(_round_sphere(), xs, ys, cond_limit=50.0)
+
+
+def test_convergence_error_names_the_pair(perturbed_product):
+    """Pair 0 starts from its solved velocity, pair 1 from the straight
+    line, which one Newton iteration does not bring to the tolerance."""
+    g = perturbed_product.metric
+    xs = np.array([[0.0, -0.6, 0.2], [0.0, 0.5, -0.5]])
+    ys = np.array([[1.0, 0.7, 0.1], [1.2, -0.3, 0.6]])
+    solved = connecting_geodesic(g, xs[0], ys[0], tol=1e-12).path.v[0]
+    seeds = np.array([solved, ys[1] - xs[1]])
+    with pytest.raises(ConvergenceError, match=r"^pair\(s\) \[1\]: "):
+        connecting_geodesics_batch(g, xs, ys, seeds=seeds, tol=1e-12,
+                                   max_iter=1)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from lorlab import (LORENTZIAN, RIEMANNIAN, MetricField, NoLiftError,
-                    StationaryMetric, boundary_normal, causal_classify,
-                    christoffel, geodesic_accel, inner, integrate_geodesic,
-                    lightlike_completion)
+from lorlab import (LORENTZIAN, RIEMANNIAN, EscapeError, MetricField,
+                    NoLiftError, SingularMetricError, StationaryMetric,
+                    boundary_normal, causal_classify, christoffel,
+                    geodesic_accel, inner, integrate_geodesic,
+                    lightlike_completion, scatter, scenarios)
+from lorlab.geometry import integrate_flow_fixed, integrate_flow_to_surface
 from lorlab.fields import CovectorField, ScalarField
 
 
@@ -166,3 +168,74 @@ def test_rk4_endpoint_convergence(perturbed_product):
     e1 = np.linalg.norm(ends[0] - ends[1])
     e2 = np.linalg.norm(ends[1] - ends[2])
     assert np.log2(e1 / e2) > 3.7
+
+
+def test_matrix_rejects_non_finite_values():
+    g = MetricField(dim=2, signature=RIEMANNIAN,
+                    func=lambda x: np.full(np.shape(x)[:-1] + (2, 2), np.nan))
+    with pytest.raises(SingularMetricError, match="non-finite"):
+        g.matrix(np.zeros(2))
+
+
+def _blowing_up_flow(calls):
+    """Flat Minkowski metric whose partials turn NaN for t > 0.3, so the
+    geodesic state goes non-finite a few steps past t = 0.3."""
+    flat = minkowski()
+
+    def dfunc(x):
+        calls.append(1)
+        x = np.asarray(x, float)
+        dg = np.zeros(x.shape[:-1] + (3, 3, 3))
+        dg[x[..., 0] > 0.3] = np.nan
+        return dg
+
+    return geodesic_accel(MetricField(dim=3, signature=LORENTZIAN,
+                                      func=flat.func, dfunc=dfunc))
+
+
+@pytest.mark.parametrize("march", ["to_surface", "fixed"])
+def test_non_finite_state_stops_the_march(slab, march):
+    """The march stops at the first step whose state is non-finite rather
+    than spending the whole parameter budget (1000 steps here)."""
+    calls = []
+    accel = _blowing_up_flow(calls)
+    x0 = np.array([[0.0, 0.0, 0.0], [0.0, 0.1, 0.0]])
+    v0 = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, -1.0]])
+    with pytest.raises(EscapeError) as err:
+        if march == "to_surface":
+            integrate_flow_to_surface(accel, x0, v0, slab.exit_surface,
+                                      step=1e-2, max_sigma=10.0)
+        else:
+            integrate_flow_fixed(accel, x0, v0, 10.0, 1e-2)
+    msg = str(err.value)
+    # ray 1 reaches t = 0.3 first, at step 30
+    assert msg.startswith("ray 1: state non-finite after step 30; last "
+                          "finite state x = [0.29")
+    assert len(calls) <= 4 * 32
+
+
+def test_refined_exit_on_a_step_boundary():
+    """Straight ray with v_t = 1 and step 2^-7: t = 1 is sample 128
+    exactly, so the crossing lies at d = h and the exit is that sample."""
+    sc = scenarios.minkowski_slab(thickness=1.0)
+    rec = scatter(sc.metric, sc.entry_surface, sc.exit_surface,
+                  np.array([0.0, 0.25, 0.0]), np.array([0.0, 1.0, 0.0]),
+                  step=2.0 ** -7)
+    assert rec.travel == 1.0
+    assert np.array_equal(rec.y, [1.0, 1.25, 0.0])
+    assert np.array_equal(rec.path.sigma, np.arange(129) * 2.0 ** -7)
+
+
+@pytest.mark.parametrize("gap", [1e-12, 1e-14])
+def test_refined_exit_just_after_a_sample(gap):
+    """Crossing at d = gap after sample 64 (t = 0.5) of a straight ray; a
+    sample closer than 1e-13 to the exit is merged into it."""
+    thickness = 0.5 + gap
+    sc = scenarios.minkowski_slab(thickness=thickness)
+    rec = scatter(sc.metric, sc.entry_surface, sc.exit_surface,
+                  np.array([0.0, 0.25, 0.0]), np.array([0.0, 1.0, 0.0]),
+                  step=2.0 ** -7)
+    assert rec.travel == pytest.approx(thickness, abs=2e-16)
+    assert np.abs(rec.y - [thickness, 0.25 + thickness, 0.0]).max() <= 2e-16
+    kept = 65 if gap > 1e-13 else 64
+    assert np.array_equal(rec.path.sigma[:-1], np.arange(kept) * 2.0 ** -7)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from lorlab import (TIME_COMPONENT, UNIT_INDUCED, EscapeError, NoLiftError,
-                    PreconditionError, TangencyError, inner,
-                    magnetic_scatter, magnetic_scatter_batch, normalize,
-                    scatter, scatter_batch)
+from lorlab import (LORENTZIAN, TIME_COMPONENT, UNIT_INDUCED,
+                    ChartDomainError, EscapeError, MetricField, NoLiftError,
+                    PreconditionError, SingularMetricError, TangencyError,
+                    inner, magnetic_scatter, magnetic_scatter_batch,
+                    normalize, scatter, scatter_batch)
 from lorlab import geometry, scenarios
 
 
@@ -152,3 +153,96 @@ def test_batch_errors_name_the_ray(product_disk, stationary_rot):
         magnetic_scatter_batch(sr.magnetic, sr.spatial_boundary,
                                np.array([[1.0, 0.0], [0.0, 1.0]]),
                                np.array([[0.0, 0.5], [1.0, 0.0]]))
+
+
+def _slab_metric(bad_value=None, domain=None):
+    """Minkowski metric on the slab, with the matrix bad_value on x1 > 0.4."""
+    flat = np.diag([-1.0, 1.0, 1.0])
+
+    def func(x):
+        x = np.asarray(x, float)
+        g = np.broadcast_to(flat, x.shape[:-1] + (3, 3)).copy()
+        if bad_value is not None:
+            g[x[..., 1] > 0.4] = bad_value
+        return g
+
+    return MetricField(dim=3, signature=LORENTZIAN, func=func,
+                       dfunc=lambda x: np.zeros(np.shape(x)[:-1] + (3, 3, 3)),
+                       domain=domain)
+
+
+@pytest.mark.parametrize("metric, error, message", [
+    (_slab_metric(np.diag([-1.0, 0.0, 1.0])), SingularMetricError,
+     "singular metric|determinant"),
+    (_slab_metric(np.array([[-1.0, 0.5, 0.0], [0.0, 1.0, 0.0],
+                            [0.0, 0.0, 1.0]])),
+     SingularMetricError, "not symmetric"),
+    (_slab_metric(domain=lambda x: np.asarray(x)[..., 1] < 0.4),
+     ChartDomainError, "outside chart domain"),
+], ids=["vanishing-determinant", "asymmetric", "chart-exit"])
+def test_metric_failures_inside_the_march_name_the_ray(slab, metric, error,
+                                                       message):
+    """Ray 1 runs into x1 > 0.4, where the determinant vanishes, the
+    matrix is not symmetric or the chart ends, before it reaches t = 1;
+    ray 0 runs the other way and exits normally.  The metric is checked fully only at
+    the state each RK4 step starts from, and the error names ray 1."""
+    xs = np.zeros((2, 3))
+    vs = np.array([[0.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(error, match=rf"^ray 1: .*({message})"):
+        scatter_batch(metric, slab.entry_surface, slab.exit_surface, xs, vs,
+                      step=1e-2)
+
+
+def _circle_exits(B, t, th, b):
+    """Exact exits of stationary_rot: the spatial ray with charge
+    k = 1 + B b / 2 runs counter-clockwise on a circle of radius 1/B at
+    speed k, and t grows by arc length minus the flux of omega.  Returns
+    the exit points (t, x, y) and travels."""
+    R = 1.0 / B
+    p = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    tang = np.stack([-p[:, 1], p[:, 0]], axis=-1)
+    k = 1.0 + 0.5 * B * b
+    u = (b[:, None] * tang
+         - np.sqrt(k * k - b * b)[:, None] * p) / k[:, None]
+    c = p + R * np.stack([-u[:, 1], u[:, 0]], axis=-1)
+    phi0 = np.arctan2(p[:, 1] - c[:, 1], p[:, 0] - c[:, 0])
+    # the circle meets the unit circle at angles gamma +- half about c
+    cn = np.linalg.norm(c, axis=1)
+    gamma = np.arctan2(c[:, 1], c[:, 0])
+    half = np.arccos((1.0 - cn * cn - R * R) / (2.0 * R * cn))
+    ys, travels = [], []
+    for i in range(len(t)):
+        gaps = [(gamma[i] + s * half[i] - phi0[i]) % (2 * np.pi)
+                for s in (1.0, -1.0)]
+        dphi = max(gaps, key=lambda g: min(g, 2 * np.pi - g))  # not entry
+        phi1 = phi0[i] + dphi
+        q = c[i] + R * np.array([np.cos(phi1), np.sin(phi1)])
+        flux = 0.5 * B * (R * R * dphi
+                          + R * (c[i, 0] * (np.sin(phi1) - np.sin(phi0[i]))
+                                 - c[i, 1] * (np.cos(phi1) - np.cos(phi0[i]))))
+        ys.append([t[i] + R * dphi - flux, q[0], q[1]])
+        travels.append(R * dphi / k[i])
+    return np.array(ys), np.array(travels)
+
+
+@pytest.mark.parametrize("step", [1e-2, 1e-3])
+def test_stationary_rot_exits_match_circles(stationary_rot, step):
+    """One batch whose exit parameters differ more than fivefold."""
+    B = stationary_rot.params["B"]
+    t = np.array([0.3, -0.2, 0.0, 0.45, -0.4])
+    th = np.array([0.0, 1.3, 2.9, 4.0, 5.5])
+    b = np.array([1.1, 0.74, 0.0, -0.5, -0.85])
+    p = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    xs = np.concatenate([t[:, None], p], axis=1)
+    vs = np.concatenate([np.ones((5, 1)),
+                         b[:, None] * np.stack([-p[:, 1], p[:, 0]], axis=-1)],
+                        axis=1)
+    recs = scatter_batch(stationary_rot.metric, stationary_rot.entry_surface,
+                         stationary_rot.exit_surface, xs, vs, step=step,
+                         max_sigma=30.0)
+    y_exact, travel_exact = _circle_exits(B, t, th, b)
+    assert travel_exact.max() > 5 * travel_exact.min()
+    for rec, y, travel in zip(recs, y_exact, travel_exact):
+        assert np.abs(rec.y - y).max() <= 1e-6
+        assert abs(rec.travel - travel) <= 1e-6
+        assert abs(float(stationary_rot.exit_surface.value(rec.y))) <= 1e-12
