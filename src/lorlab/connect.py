@@ -9,7 +9,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConjugatePointError, ConvergenceError, PreconditionError
+from .errors import (ConjugatePointError, ConvergenceError, EscapeError,
+                     PreconditionError)
 from .fields import Array, SymTwoTensorField
 from .geometry import (BoundaryHypersurface, CausalClass, GeodesicPath,
                        MetricField, causal_classify, geodesic_accel, inner,
@@ -24,20 +25,34 @@ SIGMA_TOL = 1e-8
 # generic batched two-point shooting (shared with the magnetic flow)
 # ---------------------------------------------------------------------------
 
-def _endpoints(accel, xs: Array, vs: Array, n_steps: int) -> Array:
-    _, px, _ = integrate_flow_fixed(accel, xs, vs, 1.0, 1.0 / n_steps)
-    return px[-1]
+def _march(accel, xs: Array, vs: Array, n_steps: int, rows_per_pair: int):
+    """integrate_flow_fixed over [0, 1]; a state that turns non-finite
+    is a Newton iterate that diverged, reported for its pair."""
+    try:
+        return integrate_flow_fixed(accel, xs, vs, 1.0, 1.0 / n_steps)
+    except EscapeError as exc:
+        if exc.ray is None:
+            raise
+        raise ConvergenceError(
+            f"pair(s) [{exc.ray // rows_per_pair}]: Newton iterate "
+            f"diverged ({exc})") from exc
 
 
 def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
                     n_steps: int = 400, tol: float = 1e-10,
-                    max_iter: int = 50, cond_limit: float = 1e10) -> Array:
+                    max_iter: int = 50, cond_limit: float = 1e10, *,
+                    march: Optional[list] = None) -> Array:
     """Newton shooting on initial velocities for a batch of endpoint pairs.
 
     The flow x'' = accel(x, x') is integrated over [0, 1]; the unknowns
     are the initial velocities v with endpoint(x, v) = y.  The Jacobian
-    is built by forward differences and reused while the residual keeps
-    contracting.  Returns the solved velocities, shape (B, dim).
+    is built by forward differences; while the residual of every
+    unfinished pair contracts, each pair's Jacobian takes the good
+    Broyden rank-one update, and it is rebuilt by forward differences
+    at the current iterate when one does not.  Returns the solved
+    velocities, shape (B, dim).  A list passed as ``march`` receives
+    (sigma, xs, vs) of integrate_flow_fixed at those velocities: the
+    solver's last march, so callers need not integrate again.
     """
     xs = np.atleast_2d(np.asarray(xs, float))
     ys = np.atleast_2d(np.asarray(ys, float))
@@ -47,19 +62,23 @@ def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
     if np.any(np.linalg.norm(ys - xs, axis=1) == 0.0):
         raise PreconditionError("coincident endpoints")
 
-    F = _endpoints(accel, xs, v, n_steps) - ys
+    last = _march(accel, xs, v, n_steps, 1)
+    F = last[1][-1] - ys
     res = np.abs(F).max(axis=1)
     J = None
     for _ in range(max_iter):
         done = res <= tol
         if np.all(done):
+            if march is not None:
+                march[:] = last
             return v
+        last = None           # freed: a residual march precedes any return
         if J is None:
             delta = 1e-6 * np.maximum(1.0, np.linalg.norm(v, axis=1))
             pert = v[:, None, :] + delta[:, None, None] * np.eye(dim)
             xs_rep = np.repeat(xs[:, None, :], dim, axis=1).reshape(-1, dim)
-            ends = _endpoints(accel, xs_rep, pert.reshape(-1, dim), n_steps)
-            ends = ends.reshape(B, dim, dim)
+            ends = _march(accel, xs_rep, pert.reshape(-1, dim), n_steps,
+                          dim)[1][-1].reshape(B, dim, dim)
             J = (ends - (F + ys)[:, None, :]) / delta[:, None, None]
             J = np.swapaxes(J, 1, 2)            # J[b, out, in]
             conds = np.linalg.cond(J)
@@ -71,11 +90,20 @@ def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
                     "may be conjugate")
         dv = np.linalg.solve(J, F[..., None])[..., 0]
         v_new = np.where(done[:, None], v, v - dv)
-        F_new = _endpoints(accel, xs, v_new, n_steps) - ys
+        last = _march(accel, xs, v_new, n_steps, 1)
+        F_new = last[1][-1] - ys
         res_new = np.abs(F_new).max(axis=1)
         improved = done | (res_new <= 0.5 * np.maximum(res, tol))
         if not np.all(improved):
             J = None                            # stale Jacobian, rebuild
+        else:
+            # good Broyden update J += (dF - J s) s^T / (s^T s) with the
+            # step s, for each unfinished pair that moved
+            s, dF = v_new - v, F_new - F
+            s2 = np.einsum("bi,bi->b", s, s)
+            upd = np.flatnonzero(~done & (s2 > 0.0))
+            r = dF[upd] - np.einsum("bij,bj->bi", J[upd], s[upd])
+            J[upd] += r[:, :, None] * s[upd, None, :] / s2[upd, None, None]
         v, F, res = v_new, F_new, res_new
     raise ConvergenceError(
         f"pair(s) {np.flatnonzero(res > tol).tolist()}: two-point shooting "
@@ -103,10 +131,10 @@ def connecting_geodesics_batch(g: MetricField, xs: Array, ys: Array,
                                **kw) -> list[ConnectingGeodesic]:
     xs = np.atleast_2d(np.asarray(xs, float))
     ys = np.atleast_2d(np.asarray(ys, float))
-    accel = geodesic_accel(g)
-    vs = solve_two_point(accel, xs, ys, seeds=seeds, n_steps=n_steps,
-                         tol=tol, **kw)
-    sigma, px, pv = integrate_flow_fixed(accel, xs, vs, 1.0, 1.0 / n_steps)
+    march = []
+    vs = solve_two_point(geodesic_accel(g), xs, ys, seeds=seeds,
+                         n_steps=n_steps, tol=tol, march=march, **kw)
+    sigma, px, pv = march
     out = []
     for b in range(xs.shape[0]):
         speed2 = float(inner(g, xs[b], vs[b], vs[b]))

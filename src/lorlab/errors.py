@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 from contextlib import contextmanager
+from typing import Optional
 
 
 class LorlabError(Exception):
@@ -33,7 +34,12 @@ class NoLiftError(LorlabError):
 
 class EscapeError(LorlabError):
     """Ray never met the target hypersurface within the parameter budget,
-    or its state turned non-finite on the way."""
+    or its state turned non-finite on the way; ``ray`` is the batch row
+    of a ray whose state turned non-finite, else None."""
+
+    def __init__(self, message: str, ray: Optional[int] = None):
+        super().__init__(message)
+        self.ray = ray
 
 
 class ConjugatePointError(LorlabError):

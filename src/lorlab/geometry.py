@@ -331,7 +331,7 @@ def _check_step(k: int, xn: Array, vn: Array, x: Array, v: Array,
                          & np.isfinite(vn).all(axis=1)))[0]
     raise EscapeError(
         f"ray {int(rays[i])}: state non-finite after step {k}; last finite "
-        f"state x = {x[i].tolist()}, v = {v[i].tolist()}")
+        f"state x = {x[i].tolist()}, v = {v[i].tolist()}", ray=int(rays[i]))
 
 
 def integrate_flow_fixed(accel, x0: Array, v0: Array, sigma_max: float,

@@ -194,9 +194,7 @@ def perturbed_product(amplitude: float = 0.1) -> Scenario:
             np.eye(2), np.shape(xs)[:-1] + (2, 2))
 
     def h_dfunc(xs):
-        dc = dconf(xs)
-        return dc[..., :, None, None] * np.broadcast_to(
-            np.eye(2), np.shape(xs)[:-1] + (2, 2))
+        return dconf(xs)[..., :, None, None] * np.eye(2)
 
     h = MetricField(dim=2, signature=RIEMANNIAN, func=h_func, dfunc=h_dfunc)
     m = StationaryMetric(lam=ScalarField.constant(1.0),

@@ -22,8 +22,8 @@ from .fields import Array, CovectorField, ScalarField, SymTwoTensorField
 from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                        GeodesicPath, MetricField, boundary_normal,
                        boundary_project, geodesic_accel, geodesic_term,
-                       inner, integrate_flow_fixed, integrate_flow_paths,
-                       integrate_geodesic, metric_solve, scatter_paths)
+                       inner, integrate_flow_paths, integrate_geodesic,
+                       metric_solve, scatter_paths)
 from .lightray import light_ray_transform, magnetic_linearized_transform
 from .scattering import ScatteringRecord, scatter
 from .connect import solve_two_point
@@ -291,10 +291,11 @@ def magnetic_connectors_batch(mag: MagneticSystem, xs: Array, ys: Array,
     each connector to arc length."""
     xs = np.atleast_2d(np.asarray(xs, float))
     ys = np.atleast_2d(np.asarray(ys, float))
-    accel = magnetic_accel(mag, speed_from_velocity=True)
-    ws = solve_two_point(accel, xs, ys, seeds=seeds, n_steps=n_steps,
-                         tol=tol, **kw)
-    tau, zx, zv = integrate_flow_fixed(accel, xs, ws, 1.0, 1.0 / n_steps)
+    march = []
+    ws = solve_two_point(magnetic_accel(mag, speed_from_velocity=True), xs,
+                         ys, seeds=seeds, n_steps=n_steps, tol=tol,
+                         march=march, **kw)
+    tau, zx, zv = march
     out = []
     for b, (x, y, w) in enumerate(zip(xs, ys, ws)):
         length = float(np.sqrt(inner(mag.base, x, w, w)))

@@ -3,9 +3,11 @@ import pytest
 
 from lorlab import (RIEMANNIAN, ConjugatePointError, ConvergenceError,
                     MetricField, MetricFamily, connecting_geodesic,
-                    connecting_geodesics_batch, defining_r, linearize_r,
-                    michel_check, sigma_detect)
-from lorlab import scenarios
+                    connecting_geodesics_batch, defining_r, geodesic_accel,
+                    linearize_r, magnetic_connectors_batch, michel_check,
+                    sigma_detect)
+from lorlab import connect, geometry, scenarios, stationary
+from lorlab.experiments import _disk_pair_grid
 
 
 def test_connector_energy_examples(product_disk):
@@ -158,3 +160,99 @@ def test_convergence_error_names_the_pair(perturbed_product):
     with pytest.raises(ConvergenceError, match=r"^pair\(s\) \[1\]: "):
         connecting_geodesics_batch(g, xs, ys, seeds=seeds, tol=1e-12,
                                    max_iter=1)
+
+
+def test_diverged_iterate_names_the_pair():
+    """Pair 1 ends a thousandth away from the antipode of its start; its
+    first Newton step overshoots so far that the march of the next
+    iterate turns non-finite."""
+    xs = np.array([[np.pi / 2, 0.0], [np.pi / 2, 0.0]])
+    ys = np.array([[np.pi / 2 + 0.3, 1.0],
+                   [np.pi / 2 + 0.001, np.pi - 0.001]])
+    with np.errstate(all="ignore"), pytest.raises(
+            ConvergenceError, match=r"^pair\(s\) \[1\]: Newton iterate "
+                                    r"diverged"):
+        connecting_geodesics_batch(_round_sphere(), xs, ys, cond_limit=1e12)
+
+
+def test_connector_paths_are_the_march_of_the_returned_velocities(
+        perturbed_product, stationary_rot):
+    """Connectors equal, bit for bit, a fresh march of the velocities the
+    solver returned."""
+    g = perturbed_product.metric
+    xs, ys = _disk_pair_grid(perturbed_product, 4, 3)
+    conns = connecting_geodesics_batch(g, xs, ys, tol=1e-12)
+    vs = np.array([c.path.v[0] for c in conns])
+    sigma, px, pv = geometry.integrate_flow_fixed(geodesic_accel(g), xs, vs,
+                                                  1.0, 1.0 / 400)
+    for b, c in enumerate(conns):
+        assert np.array_equal(c.path.sigma, sigma)
+        assert np.array_equal(c.path.x, px[:, b])
+        assert np.array_equal(c.path.v, pv[:, b])
+
+    mag = stationary_rot.magnetic
+    th = np.array([0.0, 1.0, 2.5])
+    xs = np.stack([np.cos(th), np.sin(th)], axis=1)
+    ys = np.stack([np.cos(th + 2.0), np.sin(th + 2.0)], axis=1)
+    conns = magnetic_connectors_batch(mag, xs, ys, tol=1e-12)
+    ws = np.array([c.initial_w for c in conns])
+    accel = stationary.magnetic_accel(mag, speed_from_velocity=True)
+    tau, zx, zv = geometry.integrate_flow_fixed(accel, xs, ws, 1.0,
+                                                1.0 / 400)
+    for b, c in enumerate(conns):
+        assert np.array_equal(c.path.sigma, c.length * tau)
+        assert np.array_equal(c.path.x, zx[:, b])
+        assert np.array_equal(c.path.v, zv[:, b] / c.length)
+
+
+@pytest.fixture
+def marches(monkeypatch):
+    """Batch sizes of the fixed-interval marches, in order; each solver
+    return appends None."""
+    log = []
+    march = geometry.integrate_flow_fixed
+    solve = connect.solve_two_point
+
+    def counted_march(accel, x0, v0, *args):
+        log.append(len(x0))
+        return march(accel, x0, v0, *args)
+
+    def counted_solve(*args, **kw):
+        out = solve(*args, **kw)
+        log.append(None)
+        return out
+
+    for mod in (geometry, connect, stationary):
+        if hasattr(mod, "integrate_flow_fixed"):
+            monkeypatch.setattr(mod, "integrate_flow_fixed", counted_march)
+        if hasattr(mod, "solve_two_point"):
+            monkeypatch.setattr(mod, "solve_two_point", counted_solve)
+    return log
+
+
+def test_no_march_after_the_solver(marches, product_disk, stationary_rot):
+    """Straight lines solve product_disk exactly: one march in all.  The
+    connectors take their paths from the solver's last march."""
+    connecting_geodesics_batch(product_disk.metric,
+                               np.array([[0.0, -0.5, 0.0]]),
+                               np.array([[1.2, 0.5, 0.1]]))
+    assert marches == [1, None]
+    marches.clear()
+    magnetic_connectors_batch(stationary_rot.magnetic,
+                              np.array([[1.0, 0.0], [0.0, 1.0]]),
+                              np.array([[-0.6, 0.8], [-0.8, -0.6]]))
+    assert marches[-1] is None and marches.count(None) == 1
+
+
+def test_broyden_updates_replace_jacobian_builds(marches, perturbed_product):
+    """The 16 pairs of the CLI connect grid on perturbed_product reach
+    1e-12 with one forward-difference Jacobian and at most five residual
+    marches; chord iterations with that Jacobian took seven."""
+    xs, ys = _disk_pair_grid(perturbed_product, 16, 1)
+    conns = connecting_geodesics_batch(perturbed_product.metric, xs, ys,
+                                       tol=1e-12)
+    assert marches.count(16 * 3) == 1
+    assert marches.count(16) <= 5
+    assert marches[-1] is None
+    for c in conns:
+        assert np.abs(c.path.x[-1] - c.y).max() <= 1e-12

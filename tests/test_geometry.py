@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lorlab import (LORENTZIAN, RIEMANNIAN, EscapeError, MetricField,
-                    NoLiftError, SingularMetricError, StationaryMetric,
+from lorlab import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
+                    EscapeError, MetricField, NoLiftError,
+                    SingularMetricError, StationaryMetric,
                     boundary_normal, causal_classify, christoffel,
                     geodesic_accel, inner, integrate_geodesic,
                     lightlike_completion, scatter, scenarios)
@@ -239,3 +240,23 @@ def test_refined_exit_just_after_a_sample(gap):
     assert np.abs(rec.y - [thickness, 0.25 + thickness, 0.0]).max() <= 2e-16
     kept = 65 if gap > 1e-13 else 64
     assert np.array_equal(rec.path.sigma[:-1], np.arange(kept) * 2.0 ** -7)
+
+
+def test_refinement_failure_names_the_ray():
+    """Both rays cross t = 0.5.  For ray 0 (x1 < 0) the surface value is
+    t - 0.5; for ray 1 (x1 > 0) it jumps from -1 to 1 there, so the
+    bracket closes on the jump with |b| = 1 and the hit is rejected."""
+    def value(x):
+        x = np.asarray(x, float)
+        t = x[..., 0] - 0.5
+        return np.where(x[..., 1] > 0.0, np.where(t < 0.0, -1.0, 1.0), t)
+
+    jump = BoundaryHypersurface(
+        value=value, causal_type="spacelike",
+        gradient=lambda x: np.broadcast_to([1.0, 0.0, 0.0], np.shape(x)))
+    x0 = np.array([[0.0, -0.2, 0.0], [0.0, 0.2, 0.0]])
+    v0 = np.array([[1.0, 0.0, 0.3], [1.0, 0.0, -0.3]])
+    with pytest.raises(EscapeError,
+                       match=r"^ray 1: boundary hit refinement failed"):
+        integrate_flow_to_surface(geodesic_accel(minkowski()), x0, v0, jump,
+                                  step=0.03)

@@ -3,10 +3,12 @@ import pytest
 
 from lorlab import (LORENTZIAN, TIME_COMPONENT, UNIT_INDUCED,
                     ChartDomainError, EscapeError, MetricField, NoLiftError,
-                    PreconditionError, SingularMetricError, TangencyError,
-                    inner, magnetic_scatter, magnetic_scatter_batch,
-                    normalize, scatter, scatter_batch)
+                    NotPositiveDefiniteError, PreconditionError,
+                    SignatureError, SingularMetricError, StationaryMetric,
+                    TangencyError, inner, magnetic_scatter,
+                    magnetic_scatter_batch, normalize, scatter, scatter_batch)
 from lorlab import geometry, scenarios
+from lorlab.fields import CovectorField, ScalarField
 
 
 def test_slab_straight_line_exit(slab):
@@ -77,7 +79,8 @@ def test_normalize_modes(product_disk):
     assert np.allclose(ru.w_proj, again.w_proj, atol=1e-12)
 
 
-def test_scatter_batch_matches_scalar(product_disk, stationary_rot):
+def test_scatter_batch_matches_scalar(product_disk, stationary_rot,
+                                     perturbed_product):
     entries = scenarios.scattering_entries(product_disk, 6, seed=3)
     xs = np.array([x for x, _ in entries])
     vs = np.array([v for _, v in entries])
@@ -90,21 +93,23 @@ def test_scatter_batch_matches_scalar(product_disk, stationary_rot):
         assert np.allclose(rb.w_proj, rs.w_proj, atol=1e-9)
         assert rb.travel == pytest.approx(rs.travel, abs=1e-9)
 
-    sr = stationary_rot
-    entries = scenarios.magnetic_entries(sr, 3, seed=3)
-    xs = np.array([x for x, _ in entries])
-    us = np.array([u for _, u in entries])
-    recs = magnetic_scatter_batch(sr.magnetic, sr.spatial_boundary, xs, us,
-                                  keep_paths=True)
-    for (x, u), rb in zip(entries, recs):
-        rs = magnetic_scatter(sr.magnetic, sr.spatial_boundary, x, u,
-                              keep_path=True)
-        assert np.allclose(rb.y, rs.y, atol=1e-9)
-        assert np.allclose(rb.w_proj, rs.w_proj, atol=1e-9)
-        assert rb.length == pytest.approx(rs.length, abs=1e-9)
-        assert rb.action == pytest.approx(rs.action, abs=1e-9)
-        assert np.allclose(rb.path.x, rs.path.x, atol=1e-9)
-        assert rb.path.speed_squared == pytest.approx(1.0, abs=1e-8)
+    # four entries on perturbed_product: its base partials must broadcast
+    # over any batch size, not only one or two points
+    for sc, n in ((stationary_rot, 3), (perturbed_product, 4)):
+        entries = scenarios.magnetic_entries(sc, n, seed=3)
+        xs = np.array([x for x, _ in entries])
+        us = np.array([u for _, u in entries])
+        recs = magnetic_scatter_batch(sc.magnetic, sc.spatial_boundary, xs,
+                                      us, keep_paths=True)
+        for (x, u), rb in zip(entries, recs):
+            rs = magnetic_scatter(sc.magnetic, sc.spatial_boundary, x, u,
+                                  keep_path=True)
+            assert np.allclose(rb.y, rs.y, atol=1e-9)
+            assert np.allclose(rb.w_proj, rs.w_proj, atol=1e-9)
+            assert rb.length == pytest.approx(rs.length, abs=1e-9)
+            assert rb.action == pytest.approx(rs.action, abs=1e-9)
+            assert np.allclose(rb.path.x, rs.path.x, atol=1e-9)
+            assert rb.path.speed_squared == pytest.approx(1.0, abs=1e-8)
 
 
 def test_entries_are_admissible(stationary_rot):
@@ -191,6 +196,37 @@ def test_metric_failures_inside_the_march_name_the_ray(slab, metric, error,
     with pytest.raises(error, match=rf"^ray 1: .*({message})"):
         scatter_batch(metric, slab.entry_surface, slab.exit_surface, xs, vs,
                       step=1e-2)
+
+
+def test_wrong_signature_names_the_ray(slab):
+    """The metric is declared Lorentzian but has two negative eigenvalues
+    on x1 > 0.4, where ray 1 enters; its entry still has an inward lift."""
+    metric = _slab_metric(np.diag([-1.0, 1.0, -1.0]))
+    xs = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+    vs = np.array([[0.0, 0.6, 0.0], [0.0, 0.6, 0.0]])
+    with pytest.raises(SignatureError,
+                       match=r"^ray 1: lorentzian metric has 2 negative"):
+        scatter_batch(metric, slab.entry_surface, slab.exit_surface, xs, vs)
+
+
+def test_non_positive_conformal_factor_inside_the_march(product_disk):
+    """lam = 0.5 - x1 is declared positive and is so at both entries; ray
+    1 crosses the disk along x1 into lam <= 0, ray 0 cuts a short chord
+    near x1 = -1 and exits normally."""
+    lam = ScalarField(func=lambda p: 0.5 - np.asarray(p)[..., 0],
+                      grad=lambda p: np.broadcast_to([-1.0, 0.0],
+                                                     np.shape(p)),
+                      positive=True)
+    metric = StationaryMetric(lam=lam, omega=CovectorField.zero(2),
+                              base=product_disk.stationary.base).assembled
+    th = np.array([np.pi - 0.3, np.pi])
+    b = np.array([0.9, 0.0])
+    xs = np.stack([np.zeros(2), np.cos(th), np.sin(th)], axis=1)
+    vs = np.stack([np.ones(2), -b * np.sin(th), b * np.cos(th)], axis=1)
+    with pytest.raises(NotPositiveDefiniteError,
+                       match=r"^ray 1: scalar field declared positive"):
+        scatter_batch(metric, product_disk.entry_surface,
+                      product_disk.exit_surface, xs, vs)
 
 
 def _circle_exits(B, t, th, b):

@@ -269,3 +269,14 @@ def test_curve_flux_constant_form(product_disk):
     path = magnetic_integrate(product_disk.magnetic, np.array([-1.0, 0.0]),
                               np.array([1.0, 0.0]), stop=2.0, step=1e-3)
     assert curve_flux(om, path) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_perturbed_product_base_partials(perturbed_product, rng):
+    """Analytic partials of the base metric h = c(x) I on a batch of four
+    points against central differences."""
+    from lorlab.fields import _central_diff
+    h = perturbed_product.magnetic.base
+    pts = rng.uniform(-0.7, 0.7, (4, 2))
+    dh = h.partials(pts)
+    assert dh.shape == (4, 2, 2, 2)
+    assert np.abs(dh - _central_diff(h.func, pts, (2, 2))).max() < 1e-9
