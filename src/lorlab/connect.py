@@ -77,8 +77,8 @@ def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
             delta = 1e-6 * np.maximum(1.0, np.linalg.norm(v, axis=1))
             pert = v[:, None, :] + delta[:, None, None] * np.eye(dim)
             xs_rep = np.repeat(xs[:, None, :], dim, axis=1).reshape(-1, dim)
-            ends = _march(accel, xs_rep, pert.reshape(-1, dim), n_steps,
-                          dim)[1][-1].reshape(B, dim, dim)
+            ends = np.array(_march(accel, xs_rep, pert.reshape(-1, dim),
+                                   n_steps, dim)[1][-1]).reshape(B, dim, dim)
             J = (ends - (F + ys)[:, None, :]) / delta[:, None, None]
             J = np.swapaxes(J, 1, 2)            # J[b, out, in]
             conds = np.linalg.cond(J)
@@ -183,6 +183,33 @@ def _surface_gradient(g: MetricField, S: BoundaryHypersurface, point: Array,
     return frame @ np.linalg.solve(gram, chart_derivs)
 
 
+def _chart_stencil(U: BoundaryHypersurface, V: BoundaryHypersurface,
+                   x: Array, y: Array, v: Array, fd_step: float, solve):
+    """Central quotients of a function of boundary pairs along the charts
+    of U at x and of V at y.  ``solve(xs, ys, seeds)`` evaluates it on the
+    batch of pairs with one chart parameter moved by +-fd_step, seeded by
+    the velocity v corrected for the moved endpoint.  Returns the chart
+    parameters a0 of x and b0 of y and the quotients in each of them."""
+    a0 = np.asarray(U.chart_inverse(x), float)
+    b0 = np.asarray(V.chart_inverse(y), float)
+    xs, ys, seeds = [], [], []
+    for i in range(a0.size):
+        for s in (+1.0, -1.0):
+            a = a0.copy()
+            a[i] += s * fd_step
+            xp = np.asarray(U.chart(a), float)
+            xs.append(xp), ys.append(y), seeds.append(v - (xp - x))
+    for j in range(b0.size):
+        for s in (+1.0, -1.0):
+            b = b0.copy()
+            b[j] += s * fd_step
+            yp = np.asarray(V.chart(b), float)
+            xs.append(x), ys.append(yp), seeds.append(v + (yp - y))
+    vals = solve(np.array(xs), np.array(ys), np.array(seeds))
+    quot = (vals[0::2] - vals[1::2]) / (2 * fd_step)
+    return a0, b0, quot[:a0.size], quot[a0.size:]
+
+
 def michel_check(g: MetricField, U: BoundaryHypersurface,
                  V: BoundaryHypersurface, x: Array, y: Array,
                  fd_step: float = 1e-5, n_steps: int = 400,
@@ -197,31 +224,11 @@ def michel_check(g: MetricField, U: BoundaryHypersurface,
     if abs(base.energy) > sigma_tol:
         raise PreconditionError(
             f"pair not on the lightlike set (r = {base.energy:g})")
-    v_base = base.path.v[0]
-    a0 = np.asarray(U.chart_inverse(x), float)
-    b0 = np.asarray(V.chart_inverse(y), float)
-    pU, pV = a0.size, b0.size
-
-    xs, ys, seeds = [], [], []
-    for i in range(pU):
-        for s in (+1.0, -1.0):
-            a = a0.copy()
-            a[i] += s * fd_step
-            xp = np.asarray(U.chart(a), float)
-            xs.append(xp), ys.append(y), seeds.append(v_base - (xp - x))
-    for j in range(pV):
-        for s in (+1.0, -1.0):
-            b = b0.copy()
-            b[j] += s * fd_step
-            yp = np.asarray(V.chart(b), float)
-            xs.append(x), ys.append(yp), seeds.append(v_base + (yp - y))
-    conns = connecting_geodesics_batch(g, np.array(xs), np.array(ys),
-                                       seeds=np.array(seeds),
-                                       n_steps=n_steps, tol=1e-12)
-    r = np.array([c.energy for c in conns])
-    dr_da = (r[0:2 * pU:2] - r[1:2 * pU:2]) / (2 * fd_step)
-    dr_db = (r[2 * pU::2] - r[2 * pU + 1::2]) / (2 * fd_step)
-
+    a0, b0, dr_da, dr_db = _chart_stencil(
+        U, V, x, y, base.path.v[0], fd_step,
+        lambda xs, ys, seeds: np.array([c.energy for c in (
+            connecting_geodesics_batch(g, xs, ys, seeds=seeds,
+                                       n_steps=n_steps, tol=1e-12))]))
     grad_x = _surface_gradient(g, U, x, dr_da, a0)
     grad_y = _surface_gradient(g, V, y, dr_db, b0)
     rec = scatter(g, U, V, x, -grad_x, step=scatter_step)

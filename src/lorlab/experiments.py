@@ -73,6 +73,7 @@ def _report(experiment, scenario_name, seed, records, residuals, tolerance,
 
 
 def run_scatter(config: dict, seed: int) -> dict:
+    """Scatter boundary entries and report the lightlike speed drift."""
     t0 = time.perf_counter()
     sc = _build_scenario(config, "minkowski_slab")
     n = int(config.get("n", 10))
@@ -106,6 +107,7 @@ def _disk_pair_grid(sc, n, seed):
 
 
 def run_connect(config: dict, seed: int) -> dict:
+    """Solve connecting geodesics of boundary pairs; report endpoint misses."""
     t0 = time.perf_counter()
     sc = _build_scenario(config, "product_disk")
     n = int(config.get("n", 20))
@@ -122,6 +124,7 @@ def run_connect(config: dict, seed: int) -> dict:
 
 
 def run_defining_r_sweep(config: dict, seed: int) -> dict:
+    """Connector energy r along a time sweep against its closed form."""
     t0 = time.perf_counter()
     sc = _build_scenario(config, "product_disk")
     n_s = int(config.get("n", 20))
@@ -149,6 +152,7 @@ def run_defining_r_sweep(config: dict, seed: int) -> dict:
 
 
 def run_michel(config: dict, seed: int) -> dict:
+    """Graph (Michel) identity residuals of r on lightlike pairs."""
     t0 = time.perf_counter()
     sc = _build_scenario(config, "product_disk")
     n = int(config.get("n", 10))
@@ -164,6 +168,7 @@ def run_michel(config: dict, seed: int) -> dict:
 
 
 def run_verify_thm1(config: dict, seed: int) -> dict:
+    """Linearization of r against half its light ray transform."""
     t0 = time.perf_counter()
     sc = _build_scenario(config, "product_disk")
     n = int(config.get("n", 10))
@@ -180,6 +185,7 @@ def run_verify_thm1(config: dict, seed: int) -> dict:
 
 
 def run_kernel_tests(config: dict, seed: int) -> dict:
+    """Kernel checks of the light ray transform (criterion 5)."""
     t0 = time.perf_counter()
     res = acceptance.criterion_kernel()
     records = [{"check": c.label, "value": c.value, "tolerance": c.tolerance,
@@ -191,6 +197,7 @@ def run_kernel_tests(config: dict, seed: int) -> dict:
 
 
 def run_verify_thmmag(config: dict, seed: int) -> dict:
+    """Stationary scattering against its magnetic reduction."""
     t0 = time.perf_counter()
     sc = _build_scenario(config, "stationary_rot")
     n = int(config.get("n", 10))
@@ -212,6 +219,7 @@ def run_verify_thmmag(config: dict, seed: int) -> dict:
 
 
 def run_magnetic_michel(config: dict, seed: int) -> dict:
+    """Graph identity residuals of the magnetic action."""
     t0 = time.perf_counter()
     sc = _build_scenario(config, "stationary_rot")
     n = int(config.get("n", 6))
@@ -231,6 +239,7 @@ def run_magnetic_michel(config: dict, seed: int) -> dict:
 
 
 def run_lin_equivalence(config: dict, seed: int) -> dict:
+    """Lorentzian against magnetic linearized transforms."""
     t0 = time.perf_counter()
     sc = _build_scenario(config, "stationary_rot")
     n = int(config.get("n", 5))
@@ -254,6 +263,7 @@ def run_lin_equivalence(config: dict, seed: int) -> dict:
 
 
 def run_gauge_invariance(config: dict, seed: int) -> dict:
+    """Gauge and conformal invariance of scattering (criterion 10)."""
     t0 = time.perf_counter()
     res = acceptance.criterion_invariance()
     records = [{"transform": c.label, "max_deviation": c.value,
@@ -264,6 +274,7 @@ def run_gauge_invariance(config: dict, seed: int) -> dict:
 
 
 def run_conformal_reparam(config: dict, seed: int) -> dict:
+    """Conformal reparametrization of the null Hamiltonian flow."""
     t0 = time.perf_counter()
     sc = _build_scenario(config, "product_disk")
     tol = float(config.get("tolerance", 1e-6))
@@ -282,6 +293,7 @@ def run_conformal_reparam(config: dict, seed: int) -> dict:
 
 
 def run_normal_coords(config: dict, seed: int) -> dict:
+    """Normal component of the boundary-normal gauged one-form."""
     t0 = time.perf_counter()
     tol = float(config.get("tolerance", 1e-8))
     phi, gauged = boundary_normal_coords(scenarios.collar_one_form())
@@ -299,6 +311,7 @@ def run_normal_coords(config: dict, seed: int) -> dict:
 
 
 def run_all(config: dict, seed: int) -> dict:
+    """Run the thirteen acceptance criteria."""
     t0 = time.perf_counter()
     records = []
     worst_ratio = 0.0

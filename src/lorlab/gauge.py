@@ -1,9 +1,9 @@
 """Gauge actions and conformal invariances.
 
 Boundary-fixing gauge pairs (diffeomorphism plus potential) acting on
-magnetic data, conformal rescaling of Lorentzian metrics, the cotangent
-Hamiltonian flow on the null shell, and before/after invariance checks
-of the scattering relations.
+magnetic data, conformal rescaling of Lorentzian metrics, the null-shell
+Hamiltonian flow and its conformal reparametrization (right-hand sides
+of the RK4 stepper in ``geometry``), and scattering invariance checks.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from scipy.interpolate import CubicSpline
 
 from .errors import PreconditionError
 from .fields import Array, CovectorField, ScalarField, _central_diff
-from .geometry import RIEMANNIAN, BoundaryHypersurface, MetricField
+from .geometry import (RIEMANNIAN, BoundaryHypersurface, MetricField,
+                       _march_fixed)
 from .scattering import scatter_batch
 from .stationary import MagneticSystem, magnetic_scatter_batch
 
@@ -172,22 +173,23 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
     requires H(x0, xi0) = 0, where the reduction is valid."""
     x0 = np.asarray(x0, float)
     xi0 = np.asarray(xi0, float)
+    dim = x0.size
     scaled = c is not None
     if c is None:
         c = ScalarField.constant(1.0)
-    h0 = 0.5 * float(xi0 @ np.linalg.inv(g.matrix(x0)) @ xi0) / float(c(x0))
+
+    def hval(x, xi):
+        ginv = np.linalg.inv(g.matrix(x))
+        return 0.5 * np.einsum("...k,...kl,...l->...", xi, ginv, xi) / c(x)
+
+    h0 = float(hval(x0, xi0))
     if scaled and abs(h0) > 1e-10 * max(1.0, float(xi0 @ xi0)):
         raise PreconditionError(
             f"scaled Hamiltonian flow requires the null shell (H = {h0:g})")
 
-    def hval(x, xi):
-        ginv = np.linalg.inv(g.matrix(x))
-        cv = c(x)
-        return 0.5 * np.einsum("...k,...kl,...l->...", xi, ginv, xi) / cv
-
-    def rhs(state, check=True):
+    def rhs(y, check):
         # the metric check runs at the state a step starts from only
-        x, xi = state[..., 0, :], state[..., 1, :]
+        x, xi = y[:, :dim], y[:, dim:]
         ginv = np.linalg.inv(g.matrix(x) if check else g.evaluate(x))
         cinv = 1.0 / c(x)
         dg = g.partials(x)
@@ -196,22 +198,11 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
         xdot = cinv[..., None] * np.einsum("...kl,...l->...k", ginv, xi)
         xidot = -0.5 * cinv[..., None] * np.einsum("...ikl,...k,...l->...i",
                                                    dginv, xi, xi)
-        return np.stack([xdot, xidot], axis=-2)
+        return np.concatenate([xdot, xidot], axis=1)
 
-    n = max(1, int(round(sigma_max / step)))
-    h = sigma_max / n
-    state = np.stack([x0, xi0])[None]
-    xs = np.empty((n + 1,) + x0.shape)
-    xis = np.empty_like(xs)
-    xs[0], xis[0] = x0, xi0
-    for i in range(n):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1, check=False)
-        k3 = rhs(state + 0.5 * h * k2, check=False)
-        k4 = rhs(state + h * k3, check=False)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        xs[i + 1], xis[i + 1] = state[0, 0], state[0, 1]
-    sigma = np.linspace(0.0, sigma_max, n + 1)
+    sigma, ys = _march_fixed(rhs, np.concatenate([x0, xi0])[None],
+                             sigma_max, step, names=("x", "xi"))
+    xs, xis = ys[:, 0, :dim], ys[:, 0, dim:]
     return HamiltonianPath(sigma=sigma, x=xs, xi=xis, h_values=hval(xs, xis))
 
 
@@ -240,18 +231,10 @@ def conformal_reparam_check(g: MetricField, c: ScalarField, x0: Array,
     s_end = float(simpson(c(base.x), x=base.sigma))
 
     scaled = hamiltonian_flow(g, x0, xi0, s_end, c=c, step=step)
-    s_grid = scaled.sigma
-    hs = s_grid[1] - s_grid[0]
-    alpha = np.empty_like(s_grid)
-    alpha[0] = 0.0
-    a = 0.0
-    for i in range(s_grid.size - 1):
-        k1 = 1.0 / float(c(base_x(a)))
-        k2 = 1.0 / float(c(base_x(a + 0.5 * hs * k1)))
-        k3 = 1.0 / float(c(base_x(a + 0.5 * hs * k2)))
-        k4 = 1.0 / float(c(base_x(a + hs * k3)))
-        a += (hs / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        alpha[i + 1] = a
+    s_grid, alpha = _march_fixed(
+        lambda a, check: 1.0 / c(base_x(a[:, 0]))[:, None], np.zeros((1, 1)),
+        s_end, step, names=("alpha",))
+    alpha = alpha[:, 0, 0]
     inside = alpha <= sigma_max
     dev = max(float(np.abs(scaled.x[inside] - base_x(alpha[inside])).max()),
               float(np.abs(scaled.xi[inside] - base_xi(alpha[inside])).max()))

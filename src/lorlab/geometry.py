@@ -1,9 +1,12 @@
 """Chart-local semi-Riemannian geometry.
 
-Metric evaluation, Christoffel symbols, fixed-step RK4 geodesic
-integration with hypersurface stopping, causal classification, and
-boundary normals/projections.  The integrator runs on a batch of
-states at once; single-ray entry points are batches of one.
+Metric evaluation, Christoffel symbols, causal classification,
+boundary normals/projections, and the one fixed-step RK4 stepper of
+y' = rhs(y) on a batch of flat states: geodesic and magnetic flows as
+(x, v), with hypersurface stopping, and the Hamiltonian and
+reparametrization flows of ``gauge``.  Every march stops on a
+non-finite state, naming the ray and the step.  Single-ray entry
+points are batches of one.
 """
 
 from __future__ import annotations
@@ -284,110 +287,123 @@ class GeodesicPath:
 # RK4 flow integration (batched)
 # ---------------------------------------------------------------------------
 
-def _rk4_step(accel, x: Array, v: Array, h) -> tuple[Array, Array]:
-    """One RK4 step of the second-order system x'' = accel(x, x').
-
-    ``h`` may be a scalar or a per-batch-item array of shape (B,).  Only
-    stage 1, the accepted state the step starts from, asks ``accel`` for
-    the metric check.
-    """
+def _rk4_step(rhs, y: Array, h) -> Array:
+    """One classical RK4 step of the first-order system y' = rhs(y, check)
+    on a (B, n) state.  ``h`` may be a scalar or a per-batch-item array of
+    shape (B,).  Only stage 1, the accepted state the step starts from,
+    asks ``rhs`` for the metric check."""
     h = np.asarray(h, float)
     if h.ndim == 1:
         h = h[:, None]
-    a1 = accel(x, v)
-    x2, v2 = x + 0.5 * h * v, v + 0.5 * h * a1
-    a2 = accel(x2, v2, check=False)
-    x3, v3 = x + 0.5 * h * (v + 0.5 * h * a1), v + 0.5 * h * a2
-    a3 = accel(x3, v3, check=False)
-    x4, v4 = x + h * (v + 0.5 * h * a2), v + h * a3
-    a4 = accel(x4, v4, check=False)
-    xn = x + h * v + (h * h / 6.0) * (a1 + a2 + a3)
-    vn = v + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-    return xn, vn
+    k1 = rhs(y, True)
+    k2 = rhs(y + 0.5 * h * k1, False)
+    k3 = rhs(y + 0.5 * h * k2, False)
+    k4 = rhs(y + h * k3, False)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _ray_step(accel, x: Array, v: Array, h,
-              rays: Array) -> tuple[Array, Array]:
+def _second_order(accel):
+    """Right-hand side (v, accel(x, v)) of x'' = accel(x, x') on the flat
+    state y = (x, v) of shape (B, 2 * dim)."""
+
+    def rhs(y: Array, check: bool) -> Array:
+        dim = y.shape[1] // 2
+        x, v = y[:, :dim], y[:, dim:]
+        return np.concatenate([v, accel(x, v, check=check)], axis=1)
+
+    return rhs
+
+
+def _ray_step(rhs, y: Array, h, rays: Array) -> Array:
     """_rk4_step on rows that hold the rays ``rays``.  An error of the
     step is raised again by the first ray that raises it on its own, with
     the ray named by ray_errors."""
     try:
-        return _rk4_step(accel, x, v, h)
+        return _rk4_step(rhs, y, h)
     except (LorlabError, ValueError):
         hs = np.broadcast_to(np.asarray(h, float), len(rays))
         for i, ray in enumerate(rays):
             with ray_errors(int(ray)):
-                _rk4_step(accel, x[i:i + 1], v[i:i + 1], hs[i:i + 1])
+                _rk4_step(rhs, y[i:i + 1], hs[i:i + 1])
         raise
 
 
-def _check_step(k: int, xn: Array, vn: Array, x: Array, v: Array,
-                rays: Array) -> None:
+def _check_step(k: int, yn: Array, y: Array, rays: Array,
+                names=("x", "v")) -> None:
     """EscapeError when step k left a ray's state non-finite, naming the
-    ray, the step and the ray's state before it."""
-    if np.isfinite(xn).all() and np.isfinite(vn).all():
+    ray, the step and its state before it, split into parts ``names``."""
+    finite = np.isfinite(yn).all(axis=1)
+    if finite.all():
         return
-    i = np.flatnonzero(~(np.isfinite(xn).all(axis=1)
-                         & np.isfinite(vn).all(axis=1)))[0]
-    raise EscapeError(
-        f"ray {int(rays[i])}: state non-finite after step {k}; last finite "
-        f"state x = {x[i].tolist()}, v = {v[i].tolist()}", ray=int(rays[i]))
+    i = np.flatnonzero(~finite)[0]
+    state = ", ".join(f"{name} = {part.tolist()}" for name, part
+                      in zip(names, np.split(y[i], len(names))))
+    raise EscapeError(f"ray {int(rays[i])}: state non-finite after step "
+                      f"{k}; last finite state {state}", ray=int(rays[i]))
+
+
+def _march_fixed(rhs, y: Array, sigma_max: float, step: float,
+                 names=("x", "v")) -> tuple[Array, Array]:
+    """March y' = rhs(y, check) from the float (B, n) state y to sigma_max
+    with uniform steps; returns (sigma (M,), ys (M, B, n)).  EscapeError
+    as soon as a state turns non-finite (see _check_step)."""
+    rays = np.arange(y.shape[0])
+    n = max(1, int(round(sigma_max / step)))
+    h = sigma_max / n
+    ys = np.empty((n + 1,) + y.shape)
+    ys[0] = y
+    for i in range(n):
+        yn = _ray_step(rhs, y, h, rays)
+        _check_step(i + 1, yn, y, rays, names)
+        y = ys[i + 1] = yn
+    return np.linspace(0.0, sigma_max, n + 1), ys
 
 
 def integrate_flow_fixed(accel, x0: Array, v0: Array, sigma_max: float,
                          step: float) -> tuple[Array, Array, Array]:
-    """Integrate a batch to sigma_max with uniform steps; returns
-    (sigma (M,), xs (M, B, dim), vs (M, B, dim)).  EscapeError as soon
-    as a state turns non-finite."""
-    x = np.atleast_2d(np.asarray(x0, float)).copy()
-    v = np.atleast_2d(np.asarray(v0, float)).copy()
-    rays = np.arange(x.shape[0])
-    n = max(1, int(round(sigma_max / step)))
-    h = sigma_max / n
-    xs = np.empty((n + 1,) + x.shape)
-    vs = np.empty_like(xs)
-    xs[0], vs[0] = x, v
-    for i in range(n):
-        xn, vn = _ray_step(accel, x, v, h, rays)
-        _check_step(i + 1, xn, vn, x, v, rays)
-        x, v = xn, vn
-        xs[i + 1], vs[i + 1] = x, v
-    return np.linspace(0.0, sigma_max, n + 1), xs, vs
+    """Integrate a batch of x'' = accel(x, x') to sigma_max with uniform
+    steps; returns (sigma (M,), xs (M, B, dim), vs (M, B, dim)).
+    EscapeError as soon as a state turns non-finite."""
+    sigma, ys = _march_fixed(_second_order(accel),
+                             np.hstack(np.atleast_2d(x0, v0)).astype(float),
+                             sigma_max, step)
+    return (sigma, *np.split(ys, 2, axis=2))
 
 
 REFINE_TOL = 1e-15        # Newton correction at which a hit is accepted
 REFINE_MAX_ITER = 60      # bisection of h down to rounding
 
 
-def _refine_hit(accel, S: BoundaryHypersurface, x: Array, v: Array,
-                f0: Array, f1: Array, h: float, sigma0: Array):
+def _refine_hit(rhs, S: BoundaryHypersurface, y: Array, f0: Array,
+                f1: Array, h: float, sigma0: Array):
     """Locate, for a batch of rays, the b=0 crossing inside the step of
-    length h from the last interior samples (x, v), where S.side is f0 < 0,
-    to the crossing samples, where it is f1 >= 0.
+    length h from the last interior states y = (x, v), where S.side is
+    f0 < 0, to the crossing samples, where it is f1 >= 0.
 
     One safeguarded Newton search on the step length d in [0, h] runs for
-    all rays at once, each iterate one RK4 step of length d from (x, v).
+    all rays at once, each iterate one RK4 step of length d from y.
     It starts from the linear interpolation of side, uses the slope
     exterior_sign * grad b . v, and keeps a bracket per ray whose midpoint
     replaces any Newton iterate that leaves it or has a zero or
     non-finite slope.  A ray stops when its Newton correction is below
-    REFINE_TOL * max(1, sigma0).  Returns (d, x(d), v(d)).
+    REFINE_TOL * max(1, sigma0).  Returns (d, y(d)).
     """
-    B = x.shape[0]
+    B, dim = y.shape[0], y.shape[1] // 2
     lo, hi = np.zeros(B), np.full(B, float(h))
     with np.errstate(divide="ignore", invalid="ignore"):
         d = h * f0 / (f0 - f1)
     d = np.where((d >= 0.0) & (d <= h), d, 0.5 * h)
     tol = REFINE_TOL * np.maximum(1.0, sigma0)
-    de, xe, ve = np.empty(B), np.empty_like(x), np.empty_like(v)
+    de, ye = np.empty(B), np.empty_like(y)
     todo = np.arange(B)
     for _ in range(REFINE_MAX_ITER):
         dt = d[todo]
-        xc, vc = _ray_step(accel, x[todo], v[todo], dt, todo)
-        de[todo], xe[todo], ve[todo] = dt, xc, vc
+        yc = _ray_step(rhs, y[todo], dt, todo)
+        de[todo], ye[todo] = dt, yc
+        xc = yc[:, :dim]
         f = S.side(xc)
         slope = S.exterior_sign * np.einsum(
-            "bi,bi->b", np.asarray(S.gradient(xc), float), vc)
+            "bi,bi->b", np.asarray(S.gradient(xc), float), yc[:, dim:])
         below = f < 0.0
         lo[todo[below]] = dt[below]
         hi[todo[~below]] = dt[~below]
@@ -401,38 +417,40 @@ def _refine_hit(accel, S: BoundaryHypersurface, x: Array, v: Array,
         todo = todo[going]
         if not todo.size:
             break
-    return de, xe, ve
+    return de, ye
 
 
 def integrate_flow_to_surface(accel, x0: Array, v0: Array,
                               S: BoundaryHypersurface, step: float,
                               max_sigma: float = 10.0,
                               require_interior_first: bool = False):
-    """March a batch until each ray crosses to the exterior side of S.
+    """March a batch of x'' = accel(x, x') until each ray crosses to the
+    exterior side of S.
 
     Rays that have crossed stop marching.  Returns per-ray (sigma, x, v)
     sample arrays including the refined final sample on {b=0}.  Raises
     EscapeError listing rays that never crossed within max_sigma, or
     naming the first ray whose state turns non-finite.
     """
-    x = np.atleast_2d(np.asarray(x0, float)).copy()
-    v = np.atleast_2d(np.asarray(v0, float)).copy()
-    B = x.shape[0]
+    rhs = _second_order(accel)
+    y = np.hstack(np.atleast_2d(x0, v0)).astype(float)
+    B, dim = y.shape[0], y.shape[1] // 2
     n_max = int(np.ceil(max_sigma / step)) + 1
-    xs = [x.copy()]
-    vs = [v.copy()]
-    phi = S.side(x)
+    # x and v are stacked apart, so one list is freed before the next stack
+    xs, vs = [y[:, :dim].copy()], [y[:, dim:].copy()]
+    phi = S.side(y[:, :dim])
     seen_interior = phi < -SURFACE_TOL
     hit_index = np.full(B, -1, dtype=int)
     f_in, f_out = np.empty(B), np.empty(B)   # side around the crossing
+    y_in = np.empty_like(y)                  # state before the crossing
     active = np.ones(B, dtype=bool)
     k = 0
     while np.any(active) and k < n_max:
         rays = np.flatnonzero(active)
-        xa, va = x[rays], v[rays]
-        xn, vn = _ray_step(accel, xa, va, step, rays)
-        _check_step(k + 1, xn, vn, xa, va, rays)
-        phin = S.side(xn)
+        ya = y[rays]
+        yn = _ray_step(rhs, ya, step, rays)
+        _check_step(k + 1, yn, ya, rays)
+        phin = S.side(yn[:, :dim])
         crossing = phin >= 0.0
         if require_interior_first:
             crossing &= seen_interior[rays]
@@ -440,11 +458,12 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
         hit = rays[crossing]
         hit_index[hit] = k
         f_in[hit], f_out[hit] = phi[hit], phin[crossing]
+        y_in[hit] = ya[crossing]
         active[hit] = False
         phi[rays] = phin
-        x[rays], v[rays] = xn, vn
-        xs.append(x.copy())
-        vs.append(v.copy())
+        y[rays] = yn
+        xs.append(y[:, :dim].copy())
+        vs.append(y[:, dim:].copy())
         k += 1
     if np.any(active):
         raise EscapeError(
@@ -452,25 +471,21 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
             f"surface within sigma budget {max_sigma}")
     xs = np.array(xs)
     vs = np.array(vs)
-    rays = np.arange(B)
     sigma0 = hit_index * step
-    d, xe, ve = _refine_hit(accel, S, xs[hit_index, rays],
-                            vs[hit_index, rays], f_in, f_out, step, sigma0)
-    missed = ~(np.abs(np.asarray(S.value(xe), float)) <= 100 * SURFACE_TOL)
+    d, ye = _refine_hit(rhs, S, y_in, f_in, f_out, step, sigma0)
+    missed = ~(np.abs(np.asarray(S.value(ye[:, :dim]), float))
+               <= 100 * SURFACE_TOL)
     if np.any(missed):
         raise EscapeError(f"ray {int(np.flatnonzero(missed)[0])}: boundary "
                           "hit refinement failed")
     out = []
     for b in range(B):
-        m = hit_index[b]
-        sigma = np.append(np.arange(m + 1) * step, sigma0[b] + d[b])
-        px = np.vstack([xs[: m + 1, b], xe[b][None, :]])
-        pv = np.vstack([vs[: m + 1, b], ve[b][None, :]])
-        if sigma[-1] - sigma[-2] < 1e-13:
-            sigma = np.delete(sigma, -2)
-            px = np.delete(px, -2, axis=0)
-            pv = np.delete(pv, -2, axis=0)
-        out.append((sigma, px, pv))
+        m, end = hit_index[b], sigma0[b] + d[b]
+        if end - sigma0[b] >= 1e-13:   # else the exit replaces sample m
+            m += 1
+        out.append((np.append(np.arange(m) * step, end),
+                    np.vstack([xs[:m, b], ye[b, None, :dim]]),
+                    np.vstack([vs[:m, b], ye[b, None, dim:]])))
     return out
 
 

@@ -26,7 +26,7 @@ from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                        metric_solve, scatter_paths)
 from .lightray import light_ray_transform, magnetic_linearized_transform
 from .scattering import ScatteringRecord, scatter
-from .connect import solve_two_point
+from .connect import _chart_stencil, solve_two_point
 
 
 # ---------------------------------------------------------------------------
@@ -336,29 +336,11 @@ def magnetic_michel(mag: MagneticSystem, S: BoundaryHypersurface, x: Array,
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     conn = magnetic_connector(mag, x, y, n_steps=n_steps, tol=1e-12)
-    w0 = conn.initial_w
-    a0 = np.asarray(S.chart_inverse(x), float)
-    b0 = np.asarray(S.chart_inverse(y), float)
-    p = a0.size
-
-    xs, ys, seeds = [], [], []
-    for i in range(p):
-        for s in (+1.0, -1.0):
-            a = a0.copy()
-            a[i] += s * fd_step
-            xp = np.asarray(S.chart(a), float)
-            xs.append(xp), ys.append(y), seeds.append(w0 - (xp - x))
-    for j in range(p):
-        for s in (+1.0, -1.0):
-            b = b0.copy()
-            b[j] += s * fd_step
-            yp = np.asarray(S.chart(b), float)
-            xs.append(x), ys.append(yp), seeds.append(w0 + (yp - y))
-    acts = np.array([c.action for c in magnetic_connectors_batch(
-        mag, np.array(xs), np.array(ys), np.array(seeds), n_steps=n_steps,
-        tol=1e-12)])
-    dA_da = (acts[0:2 * p:2] - acts[1:2 * p:2]) / (2 * fd_step)
-    dA_db = (acts[2 * p::2] - acts[2 * p + 1::2]) / (2 * fd_step)
+    a0, b0, dA_da, dA_db = _chart_stencil(
+        S, S, x, y, conn.initial_w, fd_step,
+        lambda xs, ys, seeds: np.array([c.action for c in (
+            magnetic_connectors_batch(mag, xs, ys, seeds, n_steps=n_steps,
+                                      tol=1e-12))]))
 
     frame_x = S.chart_frame(a0)
     frame_y = S.chart_frame(b0)

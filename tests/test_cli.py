@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import pytest
 
 from lorlab.cli import (EXIT_NUMERICAL, EXIT_PARSE, EXIT_PASS, EXIT_SCENARIO,
-                        main)
+                        build_parser, main)
+from lorlab.experiments import RUNNERS
 
 
 def run(args):
@@ -104,3 +106,11 @@ def test_normal_coords_runs(tmp_path):
 def test_conformal_reparam_runs(tmp_path):
     out = tmp_path / "r.json"
     assert run(["conformal-reparam", "--out", str(out)]) == EXIT_PASS
+
+
+def test_every_subcommand_has_help():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    assert set(helps) == set(RUNNERS)
+    assert all(h and h.strip() for h in helps.values()), helps

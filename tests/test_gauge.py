@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from lorlab import (GaugePair, PreconditionError, apply_gauge, compose_gauge,
-                    hamiltonian_flow, integrate_geodesic, pullback_metric,
-                    scale_metric)
+from lorlab import (LORENTZIAN, EscapeError, GaugePair, MagneticSystem,
+                    MetricField, PreconditionError, apply_gauge,
+                    compose_gauge, hamiltonian_flow, integrate_geodesic,
+                    pullback_metric, scale_metric)
 from lorlab import scenarios
-from lorlab.fields import ScalarField
-from lorlab.gauge import conformal_reparam_check, scattering_invariance
+from lorlab.fields import CovectorField, ScalarField
+from lorlab.gauge import (conformal_reparam_check, magnetic_invariance,
+                          scattering_invariance)
 
 
 def grid(rng, n=40, lim=0.7):
@@ -185,3 +187,82 @@ def test_invariance_of_identical_metrics(product_disk):
                                 product_disk.entry_surface,
                                 product_disk.exit_surface, entries)
     assert dev < 1e-12
+
+
+def test_non_finite_hamiltonian_state_stops_the_flow():
+    """Flat Minkowski metric whose partials turn NaN for t > 0.3.  The
+    flow x' = (1, 1, 0) reaches t = 0.3 in step 30 and must stop there,
+    naming the ray, the step and the last finite (x, xi), instead of
+    returning NaN samples."""
+    flat = scenarios.constant_metric(3, [-1.0, 1.0, 1.0], LORENTZIAN)
+
+    def dfunc(x):
+        dg = np.zeros(np.shape(x)[:-1] + (3, 3, 3))
+        dg[np.asarray(x)[..., 0] > 0.3] = np.nan
+        return dg
+
+    g = MetricField(dim=3, signature=LORENTZIAN, func=flat.func, dfunc=dfunc)
+    with pytest.raises(EscapeError) as err:
+        hamiltonian_flow(g, np.array([0.0, 0.1, 0.0]),
+                         np.array([-1.0, 1.0, 0.0]), sigma_max=1.0,
+                         step=1e-2)
+    assert err.value.ray == 0
+    assert str(err.value).startswith(
+        "ray 0: state non-finite after step 30; last finite state "
+        "x = [0.29")
+    assert "xi = [-1.0, 1.0, 0.0]" in str(err.value)
+
+
+def test_scaled_hamiltonian_flow_is_fourth_order(perturbed_product):
+    """Observed order of the scaled flow of criterion 01 over sigma 0.96
+    at steps 4e-2, 2e-2 and 1e-2, where the end-state differences (about
+    1e-9 and 8e-11) measure truncation, far above rounding."""
+    g = perturbed_product.metric
+    x0 = np.array([0.0, -0.4, 0.1])
+    gm = g.matrix(x0)
+    vx = np.array([0.6, 0.5])
+    xi0 = gm @ np.concatenate([[np.sqrt(gm[1, 1] * (vx @ vx))], vx])
+    ends = []
+    for h in (4e-2, 2e-2, 1e-2):
+        flow = hamiltonian_flow(g, x0, xi0, sigma_max=0.96,
+                                c=scenarios.conformal_bump(0.3), step=h)
+        ends.append(np.concatenate([flow.x[-1], flow.xi[-1]]))
+    order = np.log2(np.linalg.norm(ends[0] - ends[1])
+                    / np.linalg.norm(ends[1] - ends[2]))
+    assert 3.8 <= order <= 4.2
+
+
+def test_invariance_detects_a_non_gauge_change(product_disk):
+    """Negative control: stretching space by 5% is no gauge change, so
+    the scattering data must move well above the 1e-6 gate."""
+    entries = scenarios.scattering_entries(product_disk, 4, seed=37)
+    dev = scattering_invariance(product_disk.metric,
+                                scenarios.stretch_family().eval(0.05),
+                                product_disk.entry_surface,
+                                product_disk.exit_surface, entries)
+    assert dev > 1e-3
+
+
+@pytest.mark.parametrize("pair", [scenarios.time_shift_pair(0.05),
+                                  scenarios.rotation_bump_pair(0.15)],
+                         ids=["time-shift", "diffeomorphism"])
+def test_magnetic_invariance_under_gauge(stationary_rot, pair):
+    mag = stationary_rot.magnetic
+    entries = scenarios.magnetic_entries(stationary_rot, 3, seed=29)
+    dev = magnetic_invariance(mag, apply_gauge(mag, pair),
+                              stationary_rot.spatial_boundary, entries)
+    assert dev <= 1e-6
+
+
+def test_magnetic_invariance_detects_a_non_exact_change(stationary_rot):
+    """Negative control: omega + 0.05 x dy differs by a one-form that is
+    not closed, so the magnetic boundary data must move."""
+    mag = stationary_rot.magnetic
+    om = mag.omega
+    bent = MagneticSystem(mag.base, CovectorField(
+        dim=2, func=lambda p: om(p) + 0.05 * np.asarray(p)[..., :1] * [0, 1],
+        jac=lambda p: om.jacobian(p) + [[0.0, 0.05], [0.0, 0.0]]))
+    entries = scenarios.magnetic_entries(stationary_rot, 3, seed=29)
+    dev = magnetic_invariance(mag, bent, stationary_rot.spatial_boundary,
+                              entries)
+    assert dev > 1e-3

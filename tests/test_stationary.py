@@ -5,7 +5,8 @@ from scipy.integrate import simpson
 from lorlab import (MagneticSystem, StationaryMetric, action_A,
                     boundary_normal_coords, conformal_normalize,
                     connecting_geodesic, curve_flux, from_raw, lift_magnetic,
-                    lift_residual, magnetic_connector, magnetic_integrate,
+                    lift_residual, linearization_equivalence,
+                    magnetic_connector, magnetic_integrate,
                     magnetic_michel, magnetic_scatter, project_and_verify,
                     reconstruct_exit, reduced_time_component, scatter,
                     thmmag_verify)
@@ -280,3 +281,25 @@ def test_perturbed_product_base_partials(perturbed_product, rng):
     dh = h.partials(pts)
     assert dh.shape == (4, 2, 2, 2)
     assert np.abs(dh - _central_diff(h.func, pts, (2, 2))).max() < 1e-9
+
+
+def test_linearized_transforms_differ_by_2l(stationary_rot):
+    """The Lorentzian transform is 2 l times the magnetic one, l the
+    length of the base connector.
+
+    The lifted connector is parametrized on [0, 1], so it has base speed
+    l and its transform is l times the integral of f over the arc-length
+    lift gamma = (t, x).  On that lift dt + omega(x') = |x'|_h = 1, so the
+    variation f of -(dt + omega)^2 + h gives f(gamma', gamma') =
+    dh(x', x') - 2 dom(x'), twice the integrand of the magnetic transform
+    of (dh / 2, -dom).  Hence lor = 2 l mag.  (Criterion 09 states 2 l^2
+    and keeps failing until the paper's convention is settled.)"""
+    sr = stationary_rot
+    (x, u), = scenarios.magnetic_entries(sr, 1, seed=31)
+    y = magnetic_scatter(sr.magnetic, sr.spatial_boundary, x, u,
+                         keep_path=False).y
+    dh, dom = scenarios.equivalence_fields()
+    eq = linearization_equivalence(sr.stationary, dh, dom, x, y,
+                                   n_steps=200)
+    target = 2.0 * eq.length * eq.magnetic_value
+    assert abs(eq.lorentzian_value - target) / abs(target) <= 1e-10
