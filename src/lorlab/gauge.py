@@ -113,16 +113,21 @@ def scale_metric(g: MetricField, c: ScalarField) -> MetricField:
     def func(x):
         return c(x)[..., None, None] * np.asarray(g.func(x), float)
 
-    dfunc = None
+    dfunc = jetfunc = None
     if g.dfunc is not None and c.grad is not None:
-        def dfunc(x):
+        def jetfunc(x):
             x = np.asarray(x, float)
-            gm = np.asarray(g.func(x), float)
-            return (c.gradient(x)[..., :, None, None] * gm[..., None, :, :]
-                    + c(x)[..., None, None, None] * g.partials(x))
+            cx = c(x)
+            gm, dg = g._unchecked_jet(x)
+            return (cx[..., None, None] * gm,
+                    c.gradient(x)[..., :, None, None] * gm[..., None, :, :]
+                    + cx[..., None, None, None] * dg)
+
+        def dfunc(x):
+            return jetfunc(x)[1]
 
     return MetricField(dim=g.dim, signature=g.signature, func=func,
-                       dfunc=dfunc, domain=g.domain)
+                       dfunc=dfunc, domain=g.domain, jetfunc=jetfunc)
 
 
 def pullback_metric(g: MetricField, psi: Callable[[Array], Array],
@@ -190,9 +195,9 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
     def rhs(y, check):
         # the metric check runs at the state a step starts from only
         x, xi = y[:, :dim], y[:, dim:]
-        ginv = np.linalg.inv(g.matrix(x) if check else g.evaluate(x))
+        gm, dg = g.jet(x, check)
+        ginv = np.linalg.inv(gm)
         cinv = 1.0 / c(x)
-        dg = g.partials(x)
         # d_i g^{kl} = -(g^{-1} d_i g g^{-1})^{kl}
         dginv = -np.einsum("...ka,...iab,...bl->...ikl", ginv, dg, ginv)
         xdot = cinv[..., None] * np.einsum("...kl,...l->...k", ginv, xi)

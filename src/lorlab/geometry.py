@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (ChartDomainError, EscapeError, LorlabError,
                      NoLiftError, PreconditionError, SignatureError,
                      SingularMetricError, TangencyError, ray_errors)
-from .fields import Array, _central_diff
+from .fields import Array, _central_diff, _central_jet
 
 DET_FLOOR = 1e-12
 CAUSAL_TOL = 1e-9
@@ -40,7 +40,9 @@ class MetricField:
 
     ``func`` maps points ``(..., dim)`` to matrices ``(..., dim, dim)``;
     ``dfunc``, when given, returns coordinate partials with layout
-    ``dg[..., k, i, j] = d_k g_ij``.
+    ``dg[..., k, i, j] = d_k g_ij``.  ``jetfunc``, when given, returns
+    ``(func(x), dfunc(x))`` from one pass of the fields behind them; a
+    field that has one passes ``dfunc = lambda x: jetfunc(x)[1]`` too.
     """
 
     dim: int
@@ -48,19 +50,14 @@ class MetricField:
     func: Callable[[Array], Array]
     dfunc: Optional[Callable[[Array], Array]] = None
     domain: Optional[Callable[[Array], Array]] = None
+    jetfunc: Optional[Callable[[Array], tuple[Array, Array]]] = None
 
-    def evaluate(self, x: Array) -> Array:
-        """Matrix values at x with the chart-domain check only."""
-        x = np.asarray(x, float)
+    def _check_chart(self, x: Array) -> None:
         if self.domain is not None and not np.all(self.domain(x)):
             raise ChartDomainError("point outside chart domain")
-        return np.asarray(self.func(x), float)
 
-    def matrix(self, x: Array, validate: bool = False) -> Array:
-        """Matrix values at x, checked: chart domain, finite values,
-        symmetry and a determinant off zero; with ``validate`` also the
-        declared signature."""
-        g = self.evaluate(x)
+    def _check_values(self, g: Array) -> None:
+        """Finite values, symmetry and a determinant off zero."""
         if not np.all(np.isfinite(g)):
             raise SingularMetricError("non-finite metric values")
         asym = np.abs(g - np.swapaxes(g, -1, -2)).max()
@@ -70,6 +67,15 @@ class MetricField:
         det = np.linalg.det(g)
         if np.any(np.abs(det) < DET_FLOOR * max(scale, 1.0) ** self.dim):
             raise SingularMetricError("metric determinant below threshold")
+
+    def matrix(self, x: Array, validate: bool = False) -> Array:
+        """Matrix values at x, checked: chart domain, finite values,
+        symmetry and a determinant off zero; with ``validate`` also the
+        declared signature."""
+        x = np.asarray(x, float)
+        self._check_chart(x)
+        g = np.asarray(self.func(x), float)
+        self._check_values(g)
         if validate:
             self._check_signature(g)
         return g
@@ -89,6 +95,29 @@ class MetricField:
             return np.asarray(self.dfunc(np.asarray(x, float)), float)
         return _central_diff(self.func, x, (self.dim, self.dim))
 
+    def jet(self, x: Array, check: bool = True) -> tuple[Array, Array]:
+        """(matrix values, partials) at x from one pass of the fields:
+        ``jetfunc``, else ``func`` and ``dfunc``, else ``func`` once on x
+        and its central-difference stencil.  With ``check`` the values
+        pass the checks of ``matrix`` (without ``validate``); without,
+        only the chart-domain check."""
+        x = np.asarray(x, float)
+        self._check_chart(x)
+        g, dg = self._unchecked_jet(x)
+        if check:
+            self._check_values(g)
+        return g, dg
+
+    def _unchecked_jet(self, x: Array) -> tuple[Array, Array]:
+        """jet without any check, for fields built from this one."""
+        if self.jetfunc is not None:
+            g, dg = self.jetfunc(x)
+            return np.asarray(g, float), np.asarray(dg, float)
+        if self.dfunc is not None:
+            return (np.asarray(self.func(x), float),
+                    np.asarray(self.dfunc(x), float))
+        return _central_jet(self.func, x, (self.dim, self.dim))
+
 
 def inner(g: MetricField, x: Array, u: Array, w: Array) -> Union[float, Array]:
     """Scalar product u . g(x) . w; validates symmetry and signature."""
@@ -100,8 +129,7 @@ def inner(g: MetricField, x: Array, u: Array, w: Array) -> Union[float, Array]:
 
 def christoffel(g: MetricField, x: Array) -> Array:
     """Levi-Civita symbols Gamma[..., k, i, j] from metric partials."""
-    gm = g.matrix(x)
-    dg = g.partials(x)
+    gm, dg = g.jet(x)
     # Gamma_{l,ij} = (d_i g_lj + d_j g_li - d_l g_ij) / 2
     low = 0.5 * (np.einsum("...ilj->...lij", dg)
                  + np.einsum("...jli->...lij", dg) - dg)
@@ -118,26 +146,26 @@ def metric_solve(gm: Array, rhs: Array) -> Array:
         raise SingularMetricError("singular metric matrix") from None
 
 
-def geodesic_term(g: MetricField, gm: Array, x: Array, v: Array) -> Array:
-    """-Gamma^k_ij v^i v^j at x, batched, given the matrix values gm of
-    g there."""
-    dg = g.partials(x)
+def geodesic_term(gm: Array, dg: Array, v: Array) -> Array:
+    """-Gamma^k_ij v^i v^j, batched, from the matrix values gm and the
+    partials dg of a metric at the points of v."""
     t1 = np.einsum("...ilj,...i,...j->...l", dg, v, v)
     t2 = np.einsum("...lij,...i,...j->...l", dg, v, v)
     return -metric_solve(gm, t1 - 0.5 * t2)
 
 
 def geodesic_accel(g: MetricField):
-    """Acceleration closure a(x, v) = -Gamma^k_ij v^i v^j, batched.
+    """Acceleration closure a(x, v) = -Gamma^k_ij v^i v^j, batched, from
+    one MetricField.jet per call.
 
-    With ``check`` (the default) the metric passes MetricField.matrix;
-    without, only its chart-domain check.  _rk4_step checks at the state
-    a step starts from and skips the check at the three inner stages.
+    With ``check`` (the default) the metric values pass the checks of
+    MetricField.matrix; without, only its chart-domain check.  _rk4_step
+    checks at the state a step starts from and skips the check at the
+    three inner stages.
     """
 
     def accel(x: Array, v: Array, check: bool = True) -> Array:
-        return geodesic_term(g, g.matrix(x) if check else g.evaluate(x),
-                             x, v)
+        return geodesic_term(*g.jet(x, check), v)
 
     return accel
 

@@ -161,49 +161,50 @@ def product_disk() -> Scenario:
 def perturbed_product(amplitude: float = 0.1) -> Scenario:
     a = float(amplitude)
 
-    def conf(xs):
-        xs = np.asarray(xs, float)
-        return 1.0 + a * np.exp(-np.einsum("...i,...i->...", xs, xs))
-
-    def dconf(xs):
+    def conf_jet(xs):
+        """The factor c = 1 + a exp(-|xs|^2) and its gradient, from one
+        exp."""
         xs = np.asarray(xs, float)
         bump = a * np.exp(-np.einsum("...i,...i->...", xs, xs))
-        return -2.0 * xs * bump[..., None]
+        return 1.0 + bump, -2.0 * xs * bump[..., None]
 
-    def func(x):
-        x = np.asarray(x, float)
-        c = conf(x[..., 1:])
-        g = np.zeros(x.shape[:-1] + (3, 3))
+    def g_of(c):
+        g = np.zeros(c.shape + (3, 3))
         g[..., 0, 0] = -1.0
         g[..., 1, 1] = c
         g[..., 2, 2] = c
         return g
 
-    def dfunc(x):
+    def func(x):
+        return g_of(conf_jet(np.asarray(x, float)[..., 1:])[0])
+
+    def jetfunc(x):
         x = np.asarray(x, float)
-        dc = dconf(x[..., 1:])     # (..., 2)
+        c, dc = conf_jet(x[..., 1:])     # (...), (..., 2)
         dg = np.zeros(x.shape[:-1] + (3, 3, 3))
         for k in (1, 2):
             dg[..., k, 1, 1] = dc[..., k - 1]
             dg[..., k, 2, 2] = dc[..., k - 1]
-        return dg
+        return g_of(c), dg
 
-    def h_func(xs):
-        c = conf(xs)
-        return c[..., None, None] * np.broadcast_to(
-            np.eye(2), np.shape(xs)[:-1] + (2, 2))
+    def h_of(c):
+        return c[..., None, None] * np.broadcast_to(np.eye(2),
+                                                    c.shape + (2, 2))
 
-    def h_dfunc(xs):
-        return dconf(xs)[..., :, None, None] * np.eye(2)
+    def h_jetfunc(xs):
+        c, dc = conf_jet(xs)
+        return h_of(c), dc[..., :, None, None] * np.eye(2)
 
-    h = MetricField(dim=2, signature=RIEMANNIAN, func=h_func, dfunc=h_dfunc)
+    h = MetricField(dim=2, signature=RIEMANNIAN,
+                    func=lambda xs: h_of(conf_jet(xs)[0]),
+                    dfunc=lambda xs: h_jetfunc(xs)[1], jetfunc=h_jetfunc)
     m = StationaryMetric(lam=ScalarField.constant(1.0),
                          omega=CovectorField.zero(2), base=h)
     cyl = _cylinder()
     return Scenario(
         name="perturbed_product",
         metric=MetricField(dim=3, signature=LORENTZIAN, func=func,
-                           dfunc=dfunc),
+                           dfunc=lambda x: jetfunc(x)[1], jetfunc=jetfunc),
         entry_surface=cyl, exit_surface=cyl,
         stationary=m,
         magnetic=MagneticSystem(base=h, omega=CovectorField.zero(2)),

@@ -53,12 +53,7 @@ class StationaryMetric:
     def assembled(self) -> MetricField:
         n = self.n
 
-        def func(x):
-            x = np.asarray(x, float)
-            xs = x[..., 1:]
-            lam = self.lam(xs)
-            om = self.omega(xs)
-            h = np.asarray(self.base.func(xs), float)
+        def block(x, lam, om, h):
             g = np.empty(x.shape[:-1] + (n + 1, n + 1))
             g[..., 0, 0] = -lam
             g[..., 0, 1:] = -lam[..., None] * om
@@ -67,19 +62,24 @@ class StationaryMetric:
                 h - om[..., :, None] * om[..., None, :])
             return g
 
-        dfunc = None
+        def func(x):
+            x = np.asarray(x, float)
+            xs = x[..., 1:]
+            return block(x, self.lam(xs), self.omega(xs),
+                         np.asarray(self.base.func(xs), float))
+
+        dfunc = jetfunc = None
         if (self.lam.grad is not None and self.omega.jac is not None
                 and self.base.dfunc is not None):
 
-            def dfunc(x):
+            def jetfunc(x):
                 x = np.asarray(x, float)
                 xs = x[..., 1:]
                 lam = self.lam(xs)
                 om = self.omega(xs)
-                h = np.asarray(self.base.func(xs), float)
+                h, dh = self.base._unchecked_jet(xs)  # dh (..., k, i, j)
                 dlam = self.lam.gradient(xs)          # (..., n)
                 dom = self.omega.jacobian(xs)         # (..., k, j)
-                dh = self.base.partials(xs)           # (..., k, i, j)
                 red = h - om[..., :, None] * om[..., None, :]
                 dred = (dh - dom[..., :, :, None] * om[..., None, None, :]
                         - om[..., None, :, None] * dom[..., :, None, :])
@@ -92,13 +92,16 @@ class StationaryMetric:
                 dg[..., 1:, 1:, 1:] = (
                     dlam[..., :, None, None] * red[..., None, :, :]
                     + lam[..., None, None, None] * dred)
-                return dg
+                return block(x, lam, om, h), dg
+
+            def dfunc(x):
+                return jetfunc(x)[1]
 
         domain = None
         if self.base.domain is not None:
             domain = lambda x: self.base.domain(np.asarray(x, float)[..., 1:])
         return MetricField(dim=n + 1, signature=LORENTZIAN, func=func,
-                           dfunc=dfunc, domain=domain)
+                           dfunc=dfunc, domain=domain, jetfunc=jetfunc)
 
 
 def reduced_time_component(m: StationaryMetric, x_spatial: Array,
@@ -175,16 +178,17 @@ def magnetic_accel(mag: MagneticSystem, speed_from_velocity: bool = False):
     """Acceleration of the charge-one magnetic flow x'' = -Gamma(h) x'x'
     + Y x'.  With speed_from_velocity the force carries a factor |x'|_h,
     which makes the [0, 1]-parametrized flow a smooth shooting target.
-    h is evaluated once per call and checked as in geodesic_accel."""
+    h comes from one MetricField.jet per call, checked as in
+    geodesic_accel."""
     base = mag.base
 
     def accel(x: Array, v: Array, check: bool = True) -> Array:
-        hm = base.matrix(x) if check else base.evaluate(x)
+        hm, dh = base.jet(x, check)
         force = mag.lorentz_force(x, v, hm)
         if speed_from_velocity:
             speed = np.sqrt(np.einsum("...i,...ij,...j->...", v, hm, v))
             force = speed[..., None] * force
-        return geodesic_term(base, hm, x, v) + force
+        return geodesic_term(hm, dh, v) + force
 
     return accel
 

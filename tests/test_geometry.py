@@ -1,14 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
 from lorlab import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
-                    EscapeError, MetricField, NoLiftError,
+                    ChartDomainError, EscapeError, MetricField, NoLiftError,
                     SingularMetricError, StationaryMetric,
                     boundary_normal, causal_classify, christoffel,
                     geodesic_accel, inner, integrate_geodesic,
                     lightlike_completion, scatter, scenarios)
+from lorlab.errors import LorlabError
 from lorlab.geometry import integrate_flow_fixed, integrate_flow_to_surface
 from lorlab.fields import CovectorField, ScalarField
+from lorlab.gauge import apply_gauge, scale_metric
 
 
 def minkowski(dim=3):
@@ -275,3 +279,89 @@ def test_geodesic_march_is_fourth_order():
     order = np.log2(np.linalg.norm(ends[0] - ends[1])
                     / np.linalg.norm(ends[1] - ends[2]))
     assert 3.8 <= order <= 4.2
+
+
+def _jet_metrics():
+    """Every scenario metric, every magnetic base, and a conformal
+    multiple."""
+    out = []
+    for name in scenarios.available():
+        sc = scenarios.build(name)
+        out.append(pytest.param(sc.metric, id=name))
+        if sc.magnetic is not None:
+            out.append(pytest.param(sc.magnetic.base, id=f"{name}.base"))
+    out.append(pytest.param(scale_metric(
+        scenarios.build("product_disk").metric, scenarios.conformal_bump()),
+        id="scaled-product_disk"))
+    return out
+
+
+@pytest.mark.parametrize("metric", _jet_metrics())
+def test_jet_matches_matrix_and_partials(metric):
+    rng = np.random.default_rng(47)
+    for x in (rng.uniform(-0.5, 0.5, (5, metric.dim)),
+              rng.uniform(-0.5, 0.5, metric.dim)):
+        gm, dg = metric.jet(x)
+        assert np.array_equal(gm, metric.matrix(x))
+        assert np.array_equal(dg, metric.partials(x))
+        assert dg.shape == x.shape[:-1] + (metric.dim,) * 3
+
+
+def test_jet_without_partials_evaluates_the_metric_once(stationary_rot):
+    """A gauged base has no analytic partials: its jet calls func once,
+    on the point stacked with the central-difference stencil, and agrees
+    with matrix and the separate central differences of partials."""
+    gauged = apply_gauge(stationary_rot.magnetic,
+                         scenarios.rotation_bump_pair(0.15)).base
+    calls = []
+
+    def func(p):
+        calls.append(np.shape(p))
+        return gauged.func(p)
+
+    g = MetricField(dim=2, signature=RIEMANNIAN, func=func)
+    x = np.random.default_rng(53).uniform(-0.6, 0.6, (5, 2))
+    gm, dg = g.jet(x)
+    assert calls == [(5, 5, 2)]
+    assert np.array_equal(gm, gauged.matrix(x))
+    assert np.abs(dg - gauged.partials(x)).max() <= 1e-10
+
+
+def _failing_metric(kind):
+    """Euclidean plane metric that fails the named check on x0 > 0.4."""
+    bad = {"non-finite": np.full((2, 2), np.nan),
+           "asymmetric": np.array([[1.0, 0.5], [0.0, 1.0]]),
+           "vanishing-determinant": np.diag([1.0, 0.0])}.get(kind)
+
+    def func(x):
+        x = np.asarray(x, float)
+        g = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
+        if bad is not None:
+            g[x[..., 0] > 0.4] = bad
+        return g
+
+    return MetricField(
+        dim=2, signature=RIEMANNIAN, func=func,
+        dfunc=lambda x: np.zeros(np.shape(x)[:-1] + (2, 2, 2)),
+        domain=(lambda x: np.asarray(x)[..., 0] < 0.4) if kind == "chart"
+        else None)
+
+
+@pytest.mark.parametrize("kind", ["non-finite", "asymmetric",
+                                  "vanishing-determinant", "chart"])
+def test_jet_fails_as_matrix_does(kind):
+    """The checked jet raises what matrix raises; the unchecked jet keeps
+    only the chart-domain check."""
+    g = _failing_metric(kind)
+    x = np.array([[0.0, 0.0], [0.5, 0.0]])
+    with pytest.raises(LorlabError) as expected:
+        g.matrix(x)
+    with pytest.raises(type(expected.value), match=re.escape(
+            str(expected.value))):
+        g.jet(x)
+    if kind == "chart":
+        with pytest.raises(ChartDomainError):
+            g.jet(x, check=False)
+    else:
+        gm, _ = g.jet(x, check=False)
+        assert np.array_equal(gm, g.func(x), equal_nan=True)

@@ -13,7 +13,7 @@ from lorlab import (MagneticSystem, StationaryMetric, action_A,
 from lorlab import scenarios
 from lorlab.fields import CovectorField, ScalarField
 from lorlab.gauge import scattering_invariance
-from lorlab.geometry import MetricField, RIEMANNIAN
+from lorlab.geometry import MetricField, RIEMANNIAN, geodesic_accel, inner
 
 
 def flat_h():
@@ -303,3 +303,59 @@ def test_linearized_transforms_differ_by_2l(stationary_rot):
                                    n_steps=200)
     target = 2.0 * eq.length * eq.magnetic_value
     assert abs(eq.lorentzian_value - target) / abs(target) <= 1e-10
+
+
+def test_stationary_accel_closed_form(stationary_rot):
+    """On -(dt + omega)^2 + |dx|^2 with d omega = B dx^dy, a lightlike
+    geodesic with v = (t', u) carries the conserved charge
+    k = t' + omega(u), its spatial part obeys x'' = k B (-u_y, u_x), and
+    the t equation d/ds (t' + omega(x')) = 0 gives
+    t'' = -(d_i omega_j u^i u^j + omega . x''_spatial)."""
+    B = stationary_rot.params["B"]
+    om = stationary_rot.stationary.omega
+    rng = np.random.default_rng(41)
+    x = rng.uniform(-0.6, 0.6, (6, 3))
+    u = rng.uniform(-1.0, 1.0, (6, 2))
+    w = om(x[:, 1:])
+    k = np.linalg.norm(u, axis=1)              # future-pointing: k = |u|
+    v = np.column_stack([k - np.einsum("bi,bi->b", w, u), u])
+    assert np.abs(inner(stationary_rot.metric, x, v, v)).max() <= 1e-14
+    a = geodesic_accel(stationary_rot.metric)(x, v)
+    spatial = (k * B)[:, None] * np.column_stack([-u[:, 1], u[:, 0]])
+    time = -(np.einsum("bij,bi,bj->b", om.jacobian(x[:, 1:]), u, u)
+             + np.einsum("bi,bi->b", w, spatial))
+    assert np.abs(a[:, 1:] - spatial).max() <= 1e-13
+    assert np.abs(a[:, 0] - time).max() <= 1e-13
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_stationary_accel_evaluates_each_field_once(stationary_rot, check):
+    """One acceleration call on the assembled metric evaluates lam, omega
+    and h, and each of their derivatives, exactly once, with and without
+    the metric check."""
+    m0 = stationary_rot.stationary
+    calls = {}
+
+    def counted(name, f):
+        calls[name] = 0
+
+        def wrapped(p):
+            calls[name] += 1
+            return f(p)
+        return wrapped
+
+    m = StationaryMetric(
+        lam=ScalarField(func=counted("lam", m0.lam.func),
+                        grad=counted("dlam", m0.lam.grad),
+                        positive=m0.lam.positive),
+        omega=CovectorField(dim=2, func=counted("omega", m0.omega.func),
+                            jac=counted("domega", m0.omega.jac)),
+        base=MetricField(dim=2, signature=RIEMANNIAN,
+                         func=counted("h", m0.base.func),
+                         dfunc=counted("dh", m0.base.dfunc)))
+    rng = np.random.default_rng(43)
+    x = rng.uniform(-0.5, 0.5, (4, 3))
+    v = rng.uniform(-1.0, 1.0, (4, 3))
+    a = geodesic_accel(m.assembled)(x, v, check=check)
+    assert np.array_equal(a, geodesic_accel(stationary_rot.metric)(x, v))
+    assert calls == dict.fromkeys(calls, 1)
