@@ -31,8 +31,8 @@ from .stationary import (LinearizedEquivalence, MagneticConnector,
                          magnetic_connectors_batch, magnetic_integrate,
                          magnetic_michel, magnetic_scatter,
                          magnetic_scatter_batch, project_and_verify,
-                         reconstruct_exit, reduced_time_component,
-                         thmmag_verify)
+                         reconstruct_exit, reconstruct_exits,
+                         reduced_time_component, thmmag_verify)
 from .gauge import (GaugePair, HamiltonianPath, ReparamReport, apply_gauge,
                     compose_gauge, conformal_reparam_check, hamiltonian_flow,
                     magnetic_invariance, pullback_metric, scale_metric,

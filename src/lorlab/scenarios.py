@@ -15,9 +15,12 @@ import numpy as np
 
 from .connect import MetricFamily
 from .fields import Array, CovectorField, ScalarField, SymTwoTensorField
+from .gauge import GaugePair, scale_metric
 from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
-                       MetricField)
-from .stationary import MagneticSystem, StationaryMetric
+                       MetricField, boundary_project)
+from .scattering import ScatteringRecord, scatter_batch
+from .stationary import (MagneticRecord, MagneticSystem, StationaryMetric,
+                         magnetic_scatter_batch)
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,9 @@ def constant_metric(dim: int, diag: Array, signature: str) -> MetricField:
     mat = np.diag(np.asarray(diag, float))
 
     def func(x):
-        return np.broadcast_to(mat, np.shape(x)[:-1] + (dim, dim))
+        out = np.empty(np.shape(x)[:-1] + (dim, dim))
+        out[...] = mat
+        return out
 
     def dfunc(x):
         return np.zeros(np.shape(x)[:-1] + (dim, dim, dim))
@@ -273,18 +278,13 @@ def scattering_entries(scenario: Scenario, n: int,
         x = np.array([t, np.cos(th), np.sin(th)])
         tang = np.array([0.0, -np.sin(th), np.cos(th)])
         v_full = np.concatenate([[1.0], b * tang[1:]])
-        v_proj = _project_onto(scenario, x, v_full)
-        out.append((x, v_proj))
+        out.append((x, boundary_project(scenario.metric,
+                                        scenario.entry_surface, x, v_full)))
     return out
 
 
 def _unit(v: Array) -> Array:
     return v / np.linalg.norm(v)
-
-
-def _project_onto(scenario: Scenario, x: Array, v: Array) -> Array:
-    from .geometry import boundary_project
-    return boundary_project(scenario.metric, scenario.entry_surface, x, v)
 
 
 def magnetic_entries(scenario: Scenario, n: int,
@@ -310,8 +310,6 @@ def rotation_bump_pair(eps: float = 0.15):
     radius-dependent angle eps*(1 - |x|^2)^2.  Radius is preserved, so
     the closed-form inverse rotates back by the same angle.  Packaged
     with a zero potential."""
-    from .fields import ScalarField
-    from .gauge import GaugePair
 
     def theta(x):
         x = np.asarray(x, float)
@@ -347,9 +345,6 @@ def time_shift_pair(amplitude: float = 0.05):
     """Pure potential gauge pair on the unit disk: psi = id, phi a
     radial bump vanishing (with its tangential derivative) on the
     boundary circle."""
-    from .fields import ScalarField
-    from .gauge import GaugePair
-
     a = float(amplitude)
 
     def phi_func(x):
@@ -395,7 +390,6 @@ def stretch_family() -> MetricFamily:
 def conformal_family(g0: MetricField) -> MetricFamily:
     """g_tau = (1 + tau c) g0 with c = conformal_bump(0.5) of the spatial
     coordinates: a pure conformal (gauge) family."""
-    from .gauge import scale_metric
     c = spacetime_field(conformal_bump(0.5))
 
     def eval_tau(tau):
@@ -462,15 +456,48 @@ def spacetime_field(c: ScalarField) -> ScalarField:
                        grad=grad, positive=c.positive)
 
 
-def null_pairs(scenario: Scenario, n: int, seed: int = 0,
-               step: float = 1e-3) -> list[tuple[Array, Array]]:
-    """Boundary pairs on the lightlike-connectivity set, produced by
-    shooting admissible entries through the geometry."""
-    from .scattering import scatter
-    pairs = []
-    for x, v_proj in scattering_entries(scenario, n, seed=seed):
-        rec = scatter(scenario.metric, scenario.entry_surface,
-                      scenario.exit_surface, x, v_proj, step=step,
-                      max_sigma=30.0, keep_path=False)
-        pairs.append((x, rec.y))
-    return pairs
+def scattered_entries(scenario: Scenario, n: int, seed: int = 0,
+                      step: float = 1e-3,
+                      keep_paths: bool = False) -> list[ScatteringRecord]:
+    """The lightlike scattering of scattering_entries(scenario, n, seed):
+    one scatter_batch call, max_sigma 30."""
+    entries = scattering_entries(scenario, n, seed)
+    if not entries:
+        return []
+    xs, vs = map(np.array, zip(*entries))
+    return scatter_batch(scenario.metric, scenario.entry_surface,
+                         scenario.exit_surface, xs, vs, step=step,
+                         max_sigma=30.0, keep_paths=keep_paths)
+
+
+def null_pairs(scenario: Scenario, n: int,
+               seed: int = 0) -> list[tuple[Array, Array]]:
+    """Boundary pairs on the lightlike-connectivity set: the entry and
+    exit points of scattered_entries."""
+    return [(r.x, r.y) for r in scattered_entries(scenario, n, seed)]
+
+
+def magnetic_pairs(scenario: Scenario, n: int,
+                   seed: int = 0) -> list[MagneticRecord]:
+    """The magnetic scattering of magnetic_entries(scenario, n, seed), one
+    magnetic_scatter_batch call; each record's (x, y) is a magnetic pair."""
+    entries = magnetic_entries(scenario, n, seed)
+    if not entries:
+        return []
+    xs, us = map(np.array, zip(*entries))
+    return magnetic_scatter_batch(scenario.magnetic,
+                                  scenario.spatial_boundary, xs, us)
+
+
+def disk_pairs(n: int, seed: int) -> tuple[Array, Array]:
+    """n boundary pairs (x, y) of the unit cylinder, x at time 0 and y
+    at time s in [0.3, 2.5], their angles 0.4 pi to 1.6 pi apart."""
+    rng = np.random.default_rng(seed)
+    xs, ys = [], []
+    for _ in range(n):
+        th1 = rng.uniform(0.0, 2 * np.pi)
+        th2 = th1 + rng.uniform(0.4 * np.pi, 1.6 * np.pi)
+        s = rng.uniform(0.3, 2.5)
+        xs.append([0.0, np.cos(th1), np.sin(th1)])
+        ys.append([s, np.cos(th2), np.sin(th2)])
+    return np.array(xs), np.array(ys)

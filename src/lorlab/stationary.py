@@ -486,24 +486,33 @@ def thmmag_verify(m: StationaryMetric, U: BoundaryHypersurface,
                            record=rec, magnetic_record=mrec)
 
 
-def reconstruct_exit(m: StationaryMetric, S: BoundaryHypersurface, t: float,
-                     x_spatial: Array, u_proj: Array,
-                     step: float = 1e-3,
-                     max_sigma: float = 30.0) -> tuple[Array, Array]:
+def reconstruct_exits(m: StationaryMetric, S: BoundaryHypersurface,
+                      ts: Array, xs_spatial: Array, u_projs: Array,
+                      step: float = 1e-3,
+                      max_sigma: float = 30.0) -> list[tuple[Array, Array]]:
     """Rebuild the reduced lightlike exit data (y, w') on the cylinder
-    from magnetic data alone: exit time t + A(x, y), exit covector with
-    reduced time component one and tangential part from the magnetic
-    relation."""
-    x_spatial = np.asarray(x_spatial, float)
+    from magnetic data alone, for entries at times ts, with one magnetic
+    scatter for all: exit time t + A(x, y), exit covector with reduced
+    time component one and tangential part from the magnetic relation."""
     mag = MagneticSystem(m.base, m.omega)
-    mrec = magnetic_scatter(mag, S, x_spatial, u_proj, step=step,
-                            max_sigma=max_sigma)
-    act = action_A(mag, x_spatial, mrec.y,
-                   seed=(mrec.length * (mrec.path.v[0])))
-    y_full = np.concatenate([[t + act], mrec.y])
-    wt = 1.0 - float(m.omega(mrec.y) @ mrec.w_proj)
-    w_full = np.concatenate([[wt], mrec.w_proj])
-    return y_full, w_full
+    out = []
+    for t, mrec in zip(ts, magnetic_scatter_batch(
+            mag, S, xs_spatial, u_projs, step, max_sigma, keep_paths=True)):
+        act = action_A(mag, mrec.x, mrec.y,
+                       seed=(mrec.length * (mrec.path.v[0])))
+        wt = 1.0 - float(m.omega(mrec.y) @ mrec.w_proj)
+        out.append((np.concatenate([[t + act], mrec.y]),
+                    np.concatenate([[wt], mrec.w_proj])))
+    return out
+
+
+def reconstruct_exit(m: StationaryMetric, S: BoundaryHypersurface, t: float,
+                     x_spatial: Array, u_proj: Array, step: float = 1e-3,
+                     max_sigma: float = 30.0) -> tuple[Array, Array]:
+    """The batch of one of reconstruct_exits."""
+    (out,) = reconstruct_exits(m, S, [t], [x_spatial], [u_proj], step,
+                               max_sigma)
+    return out
 
 
 # ---------------------------------------------------------------------------

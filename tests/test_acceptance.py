@@ -1,6 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a single
 pass/fail line with the worst residual against its tolerance."""
 
+import math
+
 import pytest
 
 from lorlab import acceptance
@@ -11,6 +13,21 @@ def _check(result):
     failing = [c for c in result.checks if not c.passed]
     assert not failing, "; ".join(
         f"{c.label}: {c.value:.6e} > tol {c.tolerance:.1e}" for c in failing)
+
+
+def test_worst_of_propagates_nan():
+    """A NaN residual fails its check wherever it sits in the list."""
+    nan = float("nan")
+    for values in ([0.0, nan, 1e-9], [nan, 0.0], [1e-9, nan]):
+        worst = acceptance.worst_of(values)
+        assert math.isnan(worst)
+        assert not acceptance.Check("residual", worst, 1.0).passed
+    assert acceptance.worst_of([0.0, 2e-9, 1e-9]) == 2e-9
+    assert acceptance.worst_of([]) == 0.0
+    result = acceptance.CriterionResult(
+        0, "nan", [acceptance.Check("finite", 1e-9, 1.0),
+                   acceptance.Check("nan", nan, 1.0)], 0.0)
+    assert not result.passed and result.worst.label == "nan"
 
 
 def test_criterion_01_conservation():

@@ -1,8 +1,11 @@
 import argparse
 import json
+import math
+import time
 
 import pytest
 
+from lorlab import experiments
 from lorlab.cli import (EXIT_NUMERICAL, EXIT_PARSE, EXIT_PASS, EXIT_SCENARIO,
                         build_parser, main)
 from lorlab.experiments import RUNNERS
@@ -114,3 +117,45 @@ def test_every_subcommand_has_help():
     helps = {a.dest: a.help for a in sub._choices_actions}
     assert set(helps) == set(RUNNERS)
     assert all(h and h.strip() for h in helps.values()), helps
+
+
+# Exit code and record keys of the runners that share their per-item code
+# with an acceptance criterion, each run at {"n": 2}.
+CONTRACTS = {
+    "defining-r-sweep": (EXIT_PASS, {"s", "r", "r_closed_form"}),
+    "verify-thm1": (EXIT_PASS, {"x", "y", "fd_value", "half_transform",
+                                "rel_error"}),
+    "verify-thmmag": (EXIT_PASS, {"x", "v_proj", "endpoint_residual",
+                                  "exit_residual", "length_residual",
+                                  "action_residual"}),
+    "magnetic-michel": (EXIT_PASS, {"x", "y", "action", "entry_residual",
+                                    "exit_residual"}),
+    # checks criterion 09's stated 2 l^2, which fails by design
+    "lin-equivalence": (EXIT_NUMERICAL, {"x", "y", "length", "lorentzian",
+                                         "magnetic", "ratio", "ratio_over_2l",
+                                         "rel_error_vs_2l2"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACTS))
+def test_runner_contract(tmp_path, command):
+    code, keys = CONTRACTS[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2}))
+    out = tmp_path / "r.json"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == code
+    report = json.loads(out.read_text())
+    assert report["summary"]["pass"] is (code == EXIT_PASS)
+    assert len(report["records"]) == 2
+    for rec in report["records"]:
+        assert set(rec) >= keys, set(rec)
+    if command == "lin-equivalence":
+        assert all(abs(r["ratio_over_2l"] - 1.0) < 1e-6
+                   for r in report["records"])
+
+
+def test_report_fails_on_a_nan_residual():
+    rep = experiments._report("x", "s", 0, [], [0.0, float("nan")], 1.0,
+                              time.perf_counter())
+    assert math.isnan(rep["summary"]["max_residual"])
+    assert rep["summary"]["pass"] is False

@@ -7,7 +7,7 @@ from lorlab import (RIEMANNIAN, ConjugatePointError, ConvergenceError,
                     linearize_r, magnetic_connectors_batch, michel_check,
                     sigma_detect)
 from lorlab import connect, geometry, scenarios, stationary
-from lorlab.experiments import _disk_pair_grid
+from lorlab.scenarios import disk_pairs
 
 
 def test_connector_energy_examples(product_disk):
@@ -180,7 +180,7 @@ def test_connector_paths_are_the_march_of_the_returned_velocities(
     """Connectors equal, bit for bit, a fresh march of the velocities the
     solver returned."""
     g = perturbed_product.metric
-    xs, ys = _disk_pair_grid(perturbed_product, 4, 3)
+    xs, ys = disk_pairs(4, 3)
     conns = connecting_geodesics_batch(g, xs, ys, tol=1e-12)
     vs = np.array([c.path.v[0] for c in conns])
     sigma, px, pv = geometry.integrate_flow_fixed(geodesic_accel(g), xs, vs,
@@ -248,7 +248,7 @@ def test_broyden_updates_replace_jacobian_builds(marches, perturbed_product):
     """The 16 pairs of the CLI connect grid on perturbed_product reach
     1e-12 with one forward-difference Jacobian and at most five residual
     marches; chord iterations with that Jacobian took seven."""
-    xs, ys = _disk_pair_grid(perturbed_product, 16, 1)
+    xs, ys = disk_pairs(16, 1)
     conns = connecting_geodesics_batch(perturbed_product.metric, xs, ys,
                                        tol=1e-12)
     assert marches.count(16 * 3) == 1

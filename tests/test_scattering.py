@@ -282,3 +282,22 @@ def test_stationary_rot_exits_match_circles(stationary_rot, step):
         assert np.abs(rec.y - y).max() <= 1e-6
         assert abs(rec.travel - travel) <= 1e-6
         assert abs(float(stationary_rot.exit_surface.value(rec.y))) <= 1e-12
+
+
+def test_generated_pairs_are_the_single_ray_scatters(stationary_rot):
+    """null_pairs and magnetic_pairs scatter their grids in one batch and
+    give, bit for bit, the exits of one single-ray call per entry."""
+    sc = stationary_rot
+    entries = scenarios.scattering_entries(sc, 2, seed=7)
+    for (x, v), (xb, y) in zip(entries, scenarios.null_pairs(sc, 2, seed=7)):
+        rec = scatter(sc.metric, sc.entry_surface, sc.exit_surface, x, v,
+                      max_sigma=30.0, keep_path=False)
+        assert np.array_equal(xb, x) and np.array_equal(y, rec.y)
+    entries = scenarios.magnetic_entries(sc, 2, seed=29)
+    for (x, u), rb in zip(entries, scenarios.magnetic_pairs(sc, 2, seed=29)):
+        rs = magnetic_scatter(sc.magnetic, sc.spatial_boundary, x, u,
+                              keep_path=False)
+        assert np.array_equal(rb.x, x) and np.array_equal(rb.y, rs.y)
+        assert rb.action == rs.action
+    # an empty grid is an empty list, as the CLI reports it for {"n": 0}
+    assert scenarios.null_pairs(sc, 0) == scenarios.magnetic_pairs(sc, 0) == []

@@ -8,8 +8,8 @@ from lorlab import (MagneticSystem, StationaryMetric, action_A,
                     lift_residual, linearization_equivalence,
                     magnetic_connector, magnetic_integrate,
                     magnetic_michel, magnetic_scatter, project_and_verify,
-                    reconstruct_exit, reduced_time_component, scatter,
-                    thmmag_verify)
+                    reconstruct_exit, reconstruct_exits,
+                    reduced_time_component, scatter, thmmag_verify)
 from lorlab import scenarios
 from lorlab.fields import CovectorField, ScalarField
 from lorlab.gauge import scattering_invariance
@@ -203,6 +203,18 @@ def test_reconstruct_exit_round_trip(stationary_rot):
                                     float(x[0]), x[1:], vn[1:])
     assert np.allclose(y_rec, rec.y, atol=1e-5)
     assert np.allclose(w_rec, rec.w_proj, atol=1e-5)
+
+
+def test_reconstruct_exits_is_the_per_entry_reconstruction(stationary_rot):
+    """One batched magnetic scatter gives each entry's single
+    reconstruction bit for bit."""
+    sc = stationary_rot
+    xs, us = map(np.array, zip(*scenarios.magnetic_entries(sc, 2, seed=5)))
+    ts = [0.1, -0.2]
+    batch = reconstruct_exits(sc.stationary, sc.spatial_boundary, ts, xs, us)
+    for t, x, u, (y, w) in zip(ts, xs, us, batch):
+        y1, w1 = reconstruct_exit(sc.stationary, sc.spatial_boundary, t, x, u)
+        assert np.array_equal(y, y1) and np.array_equal(w, w1)
 
 
 def test_energy_identity_along_projected_connector(stationary_rot):
