@@ -10,7 +10,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (ConjugatePointError, ConvergenceError, EscapeError,
-                     PreconditionError)
+                     LorlabError, PreconditionError)
 from .fields import Array, SymTwoTensorField
 from .geometry import (BoundaryHypersurface, CausalClass, GeodesicPath,
                        MetricField, causal_classify, geodesic_accel, inner,
@@ -38,40 +38,21 @@ def _march(accel, xs: Array, vs: Array, n_steps: int, rows_per_pair: int):
             f"diverged ({exc})") from exc
 
 
-def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
-                    n_steps: int = 400, tol: float = 1e-10,
-                    max_iter: int = 50, cond_limit: float = 1e10, *,
-                    march: Optional[list] = None) -> Array:
-    """Newton shooting on initial velocities for a batch of endpoint pairs.
-
-    The flow x'' = accel(x, x') is integrated over [0, 1]; the unknowns
-    are the initial velocities v with endpoint(x, v) = y.  The Jacobian
-    is built by forward differences; while the residual of every
-    unfinished pair contracts, each pair's Jacobian takes the good
-    Broyden rank-one update, and it is rebuilt by forward differences
-    at the current iterate when one does not.  Returns the solved
-    velocities, shape (B, dim).  A list passed as ``march`` receives
-    (sigma, xs, vs) of integrate_flow_fixed at those velocities: the
-    solver's last march, so callers need not integrate again.
-    """
-    xs = np.atleast_2d(np.asarray(xs, float))
-    ys = np.atleast_2d(np.asarray(ys, float))
+def _newton(accel, xs: Array, ys: Array, v: Array, n_steps: int, tol: float,
+            max_iter: int, cond_limit: float, J: Optional[Array] = None):
+    """The Newton/Broyden iteration of solve_two_point on one grid of
+    n_steps steps, from the velocities v and, when given, the Jacobian J
+    (updated in place).  Returns (v, J, march at v)."""
     B, dim = xs.shape
-    v = np.array(seeds, float) if seeds is not None else ys - xs
-    v = np.atleast_2d(v).copy()
-    if np.any(np.linalg.norm(ys - xs, axis=1) == 0.0):
-        raise PreconditionError("coincident endpoints")
-
     last = _march(accel, xs, v, n_steps, 1)
     F = last[1][-1] - ys
     res = np.abs(F).max(axis=1)
-    J = None
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         done = res <= tol
         if np.all(done):
-            if march is not None:
-                march[:] = last
-            return v
+            return v, J, last
+        if it == max_iter:
+            break
         last = None           # freed: a residual march precedes any return
         if J is None:
             delta = 1e-6 * np.maximum(1.0, np.linalg.norm(v, axis=1))
@@ -106,8 +87,64 @@ def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
             J[upd] += r[:, :, None] * s[upd, None, :] / s2[upd, None, None]
         v, F, res = v_new, F_new, res_new
     raise ConvergenceError(
-        f"pair(s) {np.flatnonzero(res > tol).tolist()}: two-point shooting "
+        f"pair(s) {np.flatnonzero(~done).tolist()}: two-point shooting "
         f"residual {res.max():.3g} after {max_iter} iterations")
+
+
+COARSE_FACTOR = 8       # the coarse grid has n_steps // COARSE_FACTOR steps
+COARSE_MIN_STEPS = 25   # no coarse phase on fewer steps than this
+COARSE_TOL = 1e-8       # the coarse phase stops at max(tol, COARSE_TOL)
+
+
+def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
+                    n_steps: int = 400, tol: float = 1e-10,
+                    max_iter: int = 50, cond_limit: float = 1e10, *,
+                    march: Optional[list] = None) -> Array:
+    """Newton shooting on initial velocities for a batch of endpoint pairs.
+
+    The flow x'' = accel(x, x') is integrated over [0, 1]; the unknowns
+    are the initial velocities v with endpoint(x, v) = y.  The Jacobian
+    is built by forward differences; while the residual of every
+    unfinished pair contracts, each pair's Jacobian takes the good
+    Broyden rank-one update, and it is rebuilt by forward differences
+    at the current iterate when one does not.  Returns the solved
+    velocities, shape (B, dim), with every residual at most tol on the
+    grid of n_steps steps.  A list passed as ``march`` receives
+    (sigma, xs, vs) of integrate_flow_fixed at those velocities on that
+    grid: the solver's last march, so callers need not integrate again.
+
+    Two grids: the iteration first runs from the seeds on the coarse
+    grid of n_steps // 8 steps, to max(tol, 1e-8), then on the requested
+    grid from the coarse velocities and the coarse Jacobian with its
+    Broyden updates, which is rebuilt on the requested grid only when a
+    step fails to contract.  Far from the answer a march of an eighth of
+    the steps serves Newton as well as a full one; near it, the coarse
+    Jacobian differs from the requested grid's by the discretization
+    error, so one or two steps finish the solve.  The coarse phase is
+    skipped when it would have fewer than 25 steps.  When it raises,
+    the requested grid solves alone from the seeds, so every error comes
+    from the requested grid and names its pairs.
+    """
+    xs = np.atleast_2d(np.asarray(xs, float))
+    ys = np.atleast_2d(np.asarray(ys, float))
+    v = np.array(seeds, float) if seeds is not None else ys - xs
+    v = np.atleast_2d(v).copy()
+    same = np.flatnonzero(np.linalg.norm(ys - xs, axis=1) == 0.0)
+    if same.size:
+        raise PreconditionError(
+            f"pair(s) {same.tolist()}: coincident endpoints")
+    v0, J = v, None
+    if n_steps // COARSE_FACTOR >= COARSE_MIN_STEPS:
+        try:
+            v0, J, _ = _newton(accel, xs, ys, v, n_steps // COARSE_FACTOR,
+                               max(tol, COARSE_TOL), max_iter, cond_limit)
+        except LorlabError:
+            pass        # the requested grid solves alone from the seeds
+    v, _, last = _newton(accel, xs, ys, v0, n_steps, tol, max_iter,
+                         cond_limit, J)
+    if march is not None:
+        march[:] = last
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def run_lin_equivalence(config: dict, seed: int) -> dict:
     """Lorentzian against magnetic linearized transforms."""
     return _run("lin-equivalence", config, seed, "stationary_rot", 5, 1e-6,
                 lambda sc, n, seed: acceptance.equivalence_records(
-                    sc.stationary, *scenarios.equivalence_fields(),
+                    sc.stationary, [scenarios.equivalence_fields()],
                     [(r.x, r.y) for r in scenarios.magnetic_pairs(sc, n,
                                                                   seed)]),
                 ["rel_error_vs_2l2"])

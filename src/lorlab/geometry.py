@@ -57,11 +57,12 @@ class MetricField:
             raise ChartDomainError("point outside chart domain")
 
     def _check_values(self, g: Array) -> None:
-        """Finite values, symmetry and a determinant off zero."""
+        """Finite values, symmetry and a determinant off zero; the
+        values of an empty batch pass."""
         if not np.all(np.isfinite(g)):
             raise SingularMetricError("non-finite metric values")
-        asym = np.abs(g - np.swapaxes(g, -1, -2)).max()
-        scale = np.abs(g).max()
+        asym = np.abs(g - np.swapaxes(g, -1, -2)).max(initial=0.0)
+        scale = np.abs(g).max(initial=0.0)
         if asym > 1e-12 * max(scale, 1.0):
             raise SingularMetricError(f"metric not symmetric (asymmetry {asym:g})")
         det = np.linalg.det(g)

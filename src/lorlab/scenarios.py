@@ -461,10 +461,8 @@ def scattered_entries(scenario: Scenario, n: int, seed: int = 0,
                       keep_paths: bool = False) -> list[ScatteringRecord]:
     """The lightlike scattering of scattering_entries(scenario, n, seed):
     one scatter_batch call, max_sigma 30."""
-    entries = scattering_entries(scenario, n, seed)
-    if not entries:
-        return []
-    xs, vs = map(np.array, zip(*entries))
+    xs, vs = np.reshape(scattering_entries(scenario, n, seed),
+                        (-1, 2, scenario.metric.dim)).swapaxes(0, 1)
     return scatter_batch(scenario.metric, scenario.entry_surface,
                          scenario.exit_surface, xs, vs, step=step,
                          max_sigma=30.0, keep_paths=keep_paths)
@@ -481,10 +479,8 @@ def magnetic_pairs(scenario: Scenario, n: int,
                    seed: int = 0) -> list[MagneticRecord]:
     """The magnetic scattering of magnetic_entries(scenario, n, seed), one
     magnetic_scatter_batch call; each record's (x, y) is a magnetic pair."""
-    entries = magnetic_entries(scenario, n, seed)
-    if not entries:
-        return []
-    xs, us = map(np.array, zip(*entries))
+    xs, us = np.reshape(magnetic_entries(scenario, n, seed),
+                        (-1, 2, scenario.magnetic.base.dim)).swapaxes(0, 1)
     return magnetic_scatter_batch(scenario.magnetic,
                                   scenario.spatial_boundary, xs, us)
 

@@ -533,14 +533,22 @@ def linearization_equivalence(m: StationaryMetric, dh: SymTwoTensorField,
                               n_steps: int = 400) -> LinearizedEquivalence:
     """Light ray transform of the variation of -(dt + omega)^2 + h over
     the lifted [0, 1]-connector versus the magnetic transform of
-    (dh / 2, -dom) over the arc-length base connector.  Both values and
-    their ratio are reported; no proportionality factor is assumed."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    if abs(float(m.lam(x)) - 1.0) > 1e-12:
+    (dh / 2, -dom) over the arc-length base connector from x to y: the
+    equivalence_on_connector of the solved magnetic connector."""
+    conn = magnetic_connector(MagneticSystem(m.base, m.omega), x, y,
+                              n_steps=n_steps)
+    return equivalence_on_connector(m, dh, dom, conn, t0=t0)
+
+
+def equivalence_on_connector(m: StationaryMetric, dh: SymTwoTensorField,
+                             dom: CovectorField, conn: MagneticConnector,
+                             t0: float = 0.0) -> LinearizedEquivalence:
+    """linearization_equivalence over a given magnetic connector of
+    (m.base, m.omega), so several perturbations share one solve.  Both
+    values and their ratio are reported; no proportionality factor is
+    assumed."""
+    if abs(float(m.lam(conn.x)) - 1.0) > 1e-12:
         raise PreconditionError("equivalence requires the unit conformal factor")
-    mag = MagneticSystem(m.base, m.omega)
-    conn = magnetic_connector(mag, x, y, n_steps=n_steps)
     lifted = lift_magnetic(m, conn.path, t0=t0)
     ell = conn.length
     lifted01 = GeodesicPath(sigma=lifted.sigma / ell, x=lifted.x,

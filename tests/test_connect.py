@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from lorlab import (RIEMANNIAN, ConjugatePointError, ConvergenceError,
-                    MetricField, MetricFamily, connecting_geodesic,
-                    connecting_geodesics_batch, defining_r, geodesic_accel,
-                    linearize_r, magnetic_connectors_batch, michel_check,
-                    sigma_detect)
+                    MetricField, MetricFamily, PreconditionError,
+                    connecting_geodesic, connecting_geodesics_batch,
+                    defining_r, geodesic_accel, linearize_r,
+                    magnetic_connectors_batch, michel_check, sigma_detect)
 from lorlab import connect, geometry, scenarios, stationary
 from lorlab.scenarios import disk_pairs
 
@@ -163,12 +163,12 @@ def test_convergence_error_names_the_pair(perturbed_product):
 
 
 def test_diverged_iterate_names_the_pair():
-    """Pair 1 ends a thousandth away from the antipode of its start; its
+    """Pair 1 ends a thousandth south of the antipode of its start; its
     first Newton step overshoots so far that the march of the next
-    iterate turns non-finite."""
+    iterate turns non-finite, on the coarse grid and on the requested
+    grid alike."""
     xs = np.array([[np.pi / 2, 0.0], [np.pi / 2, 0.0]])
-    ys = np.array([[np.pi / 2 + 0.3, 1.0],
-                   [np.pi / 2 + 0.001, np.pi - 0.001]])
+    ys = np.array([[np.pi / 2 + 0.3, 1.0], [np.pi / 2 + 0.001, np.pi]])
     with np.errstate(all="ignore"), pytest.raises(
             ConvergenceError, match=r"^pair\(s\) \[1\]: Newton iterate "
                                     r"diverged"):
@@ -205,17 +205,65 @@ def test_connector_paths_are_the_march_of_the_returned_velocities(
         assert np.array_equal(c.path.v, zv[:, b] / c.length)
 
 
+def test_coincident_endpoints_name_the_pair(product_disk):
+    xs = np.array([[0.0, -0.5, 0.0], [0.0, 0.3, 0.2], [0.0, 0.1, 0.4]])
+    ys = np.array([[1.2, 0.5, 0.1], [0.0, 0.3, 0.2], [0.8, -0.4, 0.3]])
+    with pytest.raises(PreconditionError,
+                       match=r"^pair\(s\) \[1\]: coincident endpoints$"):
+        connecting_geodesics_batch(product_disk.metric, xs, ys)
+
+
+def test_converges_on_the_last_allowed_iterate(perturbed_product):
+    """On 150 steps, one grid alone, the 16 pairs of the CLI connect grid
+    reach 1e-12 on exactly their fourth Newton iterate: max_iter=4
+    returns the solve of max_iter=50, and max_iter=3 names the pairs
+    still unfinished."""
+    xs, ys = disk_pairs(16, 1)
+    accel = geodesic_accel(perturbed_product.metric)
+
+    def solve(max_iter):
+        return connect.solve_two_point(accel, xs, ys, n_steps=150, tol=1e-12,
+                                       max_iter=max_iter)
+
+    assert np.array_equal(solve(4), solve(50))
+    with pytest.raises(ConvergenceError,
+                       match=r"^pair\(s\) \[\d+(, \d+)*\]: two-point "
+                             r"shooting residual .* after 3 iterations$"):
+        solve(3)
+
+
+def test_coarse_failure_falls_back_to_the_requested_grid(marches):
+    """The pair ends near the antipode of its start.  On the coarse grid
+    of 50 steps a Newton iterate diverges; the solver then starts again
+    on the requested grid from the seed, builds its own Jacobian at its
+    first iterate, and converges there."""
+    xs = np.array([[np.pi / 2, 0.0]])
+    ys = np.array([[np.pi / 2 + 0.00025, np.pi - 0.0005]])
+    accel = geodesic_accel(_round_sphere())
+    march = []
+    with np.errstate(all="ignore"):
+        with pytest.raises(ConvergenceError, match="diverged"):
+            connect._newton(accel, xs, ys, ys - xs, 50, 1e-8, 50, 1e10)
+        marches.clear()
+        connect.solve_two_point(accel, xs, ys, march=march)
+    fine = [m for m in marches if m is not None and m[1] == 400]
+    assert fine[:2] == [(1, 400), (2, 400)]
+    assert marches.index(fine[0]) > 0          # after the coarse phase
+    assert len(march[0]) == 401
+    assert np.abs(march[1][-1] - ys).max() <= 1e-10
+
+
 @pytest.fixture
 def marches(monkeypatch):
-    """Batch sizes of the fixed-interval marches, in order; each solver
+    """(rows, steps) of the fixed-interval marches, in order; each solver
     return appends None."""
     log = []
     march = geometry.integrate_flow_fixed
     solve = connect.solve_two_point
 
-    def counted_march(accel, x0, v0, *args):
-        log.append(len(x0))
-        return march(accel, x0, v0, *args)
+    def counted_march(accel, x0, v0, sigma_max, step):
+        log.append((len(x0), round(sigma_max / step)))
+        return march(accel, x0, v0, sigma_max, step)
 
     def counted_solve(*args, **kw):
         out = solve(*args, **kw)
@@ -231,28 +279,53 @@ def marches(monkeypatch):
 
 
 def test_no_march_after_the_solver(marches, product_disk, stationary_rot):
-    """Straight lines solve product_disk exactly: one march in all.  The
-    connectors take their paths from the solver's last march."""
+    """Straight lines solve product_disk exactly: one march on each grid.
+    The connectors take their paths from the solver's last march, which
+    is on the requested grid."""
     connecting_geodesics_batch(product_disk.metric,
                                np.array([[0.0, -0.5, 0.0]]),
                                np.array([[1.2, 0.5, 0.1]]))
-    assert marches == [1, None]
+    assert marches == [(1, 50), (1, 400), None]
     marches.clear()
     magnetic_connectors_batch(stationary_rot.magnetic,
                               np.array([[1.0, 0.0], [0.0, 1.0]]),
                               np.array([[-0.6, 0.8], [-0.8, -0.6]]))
-    assert marches[-1] is None and marches.count(None) == 1
+    assert marches[-2:] == [(2, 400), None]
+    assert marches.count(None) == 1
+
+
+def test_no_coarse_grid_below_25_steps(marches, product_disk):
+    for n_steps in (200, 199):
+        connecting_geodesics_batch(product_disk.metric,
+                                   np.array([[0.0, -0.5, 0.0]]),
+                                   np.array([[1.2, 0.5, 0.1]]),
+                                   n_steps=n_steps)
+    assert marches == [(1, 25), (1, 200), None, (1, 199), None]
 
 
 def test_broyden_updates_replace_jacobian_builds(marches, perturbed_product):
     """The 16 pairs of the CLI connect grid on perturbed_product reach
-    1e-12 with one forward-difference Jacobian and at most five residual
-    marches; chord iterations with that Jacobian took seven."""
+    1e-12 with one forward-difference Jacobian, built on the coarse grid
+    of 50 steps, and at most three residual marches on the requested
+    grid of 400; one grid alone took one Jacobian and five residual
+    marches on 400 steps, and chord iterations with that Jacobian took
+    seven."""
     xs, ys = disk_pairs(16, 1)
     conns = connecting_geodesics_batch(perturbed_product.metric, xs, ys,
                                        tol=1e-12)
-    assert marches.count(16 * 3) == 1
-    assert marches.count(16) <= 5
-    assert marches[-1] is None
+    assert marches.count((16 * 3, 50)) == 1
+    assert marches.count((16 * 3, 400)) == 0
+    assert marches.count((16, 400)) <= 3
+    assert marches[-2:] == [(16, 400), None]
     for c in conns:
         assert np.abs(c.path.x[-1] - c.y).max() <= 1e-12
+
+
+def test_empty_connecting_geodesics_batch(stationary_rot):
+    assert connecting_geodesics_batch(stationary_rot.metric, np.empty((0, 3)),
+                                      np.empty((0, 3))) == []
+
+
+def test_empty_magnetic_connectors_batch(stationary_rot):
+    assert magnetic_connectors_batch(stationary_rot.magnetic,
+                                     np.empty((0, 2)), np.empty((0, 2))) == []

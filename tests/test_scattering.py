@@ -301,3 +301,15 @@ def test_generated_pairs_are_the_single_ray_scatters(stationary_rot):
         assert rb.action == rs.action
     # an empty grid is an empty list, as the CLI reports it for {"n": 0}
     assert scenarios.null_pairs(sc, 0) == scenarios.magnetic_pairs(sc, 0) == []
+
+
+def test_empty_scatter_batch(stationary_rot):
+    sc = stationary_rot
+    assert scatter_batch(sc.metric, sc.entry_surface, sc.exit_surface,
+                         np.empty((0, 3)), np.empty((0, 3))) == []
+
+
+def test_empty_magnetic_scatter_batch(stationary_rot):
+    sc = stationary_rot
+    assert magnetic_scatter_batch(sc.magnetic, sc.spatial_boundary,
+                                  np.empty((0, 2)), np.empty((0, 2))) == []

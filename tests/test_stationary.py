@@ -10,7 +10,7 @@ from lorlab import (MagneticSystem, StationaryMetric, action_A,
                     magnetic_michel, magnetic_scatter, project_and_verify,
                     reconstruct_exit, reconstruct_exits,
                     reduced_time_component, scatter, thmmag_verify)
-from lorlab import scenarios
+from lorlab import acceptance, scenarios, stationary
 from lorlab.fields import CovectorField, ScalarField
 from lorlab.gauge import scattering_invariance
 from lorlab.geometry import MetricField, RIEMANNIAN, geodesic_accel, inner
@@ -315,6 +315,37 @@ def test_linearized_transforms_differ_by_2l(stationary_rot):
                                    n_steps=200)
     target = 2.0 * eq.length * eq.magnetic_value
     assert abs(eq.lorentzian_value - target) / abs(target) <= 1e-10
+
+
+def test_equivalence_records_solve_each_connector_once(stationary_rot,
+                                                       monkeypatch):
+    """Two pairs and two perturbations: one connector solve of both pairs
+    serves all four records, which match the single-pair composition
+    linearization_equivalence to the solver tolerance."""
+    sr = stationary_rot
+    pairs = [(r.x, r.y) for r in scenarios.magnetic_pairs(sr, 2, seed=31)]
+    dh, dom = scenarios.equivalence_fields()
+    perturbations = [(dh, dom), (dh, CovectorField.zero(2))]
+    solves = []
+    solve = stationary.solve_two_point
+
+    def counted_solve(*args, **kw):
+        solves.append(len(args[1]))
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(stationary, "solve_two_point", counted_solve)
+    recs = acceptance.equivalence_records(sr.stationary, perturbations,
+                                          pairs, n_steps=200)
+    assert solves == [2]
+    assert len(recs) == 4
+    for rec, ((x, y), (dh_k, dom_k)) in zip(
+            recs, [(p, q) for q in perturbations for p in pairs]):
+        eq = linearization_equivalence(sr.stationary, dh_k, dom_k, x, y,
+                                       n_steps=200)
+        assert np.array_equal(rec["x"], x) and np.array_equal(rec["y"], y)
+        assert rec["lorentzian"] == pytest.approx(eq.lorentzian_value,
+                                                  rel=1e-8)
+        assert rec["magnetic"] == pytest.approx(eq.magnetic_value, rel=1e-8)
 
 
 def test_stationary_accel_closed_form(stationary_rot):
