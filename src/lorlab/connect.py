@@ -221,30 +221,31 @@ def _surface_gradient(g: MetricField, S: BoundaryHypersurface, point: Array,
 
 
 def _chart_stencil(U: BoundaryHypersurface, V: BoundaryHypersurface,
-                   x: Array, y: Array, v: Array, fd_step: float, solve):
-    """Central quotients of a function of boundary pairs along the charts
-    of U at x and of V at y.  ``solve(xs, ys, seeds)`` evaluates it on the
-    batch of pairs with one chart parameter moved by +-fd_step, seeded by
-    the velocity v corrected for the moved endpoint.  Returns the chart
+                   x: Array, y: Array, fd_step: float, solve, value):
+    """The pair (x, y) and central quotients of a function of boundary
+    pairs along the charts of U at x and of V at y, from one call
+    ``solve(xs, ys)``, from the solver's default seeds, on the merged
+    batch: row 0 is (x, y), then each chart parameter of x and then of y
+    moved by +fd_step and by -fd_step, in that order.  ``value`` reads
+    the function from a solved row.  Returns the solved row 0, the chart
     parameters a0 of x and b0 of y and the quotients in each of them."""
     a0 = np.asarray(U.chart_inverse(x), float)
     b0 = np.asarray(V.chart_inverse(y), float)
-    xs, ys, seeds = [], [], []
+    xs, ys = [x], [y]
     for i in range(a0.size):
         for s in (+1.0, -1.0):
             a = a0.copy()
             a[i] += s * fd_step
-            xp = np.asarray(U.chart(a), float)
-            xs.append(xp), ys.append(y), seeds.append(v - (xp - x))
+            xs.append(np.asarray(U.chart(a), float)), ys.append(y)
     for j in range(b0.size):
         for s in (+1.0, -1.0):
             b = b0.copy()
             b[j] += s * fd_step
-            yp = np.asarray(V.chart(b), float)
-            xs.append(x), ys.append(yp), seeds.append(v + (yp - y))
-    vals = solve(np.array(xs), np.array(ys), np.array(seeds))
+            xs.append(x), ys.append(np.asarray(V.chart(b), float))
+    base, *moved = solve(np.array(xs), np.array(ys))
+    vals = np.array([value(c) for c in moved])
     quot = (vals[0::2] - vals[1::2]) / (2 * fd_step)
-    return a0, b0, quot[:a0.size], quot[a0.size:]
+    return base, a0, b0, quot[:a0.size], quot[a0.size:]
 
 
 def michel_check(g: MetricField, U: BoundaryHypersurface,
@@ -254,18 +255,21 @@ def michel_check(g: MetricField, U: BoundaryHypersurface,
                  sigma_tol: float = 1e-6) -> tuple[float, float]:
     """Residuals of the graph identity: shooting from minus the tangential
     gradient of r at x must land at y with exit projection matching the
-    tangential gradient of r at y (up to one positive scale)."""
+    tangential gradient of r at y (up to one positive scale).
+
+    The connector of (x, y) and those of its chart stencil are one
+    connecting_geodesics_batch (see _chart_stencil), so a solver error
+    names a row of that batch: 0 for (x, y), 1 + k for stencil pair k."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    base = connecting_geodesic(g, x, y, n_steps=n_steps, tol=1e-12)
+    base, a0, b0, dr_da, dr_db = _chart_stencil(
+        U, V, x, y, fd_step,
+        lambda xs, ys: connecting_geodesics_batch(g, xs, ys, n_steps=n_steps,
+                                                  tol=1e-12),
+        lambda c: c.energy)
     if abs(base.energy) > sigma_tol:
         raise PreconditionError(
             f"pair not on the lightlike set (r = {base.energy:g})")
-    a0, b0, dr_da, dr_db = _chart_stencil(
-        U, V, x, y, base.path.v[0], fd_step,
-        lambda xs, ys, seeds: np.array([c.energy for c in (
-            connecting_geodesics_batch(g, xs, ys, seeds=seeds,
-                                       n_steps=n_steps, tol=1e-12))]))
     grad_x = _surface_gradient(g, U, x, dr_da, a0)
     grad_y = _surface_gradient(g, V, y, dr_db, b0)
     rec = scatter(g, U, V, x, -grad_x, step=scatter_step)

@@ -26,45 +26,39 @@ def fd_step(x: Array) -> Array:
     return FD_SCALE * np.maximum(1.0, np.linalg.norm(x, axis=-1))
 
 
-def _stencil(x: Array) -> tuple[Array, Array, Array]:
-    """Central-difference stencil x +- h e_k, each (..., dim, dim), and
-    the steps h (..., 1)."""
+def _stencil_call(func, x: Array, value_shape: tuple[int, ...],
+                  center: bool) -> tuple[Array, Array]:
+    """One call of func on the central-difference stencil x +- h e_k of
+    x, h = fd_step(x), preceded by x itself when ``center``.  Returns
+    func(x) (None without ``center``) and d_k func(x), shaped
+    (..., dim, *value_shape)."""
+    x = np.asarray(x, float)
     dim = x.shape[-1]
     h = fd_step(x)[..., None]                      # (..., 1)
-    eye = np.eye(dim)
-    xp = x[..., None, :] + h[..., None] * eye
-    xm = x[..., None, :] - h[..., None] * eye
-    return xp, xm, h
-
-
-def _quotient(fp: Array, fm: Array, h: Array,
-              value_shape: tuple[int, ...]) -> Array:
+    shift = h[..., None] * np.eye(dim)
+    pts = [x[..., None, :] + shift, x[..., None, :] - shift]
+    if center:
+        pts.insert(0, x[..., None, :])
+    f = np.asarray(func(np.concatenate(pts, axis=-2)), float)
+    at = (slice(None),) * (x.ndim - 1)            # the leading axes of x
+    k = int(center)                               # first stencil row
+    fp = f[at + (slice(k, k + dim),)]
+    fm = f[at + (slice(k + dim, None),)]
     denom = (2.0 * h).reshape(h.shape[:-1] + (1,) * (1 + len(value_shape)))
-    return (fp - fm) / denom
+    return (f[at + (0,)] if center else None), (fp - fm) / denom
 
 
 def _central_diff(func, x: Array, value_shape: tuple[int, ...]) -> Array:
-    """d_k func(x) by central differences; output (..., dim, *value_shape)."""
-    x = np.asarray(x, float)
-    xp, xm, h = _stencil(x)
-    fp = np.asarray(func(xp), float)
-    fm = np.asarray(func(xm), float)
-    return _quotient(fp, fm, h, value_shape)
+    """d_k func(x) by central differences from one call of func on the
+    stencil; output (..., dim, *value_shape)."""
+    return _stencil_call(func, x, value_shape, center=False)[1]
 
 
 def _central_jet(func, x: Array,
                  value_shape: tuple[int, ...]) -> tuple[Array, Array]:
     """(func(x), d_k func(x)) from one call of func on x stacked with the
     stencil of _central_diff, whose quotient it takes."""
-    x = np.asarray(x, float)
-    dim = x.shape[-1]
-    xp, xm, h = _stencil(x)
-    f = np.asarray(func(np.concatenate([x[..., None, :], xp, xm], axis=-2)),
-                   float)
-    at = (slice(None),) * (x.ndim - 1)            # the leading axes of x
-    return f[at + (0,)], _quotient(f[at + (slice(1, 1 + dim),)],
-                                   f[at + (slice(1 + dim, None),)], h,
-                                   value_shape)
+    return _stencil_call(func, x, value_shape, center=True)
 
 
 @dataclass(frozen=True)

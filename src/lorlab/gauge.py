@@ -18,7 +18,7 @@ from scipy.interpolate import CubicSpline
 from .errors import PreconditionError
 from .fields import Array, CovectorField, ScalarField, _central_diff
 from .geometry import (RIEMANNIAN, BoundaryHypersurface, MetricField,
-                       _march_fixed)
+                       _march_fixed, metric_solve)
 from .scattering import scatter_batch
 from .stationary import MagneticSystem, magnetic_scatter_batch
 
@@ -175,7 +175,10 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
     """Integrate x' = c^{-1} g^{-1} xi, xi'_i = -(1/2) c^{-1}
     (d_i g^{kl}) xi_k xi_l, the null-shell reduction of the cotangent
     Hamiltonian vector field of the metric c * g.  A supplied factor c
-    requires H(x0, xi0) = 0, where the reduction is valid."""
+    requires H(x0, xi0) = 0, where the reduction is valid.  Each stage
+    solves g once: with u = g^{-1} xi, x' = u / c and, since
+    d_i g^{kl} = -(g^{-1} d_i g g^{-1})^{kl},
+    xi'_i = (1/2) d_i g(u, u) / c."""
     x0 = np.asarray(x0, float)
     xi0 = np.asarray(xi0, float)
     dim = x0.size
@@ -196,14 +199,10 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
         # the metric check runs at the state a step starts from only
         x, xi = y[:, :dim], y[:, dim:]
         gm, dg = g.jet(x, check)
-        ginv = np.linalg.inv(gm)
-        cinv = 1.0 / c(x)
-        # d_i g^{kl} = -(g^{-1} d_i g g^{-1})^{kl}
-        dginv = -np.einsum("...ka,...iab,...bl->...ikl", ginv, dg, ginv)
-        xdot = cinv[..., None] * np.einsum("...kl,...l->...k", ginv, xi)
-        xidot = -0.5 * cinv[..., None] * np.einsum("...ikl,...k,...l->...i",
-                                                   dginv, xi, xi)
-        return np.concatenate([xdot, xidot], axis=1)
+        u = metric_solve(gm, xi)
+        cinv = 1.0 / c(x)[..., None]
+        xidot = 0.5 * np.einsum("...ikl,...k,...l->...i", dg, u, u)
+        return np.concatenate([cinv * u, cinv * xidot], axis=1)
 
     sigma, ys = _march_fixed(rhs, np.concatenate([x0, xi0])[None],
                              sigma_max, step, names=("x", "xi"))

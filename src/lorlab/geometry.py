@@ -147,12 +147,18 @@ def metric_solve(gm: Array, rhs: Array) -> Array:
         raise SingularMetricError("singular metric matrix") from None
 
 
+def christoffel_contraction(dg: Array, v: Array) -> Array:
+    """Gamma_{l,ij} v^i v^j = d_i g_lj v^i v^j - (1/2) d_l g_ij v^i v^j,
+    batched, from the partials dg of a metric at the points of v."""
+    t1 = np.einsum("...ilj,...i,...j->...l", dg, v, v)
+    t2 = np.einsum("...lij,...i,...j->...l", dg, v, v)
+    return t1 - 0.5 * t2
+
+
 def geodesic_term(gm: Array, dg: Array, v: Array) -> Array:
     """-Gamma^k_ij v^i v^j, batched, from the matrix values gm and the
     partials dg of a metric at the points of v."""
-    t1 = np.einsum("...ilj,...i,...j->...l", dg, v, v)
-    t2 = np.einsum("...lij,...i,...j->...l", dg, v, v)
-    return -metric_solve(gm, t1 - 0.5 * t2)
+    return -metric_solve(gm, christoffel_contraction(dg, v))
 
 
 def geodesic_accel(g: MetricField):

@@ -21,9 +21,9 @@ from .errors import NoLiftError, PreconditionError
 from .fields import Array, CovectorField, ScalarField, SymTwoTensorField
 from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                        GeodesicPath, MetricField, boundary_normal,
-                       boundary_project, geodesic_accel, geodesic_term,
-                       inner, integrate_flow_paths, integrate_geodesic,
-                       metric_solve, scatter_paths)
+                       boundary_project, christoffel_contraction,
+                       geodesic_accel, inner, integrate_flow_paths,
+                       integrate_geodesic, metric_solve, scatter_paths)
 from .lightray import light_ray_transform, magnetic_linearized_transform
 from .scattering import ScatteringRecord, scatter
 from .connect import _chart_stencil, solve_two_point
@@ -51,22 +51,20 @@ class StationaryMetric:
 
     @property
     def assembled(self) -> MetricField:
+        """g = lam M with M = diag(0, h) - a a^T and a = (1, omega); the
+        jet takes dg = dlam M + lam dM by the product rule."""
         n = self.n
 
-        def block(x, lam, om, h):
-            g = np.empty(x.shape[:-1] + (n + 1, n + 1))
-            g[..., 0, 0] = -lam
-            g[..., 0, 1:] = -lam[..., None] * om
-            g[..., 1:, 0] = g[..., 0, 1:]
-            g[..., 1:, 1:] = lam[..., None, None] * (
-                h - om[..., :, None] * om[..., None, :])
-            return g
+        def block(om, h):
+            a = np.concatenate([np.ones(om.shape[:-1] + (1,)), om], axis=-1)
+            M = -a[..., :, None] * a[..., None, :]
+            M[..., 1:, 1:] += h
+            return a, M
 
         def func(x):
-            x = np.asarray(x, float)
-            xs = x[..., 1:]
-            return block(x, self.lam(xs), self.omega(xs),
-                         np.asarray(self.base.func(xs), float))
+            xs = np.asarray(x, float)[..., 1:]
+            _, M = block(self.omega(xs), np.asarray(self.base.func(xs), float))
+            return self.lam(xs)[..., None, None] * M
 
         dfunc = jetfunc = None
         if (self.lam.grad is not None and self.omega.jac is not None
@@ -75,24 +73,19 @@ class StationaryMetric:
             def jetfunc(x):
                 x = np.asarray(x, float)
                 xs = x[..., 1:]
-                lam = self.lam(xs)
-                om = self.omega(xs)
+                lam = self.lam(xs)[..., None, None]
                 h, dh = self.base._unchecked_jet(xs)  # dh (..., k, i, j)
-                dlam = self.lam.gradient(xs)          # (..., n)
-                dom = self.omega.jacobian(xs)         # (..., k, j)
-                red = h - om[..., :, None] * om[..., None, :]
-                dred = (dh - dom[..., :, :, None] * om[..., None, None, :]
-                        - om[..., None, :, None] * dom[..., :, None, :])
-                dg = np.zeros(x.shape[:-1] + (n + 1, n + 1, n + 1))
-                dg[..., 1:, 0, 0] = -dlam
-                mixed = -(dlam[..., :, None] * om[..., None, :]
-                          + lam[..., None, None] * dom)
-                dg[..., 1:, 0, 1:] = mixed
-                dg[..., 1:, 1:, 0] = mixed
-                dg[..., 1:, 1:, 1:] = (
-                    dlam[..., :, None, None] * red[..., None, :, :]
-                    + lam[..., None, None, None] * dred)
-                return block(x, lam, om, h), dg
+                a, M = block(self.omega(xs), h)
+                da = np.zeros(x.shape[:-1] + (n, n + 1))   # d_k a
+                da[..., 1:] = self.omega.jacobian(xs)
+                dM = -(da[..., :, :, None] * a[..., None, None, :]
+                       + a[..., None, :, None] * da[..., :, None, :])
+                dM[..., 1:, 1:] += dh
+                dg = np.zeros(x.shape[:-1] + (n + 1,) * 3)
+                dg[..., 1:, :, :] = (self.lam.gradient(xs)[..., None, None]
+                                     * M[..., None, :, :]
+                                     + lam[..., None] * dM)
+                return lam * M, dg
 
             def dfunc(x):
                 return jetfunc(x)[1]
@@ -163,15 +156,14 @@ class MagneticSystem:
     def two_form(self, x: Array) -> Array:
         return self.omega.exterior_derivative(x)
 
-    def lorentz_force(self, x: Array, u: Array,
-                      hm: Optional[Array] = None) -> Array:
-        """Y u with h(Y u, .) = d(omega)(u, .), batched; ``hm`` is the
-        matrix of h at x when the caller has it."""
-        x = np.asarray(x, float)
-        u = np.asarray(u, float)
-        A = self.two_form(x)
-        rhs = np.einsum("...ij,...i->...j", A, u)
-        return metric_solve(self.base.matrix(x) if hm is None else hm, rhs)
+    def force_covector(self, x: Array, u: Array) -> Array:
+        """d(omega)(u, .), batched."""
+        return np.einsum("...ij,...i->...j", self.two_form(x),
+                         np.asarray(u, float))
+
+    def lorentz_force(self, x: Array, u: Array) -> Array:
+        """Y u with h(Y u, .) = d(omega)(u, .), batched."""
+        return metric_solve(self.base.matrix(x), self.force_covector(x, u))
 
 
 def magnetic_accel(mag: MagneticSystem, speed_from_velocity: bool = False):
@@ -179,16 +171,17 @@ def magnetic_accel(mag: MagneticSystem, speed_from_velocity: bool = False):
     + Y x'.  With speed_from_velocity the force carries a factor |x'|_h,
     which makes the [0, 1]-parametrized flow a smooth shooting target.
     h comes from one MetricField.jet per call, checked as in
-    geodesic_accel."""
+    geodesic_accel, and is solved once, for the Christoffel contraction
+    of geodesic_term and the force together."""
     base = mag.base
 
     def accel(x: Array, v: Array, check: bool = True) -> Array:
         hm, dh = base.jet(x, check)
-        force = mag.lorentz_force(x, v, hm)
+        force = mag.force_covector(x, v)
         if speed_from_velocity:
             speed = np.sqrt(np.einsum("...i,...ij,...j->...", v, hm, v))
             force = speed[..., None] * force
-        return geodesic_term(hm, dh, v) + force
+        return metric_solve(hm, force - christoffel_contraction(dh, v))
 
     return accel
 
@@ -336,15 +329,19 @@ def magnetic_michel(mag: MagneticSystem, S: BoundaryHypersurface, x: Array,
     """Graph identity residuals for the action: the tangential parts of
     the connector's entry and exit velocities (as h-covectors on the
     boundary charts) must equal -d'_x A + omega'(x) and d'_y A +
-    omega'(y)."""
+    omega'(y).
+
+    The connector of (x, y) and those of its chart stencil are one
+    magnetic_connectors_batch (see connect._chart_stencil), so a solver
+    error names a row of that batch: 0 for (x, y), 1 + k for stencil
+    pair k."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    conn = magnetic_connector(mag, x, y, n_steps=n_steps, tol=1e-12)
-    a0, b0, dA_da, dA_db = _chart_stencil(
-        S, S, x, y, conn.initial_w, fd_step,
-        lambda xs, ys, seeds: np.array([c.action for c in (
-            magnetic_connectors_batch(mag, xs, ys, seeds, n_steps=n_steps,
-                                      tol=1e-12))]))
+    conn, a0, b0, dA_da, dA_db = _chart_stencil(
+        S, S, x, y, fd_step,
+        lambda xs, ys: magnetic_connectors_batch(mag, xs, ys, n_steps=n_steps,
+                                                 tol=1e-12),
+        lambda c: c.action)
 
     frame_x = S.chart_frame(a0)
     frame_y = S.chart_frame(b0)

@@ -329,3 +329,42 @@ def test_empty_connecting_geodesics_batch(stationary_rot):
 def test_empty_magnetic_connectors_batch(stationary_rot):
     assert magnetic_connectors_batch(stationary_rot.magnetic,
                                      np.empty((0, 2)), np.empty((0, 2))) == []
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Pairs per solve_two_point call, in order."""
+    log = []
+    solve = connect.solve_two_point
+
+    def counted(accel, xs, ys, *args, **kw):
+        log.append(len(xs))
+        return solve(accel, xs, ys, *args, **kw)
+
+    for mod in (connect, stationary):
+        monkeypatch.setattr(mod, "solve_two_point", counted)
+    return log
+
+
+def test_one_solve_per_graph_check(solves, product_disk, stationary_rot):
+    """The pair and its chart stencil are one batch: 1 + 8 pairs on the
+    two-dimensional cylinder charts, 1 + 4 on the boundary circle."""
+    (x, y), = scenarios.null_pairs(product_disk, 1, seed=2)
+    michel_check(product_disk.metric, product_disk.entry_surface,
+                 product_disk.exit_surface, x, y)
+    assert solves == [9]
+    solves.clear()
+    stationary.magnetic_michel(stationary_rot.magnetic,
+                               stationary_rot.spatial_boundary,
+                               np.array([1.0, 0.0]), np.array([-0.6, 0.8]),
+                               n_steps=200)
+    assert solves == [5]
+
+
+def test_michel_check_requires_a_lightlike_pair(product_disk):
+    """Time gap 0.5 across a chord of length 2: r = (4 - 0.25) / 2."""
+    with pytest.raises(PreconditionError,
+                       match=r"^pair not on the lightlike set \(r = 1.875"):
+        michel_check(product_disk.metric, product_disk.entry_surface,
+                     product_disk.exit_surface, np.array([0.0, 1.0, 0.0]),
+                     np.array([0.5, -1.0, 0.0]))

@@ -5,7 +5,7 @@ from lorlab import (LORENTZIAN, EscapeError, GaugePair, MagneticSystem,
                     MetricField, PreconditionError, apply_gauge,
                     compose_gauge, hamiltonian_flow, integrate_geodesic,
                     pullback_metric, scale_metric)
-from lorlab import scenarios
+from lorlab import fields, gauge, geometry, scenarios
 from lorlab.fields import CovectorField, ScalarField
 from lorlab.gauge import (conformal_reparam_check, magnetic_invariance,
                           scattering_invariance)
@@ -266,3 +266,81 @@ def test_magnetic_invariance_detects_a_non_exact_change(stationary_rot):
     dev = magnetic_invariance(mag, bent, stationary_rot.spatial_boundary,
                               entries)
     assert dev > 1e-3
+
+
+def test_hamiltonian_flow_solves_once_per_stage(perturbed_product,
+                                                monkeypatch):
+    """Each right-hand side evaluation, one metric jet, solves g once."""
+    g0 = perturbed_product.metric
+    jets, solves = [], []
+
+    def counted_jet(x):
+        jets.append(len(x))
+        return g0.jetfunc(x)
+
+    def counted_solve(gm, rhs):
+        solves.append(len(rhs))
+        return geometry.metric_solve(gm, rhs)
+
+    monkeypatch.setattr(gauge, "metric_solve", counted_solve)
+    g = MetricField(dim=3, signature=LORENTZIAN, func=g0.func,
+                    dfunc=lambda x: counted_jet(x)[1], jetfunc=counted_jet)
+    x0 = np.array([0.0, -0.4, 0.1])
+    xi0 = g0.matrix(x0) @ np.array([1.0, 0.3, 0.2])
+    flow = hamiltonian_flow(g, x0, xi0, sigma_max=0.05, step=1e-2)
+    assert len(flow.sigma) == 6
+    assert solves == jets == [1] * 20
+
+
+def two_call_quotient(func, x, value_shape):
+    """Central quotient from one call of func on the +h stencil and one on
+    the -h stencil: the reference for the stacked call."""
+    h = fields.fd_step(x)[..., None, None] * np.eye(x.shape[-1])
+    fp = np.asarray(func(x[..., None, :] + h))
+    fm = np.asarray(func(x[..., None, :] - h))
+    return (fp - fm) / (2.0 * fields.fd_step(x)).reshape(
+        x.shape[:-1] + (1,) * (1 + len(value_shape)))
+
+
+@pytest.mark.parametrize("kind", ["covector", "scalar", "metric"])
+def test_central_differences_call_the_field_once(kind, rng):
+    """Without analytic derivatives a field is called once, on the +h
+    and -h stencils stacked, with the values of one call on each."""
+    calls = []
+
+    def f(p):
+        calls.append(np.shape(p))
+        s = np.sin(p) * np.exp(-np.einsum("...i,...i->...", p, p))[..., None]
+        return {"covector": s, "scalar": s[..., 0],
+                "metric": 2.0 * np.eye(2) + s[..., :, None] * s[..., None, :]
+                }[kind]
+
+    x = rng.uniform(-0.7, 0.7, (5, 2))
+    if kind == "covector":
+        d, shape = CovectorField(dim=2, func=f).jacobian(x), (2,)
+    elif kind == "scalar":
+        d, shape = ScalarField(func=f).gradient(x), ()
+    else:
+        d, shape = MetricField(dim=2, signature="riemannian",
+                               func=f).partials(x), (2, 2)
+    assert calls == [(5, 4, 2)]
+    assert np.array_equal(d, two_call_quotient(f, x, shape))
+
+
+def test_gauged_two_form_calls_the_one_form_once(stationary_rot, rng):
+    """The gauged one-form has no analytic Jacobian: its two-form takes
+    one call of it, with the values of one call on each stencil."""
+    gauged = apply_gauge(stationary_rot.magnetic,
+                         scenarios.rotation_bump_pair(0.15)).omega
+    calls = []
+
+    def counted(p):
+        calls.append(np.shape(p))
+        return gauged.func(p)
+
+    x = rng.uniform(-0.7, 0.7, (4, 2))
+    A = MagneticSystem(stationary_rot.magnetic.base,
+                       CovectorField(dim=2, func=counted)).two_form(x)
+    assert calls == [(4, 4, 2)]
+    J = two_call_quotient(gauged.func, x, (2,))
+    assert np.array_equal(A, J - np.swapaxes(J, -1, -2))

@@ -10,10 +10,12 @@ from lorlab import (MagneticSystem, StationaryMetric, action_A,
                     magnetic_michel, magnetic_scatter, project_and_verify,
                     reconstruct_exit, reconstruct_exits,
                     reduced_time_component, scatter, thmmag_verify)
-from lorlab import acceptance, scenarios, stationary
-from lorlab.fields import CovectorField, ScalarField
+from lorlab import acceptance, geometry, scenarios, stationary
+from lorlab.fields import CovectorField, ScalarField, _central_jet
 from lorlab.gauge import scattering_invariance
-from lorlab.geometry import MetricField, RIEMANNIAN, geodesic_accel, inner
+from lorlab.geometry import (MetricField, RIEMANNIAN, geodesic_accel, inner,
+                             metric_solve)
+from lorlab.stationary import magnetic_accel
 
 
 def flat_h():
@@ -402,3 +404,54 @@ def test_stationary_accel_evaluates_each_field_once(stationary_rot, check):
     a = geodesic_accel(m.assembled)(x, v, check=check)
     assert np.array_equal(a, geodesic_accel(stationary_rot.metric)(x, v))
     assert calls == dict.fromkeys(calls, 1)
+
+
+def test_assembled_jet_with_varying_fields(perturbed_product, rng):
+    """The product-rule partials of lam (diag(0, h) - a a^T), a = (1,
+    omega), with lam, omega and h all non-constant, against central
+    differences of the assembled matrix."""
+    m = StationaryMetric(
+        lam=ScalarField(
+            func=lambda p: 1.0 + 0.2 * np.sin(p[..., 0]) * np.cos(p[..., 1]),
+            grad=lambda p: 0.2 * np.stack(
+                [np.cos(p[..., 0]) * np.cos(p[..., 1]),
+                 -np.sin(p[..., 0]) * np.sin(p[..., 1])], axis=-1)),
+        omega=CovectorField(
+            dim=2,
+            func=lambda p: np.stack([0.3 * p[..., 1] ** 2,
+                                     0.1 * np.sin(p[..., 0])], axis=-1),
+            jac=lambda p: np.stack(
+                [np.stack([0.0 * p[..., 0], 0.1 * np.cos(p[..., 0])], -1),
+                 np.stack([0.6 * p[..., 1], 0.0 * p[..., 0]], -1)], -2)),
+        base=perturbed_product.stationary.base)
+    g = m.assembled
+    x = rng.uniform(-0.6, 0.6, (8, 3))
+    gm, dg = g.jet(x)
+    fd_g, fd_dg = _central_jet(g.func, x, (3, 3))
+    assert np.array_equal(gm, fd_g)
+    assert np.abs(dg - fd_dg).max() <= 1e-8
+
+
+def test_magnetic_accel_closed_form(stationary_rot, monkeypatch):
+    """On the flat disk with d omega = B dx^dy the acceleration is the
+    velocity turned a quarter and scaled by B, and by |u| more with the
+    speed factor; each call solves h once."""
+    solves = []
+
+    def counted(gm, rhs):
+        solves.append(len(rhs))
+        return metric_solve(gm, rhs)
+
+    for mod in (stationary, geometry):
+        monkeypatch.setattr(mod, "metric_solve", counted)
+    B = stationary_rot.params["B"]
+    rng = np.random.default_rng(47)
+    x = rng.uniform(-0.6, 0.6, (6, 2))
+    u = rng.uniform(-1.0, 1.0, (6, 2))
+    turned = B * np.column_stack([-u[:, 1], u[:, 0]])
+    a = magnetic_accel(stationary_rot.magnetic)(x, u)
+    assert np.abs(a - turned).max() <= 1e-13
+    a = magnetic_accel(stationary_rot.magnetic, speed_from_velocity=True)(x, u)
+    assert np.abs(a - np.linalg.norm(u, axis=1)[:, None] * turned).max() \
+        <= 1e-13
+    assert solves == [6, 6]
