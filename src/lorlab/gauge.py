@@ -12,13 +12,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from .errors import PreconditionError
 from .fields import Array, CovectorField, ScalarField, _central_diff
 from .geometry import (RIEMANNIAN, BoundaryHypersurface, MetricField,
                        _march_fixed, metric_solve)
+from .quadrature import CubicSpline, simpson
 from .scattering import scatter_batch
 from .stationary import MagneticSystem, magnetic_scatter_batch
 
@@ -230,9 +229,9 @@ def conformal_reparam_check(g: MetricField, c: ScalarField, x0: Array,
     alpha'(s) = 1 / c(x(alpha(s))), alpha(0) = 0; the covector is
     carried along unchanged."""
     base = hamiltonian_flow(g, x0, xi0, sigma_max, step=step)
-    base_x = CubicSpline(base.sigma, base.x, axis=0)
-    base_xi = CubicSpline(base.sigma, base.xi, axis=0)
-    s_end = float(simpson(c(base.x), x=base.sigma))
+    base_x = CubicSpline(base.sigma, base.x)
+    base_xi = CubicSpline(base.sigma, base.xi)
+    s_end = simpson(c(base.x), base.sigma)
 
     scaled = hamiltonian_flow(g, x0, xi0, s_end, c=c, step=step)
     s_grid, alpha = _march_fixed(

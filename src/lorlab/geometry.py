@@ -57,16 +57,28 @@ class MetricField:
             raise ChartDomainError("point outside chart domain")
 
     def _check_values(self, g: Array) -> None:
-        """Finite values, symmetry and a determinant off zero; the
-        values of an empty batch pass."""
+        """Finite values, symmetry and a determinant off zero, each
+        matrix against its own scale, so that a matrix passes or fails
+        whatever batch it is in; the values of an empty batch pass."""
         if not np.all(np.isfinite(g)):
             raise SingularMetricError("non-finite metric values")
-        asym = np.abs(g - np.swapaxes(g, -1, -2)).max(initial=0.0)
-        scale = np.abs(g).max(initial=0.0)
-        if asym > 1e-12 * max(scale, 1.0):
-            raise SingularMetricError(f"metric not symmetric (asymmetry {asym:g})")
-        det = np.linalg.det(g)
-        if np.any(np.abs(det) < DET_FLOOR * max(scale, 1.0) ** self.dim):
+        asym = np.abs(g - np.swapaxes(g, -1, -2))
+        size = np.abs(g)
+        det = np.abs(np.linalg.det(g))
+        # When the batch meets the symmetry bound at the smallest scale
+        # (1) and the determinant floor at its largest scale, every matrix
+        # meets them at its own; the per-matrix reductions are then
+        # skipped, which would add about a third to every RK4 step's check.
+        if (asym.max(initial=0.0) <= 1e-12 and det.min(initial=np.inf)
+                >= DET_FLOOR * max(size.max(initial=0.0), 1.0) ** self.dim):
+            return
+        scale = np.maximum(size.max(axis=(-2, -1)), 1.0)
+        asym = asym.max(axis=(-2, -1))
+        unsym = asym > 1e-12 * scale
+        if np.any(unsym):
+            raise SingularMetricError(
+                f"metric not symmetric (asymmetry {asym[unsym].max():g})")
+        if np.any(det < DET_FLOOR * scale ** self.dim):
             raise SingularMetricError("metric determinant below threshold")
 
     def matrix(self, x: Array, validate: bool = False) -> Array:

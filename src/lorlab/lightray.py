@@ -4,11 +4,11 @@ covariant differential, and gauge-kernel verification helpers."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import PreconditionError
 from .fields import Array, CovectorField, ScalarField, SymTwoTensorField
 from .geometry import GeodesicPath, MetricField, christoffel
+from .quadrature import simpson
 
 LIGHTLIKE_TOL = 1e-8
 UNIT_SPEED_TOL = 1e-8
@@ -22,7 +22,7 @@ def light_ray_transform(f: SymTwoTensorField, path: GeodesicPath,
         raise PreconditionError(
             f"path is not lightlike (speed squared {path.speed_squared:g})")
     vals = np.einsum("mij,mi,mj->m", f(path.x), path.v, path.v)
-    return float(simpson(vals, x=path.sigma))
+    return simpson(vals, path.sigma)
 
 
 def sym_diff(v: CovectorField, g: MetricField) -> SymTwoTensorField:
@@ -83,4 +83,4 @@ def magnetic_linearized_transform(f: SymTwoTensorField, beta: CovectorField,
             f"base path not unit speed (|x'|^2 = {path.speed_squared:g})")
     vals = (np.einsum("mij,mi,mj->m", f(path.x), path.v, path.v)
             + np.einsum("mi,mi->m", beta(path.x), path.v))
-    return float(simpson(vals, x=path.sigma))
+    return simpson(vals, path.sigma)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from .errors import NoLiftError, PreconditionError
 from .fields import Array, CovectorField, ScalarField, SymTwoTensorField
@@ -25,6 +23,7 @@ from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                        geodesic_accel, inner, integrate_flow_paths,
                        integrate_geodesic, metric_solve, scatter_paths)
 from .lightray import light_ray_transform, magnetic_linearized_transform
+from .quadrature import CubicSpline, simpson
 from .scattering import ScatteringRecord, scatter
 from .connect import _chart_stencil, solve_two_point
 
@@ -201,7 +200,7 @@ def magnetic_integrate(mag: MagneticSystem, x0: Array, u0: Array, stop,
 def curve_flux(omega: CovectorField, path: GeodesicPath) -> float:
     """Line integral of the one-form along the sampled curve."""
     vals = np.einsum("mi,mi->m", omega(path.x), path.v)
-    return float(simpson(vals, x=path.sigma))
+    return simpson(vals, path.sigma)
 
 
 @dataclass(frozen=True)
@@ -407,7 +406,7 @@ def lift_magnetic(m: StationaryMetric, path: GeodesicPath,
         raise PreconditionError("base path is not unit speed")
     om_dot = np.einsum("mi,mi->m", m.omega(path.x), path.v)
     tdot = 1.0 - om_dot
-    t = t0 + CubicSpline(path.sigma, tdot).antiderivative()(path.sigma)
+    t = t0 + CubicSpline(path.sigma, tdot).antiderivative_at_knots()
     X = np.concatenate([t[:, None], path.x], axis=1)
     V = np.concatenate([tdot[:, None], path.v], axis=1)
     speed2 = float(inner(m.assembled, X[0], V[0], V[0]))
@@ -421,8 +420,7 @@ def lift_residual(m: StationaryMetric, lifted: GeodesicPath) -> float:
     step = float(np.median(np.diff(lifted.sigma)))
     re = integrate_geodesic(m.assembled, lifted.x[0], lifted.v[0],
                             stop=span, step=step)
-    resampled = CubicSpline(re.sigma, re.x, axis=0)(lifted.sigma
-                                                    - lifted.sigma[0])
+    resampled = CubicSpline(re.sigma, re.x)(lifted.sigma - lifted.sigma[0])
     return float(np.abs(resampled - lifted.x).max())
 
 

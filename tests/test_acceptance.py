@@ -3,9 +3,10 @@ pass/fail line with the worst residual against its tolerance."""
 
 import math
 
+import numpy as np
 import pytest
 
-from lorlab import acceptance
+from lorlab import acceptance, scenarios
 
 
 def _check(result):
@@ -84,3 +85,15 @@ def test_criterion_12_boundary_normal_gauge():
 
 def test_criterion_13_convergence_orders():
     _check(acceptance.criterion_orders())
+
+
+def test_rk4_order_holds_on_other_starts():
+    """Criterion 13's RK4 order on seven other starts of its
+    perturbed_product flow stays above the criterion's 3.7 floor: its
+    steps measure truncation, not rounding."""
+    g = scenarios.build("perturbed_product").metric
+    rng = np.random.default_rng(13)
+    for _ in range(7):
+        x0 = np.array([0.0, *rng.uniform(-0.6, 0.6, 2)])
+        v0 = np.array([1.1, *rng.uniform(-0.9, 0.9, 2)])
+        assert acceptance.rk4_order(g, x0, v0) >= 3.7, (x0, v0)

@@ -182,6 +182,27 @@ def test_matrix_rejects_non_finite_values():
         g.matrix(np.zeros(2))
 
 
+@pytest.mark.parametrize("bad, fails", [
+    (np.diag([-1.0, 1.0, 1e-11]), False),
+    (np.diag([-1.0, 1.0, 1.0]) + 5e-12 * np.eye(3, k=1), True)],
+    ids=["small-determinant", "asymmetry-5e-12"])
+def test_matrix_check_does_not_depend_on_the_batch(bad, fails):
+    """Each matrix is checked against its own scale: a matrix passes or
+    fails alone as it does next to diag(-10, 10, 10)."""
+    def verdict(mats):
+        g = MetricField(dim=3, signature=LORENTZIAN, func=lambda x: mats,
+                        dfunc=lambda x: np.zeros(mats.shape[:1] + (3, 3, 3)))
+        try:
+            g.jet(np.zeros((len(mats), 3)))
+            g.matrix(np.zeros((len(mats), 3)))
+        except SingularMetricError:
+            return True
+        return False
+
+    assert verdict(bad[None]) is fails
+    assert verdict(np.stack([bad, np.diag([-10.0, 10.0, 10.0])])) is fails
+
+
 def _blowing_up_flow(calls):
     """Flat Minkowski metric whose partials turn NaN for t > 0.3, so the
     geodesic state goes non-finite a few steps past t = 0.3."""
@@ -268,9 +289,9 @@ def test_refinement_failure_names_the_ray():
 
 def test_geodesic_march_is_fourth_order():
     """Observed order of integrate_geodesic on perturbed_product from the
-    start of criterion 13 at steps 4e-2, 2e-2 and 1e-2.  The end-point
-    differences (about 6e-10 and 4e-11) measure truncation; at the
-    criterion's finer steps the last one is near rounding."""
+    start of criterion 13 at the first three steps of its ladder.  The
+    end-point differences (about 6e-10 and 4e-11) measure truncation;
+    this checks the order from above too."""
     g = scenarios.build("perturbed_product").metric
     x0 = np.array([0.0, -0.6, 0.2])
     v0 = np.array([1.1, 0.9, 0.35])
