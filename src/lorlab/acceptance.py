@@ -20,7 +20,8 @@ import numpy as np
 from . import scenarios
 from .connect import (MetricFamily, connecting_geodesics_batch, linearize_r,
                       michel_check)
-from .fields import Array, CovectorField, ScalarField, SymTwoTensorField
+from .fields import (Array, CovectorField, ScalarField, SymTwoTensorField,
+                     worst_of)
 from .gauge import (apply_gauge, compose_gauge, conformal_reparam_check,
                     hamiltonian_flow, scattering_invariance)
 from .geometry import LORENTZIAN, MetricField, integrate_geodesic
@@ -33,14 +34,6 @@ from .stationary import (MagneticSystem, StationaryMetric,
                          magnetic_michel, project_and_verify,
                          reconstruct_exits, reduced_time_component,
                          thmmag_verify)
-
-
-def worst_of(values) -> float:
-    """The largest of the values, or 0.0 if there are none.  A NaN value
-    makes the result NaN, so it fails every check; Python's max keeps or
-    drops a NaN depending on where it sits."""
-    values = [float(v) for v in values]
-    return float(np.max(values)) if values else 0.0
 
 
 @dataclass(frozen=True)
@@ -220,7 +213,7 @@ def criterion_michel() -> CriterionResult:
 # 4. linearization of r against the light ray transform
 # ---------------------------------------------------------------------------
 
-def _potential_family(g0: MetricField) -> MetricFamily:
+def _potential_family() -> MetricFamily:
     """g_tau = g + tau d^s v with v = (1-|x|^2)^2 a, a constant, in the
     flat product chart (so d^s is the symmetrized Jacobian, closed
     form)."""
@@ -260,11 +253,11 @@ def _potential_family(g0: MetricField) -> MetricFamily:
         def func(x):
             return base + tau * f_func(x)
 
-        def dfunc(x):
-            return tau * df_func(x)
+        def jetfunc(x):
+            return func(x), tau * df_func(x)
 
         return MetricField(dim=3, signature=LORENTZIAN, func=func,
-                           dfunc=dfunc)
+                           jetfunc=jetfunc)
 
     return MetricFamily(eval=eval_tau,
                         derivative_at_0=SymTwoTensorField(dim=3, func=f_func))
@@ -292,7 +285,7 @@ def criterion_linearize() -> CriterionResult:
 
         both = worst_of(abs(r[k])
                         for fam in (scenarios.conformal_family(pd.metric),
-                                    _potential_family(pd.metric))
+                                    _potential_family())
                         for r in linearization_records(fam, pairs[:5])
                         for k in ("fd_value", "half_transform"))
         checks.append(Check("gauge families, both sides absolute", both,

@@ -4,8 +4,9 @@ Each subcommand runs one experiment on a bundled scenario, optionally
 driven by a JSON config, and writes a deterministic JSON report.
 
 Exit codes: 0 all residuals within tolerance, 2 argument or config
-parse error, 3 scenario construction error, 4 numerical failure or
-tolerance violation.
+parse error (also a config that the subcommand does not read), 3
+scenario construction error, 4 numerical failure or tolerance
+violation.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import sys
 
 from .errors import LorlabError
-from .experiments import RUNNERS, ScenarioError
+from .experiments import RUNNERS, ConfigError, ScenarioError
 
 EXIT_PASS = 0
 EXIT_PARSE = 2
@@ -83,6 +84,9 @@ def main(argv=None) -> int:
     runner = RUNNERS[args.command]
     try:
         report = runner(config, args.seed)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO

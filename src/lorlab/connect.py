@@ -18,7 +18,10 @@ from .geometry import (BoundaryHypersurface, CausalClass, GeodesicPath,
 from .lightray import light_ray_transform
 from .scattering import scatter
 
-SIGMA_TOL = 1e-8
+SIGMA_TOL = 1e-8        # largest |r| that sigma_detect puts on the set
+PAIR_TOL = 1e-6         # |r| above which a pair is off the lightlike set
+FD_STEP = 1e-5          # chart step of michel_check's central quotients
+TAU_STEP = 1e-6         # tau step of MetricFamily.tensor_derivative
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +203,10 @@ def defining_r(g: MetricField, x: Array, y: Array,
     return connecting_geodesic(g, x, y, seed=seed, **kw).energy
 
 
-def sigma_detect(g: MetricField, x: Array, y: Array,
-                 tol: float = SIGMA_TOL, **kw) -> bool:
-    """True iff the pair lies on the lightlike-connectivity set."""
-    return abs(defining_r(g, x, y, **kw)) <= tol
+def sigma_detect(g: MetricField, x: Array, y: Array, **kw) -> bool:
+    """True iff the pair lies on the lightlike-connectivity set, to
+    SIGMA_TOL."""
+    return abs(defining_r(g, x, y, **kw)) <= SIGMA_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +253,12 @@ def _chart_stencil(U: BoundaryHypersurface, V: BoundaryHypersurface,
 
 def michel_check(g: MetricField, U: BoundaryHypersurface,
                  V: BoundaryHypersurface, x: Array, y: Array,
-                 fd_step: float = 1e-5, n_steps: int = 400,
-                 scatter_step: float = 1e-3,
-                 sigma_tol: float = 1e-6) -> tuple[float, float]:
+                 n_steps: int = 400) -> tuple[float, float]:
     """Residuals of the graph identity: shooting from minus the tangential
     gradient of r at x must land at y with exit projection matching the
-    tangential gradient of r at y (up to one positive scale).
+    tangential gradient of r at y (up to one positive scale).  The
+    gradients are central quotients of chart step FD_STEP; the pair must
+    have |r| <= PAIR_TOL.
 
     The connector of (x, y) and those of its chart stencil are one
     connecting_geodesics_batch (see _chart_stencil), so a solver error
@@ -263,16 +266,16 @@ def michel_check(g: MetricField, U: BoundaryHypersurface,
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     base, a0, b0, dr_da, dr_db = _chart_stencil(
-        U, V, x, y, fd_step,
+        U, V, x, y, FD_STEP,
         lambda xs, ys: connecting_geodesics_batch(g, xs, ys, n_steps=n_steps,
                                                   tol=1e-12),
         lambda c: c.energy)
-    if abs(base.energy) > sigma_tol:
+    if abs(base.energy) > PAIR_TOL:
         raise PreconditionError(
             f"pair not on the lightlike set (r = {base.energy:g})")
     grad_x = _surface_gradient(g, U, x, dr_da, a0)
     grad_y = _surface_gradient(g, V, y, dr_db, b0)
-    rec = scatter(g, U, V, x, -grad_x, step=scatter_step)
+    rec = scatter(g, U, V, x, -grad_x)
     pos_res = float(np.linalg.norm(rec.y - y))
     # graph identity holds for one reduced representation: match the scale
     scale = rec.w_proj[0] / grad_y[0] if abs(grad_y[0]) > 1e-12 else \
@@ -294,13 +297,14 @@ class MetricFamily:
     eval: Callable[[float], MetricField]
     derivative_at_0: Optional[SymTwoTensorField] = None
 
-    def tensor_derivative(self, tau_step: float = 1e-6) -> SymTwoTensorField:
+    def tensor_derivative(self) -> SymTwoTensorField:
+        """derivative_at_0, else the central difference of step TAU_STEP."""
         if self.derivative_at_0 is not None:
             return self.derivative_at_0
-        gp, gm = self.eval(tau_step), self.eval(-tau_step)
+        gp, gm = self.eval(TAU_STEP), self.eval(-TAU_STEP)
 
         def f(x):
-            return (gp.func(x) - gm.func(x)) / (2 * tau_step)
+            return (gp.func(x) - gm.func(x)) / (2 * TAU_STEP)
 
         return SymTwoTensorField(dim=self.eval(0.0).dim, func=f)
 
@@ -314,25 +318,25 @@ class LinearizationReport:
 
 
 def linearize_r(family: MetricFamily, x: Array, y: Array,
-                fd_step: float = 1e-4, n_steps: int = 400,
-                floor: float = 1e-10,
-                sigma_tol: float = 1e-6) -> LinearizationReport:
+                fd_step: float = 1e-4) -> LinearizationReport:
     """Central difference of tau -> r_tau against the light ray transform
-    of the family derivative over the base connector (factor one half)."""
+    of the family derivative over the base connector (factor one half).
+    The connectors take 400 RK4 steps; the pair must have |r| <= PAIR_TOL
+    under g_0, and the relative error is floored at 1e-10."""
     g0 = family.eval(0.0)
-    base = connecting_geodesic(g0, x, y, n_steps=n_steps, tol=1e-12)
-    if abs(base.energy) > sigma_tol:
+    base = connecting_geodesic(g0, x, y, tol=1e-12)
+    if abs(base.energy) > PAIR_TOL:
         raise PreconditionError("pair not on the lightlike set of g_0")
     seed = base.path.v[0]
     r_plus = connecting_geodesic(family.eval(+fd_step), x, y, seed=seed,
-                                 n_steps=n_steps, tol=1e-12).energy
+                                 tol=1e-12).energy
     r_minus = connecting_geodesic(family.eval(-fd_step), x, y, seed=seed,
-                                  n_steps=n_steps, tol=1e-12).energy
+                                  tol=1e-12).energy
     fd_value = (r_plus - r_minus) / (2 * fd_step)
     lrt_value = light_ray_transform(family.tensor_derivative(), base.path,
-                                    lightlike_tol=max(1e-8, 10 * sigma_tol))
+                                    lightlike_tol=10 * PAIR_TOL)
     kappa = 0.5
     rel_error = abs(fd_value - kappa * lrt_value) / max(abs(kappa * lrt_value),
-                                                        floor)
+                                                        1e-10)
     return LinearizationReport(fd_value=fd_value, lrt_value=lrt_value,
                                kappa=kappa, rel_error=rel_error)

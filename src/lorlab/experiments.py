@@ -25,6 +25,19 @@ class ScenarioError(LorlabError):
     """The requested scenario cannot be built."""
 
 
+class ConfigError(ValueError):
+    """The config holds keys that the runner does not read."""
+
+
+def _no_config(name: str, config: dict) -> None:
+    """ConfigError for a non-empty config of a runner whose criteria fix
+    their scenarios, grids and tolerances."""
+    if config:
+        raise ConfigError(f"{name} takes no config; its criteria fix their "
+                          f"scenarios, grids and tolerances (got keys "
+                          f"{sorted(config)})")
+
+
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -133,6 +146,7 @@ def run_verify_thm1(config: dict, seed: int) -> dict:
 
 def run_kernel_tests(config: dict, seed: int) -> dict:
     """Kernel checks of the light ray transform (criterion 5)."""
+    _no_config("kernel-tests", config)
     t0 = time.perf_counter()
     res = acceptance.criterion_kernel()
     records = [{"check": c.label, "value": c.value, "tolerance": c.tolerance,
@@ -168,6 +182,7 @@ def run_lin_equivalence(config: dict, seed: int) -> dict:
 
 def run_gauge_invariance(config: dict, seed: int) -> dict:
     """Gauge and conformal invariance of scattering (criterion 10)."""
+    _no_config("gauge-invariance", config)
     t0 = time.perf_counter()
     res = acceptance.criterion_invariance()
     records = [{"transform": c.label, "max_deviation": c.value,
@@ -198,6 +213,7 @@ def run_normal_coords(config: dict, seed: int) -> dict:
 
 def run_all(config: dict, seed: int) -> dict:
     """Run the thirteen acceptance criteria."""
+    _no_config("all", config)
     t0 = time.perf_counter()
     records, ratios = [], []
     for result in acceptance.run_all():

@@ -48,6 +48,14 @@ def _stencil_call(func, x: Array, value_shape: tuple[int, ...],
     return (f[at + (0,)] if center else None), (fp - fm) / denom
 
 
+def worst_of(values) -> float:
+    """The largest of the values, or 0.0 if there are none.  A NaN value
+    makes the result NaN, so it fails every check; Python's max keeps or
+    drops a NaN depending on where it sits."""
+    values = [float(v) for v in values]
+    return float(np.max(values)) if values else 0.0
+
+
 def _central_diff(func, x: Array, value_shape: tuple[int, ...]) -> Array:
     """d_k func(x) by central differences from one call of func on the
     stencil; output (..., dim, *value_shape)."""

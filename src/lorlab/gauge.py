@@ -14,9 +14,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .fields import Array, CovectorField, ScalarField, _central_diff
-from .geometry import (RIEMANNIAN, BoundaryHypersurface, MetricField,
-                       _march_fixed, metric_solve)
+from .fields import (Array, CovectorField, ScalarField, _central_diff,
+                     worst_of)
+from .geometry import (BoundaryHypersurface, MetricField, _march_fixed,
+                       metric_solve)
 from .quadrature import CubicSpline, simpson
 from .scattering import scatter_batch
 from .stationary import MagneticSystem, magnetic_scatter_batch
@@ -25,6 +26,16 @@ from .stationary import MagneticSystem, magnetic_scatter_batch
 # ---------------------------------------------------------------------------
 # gauge pairs on the base manifold
 # ---------------------------------------------------------------------------
+
+def _jacobian(psi: Callable[[Array], Array],
+              jac: Optional[Callable[[Array], Array]], dim: int,
+              x: Array) -> Array:
+    """[..., k, i] = d_i psi^k at x: jac when given, else central
+    differences of psi."""
+    if jac is not None:
+        return np.asarray(jac(np.asarray(x, float)), float)
+    return np.swapaxes(_central_diff(psi, x, (dim,)), -1, -2)
+
 
 @dataclass(frozen=True)
 class GaugePair:
@@ -38,10 +49,7 @@ class GaugePair:
     jac: Optional[Callable[[Array], Array]] = None   # [..., k, i] = d_i psi^k
 
     def jacobian(self, x: Array) -> Array:
-        if self.jac is not None:
-            return np.asarray(self.jac(np.asarray(x, float)), float)
-        d = _central_diff(self.psi, x, (self.dim,))   # [..., i, k]
-        return np.swapaxes(d, -1, -2)
+        return _jacobian(self.psi, self.jac, self.dim, x)
 
     @staticmethod
     def identity(dim: int) -> "GaugePair":
@@ -55,11 +63,6 @@ class GaugePair:
 def apply_gauge(mag: MagneticSystem, pair: GaugePair) -> MagneticSystem:
     """Transformed data: h -> psi^* h, omega -> psi^* (omega + d phi)."""
 
-    def new_h(x):
-        J = pair.jacobian(x)
-        hp = np.asarray(mag.base.func(pair.psi(np.asarray(x, float))), float)
-        return np.einsum("...ki,...kl,...lj->...ij", J, hp, J)
-
     def new_omega(x):
         x = np.asarray(x, float)
         px = pair.psi(x)
@@ -68,9 +71,10 @@ def apply_gauge(mag: MagneticSystem, pair: GaugePair) -> MagneticSystem:
 
     dom = mag.base.domain
     return MagneticSystem(
-        base=MetricField(dim=mag.base.dim, signature=RIEMANNIAN, func=new_h,
-                         domain=None if dom is None
-                         else (lambda x: dom(pair.psi(np.asarray(x, float))))),
+        base=pullback_metric(
+            mag.base, pair.psi, pair.jac,
+            domain=None if dom is None
+            else (lambda x: dom(pair.psi(np.asarray(x, float))))),
         omega=CovectorField(dim=mag.base.dim, func=new_omega))
 
 
@@ -112,8 +116,8 @@ def scale_metric(g: MetricField, c: ScalarField) -> MetricField:
     def func(x):
         return c(x)[..., None, None] * np.asarray(g.func(x), float)
 
-    dfunc = jetfunc = None
-    if g.dfunc is not None and c.grad is not None:
+    jetfunc = None
+    if g.jetfunc is not None and c.grad is not None:
         def jetfunc(x):
             x = np.asarray(x, float)
             cx = c(x)
@@ -122,26 +126,20 @@ def scale_metric(g: MetricField, c: ScalarField) -> MetricField:
                     c.gradient(x)[..., :, None, None] * gm[..., None, :, :]
                     + cx[..., None, None, None] * dg)
 
-        def dfunc(x):
-            return jetfunc(x)[1]
-
     return MetricField(dim=g.dim, signature=g.signature, func=func,
-                       dfunc=dfunc, domain=g.domain, jetfunc=jetfunc)
+                       domain=g.domain, jetfunc=jetfunc)
 
 
 def pullback_metric(g: MetricField, psi: Callable[[Array], Array],
                     jac: Optional[Callable[[Array], Array]] = None,
                     domain=None) -> MetricField:
-    """psi^* g as a matrix field (jac layout [..., k, i] = d_i psi^k)."""
-
-    def jacobian(x):
-        if jac is not None:
-            return np.asarray(jac(np.asarray(x, float)), float)
-        return np.swapaxes(_central_diff(psi, x, (g.dim,)), -1, -2)
+    """psi^* g as a matrix field (jac layout [..., k, i] = d_i psi^k, by
+    central differences of psi when not given); its partials are central
+    differences."""
 
     def func(x):
         x = np.asarray(x, float)
-        J = jacobian(x)
+        J = _jacobian(psi, jac, g.dim, x)
         gp = np.asarray(g.func(psi(x)), float)
         return np.einsum("...ki,...kl,...lj->...ij", J, gp, J)
 
@@ -222,12 +220,12 @@ class ReparamReport:
 
 
 def conformal_reparam_check(g: MetricField, c: ScalarField, x0: Array,
-                            xi0: Array, sigma_max: float,
-                            step: float = 1e-3) -> ReparamReport:
+                            xi0: Array, sigma_max: float) -> ReparamReport:
     """The flow of the c-scaled Hamiltonian started on the null shell
     traces the unscaled flow under the parameter change alpha with
     alpha'(s) = 1 / c(x(alpha(s))), alpha(0) = 0; the covector is
-    carried along unchanged."""
+    carried along unchanged.  All three flows take RK4 steps of 1e-3."""
+    step = 1e-3
     base = hamiltonian_flow(g, x0, xi0, sigma_max, step=step)
     base_x = CubicSpline(base.sigma, base.x)
     base_xi = CubicSpline(base.sigma, base.xi)
@@ -251,43 +249,33 @@ def conformal_reparam_check(g: MetricField, c: ScalarField, x0: Array,
 
 def scattering_invariance(g1: MetricField, g2: MetricField,
                           U: BoundaryHypersurface, V: BoundaryHypersurface,
-                          entries: Sequence[tuple[Array, Array]],
-                          step: float = 1e-3,
-                          max_sigma: float = 30.0) -> float:
-    """Max discrepancy of the scattering data of two metrics over a set
-    of boundary entries.  Exit projections are compared after matching
-    the positive exit scale (the relation is homogeneous; conformal
-    changes reparametrize the rays)."""
+                          entries: Sequence[tuple[Array, Array]]) -> float:
+    """worst_of the discrepancies of the scattering data of two metrics
+    over a set of boundary entries (RK4 steps of 1e-3 up to sigma 30).
+    Exit projections are compared after matching the positive exit scale
+    (the relation is homogeneous; conformal changes reparametrize the
+    rays)."""
     xs = np.array([x for x, _ in entries], float)
     vs = np.array([v for _, v in entries], float)
-    recs1 = scatter_batch(g1, U, V, xs, vs, step=step, max_sigma=max_sigma)
-    recs2 = scatter_batch(g2, U, V, xs, vs, step=step, max_sigma=max_sigma)
-    worst = 0.0
-    for r1, r2 in zip(recs1, recs2):
-        w1 = r1.w_proj / r1.w_proj[0]
-        w2 = r2.w_proj / r2.w_proj[0]
-        worst = max(worst, float(np.linalg.norm(r1.y - r2.y)),
-                    float(np.linalg.norm(w1 - w2)))
-    return worst
+    recs1 = scatter_batch(g1, U, V, xs, vs, max_sigma=30.0)
+    recs2 = scatter_batch(g2, U, V, xs, vs, max_sigma=30.0)
+    return worst_of(d for r1, r2 in zip(recs1, recs2)
+                    for d in (np.linalg.norm(r1.y - r2.y),
+                              np.linalg.norm(r1.w_proj / r1.w_proj[0]
+                                             - r2.w_proj / r2.w_proj[0])))
 
 
 def magnetic_invariance(mag1: MagneticSystem, mag2: MagneticSystem,
                         S: BoundaryHypersurface,
-                        entries: Sequence[tuple[Array, Array]],
-                        step: float = 1e-3,
-                        max_sigma: float = 30.0) -> float:
-    """Max discrepancy of magnetic boundary data (exit point, exit
-    projection, action) between two gauge-equivalent systems."""
+                        entries: Sequence[tuple[Array, Array]]) -> float:
+    """worst_of the discrepancies of magnetic boundary data (exit point,
+    exit projection, action) between two gauge-equivalent systems (RK4
+    steps of 1e-3 up to sigma 30)."""
     xs = np.array([x for x, _ in entries], float)
     us = np.array([u for _, u in entries], float)
-    recs1 = magnetic_scatter_batch(mag1, S, xs, us, step=step,
-                                   max_sigma=max_sigma)
-    recs2 = magnetic_scatter_batch(mag2, S, xs, us, step=step,
-                                   max_sigma=max_sigma)
-    worst = 0.0
-    for r1, r2 in zip(recs1, recs2):
-        worst = max(worst,
-                    float(np.linalg.norm(r1.y - r2.y)),
-                    float(np.linalg.norm(r1.w_proj - r2.w_proj)),
-                    abs(r1.action - r2.action))
-    return worst
+    recs1 = magnetic_scatter_batch(mag1, S, xs, us, max_sigma=30.0)
+    recs2 = magnetic_scatter_batch(mag2, S, xs, us, max_sigma=30.0)
+    return worst_of(d for r1, r2 in zip(recs1, recs2)
+                    for d in (np.linalg.norm(r1.y - r2.y),
+                              np.linalg.norm(r1.w_proj - r2.w_proj),
+                              abs(r1.action - r2.action)))

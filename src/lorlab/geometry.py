@@ -19,12 +19,13 @@ import numpy as np
 from .errors import (ChartDomainError, EscapeError, LorlabError,
                      NoLiftError, PreconditionError, SignatureError,
                      SingularMetricError, TangencyError, ray_errors)
-from .fields import Array, _central_diff, _central_jet
+from .fields import Array, _central_jet
 
 DET_FLOOR = 1e-12
 CAUSAL_TOL = 1e-9
 SURFACE_TOL = 1e-10
 TANGENCY_TOL = 1e-8
+CHART_STEP = 1e-6
 
 LORENTZIAN = "lorentzian"
 RIEMANNIAN = "riemannian"
@@ -38,17 +39,16 @@ RIEMANNIAN = "riemannian"
 class MetricField:
     """Symmetric metric tensor on a chart with signature metadata.
 
-    ``func`` maps points ``(..., dim)`` to matrices ``(..., dim, dim)``;
-    ``dfunc``, when given, returns coordinate partials with layout
-    ``dg[..., k, i, j] = d_k g_ij``.  ``jetfunc``, when given, returns
-    ``(func(x), dfunc(x))`` from one pass of the fields behind them; a
-    field that has one passes ``dfunc = lambda x: jetfunc(x)[1]`` too.
+    ``func`` maps points ``(..., dim)`` to matrices ``(..., dim, dim)``.
+    ``jetfunc``, the one derivative hook, when given returns
+    ``(func(x), dg)`` from one pass of the fields behind them, with the
+    coordinate partials in the layout ``dg[..., k, i, j] = d_k g_ij``;
+    without it the partials are central differences of ``func``.
     """
 
     dim: int
     signature: str
     func: Callable[[Array], Array]
-    dfunc: Optional[Callable[[Array], Array]] = None
     domain: Optional[Callable[[Array], Array]] = None
     jetfunc: Optional[Callable[[Array], tuple[Array, Array]]] = None
 
@@ -102,16 +102,10 @@ class MetricField:
             raise SignatureError(
                 f"{self.signature} metric has {neg} negative eigenvalues")
 
-    def partials(self, x: Array) -> Array:
-        """dg[..., k, i, j] = d_k g_ij, analytic or central FD."""
-        if self.dfunc is not None:
-            return np.asarray(self.dfunc(np.asarray(x, float)), float)
-        return _central_diff(self.func, x, (self.dim, self.dim))
-
     def jet(self, x: Array, check: bool = True) -> tuple[Array, Array]:
-        """(matrix values, partials) at x from one pass of the fields:
-        ``jetfunc``, else ``func`` and ``dfunc``, else ``func`` once on x
-        and its central-difference stencil.  With ``check`` the values
+        """(matrix values, partials dg[..., k, i, j] = d_k g_ij) at x from
+        one pass of the fields: ``jetfunc``, else ``func`` once on x and
+        its central-difference stencil.  With ``check`` the values
         pass the checks of ``matrix`` (without ``validate``); without,
         only the chart-domain check."""
         x = np.asarray(x, float)
@@ -126,9 +120,6 @@ class MetricField:
         if self.jetfunc is not None:
             g, dg = self.jetfunc(x)
             return np.asarray(g, float), np.asarray(dg, float)
-        if self.dfunc is not None:
-            return (np.asarray(self.func(x), float),
-                    np.asarray(self.dfunc(x), float))
         return _central_jet(self.func, x, (self.dim, self.dim))
 
 
@@ -200,12 +191,12 @@ class CausalClass:
     tol: float
 
 
-def causal_classify(g: MetricField, x: Array, v: Array,
-                    tol: float = CAUSAL_TOL) -> CausalClass:
-    """Classify v by the sign of (v,v)_g with a relative tolerance band."""
+def causal_classify(g: MetricField, x: Array, v: Array) -> CausalClass:
+    """Classify v by the sign of (v,v)_g with the relative tolerance band
+    CAUSAL_TOL."""
     v = np.asarray(v, float)
     q = inner(g, x, v, v)
-    band = tol * max(float(v @ v), 1e-300)
+    band = CAUSAL_TOL * max(float(v @ v), 1e-300)
     if q < -band:
         tag = "timelike"
     elif q > band:
@@ -238,15 +229,17 @@ class BoundaryHypersurface:
         """Signed distance proxy, positive on the exterior side."""
         return self.exterior_sign * np.asarray(self.value(x), float)
 
-    def chart_frame(self, params: Array, step: float = 1e-6) -> Array:
-        """Columns of d(chart)/d(params) at params; shape (dim, n_params)."""
+    def chart_frame(self, params: Array) -> Array:
+        """Columns of d(chart)/d(params) at params, central differences
+        of step CHART_STEP; shape (dim, n_params)."""
         params = np.asarray(params, float)
         cols = []
         for i in range(params.size):
             e = np.zeros_like(params)
-            e[i] = step
+            e[i] = CHART_STEP
             cols.append((np.asarray(self.chart(params + e), float)
-                         - np.asarray(self.chart(params - e), float)) / (2 * step))
+                         - np.asarray(self.chart(params - e), float))
+                        / (2 * CHART_STEP))
         return np.stack(cols, axis=-1)
 
 
@@ -617,12 +610,10 @@ def scatter_paths(accel, g: MetricField, U: BoundaryHypersurface,
 
 
 def integrate_geodesic(g: MetricField, x0: Array, v0: Array,
-                       stop, step: float = 1e-3, max_sigma: float = 10.0,
-                       require_interior_first: bool = False) -> GeodesicPath:
+                       stop, step: float = 1e-3) -> GeodesicPath:
     """Fixed-step RK4 geodesic of g: the batch of one of
     integrate_flow_paths, which documents the stops and checks."""
     (path,) = integrate_flow_paths(
         geodesic_accel(g), g, np.asarray(x0, float)[None],
-        np.asarray(v0, float)[None], stop, step, max_sigma,
-        require_interior_first=require_interior_first)
+        np.asarray(v0, float)[None], stop, step)
     return path

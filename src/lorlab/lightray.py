@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError
-from .fields import Array, CovectorField, ScalarField, SymTwoTensorField
+from .fields import (Array, CovectorField, ScalarField, SymTwoTensorField,
+                     worst_of)
 from .geometry import GeodesicPath, MetricField, christoffel
 from .quadrature import simpson
 
@@ -50,35 +51,33 @@ def ftc_residual(v: CovectorField, g: MetricField, path: GeodesicPath) -> float:
 
 
 def kernel_potential_test(v: CovectorField, g: MetricField,
-                          rays: list[GeodesicPath],
-                          endpoint_tol: float = 1e-10) -> float:
-    """Max |L(d^s v)| over rays, for v vanishing at every ray endpoint."""
+                          rays: list[GeodesicPath]) -> float:
+    """worst_of |L(d^s v)| over rays, NaN if a transform is NaN, for v
+    vanishing (to 1e-10) at every ray endpoint."""
     f = sym_diff(v, g)
-    worst = 0.0
     for path in rays:
         ends = np.linalg.norm(v(path.x[[0, -1]]), axis=-1)
-        if np.any(ends > endpoint_tol):
+        if np.any(ends > 1e-10):
             raise PreconditionError(
                 f"one-form does not vanish at a ray endpoint "
                 f"(|v| = {ends.max():g})")
-        worst = max(worst, abs(light_ray_transform(f, path)))
-    return worst
+    return worst_of(abs(light_ray_transform(f, path)) for path in rays)
 
 
 def kernel_conformal_test(c: ScalarField, g: MetricField,
                           rays: list[GeodesicPath]) -> float:
-    """Max |L(c*g)| over rays; the integrand vanishes pointwise."""
+    """worst_of |L(c*g)| over rays, NaN if a transform is NaN; the
+    integrand vanishes pointwise."""
     f = SymTwoTensorField(dim=g.dim,
                           func=lambda x: c(x)[..., None, None] * g.func(x))
-    return max(abs(light_ray_transform(f, path)) for path in rays)
+    return worst_of(abs(light_ray_transform(f, path)) for path in rays)
 
 
 def magnetic_linearized_transform(f: SymTwoTensorField, beta: CovectorField,
-                                  path: GeodesicPath,
-                                  unit_tol: float = UNIT_SPEED_TOL) -> float:
+                                  path: GeodesicPath) -> float:
     """X-ray transform with a one-form term over a unit-speed base
     geodesic: integral of <f, x' x x'> + <beta, x'>."""
-    if abs(path.speed_squared - 1.0) > unit_tol:
+    if abs(path.speed_squared - 1.0) > UNIT_SPEED_TOL:
         raise PreconditionError(
             f"base path not unit speed (|x'|^2 = {path.speed_squared:g})")
     vals = (np.einsum("mij,mi,mj->m", f(path.x), path.v, path.v)

@@ -48,10 +48,11 @@ def constant_metric(dim: int, diag: Array, signature: str) -> MetricField:
         out[...] = mat
         return out
 
-    def dfunc(x):
-        return np.zeros(np.shape(x)[:-1] + (dim, dim, dim))
+    def jetfunc(x):
+        return func(x), np.zeros(np.shape(x)[:-1] + (dim, dim, dim))
 
-    return MetricField(dim=dim, signature=signature, func=func, dfunc=dfunc)
+    return MetricField(dim=dim, signature=signature, func=func,
+                       jetfunc=jetfunc)
 
 
 def _time_slice(level: float, dim: int, exterior_sign: float) -> BoundaryHypersurface:
@@ -67,12 +68,12 @@ def _time_slice(level: float, dim: int, exterior_sign: float) -> BoundaryHypersu
         chart_inverse=lambda x: np.asarray(x, float)[1:])
 
 
-def _cylinder(radius: float = 1.0) -> BoundaryHypersurface:
-    r2 = radius ** 2
+def _cylinder() -> BoundaryHypersurface:
+    """The unit cylinder R x {|x| = 1}."""
 
     def value(x):
         x = np.asarray(x, float)
-        return 0.5 * (x[..., 1] ** 2 + x[..., 2] ** 2 - r2)
+        return 0.5 * (x[..., 1] ** 2 + x[..., 2] ** 2 - 1.0)
 
     def gradient(x):
         x = np.asarray(x, float)
@@ -83,7 +84,7 @@ def _cylinder(radius: float = 1.0) -> BoundaryHypersurface:
 
     def chart(a):                  # a = (t, theta)
         t, th = float(a[0]), float(a[1])
-        return np.array([t, radius * np.cos(th), radius * np.sin(th)])
+        return np.array([t, np.cos(th), np.sin(th)])
 
     def chart_inverse(x):
         x = np.asarray(x, float)
@@ -94,16 +95,16 @@ def _cylinder(radius: float = 1.0) -> BoundaryHypersurface:
                                 chart=chart, chart_inverse=chart_inverse)
 
 
-def _circle(radius: float = 1.0) -> BoundaryHypersurface:
-    r2 = radius ** 2
+def _circle() -> BoundaryHypersurface:
+    """The unit circle |x| = 1."""
 
     def value(x):
         x = np.asarray(x, float)
-        return 0.5 * (np.einsum("...i,...i->...", x, x) - r2)
+        return 0.5 * (np.einsum("...i,...i->...", x, x) - 1.0)
 
     def chart(a):                  # a = (theta,)
         th = float(np.asarray(a, float).reshape(-1)[0])
-        return np.array([radius * np.cos(th), radius * np.sin(th)])
+        return np.array([np.cos(th), np.sin(th)])
 
     def chart_inverse(x):
         x = np.asarray(x, float)
@@ -201,15 +202,14 @@ def perturbed_product(amplitude: float = 0.1) -> Scenario:
         return h_of(c), dc[..., :, None, None] * np.eye(2)
 
     h = MetricField(dim=2, signature=RIEMANNIAN,
-                    func=lambda xs: h_of(conf_jet(xs)[0]),
-                    dfunc=lambda xs: h_jetfunc(xs)[1], jetfunc=h_jetfunc)
+                    func=lambda xs: h_of(conf_jet(xs)[0]), jetfunc=h_jetfunc)
     m = StationaryMetric(lam=ScalarField.constant(1.0),
                          omega=CovectorField.zero(2), base=h)
     cyl = _cylinder()
     return Scenario(
         name="perturbed_product",
         metric=MetricField(dim=3, signature=LORENTZIAN, func=func,
-                           dfunc=lambda x: jetfunc(x)[1], jetfunc=jetfunc),
+                           jetfunc=jetfunc),
         entry_surface=cyl, exit_surface=cyl,
         stationary=m,
         magnetic=MagneticSystem(base=h, omega=CovectorField.zero(2)),

@@ -65,9 +65,9 @@ class StationaryMetric:
             _, M = block(self.omega(xs), np.asarray(self.base.func(xs), float))
             return self.lam(xs)[..., None, None] * M
 
-        dfunc = jetfunc = None
+        jetfunc = None
         if (self.lam.grad is not None and self.omega.jac is not None
-                and self.base.dfunc is not None):
+                and self.base.jetfunc is not None):
 
             def jetfunc(x):
                 x = np.asarray(x, float)
@@ -86,14 +86,11 @@ class StationaryMetric:
                                      + lam[..., None] * dM)
                 return lam * M, dg
 
-            def dfunc(x):
-                return jetfunc(x)[1]
-
         domain = None
         if self.base.domain is not None:
             domain = lambda x: self.base.domain(np.asarray(x, float)[..., 1:])
         return MetricField(dim=n + 1, signature=LORENTZIAN, func=func,
-                           dfunc=dfunc, domain=domain, jetfunc=jetfunc)
+                           domain=domain, jetfunc=jetfunc)
 
 
 def reduced_time_component(m: StationaryMetric, x_spatial: Array,
@@ -186,14 +183,12 @@ def magnetic_accel(mag: MagneticSystem, speed_from_velocity: bool = False):
 
 
 def magnetic_integrate(mag: MagneticSystem, x0: Array, u0: Array, stop,
-                       step: float = 1e-3, max_sigma: float = 10.0,
-                       require_interior_first: bool = False) -> GeodesicPath:
+                       step: float = 1e-3) -> GeodesicPath:
     """Arc-length magnetic geodesic from (x0, u0); u0 must be h-unit.
     The batch of one of integrate_flow_paths."""
     (path,) = integrate_flow_paths(
         magnetic_accel(mag), mag.base, np.asarray(x0, float)[None],
-        np.asarray(u0, float)[None], stop, step, max_sigma,
-        require_interior_first=require_interior_first, unit_speed=True)
+        np.asarray(u0, float)[None], stop, step, unit_speed=True)
     return path
 
 
@@ -368,14 +363,14 @@ class ProjectionCheck:
     speed_identity_residual: float
 
 
-def project_and_verify(m: StationaryMetric, path: GeodesicPath,
-                       lam_tol: float = 1e-12) -> ProjectionCheck:
+def project_and_verify(m: StationaryMetric,
+                       path: GeodesicPath) -> ProjectionCheck:
     """Check that the spatial projection of a geodesic of the assembled
-    metric (lam = 1) obeys the magnetic equation with constant charge
-    k = t' + <omega, x'>, and that (v,v)_g = -k^2 + |x'|_h^2."""
+    metric (lam = 1 to 1e-12) obeys the magnetic equation with constant
+    charge k = t' + <omega, x'>, and that (v,v)_g = -k^2 + |x'|_h^2."""
     xs = path.x[:, 1:]
     vs = path.v[:, 1:]
-    if np.abs(m.lam(xs) - 1.0).max() > lam_tol:
+    if np.abs(m.lam(xs) - 1.0).max() > 1e-12:
         raise PreconditionError("reduction requires the unit conformal factor")
     om = m.omega(xs)
     k = path.v[:, 0] + np.einsum("mi,mi->m", om, vs)
@@ -440,13 +435,13 @@ class ReductionReport:
 
 
 def thmmag_verify(m: StationaryMetric, U: BoundaryHypersurface,
-                  S: BoundaryHypersurface, x: Array, v_proj: Array,
-                  scatter_step: float = 1e-3, n_steps: int = 400,
-                  max_sigma: float = 30.0) -> ReductionReport:
+                  S: BoundaryHypersurface, x: Array,
+                  v_proj: Array) -> ReductionReport:
     """Compare the lightlike scattering relation on the cylinder R x dN
     (entry normalized to reduced time component one) with the magnetic
     scattering relation, the length identity length = s - t + flux, and
-    the action identity A(x, y) = s - t."""
+    the action identity A(x, y) = s - t.  Both scatters take RK4 steps
+    of 1e-3 up to sigma 30."""
     x = np.asarray(x, float)
     v_proj = np.asarray(v_proj, float)
     xs, t = x[1:], float(x[0])
@@ -456,13 +451,12 @@ def thmmag_verify(m: StationaryMetric, U: BoundaryHypersurface,
     v_proj = v_proj / k_in
 
     g = m.assembled
-    rec = scatter(g, U, U, x, v_proj, step=scatter_step, max_sigma=max_sigma)
+    rec = scatter(g, U, U, x, v_proj, max_sigma=30.0)
     s, yb = float(rec.y[0]), rec.y[1:]
     wt_red = reduced_time_component(m, yb, rec.w_proj)
 
     mag = MagneticSystem(m.base, m.omega)
-    mrec = magnetic_scatter(mag, S, xs, v_proj[1:], step=scatter_step,
-                            max_sigma=max_sigma)
+    mrec = magnetic_scatter(mag, S, xs, v_proj[1:], max_sigma=30.0)
     endpoint_res = float(np.linalg.norm(yb - mrec.y))
     exit_res = float(np.linalg.norm(rec.w_proj[1:] - mrec.w_proj))
 
@@ -482,17 +476,17 @@ def thmmag_verify(m: StationaryMetric, U: BoundaryHypersurface,
 
 
 def reconstruct_exits(m: StationaryMetric, S: BoundaryHypersurface,
-                      ts: Array, xs_spatial: Array, u_projs: Array,
-                      step: float = 1e-3,
-                      max_sigma: float = 30.0) -> list[tuple[Array, Array]]:
+                      ts: Array, xs_spatial: Array,
+                      u_projs: Array) -> list[tuple[Array, Array]]:
     """Rebuild the reduced lightlike exit data (y, w') on the cylinder
     from magnetic data alone, for entries at times ts, with one magnetic
-    scatter for all: exit time t + A(x, y), exit covector with reduced
-    time component one and tangential part from the magnetic relation."""
+    scatter for all (RK4 steps of 1e-3 up to sigma 30): exit time
+    t + A(x, y), exit covector with reduced time component one and
+    tangential part from the magnetic relation."""
     mag = MagneticSystem(m.base, m.omega)
     out = []
     for t, mrec in zip(ts, magnetic_scatter_batch(
-            mag, S, xs_spatial, u_projs, step, max_sigma, keep_paths=True)):
+            mag, S, xs_spatial, u_projs, max_sigma=30.0, keep_paths=True)):
         act = action_A(mag, mrec.x, mrec.y,
                        seed=(mrec.length * (mrec.path.v[0])))
         wt = 1.0 - float(m.omega(mrec.y) @ mrec.w_proj)
@@ -502,11 +496,9 @@ def reconstruct_exits(m: StationaryMetric, S: BoundaryHypersurface,
 
 
 def reconstruct_exit(m: StationaryMetric, S: BoundaryHypersurface, t: float,
-                     x_spatial: Array, u_proj: Array, step: float = 1e-3,
-                     max_sigma: float = 30.0) -> tuple[Array, Array]:
+                     x_spatial: Array, u_proj: Array) -> tuple[Array, Array]:
     """The batch of one of reconstruct_exits."""
-    (out,) = reconstruct_exits(m, S, [t], [x_spatial], [u_proj], step,
-                               max_sigma)
+    (out,) = reconstruct_exits(m, S, [t], [x_spatial], [u_proj])
     return out
 
 
@@ -524,7 +516,6 @@ class LinearizedEquivalence:
 
 def linearization_equivalence(m: StationaryMetric, dh: SymTwoTensorField,
                               dom: CovectorField, x: Array, y: Array,
-                              t0: float = 0.0,
                               n_steps: int = 400) -> LinearizedEquivalence:
     """Light ray transform of the variation of -(dt + omega)^2 + h over
     the lifted [0, 1]-connector versus the magnetic transform of
@@ -532,19 +523,19 @@ def linearization_equivalence(m: StationaryMetric, dh: SymTwoTensorField,
     equivalence_on_connector of the solved magnetic connector."""
     conn = magnetic_connector(MagneticSystem(m.base, m.omega), x, y,
                               n_steps=n_steps)
-    return equivalence_on_connector(m, dh, dom, conn, t0=t0)
+    return equivalence_on_connector(m, dh, dom, conn)
 
 
 def equivalence_on_connector(m: StationaryMetric, dh: SymTwoTensorField,
-                             dom: CovectorField, conn: MagneticConnector,
-                             t0: float = 0.0) -> LinearizedEquivalence:
+                             dom: CovectorField,
+                             conn: MagneticConnector) -> LinearizedEquivalence:
     """linearization_equivalence over a given magnetic connector of
     (m.base, m.omega), so several perturbations share one solve.  Both
     values and their ratio are reported; no proportionality factor is
     assumed."""
     if abs(float(m.lam(conn.x)) - 1.0) > 1e-12:
         raise PreconditionError("equivalence requires the unit conformal factor")
-    lifted = lift_magnetic(m, conn.path, t0=t0)
+    lifted = lift_magnetic(m, conn.path)
     ell = conn.length
     lifted01 = GeodesicPath(sigma=lifted.sigma / ell, x=lifted.x,
                             v=ell * lifted.v,
@@ -581,18 +572,21 @@ def equivalence_on_connector(m: StationaryMetric, dh: SymTwoTensorField,
 # normal gauge near a boundary
 # ---------------------------------------------------------------------------
 
-def boundary_normal_coords(omega: CovectorField,
-                           order: int = 30) -> tuple[ScalarField, CovectorField]:
+NORMAL_QUAD_ORDER = 30   # Gauss-Legendre nodes of boundary_normal_coords
+
+
+def boundary_normal_coords(
+        omega: CovectorField) -> tuple[ScalarField, CovectorField]:
     """On a collar chart whose last coordinate is the inward normal
     distance, return the gauge function phi(x) = integral of omega_n
     along the normal segment and the gauged one-form omega - d(phi),
     whose normal component vanishes."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(NORMAL_QUAD_ORDER)
 
     def phi_func(x):
         x = np.asarray(x, float)
         half = 0.5 * x[..., -1]
-        pts = np.repeat(x[..., None, :], order, axis=-2).copy()
+        pts = np.repeat(x[..., None, :], NORMAL_QUAD_ORDER, axis=-2).copy()
         pts[..., -1] = half[..., None] * (nodes + 1.0)
         vals = omega(pts)[..., -1]
         return half * np.einsum("...q,q->...", vals, weights)

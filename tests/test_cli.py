@@ -154,6 +154,18 @@ def test_runner_contract(tmp_path, command):
                    for r in report["records"])
 
 
+@pytest.mark.parametrize("command", ["kernel-tests", "gauge-invariance",
+                                     "all"])
+def test_fixed_runners_reject_a_config(tmp_path, capsys, command):
+    """These runners read no config, so a tolerance there would be
+    silently ignored: a non-empty config is a parse error that names the
+    subcommand, raised before any criterion runs."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerance": 1e-30}))
+    assert run([command, "--config", str(cfg)]) == EXIT_PARSE
+    assert f"error: {command} takes no config" in capsys.readouterr().err
+
+
 def test_report_fails_on_a_nan_residual():
     rep = experiments._report("x", "s", 0, [], [0.0, float("nan")], 1.0,
                               time.perf_counter())

@@ -114,11 +114,14 @@ def test_fd_order_of_linearization(product_disk):
         from lorlab import MetricField
         from lorlab.geometry import LORENTZIAN
         d = np.array([-1.0, np.exp(tau), np.exp(tau)])
+
+        def func(p):
+            return np.broadcast_to(np.diag(d), np.shape(p)[:-1] + (3, 3))
+
         return MetricField(
-            dim=3, signature=LORENTZIAN,
-            func=lambda p: np.broadcast_to(np.diag(d),
-                                           np.shape(p)[:-1] + (3, 3)),
-            dfunc=lambda p: np.zeros(np.shape(p)[:-1] + (3, 3, 3)))
+            dim=3, signature=LORENTZIAN, func=func,
+            jetfunc=lambda p: (func(p),
+                               np.zeros(np.shape(p)[:-1] + (3, 3, 3))))
 
     fam = MetricFamily(eval=eval_tau)
     errs = [abs(linearize_r(fam, x, y, fd_step=h).fd_value - 0.5 * rho2)

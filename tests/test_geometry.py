@@ -10,8 +10,9 @@ from lorlab import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                     geodesic_accel, inner, integrate_geodesic,
                     lightlike_completion, scatter, scenarios)
 from lorlab.errors import LorlabError
+from lorlab.fields import (CovectorField, ScalarField, _central_diff,
+                           _central_jet)
 from lorlab.geometry import integrate_flow_fixed, integrate_flow_to_surface
-from lorlab.fields import CovectorField, ScalarField
 from lorlab.gauge import apply_gauge, scale_metric
 
 
@@ -23,8 +24,8 @@ def minkowski(dim=3):
         return np.broadcast_to(np.diag(diag), np.shape(x)[:-1] + (dim, dim))
 
     return MetricField(dim=dim, signature=LORENTZIAN, func=func,
-                       dfunc=lambda x: np.zeros(
-                           np.shape(x)[:-1] + (dim, dim, dim)))
+                       jetfunc=lambda x: (func(x), np.zeros(
+                           np.shape(x)[:-1] + (dim, dim, dim))))
 
 
 def test_inner_minkowski_timelike_unit():
@@ -191,7 +192,8 @@ def test_matrix_check_does_not_depend_on_the_batch(bad, fails):
     fails alone as it does next to diag(-10, 10, 10)."""
     def verdict(mats):
         g = MetricField(dim=3, signature=LORENTZIAN, func=lambda x: mats,
-                        dfunc=lambda x: np.zeros(mats.shape[:1] + (3, 3, 3)))
+                        jetfunc=lambda x: (mats, np.zeros(mats.shape[:1]
+                                                          + (3, 3, 3))))
         try:
             g.jet(np.zeros((len(mats), 3)))
             g.matrix(np.zeros((len(mats), 3)))
@@ -208,15 +210,16 @@ def _blowing_up_flow(calls):
     geodesic state goes non-finite a few steps past t = 0.3."""
     flat = minkowski()
 
-    def dfunc(x):
+    def nan_partials(x):
         calls.append(1)
         x = np.asarray(x, float)
         dg = np.zeros(x.shape[:-1] + (3, 3, 3))
         dg[x[..., 0] > 0.3] = np.nan
         return dg
 
-    return geodesic_accel(MetricField(dim=3, signature=LORENTZIAN,
-                                      func=flat.func, dfunc=dfunc))
+    return geodesic_accel(MetricField(
+        dim=3, signature=LORENTZIAN, func=flat.func,
+        jetfunc=lambda x: (flat.func(x), nan_partials(x))))
 
 
 @pytest.mark.parametrize("march", ["to_surface", "fixed"])
@@ -319,19 +322,22 @@ def _jet_metrics():
 
 @pytest.mark.parametrize("metric", _jet_metrics())
 def test_jet_matches_matrix_and_partials(metric):
+    """The jet's values are matrix's, bit for bit, and its partials agree
+    with central differences of the metric's own func."""
     rng = np.random.default_rng(47)
     for x in (rng.uniform(-0.5, 0.5, (5, metric.dim)),
               rng.uniform(-0.5, 0.5, metric.dim)):
         gm, dg = metric.jet(x)
         assert np.array_equal(gm, metric.matrix(x))
-        assert np.array_equal(dg, metric.partials(x))
+        fd_dg = _central_jet(metric.func, x, (metric.dim, metric.dim))[1]
+        assert np.abs(dg - fd_dg).max() <= 1e-8
         assert dg.shape == x.shape[:-1] + (metric.dim,) * 3
 
 
 def test_jet_without_partials_evaluates_the_metric_once(stationary_rot):
     """A gauged base has no analytic partials: its jet calls func once,
     on the point stacked with the central-difference stencil, and agrees
-    with matrix and the separate central differences of partials."""
+    with matrix and with the central differences of two calls."""
     gauged = apply_gauge(stationary_rot.magnetic,
                          scenarios.rotation_bump_pair(0.15)).base
     calls = []
@@ -345,7 +351,7 @@ def test_jet_without_partials_evaluates_the_metric_once(stationary_rot):
     gm, dg = g.jet(x)
     assert calls == [(5, 5, 2)]
     assert np.array_equal(gm, gauged.matrix(x))
-    assert np.abs(dg - gauged.partials(x)).max() <= 1e-10
+    assert np.abs(dg - _central_diff(gauged.func, x, (2, 2))).max() <= 1e-10
 
 
 def _failing_metric(kind):
@@ -363,7 +369,7 @@ def _failing_metric(kind):
 
     return MetricField(
         dim=2, signature=RIEMANNIAN, func=func,
-        dfunc=lambda x: np.zeros(np.shape(x)[:-1] + (2, 2, 2)),
+        jetfunc=lambda x: (func(x), np.zeros(np.shape(x)[:-1] + (2, 2, 2))),
         domain=(lambda x: np.asarray(x)[..., 0] < 0.4) if kind == "chart"
         else None)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,38 @@ def test_conformal_kernel(product_disk):
     rays = _rays(product_disk, 5, seed=8)
     c = ScalarField(func=lambda x: 1.0 + np.asarray(x, float)[..., 1] ** 2)
     assert kernel_conformal_test(c, product_disk.metric, rays) < 1e-12
+
+
+def _nan_inside(x):
+    """True where the spatial radius of x is below 0.3."""
+    xs = np.asarray(x, float)[..., 1:]
+    return np.einsum("...i,...i->...", xs, xs) < 0.09
+
+
+def test_kernel_tests_keep_a_nan_transform(product_disk):
+    """A NaN transform makes each kernel test NaN wherever its ray sits:
+    of the first three seed-17 rays the first two pass within 0.3 of the
+    axis, where the fields below are NaN, and the third stays outside.
+    No rays give 0.0."""
+    g = product_disk.metric
+    rays = [r.path for r in scenarios.scattered_entries(
+        product_disk, 3, seed=17, keep_paths=True)]
+
+    def v_func(x):
+        xs = np.asarray(x, float)[..., 1:]
+        v = (1.0 - np.einsum("...i,...i->...", xs, xs))[..., None] \
+            * np.array([1.0, 0.5, -0.2])
+        return np.where(_nan_inside(x)[..., None], np.nan, v)
+
+    v = CovectorField(dim=3, func=v_func)
+    c = ScalarField(func=lambda x: np.where(_nan_inside(x), np.nan, 1.0))
+    transforms = [light_ray_transform(sym_diff(v, g), p) for p in rays]
+    assert [math.isnan(t) for t in transforms] == [True, True, False]
+    for order in (rays, rays[::-1]):
+        assert math.isnan(kernel_potential_test(v, g, order))
+        assert math.isnan(kernel_conformal_test(c, g, order))
+    assert kernel_potential_test(v, g, []) == 0.0
+    assert kernel_conformal_test(c, g, []) == 0.0
 
 
 def test_ftc_endpoint_identity(product_disk):

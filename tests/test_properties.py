@@ -11,11 +11,13 @@ from lorlab.geometry import LORENTZIAN, MetricField
 
 
 def minkowski():
+    def func(x):
+        return np.broadcast_to(np.diag([-1.0, 1.0, 1.0]),
+                               np.shape(x)[:-1] + (3, 3))
+
     return MetricField(
-        dim=3, signature=LORENTZIAN,
-        func=lambda x: np.broadcast_to(np.diag([-1.0, 1.0, 1.0]),
-                                       np.shape(x)[:-1] + (3, 3)),
-        dfunc=lambda x: np.zeros(np.shape(x)[:-1] + (3, 3, 3)))
+        dim=3, signature=LORENTZIAN, func=func,
+        jetfunc=lambda x: (func(x), np.zeros(np.shape(x)[:-1] + (3, 3, 3))))
 
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)

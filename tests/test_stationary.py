@@ -19,10 +19,12 @@ from lorlab.stationary import magnetic_accel
 
 
 def flat_h():
-    return MetricField(dim=2, signature=RIEMANNIAN,
-                       func=lambda p: np.broadcast_to(
-                           np.eye(2), np.shape(p)[:-1] + (2, 2)),
-                       dfunc=lambda p: np.zeros(np.shape(p)[:-1] + (2, 2, 2)))
+    def func(p):
+        return np.broadcast_to(np.eye(2), np.shape(p)[:-1] + (2, 2))
+
+    return MetricField(dim=2, signature=RIEMANNIAN, func=func,
+                       jetfunc=lambda p: (func(p), np.zeros(
+                           np.shape(p)[:-1] + (2, 2, 2))))
 
 
 def test_assembled_blocks(rng):
@@ -292,7 +294,7 @@ def test_perturbed_product_base_partials(perturbed_product, rng):
     from lorlab.fields import _central_diff
     h = perturbed_product.magnetic.base
     pts = rng.uniform(-0.7, 0.7, (4, 2))
-    dh = h.partials(pts)
+    dh = h.jet(pts)[1]
     assert dh.shape == (4, 2, 2, 2)
     assert np.abs(dh - _central_diff(h.func, pts, (2, 2))).max() < 1e-9
 
@@ -376,8 +378,8 @@ def test_stationary_accel_closed_form(stationary_rot):
 @pytest.mark.parametrize("check", [True, False])
 def test_stationary_accel_evaluates_each_field_once(stationary_rot, check):
     """One acceleration call on the assembled metric evaluates lam, omega
-    and h, and each of their derivatives, exactly once, with and without
-    the metric check."""
+    and each of their derivatives exactly once, and h with its partials
+    in one jet call, with and without the metric check."""
     m0 = stationary_rot.stationary
     calls = {}
 
@@ -395,9 +397,8 @@ def test_stationary_accel_evaluates_each_field_once(stationary_rot, check):
                         positive=m0.lam.positive),
         omega=CovectorField(dim=2, func=counted("omega", m0.omega.func),
                             jac=counted("domega", m0.omega.jac)),
-        base=MetricField(dim=2, signature=RIEMANNIAN,
-                         func=counted("h", m0.base.func),
-                         dfunc=counted("dh", m0.base.dfunc)))
+        base=MetricField(dim=2, signature=RIEMANNIAN, func=m0.base.func,
+                         jetfunc=counted("h jet", m0.base.jetfunc)))
     rng = np.random.default_rng(43)
     x = rng.uniform(-0.5, 0.5, (4, 3))
     v = rng.uniform(-1.0, 1.0, (4, 3))
