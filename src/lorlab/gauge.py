@@ -69,12 +69,8 @@ def apply_gauge(mag: MagneticSystem, pair: GaugePair) -> MagneticSystem:
         alpha = mag.omega(px) + pair.phi.gradient(px)
         return np.einsum("...k,...ki->...i", alpha, pair.jacobian(x))
 
-    dom = mag.base.domain
     return MagneticSystem(
-        base=pullback_metric(
-            mag.base, pair.psi, pair.jac,
-            domain=None if dom is None
-            else (lambda x: dom(pair.psi(np.asarray(x, float))))),
+        base=pullback_metric(mag.base, pair.psi, pair.jac),
         omega=CovectorField(dim=mag.base.dim, func=new_omega))
 
 
@@ -131,11 +127,11 @@ def scale_metric(g: MetricField, c: ScalarField) -> MetricField:
 
 
 def pullback_metric(g: MetricField, psi: Callable[[Array], Array],
-                    jac: Optional[Callable[[Array], Array]] = None,
-                    domain=None) -> MetricField:
+                    jac: Optional[Callable[[Array], Array]] = None
+                    ) -> MetricField:
     """psi^* g as a matrix field (jac layout [..., k, i] = d_i psi^k, by
-    central differences of psi when not given); its partials are central
-    differences."""
+    central differences of psi when not given) on the points that psi
+    maps into g's domain; its partials are central differences."""
 
     def func(x):
         x = np.asarray(x, float)
@@ -144,7 +140,8 @@ def pullback_metric(g: MetricField, psi: Callable[[Array], Array],
         return np.einsum("...ki,...kl,...lj->...ij", J, gp, J)
 
     return MetricField(dim=g.dim, signature=g.signature, func=func,
-                       domain=domain)
+                       domain=None if g.domain is None
+                       else lambda x: g.domain(psi(np.asarray(x, float))))
 
 
 # ---------------------------------------------------------------------------

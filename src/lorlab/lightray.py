@@ -50,6 +50,14 @@ def ftc_residual(v: CovectorField, g: MetricField, path: GeodesicPath) -> float:
     return float(transform - (vals[-1] - vals[0]))
 
 
+def _kernel_worst(f: SymTwoTensorField, rays: list[GeodesicPath]) -> float:
+    """worst_of |L(f)| over rays.  No rays is an error: a kernel test of
+    nothing would pass every tolerance."""
+    if not rays:
+        raise PreconditionError("kernel test given no rays")
+    return worst_of(abs(light_ray_transform(f, path)) for path in rays)
+
+
 def kernel_potential_test(v: CovectorField, g: MetricField,
                           rays: list[GeodesicPath]) -> float:
     """worst_of |L(d^s v)| over rays, NaN if a transform is NaN, for v
@@ -58,10 +66,9 @@ def kernel_potential_test(v: CovectorField, g: MetricField,
     for path in rays:
         ends = np.linalg.norm(v(path.x[[0, -1]]), axis=-1)
         if np.any(ends > 1e-10):
-            raise PreconditionError(
-                f"one-form does not vanish at a ray endpoint "
-                f"(|v| = {ends.max():g})")
-    return worst_of(abs(light_ray_transform(f, path)) for path in rays)
+            raise PreconditionError("one-form does not vanish at a ray "
+                                    f"endpoint (|v| = {ends.max():g})")
+    return _kernel_worst(f, rays)
 
 
 def kernel_conformal_test(c: ScalarField, g: MetricField,
@@ -70,7 +77,7 @@ def kernel_conformal_test(c: ScalarField, g: MetricField,
     integrand vanishes pointwise."""
     f = SymTwoTensorField(dim=g.dim,
                           func=lambda x: c(x)[..., None, None] * g.func(x))
-    return worst_of(abs(light_ray_transform(f, path)) for path in rays)
+    return _kernel_worst(f, rays)
 
 
 def magnetic_linearized_transform(f: SymTwoTensorField, beta: CovectorField,

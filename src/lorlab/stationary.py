@@ -25,7 +25,7 @@ from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
 from .lightray import light_ray_transform, magnetic_linearized_transform
 from .quadrature import CubicSpline, simpson
 from .scattering import ScatteringRecord, scatter
-from .connect import _chart_stencil, solve_two_point
+from .connect import FD_STEP, _chart_stencil, solve_two_point
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +213,12 @@ class MagneticRecord:
 
 
 def magnetic_scatter_batch(mag: MagneticSystem, S: BoundaryHypersurface,
-                           xs: Array, u_projs: Array, step: float = 1e-3,
-                           max_sigma: float = 10.0,
+                           xs: Array, u_projs: Array, max_sigma: float = 10.0,
                            keep_paths: bool = False) -> list[MagneticRecord]:
     """Shoot the unit-speed magnetic geodesics with inward completions of
     the sub-unit tangential entries u_projs (B, n) from xs on S back to S,
-    one RK4 march for all.  The checks are those of scatter_batch, with
-    NoLiftError for |u'|_h >= 1; errors name the failing ray."""
+    in one RK4 march of step 1e-3.  The checks are those of scatter_batch,
+    with NoLiftError for |u'|_h >= 1; errors name the failing ray."""
 
     def lift(x, up):
         q = float(inner(mag.base, x, up, up))
@@ -229,7 +228,7 @@ def magnetic_scatter_batch(mag: MagneticSystem, S: BoundaryHypersurface,
         return up - np.sqrt(1.0 - q) * boundary_normal(S, mag.base, x)
 
     xs, u_projs, paths = scatter_paths(magnetic_accel(mag), mag.base, S, S,
-                                       xs, u_projs, lift, step, max_sigma,
+                                       xs, u_projs, lift, 1e-3, max_sigma,
                                        unit_speed=True)
     records = []
     for x, up, path in zip(xs, u_projs, paths):
@@ -243,14 +242,13 @@ def magnetic_scatter_batch(mag: MagneticSystem, S: BoundaryHypersurface,
 
 
 def magnetic_scatter(mag: MagneticSystem, S: BoundaryHypersurface, x: Array,
-                     u_proj: Array, step: float = 1e-3,
-                     max_sigma: float = 10.0,
+                     u_proj: Array, max_sigma: float = 10.0,
                      keep_path: bool = True) -> MagneticRecord:
     """Magnetic scattering of one boundary entry: the batch of one of
     magnetic_scatter_batch."""
     return magnetic_scatter_batch(mag, S, np.asarray(x, float)[None],
-                                  np.asarray(u_proj, float)[None], step,
-                                  max_sigma, keep_path)[0]
+                                  np.asarray(u_proj, float)[None], max_sigma,
+                                  keep_path)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +316,7 @@ def action_A(mag: MagneticSystem, x: Array, y: Array,
 
 
 def magnetic_michel(mag: MagneticSystem, S: BoundaryHypersurface, x: Array,
-                    y: Array, fd_step: float = 1e-5,
+                    y: Array, fd_step: float = FD_STEP,
                     n_steps: int = 400) -> tuple[float, float]:
     """Graph identity residuals for the action: the tangential parts of
     the connector's entry and exit velocities (as h-covectors on the

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lorlab import (GeodesicPath, ftc_residual, kernel_conformal_test,
-                    kernel_potential_test, light_ray_transform,
-                    magnetic_linearized_transform, pairing_along, scatter,
-                    sym_diff)
+from lorlab import (GeodesicPath, PreconditionError, ftc_residual,
+                    kernel_conformal_test, kernel_potential_test,
+                    light_ray_transform, magnetic_linearized_transform,
+                    pairing_along, scatter, sym_diff)
 from lorlab import scenarios
 from lorlab.fields import CovectorField, ScalarField, SymTwoTensorField
 from lorlab.stationary import magnetic_scatter
@@ -100,7 +100,7 @@ def test_kernel_tests_keep_a_nan_transform(product_disk):
     """A NaN transform makes each kernel test NaN wherever its ray sits:
     of the first three seed-17 rays the first two pass within 0.3 of the
     axis, where the fields below are NaN, and the third stays outside.
-    No rays give 0.0."""
+    No rays is an error."""
     g = product_disk.metric
     rays = [r.path for r in scenarios.scattered_entries(
         product_disk, 3, seed=17, keep_paths=True)]
@@ -118,8 +118,10 @@ def test_kernel_tests_keep_a_nan_transform(product_disk):
     for order in (rays, rays[::-1]):
         assert math.isnan(kernel_potential_test(v, g, order))
         assert math.isnan(kernel_conformal_test(c, g, order))
-    assert kernel_potential_test(v, g, []) == 0.0
-    assert kernel_conformal_test(c, g, []) == 0.0
+    with pytest.raises(PreconditionError, match="no rays"):
+        kernel_potential_test(v, g, [])
+    with pytest.raises(PreconditionError, match="no rays"):
+        kernel_conformal_test(c, g, [])
 
 
 def test_ftc_endpoint_identity(product_disk):

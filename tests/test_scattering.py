@@ -112,19 +112,6 @@ def test_scatter_batch_matches_scalar(product_disk, stationary_rot,
             assert rb.path.speed_squared == pytest.approx(1.0, abs=1e-8)
 
 
-def test_single_ray_magnetic_scatter_takes_its_step(stationary_rot):
-    """magnetic_scatter is the batch of one at the step it is given."""
-    sc = stationary_rot
-    (x, u), = scenarios.magnetic_entries(sc, 1, seed=3)
-    rs = magnetic_scatter(sc.magnetic, sc.spatial_boundary, x, u, step=4e-3)
-    (rb,) = magnetic_scatter_batch(sc.magnetic, sc.spatial_boundary,
-                                   x[None], u[None], step=4e-3,
-                                   keep_paths=True)
-    assert rs.path.sigma[1] == 4e-3
-    assert np.array_equal(rs.path.x, rb.path.x)
-    assert np.array_equal(rs.w_proj, rb.w_proj) and rs.action == rb.action
-
-
 def test_entries_are_admissible(stationary_rot):
     entries = scenarios.scattering_entries(stationary_rot, 10, seed=5)
     for x, v in entries:

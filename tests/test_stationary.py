@@ -379,7 +379,8 @@ def test_stationary_accel_closed_form(stationary_rot):
 def test_stationary_accel_evaluates_each_field_once(stationary_rot, check):
     """One acceleration call on the assembled metric evaluates lam, omega
     and each of their derivatives exactly once, and h with its partials
-    in one jet call, with and without the metric check."""
+    in one jet call and never through its func, with and without the
+    metric check."""
     m0 = stationary_rot.stationary
     calls = {}
 
@@ -397,13 +398,15 @@ def test_stationary_accel_evaluates_each_field_once(stationary_rot, check):
                         positive=m0.lam.positive),
         omega=CovectorField(dim=2, func=counted("omega", m0.omega.func),
                             jac=counted("domega", m0.omega.jac)),
-        base=MetricField(dim=2, signature=RIEMANNIAN, func=m0.base.func,
+        base=MetricField(dim=2, signature=RIEMANNIAN,
+                         func=counted("h", m0.base.func),
                          jetfunc=counted("h jet", m0.base.jetfunc)))
     rng = np.random.default_rng(43)
     x = rng.uniform(-0.5, 0.5, (4, 3))
     v = rng.uniform(-1.0, 1.0, (4, 3))
     a = geodesic_accel(m.assembled)(x, v, check=check)
     assert np.array_equal(a, geodesic_accel(stationary_rot.metric)(x, v))
+    assert calls.pop("h") == 0
     assert calls == dict.fromkeys(calls, 1)
 
 
