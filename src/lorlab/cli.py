@@ -4,8 +4,9 @@ Each subcommand runs one experiment on a bundled scenario, optionally
 driven by a JSON config, and writes a deterministic JSON report.
 
 Exit codes: 0 all residuals within tolerance, 2 argument or config
-parse error (also a config that the subcommand does not read), 3
-scenario construction error, 4 numerical failure or tolerance
+parse error (also a config key that the subcommand does not read), 3
+scenario construction error (also a scenario without the stationary
+form that the subcommand reduces), 4 numerical failure or tolerance
 violation.
 """
 

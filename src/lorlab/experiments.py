@@ -3,8 +3,9 @@
 Every runner takes a plain-dict config and a seed and returns a JSON
 serializable report with a fixed shape: schema_version, experiment,
 scenario, seed, a list of per-item records, and a summary block with
-the residual statistics and the pass flag.  The records of a runner
-that has a matching acceptance criterion come from that criterion's
+the residual statistics and the pass flag.  A config key that the
+runner does not read is a ConfigError.  The records of a runner that
+has a matching acceptance criterion come from that criterion's
 ``acceptance.*_records`` function, so each experiment is defined once.
 """
 
@@ -29,13 +30,17 @@ class ConfigError(ValueError):
     """The config holds keys that the runner does not read."""
 
 
-def _no_config(name: str, config: dict) -> None:
-    """ConfigError for a non-empty config of a runner whose criteria fix
-    their scenarios, grids and tolerances."""
-    if config:
-        raise ConfigError(f"{name} takes no config; its criteria fix their "
-                          f"scenarios, grids and tolerances (got keys "
-                          f"{sorted(config)})")
+def _read_config(name: str, config: dict, **defaults) -> dict:
+    """The config of runner name over the defaults of the keys it reads;
+    a ConfigError names any other key."""
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise ConfigError(
+            f"{name} does not read config keys {unknown}; it reads "
+            f"{sorted(defaults)}" if defaults else
+            f"{name} takes no config; its criteria fix their scenarios, "
+            f"grids and tolerances (got keys {unknown})")
+    return {**defaults, **config}
 
 
 def _jsonable(obj):
@@ -50,13 +55,19 @@ def _jsonable(obj):
     return obj
 
 
-def _build_scenario(config: dict, default_kind: str):
-    kind = config.get("scenario", default_kind)
-    params = config.get("scenario_params", {})
+def _build_scenario(name: str, cfg: dict):
+    """The scenario of runner name's config; ScenarioError if it cannot
+    be built, or if the runner reduces a stationary form to its magnetic
+    system and the scenario has none."""
     try:
-        return scenarios.build(kind, **params)
+        sc = scenarios.build(cfg["scenario"], **cfg["scenario_params"])
     except (KeyError, TypeError) as exc:
         raise ScenarioError(str(exc)) from exc
+    if sc.stationary is None and name in ("verify-thmmag", "magnetic-michel",
+                                          "lin-equivalence"):
+        raise ScenarioError(f"{name} needs a stationary form; {sc.name} "
+                            f"has none")
+    return sc
 
 
 def _report(experiment, scenario_name, seed, records, residuals, tolerance,
@@ -81,23 +92,27 @@ def _report(experiment, scenario_name, seed, records, residuals, tolerance,
     }
 
 
-def _run(name, config, seed, scenario, n, tolerance, records, keys):
-    """Report records(sc, n, seed), the worst of keys as each residual."""
+def _run(name, config, seed, scenario, n, tolerance, records, keys,
+         **extra):
+    """Report records(sc, n, seed, **extra), the worst of keys as each
+    residual; the config keys are scenario, scenario_params, n, tolerance
+    and those of extra, whose values are defaults."""
     t0 = time.perf_counter()
-    sc = _build_scenario(config, scenario)
-    tol = float(config.get("tolerance", tolerance))
-    recs = records(sc, int(config.get("n", n)), seed)
+    cfg = _read_config(name, config, scenario=scenario, scenario_params={},
+                       n=n, tolerance=tolerance, **extra)
+    sc = _build_scenario(name, cfg)
+    recs = records(sc, int(cfg["n"]), seed, **{k: cfg[k] for k in extra})
     return _report(name, sc.name, seed, recs,
                    [acceptance.worst_of(r[k] for k in keys) for r in recs],
-                   tol, t0)
+                   float(cfg["tolerance"]), t0)
 
 
 def run_scatter(config: dict, seed: int) -> dict:
     """Scatter boundary entries and report the lightlike speed drift."""
     return _run("scatter", config, seed, "minkowski_slab", 10, 1e-8,
-                lambda *args: acceptance.scatter_records(
-                    *args, step=float(config.get("step", 1e-3))),
-                ["speed_drift"])
+                lambda *args, step: acceptance.scatter_records(
+                    *args, step=float(step)),
+                ["speed_drift"], step=1e-3)
 
 
 def _connect_records(sc, n, seed):
@@ -116,9 +131,10 @@ def run_connect(config: dict, seed: int) -> dict:
 def run_defining_r_sweep(config: dict, seed: int) -> dict:
     """Connector energy r along a time sweep against its closed form."""
     t0 = time.perf_counter()
-    sc = _build_scenario(config, "product_disk")
-    n_s = int(config.get("n", 20))
-    tol = float(config.get("tolerance", 1e-8))
+    cfg = _read_config("defining-r-sweep", config, scenario="product_disk",
+                       scenario_params={}, n=20, tolerance=1e-8)
+    sc = _build_scenario("defining-r-sweep", cfg)
+    n_s, tol = int(cfg["n"]), float(cfg["tolerance"])
     th2 = np.random.default_rng(seed).uniform(0.4 * np.pi, 1.6 * np.pi)
     (records,) = acceptance.r_sweeps(sc, [th2], np.linspace(0.25, 2.55, n_s))
     residuals, crossings = acceptance.sweep_residuals(records)
@@ -146,7 +162,7 @@ def run_verify_thm1(config: dict, seed: int) -> dict:
 
 def run_kernel_tests(config: dict, seed: int) -> dict:
     """Kernel checks of the light ray transform (criterion 5)."""
-    _no_config("kernel-tests", config)
+    _read_config("kernel-tests", config)
     t0 = time.perf_counter()
     res = acceptance.criterion_kernel()
     records = [{"check": c.label, "value": c.value, "tolerance": c.tolerance,
@@ -182,7 +198,7 @@ def run_lin_equivalence(config: dict, seed: int) -> dict:
 
 def run_gauge_invariance(config: dict, seed: int) -> dict:
     """Gauge and conformal invariance of scattering (criterion 10)."""
-    _no_config("gauge-invariance", config)
+    _read_config("gauge-invariance", config)
     t0 = time.perf_counter()
     res = acceptance.criterion_invariance()
     records = [{"transform": c.label, "max_deviation": c.value,
@@ -195,17 +211,20 @@ def run_gauge_invariance(config: dict, seed: int) -> dict:
 def run_conformal_reparam(config: dict, seed: int) -> dict:
     """Conformal reparametrization of the null Hamiltonian flow."""
     t0 = time.perf_counter()
-    sc = _build_scenario(config, "product_disk")
-    tol = float(config.get("tolerance", 1e-6))
+    cfg = _read_config("conformal-reparam", config, scenario="product_disk",
+                       scenario_params={}, tolerance=1e-6)
+    sc = _build_scenario("conformal-reparam", cfg)
     records = acceptance.reparam_records(sc)
     return _report("conformal-reparam", sc.name, seed, records,
-                   [r["max_deviation"] for r in records], tol, t0)
+                   [r["max_deviation"] for r in records],
+                   float(cfg["tolerance"]), t0)
 
 
 def run_normal_coords(config: dict, seed: int) -> dict:
     """Normal component of the boundary-normal gauged one-form."""
     t0 = time.perf_counter()
-    tol = float(config.get("tolerance", 1e-8))
+    tol = float(_read_config("normal-coords", config,
+                             tolerance=1e-8)["tolerance"])
     records = acceptance.normal_coords_records()
     return _report("normal-coords", "collar", seed, records,
                    [r["max_normal_component"] for r in records], tol, t0)
@@ -213,7 +232,7 @@ def run_normal_coords(config: dict, seed: int) -> dict:
 
 def run_all(config: dict, seed: int) -> dict:
     """Run the thirteen acceptance criteria."""
-    _no_config("all", config)
+    _read_config("all", config)
     t0 = time.perf_counter()
     records, ratios = [], []
     for result in acceptance.run_all():

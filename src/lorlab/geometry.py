@@ -220,7 +220,6 @@ class BoundaryHypersurface:
 
     value: Callable[[Array], Array]
     gradient: Callable[[Array], Array]
-    causal_type: str              # timelike | spacelike
     exterior_sign: float = 1.0
     chart: Optional[Callable[[Array], Array]] = None
     chart_inverse: Optional[Callable[[Array], Array]] = None
@@ -272,11 +271,9 @@ def boundary_project(g: MetricField, S: BoundaryHypersurface,
 
 
 def lightlike_completion(g: MetricField, S: BoundaryHypersurface, x: Array,
-                         v_proj: Array, orientation: float = -1.0) -> Array:
-    """Lightlike vector v = v' + a*nu with projection v'; a signed by orientation.
-
-    orientation -1 points inward (against the exterior normal), +1 outward.
-    """
+                         v_proj: Array) -> Array:
+    """Inward lightlike vector v = v' - a*nu, a > 0, with projection v':
+    it points against the exterior normal nu."""
     v_proj = np.asarray(v_proj, float)
     nu = boundary_normal(S, g, x)
     gm = g.matrix(x)
@@ -286,7 +283,7 @@ def lightlike_completion(g: MetricField, S: BoundaryHypersurface, x: Array,
     if a2 <= 0.0:
         raise NoLiftError(
             f"projected direction has (v',v')_g = {q:g}; no lightlike lift")
-    return v_proj + orientation * np.sqrt(a2) * nu
+    return v_proj - np.sqrt(a2) * nu
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def _scatter_rays(g: MetricField, U: BoundaryHypersurface,
     """The one implementation behind scatter and scatter_batch."""
     xs, v_projs, paths = scatter_paths(
         geodesic_accel(g), g, U, V, xs, v_projs,
-        lambda x, vp: lightlike_completion(g, U, x, vp, orientation=-1.0),
+        lambda x, vp: lightlike_completion(g, U, x, vp),
         step, max_sigma)
     return [ScatteringRecord(x=x, v_proj=vp, y=p.end[0],
                              w_proj=boundary_project(g, V, *p.end),

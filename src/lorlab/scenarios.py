@@ -1,14 +1,16 @@
 """Ready-made geometries for experiments and tests.
 
 Each scenario packages a Lorentzian metric with entry/exit boundary
-hypersurfaces, and, where meaningful, the stationary block form and the
-reduced magnetic system on the spatial base.  Entry generators produce
-deterministic grids of admissible boundary data.
+hypersurfaces, and, where meaningful, the stationary block form, whose
+reduced magnetic system on the spatial base is Scenario.magnetic.  Entry
+generators produce deterministic grids of admissible boundary data.  The
+test fields (disk_bump, gaussian, and the gauge pairs and factors built
+from them) are each defined once here, with their derivatives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -30,9 +32,13 @@ class Scenario:
     entry_surface: BoundaryHypersurface
     exit_surface: BoundaryHypersurface
     stationary: Optional[StationaryMetric] = None
-    magnetic: Optional[MagneticSystem] = None
     spatial_boundary: Optional[BoundaryHypersurface] = None
     params: dict = field(default_factory=dict)
+
+    @property
+    def magnetic(self) -> Optional[MagneticSystem]:
+        """The magnetic system of the stationary form, if there is one."""
+        return None if self.stationary is None else self.stationary.magnetic
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +61,30 @@ def constant_metric(dim: int, diag: Array, signature: str) -> MetricField:
                        jetfunc=jetfunc)
 
 
+def disk_bump(x: Array, amplitude: float, order: int) -> tuple[Array, ...]:
+    """The bump b = amplitude (1 - |x|^2)^2, zero with its gradient on the
+    unit circle, and its derivatives up to ``order`` (0, 1 or 2): b,
+    d_i b = -4 amplitude (1 - |x|^2) x_i and d_i d_j b = amplitude
+    (-4 (1 - |x|^2) delta_ij + 8 x_i x_j)."""
+    x = np.asarray(x, float)
+    u = 1.0 - np.einsum("...i,...i->...", x, x)
+    out = (amplitude * u ** 2,)
+    if order >= 1:
+        out += (-4.0 * amplitude * u[..., None] * x,)
+    if order >= 2:
+        out += (-4.0 * amplitude * u[..., None, None] * np.eye(x.shape[-1])
+                + 8.0 * amplitude * x[..., :, None] * x[..., None, :],)
+    return out
+
+
+def gaussian(x: Array, amplitude: float, order: int) -> tuple[Array, ...]:
+    """The Gaussian G = amplitude exp(-|x|^2), and for ``order`` 1 also
+    its gradient -2 x G, from one exp."""
+    x = np.asarray(x, float)
+    G = amplitude * np.exp(-np.einsum("...i,...i->...", x, x))
+    return (G, -2.0 * x * G[..., None]) if order >= 1 else (G,)
+
+
 def _time_slice(level: float, dim: int, exterior_sign: float) -> BoundaryHypersurface:
     grad = np.zeros(dim)
     grad[0] = 1.0
@@ -62,37 +92,25 @@ def _time_slice(level: float, dim: int, exterior_sign: float) -> BoundaryHypersu
     return BoundaryHypersurface(
         value=lambda x: np.asarray(x, float)[..., 0] - level,
         gradient=lambda x: np.broadcast_to(grad, np.shape(x)),
-        causal_type="spacelike",
         exterior_sign=exterior_sign,
         chart=lambda a: np.concatenate([[level], np.asarray(a, float)]),
         chart_inverse=lambda x: np.asarray(x, float)[1:])
 
 
 def _cylinder() -> BoundaryHypersurface:
-    """The unit cylinder R x {|x| = 1}."""
-
-    def value(x):
-        x = np.asarray(x, float)
-        return 0.5 * (x[..., 1] ** 2 + x[..., 2] ** 2 - 1.0)
-
-    def gradient(x):
-        x = np.asarray(x, float)
-        g = np.zeros_like(x)
-        g[..., 1] = x[..., 1]
-        g[..., 2] = x[..., 2]
-        return g
-
-    def chart(a):                  # a = (t, theta)
-        t, th = float(a[0]), float(a[1])
-        return np.array([t, np.cos(th), np.sin(th)])
-
-    def chart_inverse(x):
-        x = np.asarray(x, float)
-        return np.array([x[0], np.arctan2(x[2], x[1])])
-
-    return BoundaryHypersurface(value=value, gradient=gradient,
-                                causal_type="timelike", exterior_sign=1.0,
-                                chart=chart, chart_inverse=chart_inverse)
+    """The unit cylinder R x {|x| = 1}: the unit circle of the spatial
+    coordinates, with the time coordinate as the first chart parameter."""
+    circle = _circle()
+    return BoundaryHypersurface(
+        value=lambda x: circle.value(np.asarray(x, float)[..., 1:]),
+        gradient=lambda x: np.concatenate(
+            [np.zeros(np.shape(x)[:-1] + (1,)),
+             circle.gradient(np.asarray(x, float)[..., 1:])], axis=-1),
+        exterior_sign=1.0,
+        chart=lambda a: np.concatenate([[float(a[0])],
+                                        circle.chart(np.asarray(a)[1:])]),
+        chart_inverse=lambda x: np.concatenate(
+            [[float(x[0])], circle.chart_inverse(np.asarray(x)[1:])]))
 
 
 def _circle() -> BoundaryHypersurface:
@@ -100,7 +118,7 @@ def _circle() -> BoundaryHypersurface:
 
     def value(x):
         x = np.asarray(x, float)
-        return 0.5 * (np.einsum("...i,...i->...", x, x) - 1.0)
+        return 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2 - 1.0)
 
     def chart(a):                  # a = (theta,)
         th = float(np.asarray(a, float).reshape(-1)[0])
@@ -112,7 +130,7 @@ def _circle() -> BoundaryHypersurface:
 
     return BoundaryHypersurface(value=value,
                                 gradient=lambda x: np.asarray(x, float),
-                                causal_type="timelike", exterior_sign=1.0,
+                                exterior_sign=1.0,
                                 chart=chart, chart_inverse=chart_inverse)
 
 
@@ -150,85 +168,62 @@ def minkowski_slab(n_space: int = 2, thickness: float = 1.0) -> Scenario:
         params={"n_space": n_space, "thickness": thickness})
 
 
-def product_disk() -> Scenario:
+def _disk_scenario(name: str, metric: Optional[MetricField],
+                   omega: CovectorField, base: MetricField,
+                   params: dict) -> Scenario:
+    """A scenario on R x the unit disk with the stationary form
+    -(dt + omega)^2 + base, whose metric is ``metric`` or, for None, the
+    assembled stationary form: lightlike data on the unit cylinder,
+    magnetic data on the unit circle."""
+    m = StationaryMetric(lam=ScalarField.constant(1.0), omega=omega, base=base)
     cyl = _cylinder()
-    h = constant_metric(2, np.ones(2), RIEMANNIAN)
-    m = StationaryMetric(lam=ScalarField.constant(1.0),
-                         omega=CovectorField.zero(2), base=h)
     return Scenario(
-        name="product_disk",
-        metric=constant_metric(3, np.array([-1.0, 1.0, 1.0]), LORENTZIAN),
-        entry_surface=cyl, exit_surface=cyl,
-        stationary=m, magnetic=MagneticSystem(base=h,
-                                              omega=CovectorField.zero(2)),
-        spatial_boundary=_circle(), params={})
+        name=name, metric=m.assembled if metric is None else metric,
+        entry_surface=cyl, exit_surface=cyl, stationary=m,
+        spatial_boundary=_circle(), params=params)
+
+
+def product_disk() -> Scenario:
+    return _disk_scenario(
+        "product_disk", constant_metric(3, [-1.0, 1.0, 1.0], LORENTZIAN),
+        CovectorField.zero(2), constant_metric(2, np.ones(2), RIEMANNIAN), {})
 
 
 def perturbed_product(amplitude: float = 0.1) -> Scenario:
+    """-dt^2 + c |dx|^2 with c = conformal_bump(amplitude)."""
     a = float(amplitude)
+    c = conformal_bump(a)
 
-    def conf_jet(xs):
-        """The factor c = 1 + a exp(-|xs|^2) and its gradient, from one
-        exp."""
-        xs = np.asarray(xs, float)
-        bump = a * np.exp(-np.einsum("...i,...i->...", xs, xs))
-        return 1.0 + bump, -2.0 * xs * bump[..., None]
-
-    def g_of(c):
-        g = np.zeros(c.shape + (3, 3))
+    def g_of(cx):
+        g = np.zeros(cx.shape + (3, 3))
         g[..., 0, 0] = -1.0
-        g[..., 1, 1] = c
-        g[..., 2, 2] = c
+        g[..., 1, 1] = cx
+        g[..., 2, 2] = cx
         return g
 
-    def func(x):
-        return g_of(conf_jet(np.asarray(x, float)[..., 1:])[0])
-
     def jetfunc(x):
+        """g and its partials, with c and its gradient from one exp."""
         x = np.asarray(x, float)
-        c, dc = conf_jet(x[..., 1:])     # (...), (..., 2)
+        bump, dc = gaussian(x[..., 1:], a, 1)     # (...), (..., 2)
         dg = np.zeros(x.shape[:-1] + (3, 3, 3))
         for k in (1, 2):
             dg[..., k, 1, 1] = dc[..., k - 1]
             dg[..., k, 2, 2] = dc[..., k - 1]
-        return g_of(c), dg
+        return g_of(1.0 + bump), dg
 
-    def h_of(c):
-        return c[..., None, None] * np.broadcast_to(np.eye(2),
-                                                    c.shape + (2, 2))
-
-    def h_jetfunc(xs):
-        c, dc = conf_jet(xs)
-        return h_of(c), dc[..., :, None, None] * np.eye(2)
-
-    h = MetricField(dim=2, signature=RIEMANNIAN,
-                    func=lambda xs: h_of(conf_jet(xs)[0]), jetfunc=h_jetfunc)
-    m = StationaryMetric(lam=ScalarField.constant(1.0),
-                         omega=CovectorField.zero(2), base=h)
-    cyl = _cylinder()
-    return Scenario(
-        name="perturbed_product",
-        metric=MetricField(dim=3, signature=LORENTZIAN, func=func,
-                           jetfunc=jetfunc),
-        entry_surface=cyl, exit_surface=cyl,
-        stationary=m,
-        magnetic=MagneticSystem(base=h, omega=CovectorField.zero(2)),
-        spatial_boundary=_circle(),
-        params={"amplitude": a})
+    return _disk_scenario(
+        "perturbed_product", MetricField(
+            dim=3, signature=LORENTZIAN, jetfunc=jetfunc,
+            func=lambda x: g_of(c(np.asarray(x, float)[..., 1:]))),
+        CovectorField.zero(2),
+        scale_metric(constant_metric(2, np.ones(2), RIEMANNIAN), c),
+        {"amplitude": a})
 
 
 def stationary_rot(B: float = 0.2) -> Scenario:
-    omega = _rotation_form(float(B))
-    h = constant_metric(2, np.ones(2), RIEMANNIAN)
-    m = StationaryMetric(lam=ScalarField.constant(1.0), omega=omega, base=h)
-    cyl = _cylinder()
-    return Scenario(
-        name="stationary_rot",
-        metric=m.assembled,
-        entry_surface=cyl, exit_surface=cyl,
-        stationary=m, magnetic=MagneticSystem(base=h, omega=omega),
-        spatial_boundary=_circle(),
-        params={"B": float(B)})
+    return _disk_scenario("stationary_rot", None, _rotation_form(float(B)),
+                          constant_metric(2, np.ones(2), RIEMANNIAN),
+                          {"B": float(B)})
 
 
 _BUILDERS = {
@@ -307,28 +302,21 @@ def magnetic_entries(scenario: Scenario, n: int,
 
 def rotation_bump_pair(eps: float = 0.15):
     """Boundary-fixing diffeomorphism of the unit disk: rotation by the
-    radius-dependent angle eps*(1 - |x|^2)^2.  Radius is preserved, so
+    radius-dependent angle disk_bump(x, eps).  Radius is preserved, so
     the closed-form inverse rotates back by the same angle.  Packaged
     with a zero potential."""
 
-    def theta(x):
-        x = np.asarray(x, float)
-        r2 = np.einsum("...i,...i->...", x, x)
-        return eps * (1.0 - r2) ** 2
-
     def rotate(x, sign):
         x = np.asarray(x, float)
-        th = sign * theta(x)
+        th = sign * disk_bump(x, eps, 0)[0]
         c, s = np.cos(th), np.sin(th)
         return np.stack([c * x[..., 0] - s * x[..., 1],
                          s * x[..., 0] + c * x[..., 1]], axis=-1)
 
     def jac(x):
         x = np.asarray(x, float)
-        th = theta(x)
+        th, dth = disk_bump(x, eps, 1)                    # theta, d_i theta
         c, s = np.cos(th), np.sin(th)
-        r2 = np.einsum("...i,...i->...", x, x)
-        dth = -4.0 * eps * (1.0 - r2)[..., None] * x      # d_i theta
         R = np.stack([np.stack([c, -s], axis=-1),
                       np.stack([s, c], axis=-1)], axis=-2)
         Rp = np.stack([np.stack([-s, -c], axis=-1),
@@ -342,41 +330,20 @@ def rotation_bump_pair(eps: float = 0.15):
 
 
 def time_shift_pair(amplitude: float = 0.05):
-    """Pure potential gauge pair on the unit disk: psi = id, phi a
-    radial bump vanishing (with its tangential derivative) on the
+    """Pure potential gauge pair on the unit disk: psi = id and phi =
+    disk_bump(x, amplitude), which vanishes with its gradient on the
     boundary circle."""
     a = float(amplitude)
-
-    def phi_func(x):
-        x = np.asarray(x, float)
-        r2 = np.einsum("...i,...i->...", x, x)
-        return a * (1.0 - r2) ** 2
-
-    def phi_grad(x):
-        x = np.asarray(x, float)
-        r2 = np.einsum("...i,...i->...", x, x)
-        return -4.0 * a * (1.0 - r2)[..., None] * x
-
-    base = GaugePair.identity(2)
-    return GaugePair(dim=2, psi=base.psi, psi_inv=base.psi_inv,
-                     phi=ScalarField(func=phi_func, grad=phi_grad),
-                     jac=base.jac)
+    return replace(GaugePair.identity(2), phi=ScalarField(
+        func=lambda x: disk_bump(x, a, 0)[0],
+        grad=lambda x: disk_bump(x, a, 1)[1]))
 
 
 def conformal_bump(amplitude: float = 0.1) -> ScalarField:
-    """Positive factor 1 + amplitude * exp(-|x|^2) on the spatial chart."""
+    """Positive factor 1 + gaussian(x, amplitude) on the spatial chart."""
     a = float(amplitude)
-
-    def func(x):
-        x = np.asarray(x, float)
-        return 1.0 + a * np.exp(-np.einsum("...i,...i->...", x, x))
-
-    def grad(x):
-        x = np.asarray(x, float)
-        return -2.0 * a * np.exp(
-            -np.einsum("...i,...i->...", x, x))[..., None] * x
-
-    return ScalarField(func=func, grad=grad, positive=True)
+    return ScalarField(func=lambda x: 1.0 + gaussian(x, a, 0)[0],
+                       grad=lambda x: gaussian(x, a, 1)[1], positive=True)
 
 
 def stretch_family() -> MetricFamily:
@@ -405,12 +372,7 @@ def conformal_family(g0: MetricField) -> MetricFamily:
 def equivalence_fields() -> tuple[SymTwoTensorField, CovectorField]:
     """Variations (dh, dom) of the base metric and the one-form on the
     unit disk: dh = exp(-|x|^2) Id and dom = (0.3 y^2, 0.2 + 0.1 x)."""
-
-    def bump(p):
-        p = np.asarray(p, float)
-        return np.exp(-np.einsum("...i,...i->...", p, p))
-
-    dh = SymTwoTensorField(dim=2, func=lambda p: bump(p)[
+    dh = SymTwoTensorField(dim=2, func=lambda p: gaussian(p, 1.0, 0)[0][
         ..., None, None] * np.eye(2))
     dom = CovectorField(dim=2, func=lambda p: np.stack(
         [0.3 * np.asarray(p, float)[..., 1] ** 2,

@@ -92,6 +92,11 @@ class StationaryMetric:
         return MetricField(dim=n + 1, signature=LORENTZIAN, func=func,
                            domain=domain, jetfunc=jetfunc)
 
+    @property
+    def magnetic(self) -> MagneticSystem:
+        """The reduced magnetic system (h, omega) on the spatial base."""
+        return MagneticSystem(self.base, self.omega)
+
 
 def reduced_time_component(m: StationaryMetric, x_spatial: Array,
                            v: Array) -> Array:
@@ -182,13 +187,13 @@ def magnetic_accel(mag: MagneticSystem, speed_from_velocity: bool = False):
     return accel
 
 
-def magnetic_integrate(mag: MagneticSystem, x0: Array, u0: Array, stop,
-                       step: float = 1e-3) -> GeodesicPath:
-    """Arc-length magnetic geodesic from (x0, u0); u0 must be h-unit.
-    The batch of one of integrate_flow_paths."""
+def magnetic_integrate(mag: MagneticSystem, x0: Array, u0: Array,
+                       stop) -> GeodesicPath:
+    """Arc-length magnetic geodesic from (x0, u0) in RK4 steps of 1e-3;
+    u0 must be h-unit.  The batch of one of integrate_flow_paths."""
     (path,) = integrate_flow_paths(
         magnetic_accel(mag), mag.base, np.asarray(x0, float)[None],
-        np.asarray(u0, float)[None], stop, step, unit_speed=True)
+        np.asarray(u0, float)[None], stop, 1e-3, unit_speed=True)
     return path
 
 
@@ -376,10 +381,9 @@ def project_and_verify(m: StationaryMetric,
     k_drift = float(np.abs(k - k0).max())
 
     g = m.assembled
-    mag = MagneticSystem(m.base, m.omega)
     a_full = geodesic_accel(g)(path.x, path.v)
     a_geo = geodesic_accel(m.base)(xs, vs)
-    a_mag = a_geo + k[:, None] * mag.lorentz_force(xs, vs)
+    a_mag = a_geo + k[:, None] * m.magnetic.lorentz_force(xs, vs)
     ode_residual = float(np.abs(a_full[:, 1:] - a_mag).max())
 
     hm = m.base.matrix(xs)
@@ -453,7 +457,7 @@ def thmmag_verify(m: StationaryMetric, U: BoundaryHypersurface,
     s, yb = float(rec.y[0]), rec.y[1:]
     wt_red = reduced_time_component(m, yb, rec.w_proj)
 
-    mag = MagneticSystem(m.base, m.omega)
+    mag = m.magnetic
     mrec = magnetic_scatter(mag, S, xs, v_proj[1:], max_sigma=30.0)
     endpoint_res = float(np.linalg.norm(yb - mrec.y))
     exit_res = float(np.linalg.norm(rec.w_proj[1:] - mrec.w_proj))
@@ -481,7 +485,7 @@ def reconstruct_exits(m: StationaryMetric, S: BoundaryHypersurface,
     scatter for all (RK4 steps of 1e-3 up to sigma 30): exit time
     t + A(x, y), exit covector with reduced time component one and
     tangential part from the magnetic relation."""
-    mag = MagneticSystem(m.base, m.omega)
+    mag = m.magnetic
     out = []
     for t, mrec in zip(ts, magnetic_scatter_batch(
             mag, S, xs_spatial, u_projs, max_sigma=30.0, keep_paths=True)):
@@ -519,8 +523,7 @@ def linearization_equivalence(m: StationaryMetric, dh: SymTwoTensorField,
     the lifted [0, 1]-connector versus the magnetic transform of
     (dh / 2, -dom) over the arc-length base connector from x to y: the
     equivalence_on_connector of the solved magnetic connector."""
-    conn = magnetic_connector(MagneticSystem(m.base, m.omega), x, y,
-                              n_steps=n_steps)
+    conn = magnetic_connector(m.magnetic, x, y, n_steps=n_steps)
     return equivalence_on_connector(m, dh, dom, conn)
 
 

@@ -166,6 +166,28 @@ def test_fixed_runners_reject_a_config(tmp_path, capsys, command):
     assert f"error: {command} takes no config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(RUNNERS))
+def test_misspelt_config_key_is_parse_error(tmp_path, capsys, command):
+    """Every runner reads its config through one reader: a key that the
+    runner does not read is a parse error that names the key, raised
+    before any work."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerence": 1e-30}))
+    assert run([command, "--config", str(cfg)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command} ") and "'tolerence'" in err
+
+
+@pytest.mark.parametrize("command", ["verify-thmmag", "magnetic-michel",
+                                     "lin-equivalence"])
+def test_stationary_runners_need_a_stationary_scenario(tmp_path, capsys,
+                                                       command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "minkowski_slab", "n": 2}))
+    assert run([command, "--config", str(cfg)]) == EXIT_SCENARIO
+    assert "minkowski_slab" in capsys.readouterr().err
+
+
 def test_report_fails_on_a_nan_residual():
     rep = experiments._report("x", "s", 0, [], [0.0, float("nan")], 1.0,
                               time.perf_counter())

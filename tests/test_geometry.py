@@ -114,7 +114,7 @@ def test_boundary_normal_stationary_tilts(product_disk):
 def test_lightlike_completion_inward(product_disk):
     v = lightlike_completion(product_disk.metric, product_disk.entry_surface,
                              np.array([0.0, 1.0, 0.0]),
-                             np.array([1.0, 0.0, 0.0]), orientation=-1)
+                             np.array([1.0, 0.0, 0.0]))
     assert np.allclose(v, [1.0, -1.0, 0.0], atol=1e-12)
     assert inner(product_disk.metric, np.zeros(3), v, v) == pytest.approx(
         0.0, abs=1e-12)
@@ -128,8 +128,7 @@ def test_lightlike_completion_null_projection_raises(product_disk):
     with pytest.raises(NoLiftError):
         lightlike_completion(product_disk.metric,
                              product_disk.entry_surface, x,
-                             np.array([1.0, 0.0, 0.0]) + tang,
-                             orientation=-1)
+                             np.array([1.0, 0.0, 0.0]) + tang)
 
 
 def test_integrate_straight_line_to_cylinder(product_disk):
@@ -280,7 +279,7 @@ def test_refinement_failure_names_the_ray():
         return np.where(x[..., 1] > 0.0, np.where(t < 0.0, -1.0, 1.0), t)
 
     jump = BoundaryHypersurface(
-        value=value, causal_type="spacelike",
+        value=value,
         gradient=lambda x: np.broadcast_to([1.0, 0.0, 0.0], np.shape(x)))
     x0 = np.array([[0.0, -0.2, 0.0], [0.0, 0.2, 0.0]])
     v0 = np.array([[1.0, 0.0, 0.3], [1.0, 0.0, -0.3]])

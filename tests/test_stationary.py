@@ -111,8 +111,7 @@ def test_magnetic_arc_against_circle_geometry(stationary_rot):
 def test_magnetic_speed_drift_long_run(stationary_rot):
     path = magnetic_integrate(stationary_rot.magnetic,
                               np.array([-0.9, 0.0]),
-                              np.array([np.sqrt(1 - 0.25), 0.5]), stop=3.0,
-                              step=1e-3)
+                              np.array([np.sqrt(1 - 0.25), 0.5]), stop=3.0)
     assert path.speed_drift(stationary_rot.magnetic.base) < 1e-9
 
 
@@ -284,7 +283,7 @@ def test_curve_flux_constant_form(product_disk):
                        func=lambda p: np.broadcast_to(np.array([0.5, 0.0]),
                                                       np.shape(p)))
     path = magnetic_integrate(product_disk.magnetic, np.array([-1.0, 0.0]),
-                              np.array([1.0, 0.0]), stop=2.0, step=1e-3)
+                              np.array([1.0, 0.0]), stop=2.0)
     assert curve_flux(om, path) == pytest.approx(1.0, abs=1e-10)
 
 
