@@ -13,7 +13,7 @@ from .errors import (ConjugatePointError, ConvergenceError, EscapeError,
                      LorlabError, PreconditionError)
 from .fields import Array, SymTwoTensorField
 from .geometry import (BoundaryHypersurface, CausalClass, GeodesicPath,
-                       MetricField, causal_classify, geodesic_accel, inner,
+                       MetricField, _causal_classes, geodesic_accel, inner,
                        integrate_flow_fixed)
 from .lightray import light_ray_transform
 from .scattering import scatter
@@ -175,15 +175,12 @@ def connecting_geodesics_batch(g: MetricField, xs: Array, ys: Array,
     vs = solve_two_point(geodesic_accel(g), xs, ys, seeds=seeds,
                          n_steps=n_steps, tol=tol, march=march, **kw)
     sigma, px, pv = march
-    out = []
-    for b in range(xs.shape[0]):
-        speed2 = float(inner(g, xs[b], vs[b], vs[b]))
-        path = GeodesicPath(sigma=sigma, x=px[:, b], v=pv[:, b],
-                            speed_squared=speed2)
-        out.append(ConnectingGeodesic(
-            path=path, x=xs[b], y=ys[b], energy=0.5 * speed2,
-            causal=causal_classify(g, xs[b], vs[b])))
-    return out
+    speed2 = inner(g, xs, vs, vs)
+    return [ConnectingGeodesic(
+        path=GeodesicPath(sigma=sigma, x=px[:, b], v=pv[:, b],
+                          speed_squared=float(speed2[b])),
+        x=xs[b], y=ys[b], energy=0.5 * float(speed2[b]), causal=causal)
+        for b, causal in enumerate(_causal_classes(speed2, vs))]
 
 
 def connecting_geodesic(g: MetricField, x: Array, y: Array,

@@ -1,6 +1,5 @@
 """Exception types shared across the package."""
 
-from contextlib import contextmanager
 from typing import Optional
 
 
@@ -53,13 +52,3 @@ class ConvergenceError(LorlabError):
 class PreconditionError(LorlabError):
     """An operation was called outside its stated preconditions."""
 
-
-@contextmanager
-def ray_errors(index: int):
-    """Prefix the message of an error raised inside with the index of the
-    batch item (ray or pair) it concerns; the error type is kept."""
-    try:
-        yield
-    except (LorlabError, ValueError) as exc:
-        exc.args = (f"ray {index}: {exc}",) + exc.args[1:]
-        raise

@@ -27,12 +27,12 @@ class ScenarioError(LorlabError):
 
 
 class ConfigError(ValueError):
-    """The config holds keys that the runner does not read."""
+    """A config key that the runner does not read, or of the wrong type."""
 
 
 def _read_config(name: str, config: dict, **defaults) -> dict:
     """The config of runner name over the defaults of the keys it reads;
-    a ConfigError names any other key."""
+    a ConfigError names any other key, or a value unlike its default."""
     unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise ConfigError(
@@ -40,6 +40,14 @@ def _read_config(name: str, config: dict, **defaults) -> dict:
             f"{sorted(defaults)}" if defaults else
             f"{name} takes no config; its criteria fix their scenarios, "
             f"grids and tolerances (got keys {unknown})")
+    for key, value in sorted(config.items()):
+        default = defaults[key]     # an int may stand for a float
+        kind = (int, float) if isinstance(default, float) else type(default)
+        if (not isinstance(value, kind)
+                or isinstance(value, bool) != isinstance(default, bool)):
+            raise ConfigError(
+                f"{name} reads config key {key!r} as "
+                f"{type(default).__name__}, got {value!r}")
     return {**defaults, **config}
 
 
@@ -101,7 +109,7 @@ def _run(name, config, seed, scenario, n, tolerance, records, keys,
     cfg = _read_config(name, config, scenario=scenario, scenario_params={},
                        n=n, tolerance=tolerance, **extra)
     sc = _build_scenario(name, cfg)
-    recs = records(sc, int(cfg["n"]), seed, **{k: cfg[k] for k in extra})
+    recs = records(sc, cfg["n"], seed, **{k: cfg[k] for k in extra})
     return _report(name, sc.name, seed, recs,
                    [acceptance.worst_of(r[k] for k in keys) for r in recs],
                    float(cfg["tolerance"]), t0)
@@ -110,9 +118,7 @@ def _run(name, config, seed, scenario, n, tolerance, records, keys,
 def run_scatter(config: dict, seed: int) -> dict:
     """Scatter boundary entries and report the lightlike speed drift."""
     return _run("scatter", config, seed, "minkowski_slab", 10, 1e-8,
-                lambda *args, step: acceptance.scatter_records(
-                    *args, step=float(step)),
-                ["speed_drift"], step=1e-3)
+                acceptance.scatter_records, ["speed_drift"], step=1e-3)
 
 
 def _connect_records(sc, n, seed):
@@ -134,7 +140,7 @@ def run_defining_r_sweep(config: dict, seed: int) -> dict:
     cfg = _read_config("defining-r-sweep", config, scenario="product_disk",
                        scenario_params={}, n=20, tolerance=1e-8)
     sc = _build_scenario("defining-r-sweep", cfg)
-    n_s, tol = int(cfg["n"]), float(cfg["tolerance"])
+    n_s, tol = cfg["n"], float(cfg["tolerance"])
     th2 = np.random.default_rng(seed).uniform(0.4 * np.pi, 1.6 * np.pi)
     (records,) = acceptance.r_sweeps(sc, [th2], np.linspace(0.25, 2.55, n_s))
     residuals, crossings = acceptance.sweep_residuals(records)

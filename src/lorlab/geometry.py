@@ -1,12 +1,12 @@
 """Chart-local semi-Riemannian geometry.
 
-Metric evaluation, Christoffel symbols, causal classification,
-boundary normals/projections, and the one fixed-step RK4 stepper of
-y' = rhs(y) on a batch of flat states: geodesic and magnetic flows as
-(x, v), with hypersurface stopping, and the Hamiltonian and
-reparametrization flows of ``gauge``.  Every march stops on a
-non-finite state, naming the ray and the step.  Single-ray entry
-points are batches of one.
+Metric evaluation, Christoffel symbols, causal classification, and
+boundary normals, projections and completions on batches (..., dim), a
+point being the batch of shape ().  One fixed-step RK4 stepper of
+y' = rhs(y) on a batch of flat states serves every flow; scatter_paths
+builds the paths of a march to a surface, _fixed_path those of a fixed
+interval.  A check that fails on a batch runs again ray by ray, so its
+error names the first failing ray (_by_ray).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (ChartDomainError, EscapeError, LorlabError,
                      NoLiftError, PreconditionError, SignatureError,
-                     SingularMetricError, TangencyError, ray_errors)
+                     SingularMetricError, TangencyError)
 from .fields import Array, _central_jet
 
 DET_FLOOR = 1e-12
@@ -94,13 +94,11 @@ class MetricField:
         return g
 
     def _check_signature(self, g: Array) -> None:
-        eig = np.linalg.eigvalsh(g)
-        neg = int(np.count_nonzero(eig < 0, axis=-1).max())
-        neg_min = int(np.count_nonzero(eig < 0, axis=-1).min())
-        want = 1 if self.signature == LORENTZIAN else 0
-        if neg != want or neg_min != want:
-            raise SignatureError(
-                f"{self.signature} metric has {neg} negative eigenvalues")
+        neg = np.count_nonzero(np.linalg.eigvalsh(g) < 0, axis=-1)
+        wrong = neg != (1 if self.signature == LORENTZIAN else 0)
+        if np.any(wrong):
+            raise SignatureError(f"{self.signature} metric has "
+                                 f"{neg[wrong].flat[0]} negative eigenvalues")
 
     def jet(self, x: Array, check: bool = True) -> tuple[Array, Array]:
         """(matrix values, partials dg[..., k, i, j] = d_k g_ij) at x from
@@ -123,11 +121,15 @@ class MetricField:
         return _central_jet(self.func, x, (self.dim, self.dim))
 
 
+def _dot(u: Array, gm: Array, w: Array) -> Array:
+    """u . gm . w over a batch (...)."""
+    return np.einsum("...i,...ij,...j->...", u, gm, w)
+
+
 def inner(g: MetricField, x: Array, u: Array, w: Array) -> Union[float, Array]:
     """Scalar product u . g(x) . w; validates symmetry and signature."""
     gm = g.matrix(x, validate=True)
-    val = np.einsum("...i,...ij,...j->...", np.asarray(u, float), gm,
-                    np.asarray(w, float))
+    val = _dot(np.asarray(u, float), gm, np.asarray(w, float))
     return float(val) if val.ndim == 0 else val
 
 
@@ -191,19 +193,21 @@ class CausalClass:
     tol: float
 
 
+def _causal_classes(q: Array, v: Array) -> list[CausalClass]:
+    """The class of each row of v (B, dim), of (v,v)_g = q (B,), by sign
+    with the relative tolerance band CAUSAL_TOL."""
+    band = CAUSAL_TOL * np.maximum(np.einsum("bi,bi->b", v, v), 1e-300)
+    tags = np.where(q < -band, "timelike",
+                    np.where(q > band, "spacelike", "lightlike"))
+    return [CausalClass(tag=str(t), quadratic_form_value=float(a),
+                        tol=float(b)) for t, a, b in zip(tags, q, band)]
+
+
 def causal_classify(g: MetricField, x: Array, v: Array) -> CausalClass:
     """Classify v by the sign of (v,v)_g with the relative tolerance band
     CAUSAL_TOL."""
     v = np.asarray(v, float)
-    q = inner(g, x, v, v)
-    band = CAUSAL_TOL * max(float(v @ v), 1e-300)
-    if q < -band:
-        tag = "timelike"
-    elif q > band:
-        tag = "spacelike"
-    else:
-        tag = "lightlike"
-    return CausalClass(tag=tag, quadratic_form_value=q, tol=band)
+    return _causal_classes(np.atleast_1d(inner(g, x, v, v)), v[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,47 +247,48 @@ class BoundaryHypersurface:
 
 
 def boundary_normal(S: BoundaryHypersurface, g: MetricField, x: Array) -> Array:
-    """Exterior unit normal: g-orthogonal to T_xS, |(nu,nu)_g| = 1."""
+    """Exterior unit normals at the points x (..., dim): g-orthogonal to
+    T_xS, |(nu,nu)_g| = 1."""
     x = np.asarray(x, float)
     grad = np.asarray(S.gradient(x), float)
-    if np.linalg.norm(grad) == 0.0:
+    if np.any(np.linalg.norm(grad, axis=-1) == 0.0):
         raise SingularMetricError("vanishing surface gradient")
-    gm = g.matrix(x)
-    n = np.linalg.solve(gm, grad)
-    q = float(grad @ n)           # (n,n)_g
-    if abs(q) < 1e-14 * float(grad @ grad):
+    n = metric_solve(g.matrix(x), grad)
+    q = np.einsum("...i,...i->...", grad, n)        # (n,n)_g
+    if np.any(np.abs(q) < 1e-14 * np.einsum("...i,...i->...", grad, grad)):
         raise SingularMetricError("degenerate induced metric on surface")
-    nu = n / np.sqrt(abs(q))
+    nu = n / np.sqrt(np.abs(q))[..., None]
     # orient along the exterior side
-    if S.exterior_sign * float(grad @ nu) < 0:
-        nu = -nu
-    return nu
+    inward = S.exterior_sign * np.einsum("...i,...i->...", grad, nu) < 0
+    return np.where(inward[..., None], -nu, nu)
 
 
 def boundary_project(g: MetricField, S: BoundaryHypersurface,
                      x: Array, v: Array) -> Array:
-    """Orthogonal projection of v onto T_xS: v - ((v,nu)/(nu,nu)) nu."""
+    """Orthogonal projections of v onto T_xS over a batch (..., dim):
+    v - ((v,nu)/(nu,nu)) nu."""
+    v = np.asarray(v, float)
     nu = boundary_normal(S, g, x)
     gm = g.matrix(x)
-    eps = float(nu @ gm @ nu)
-    coef = float(np.asarray(v, float) @ gm @ nu) / eps
-    return np.asarray(v, float) - coef * nu
+    coef = _dot(v, gm, nu) / _dot(nu, gm, nu)
+    return v - coef[..., None] * nu
 
 
 def lightlike_completion(g: MetricField, S: BoundaryHypersurface, x: Array,
                          v_proj: Array) -> Array:
-    """Inward lightlike vector v = v' - a*nu, a > 0, with projection v':
-    it points against the exterior normal nu."""
+    """Inward lightlike vectors v = v' - a*nu, a > 0, with projections v'
+    over a batch (..., dim): they point against the exterior normal nu."""
     v_proj = np.asarray(v_proj, float)
     nu = boundary_normal(S, g, x)
     gm = g.matrix(x)
-    eps = float(nu @ gm @ nu)
-    q = float(v_proj @ gm @ v_proj)
-    a2 = -q / eps
-    if a2 <= 0.0:
-        raise NoLiftError(
-            f"projected direction has (v',v')_g = {q:g}; no lightlike lift")
-    return v_proj - np.sqrt(a2) * nu
+    q = _dot(v_proj, gm, v_proj)
+    a2 = -q / _dot(nu, gm, nu)
+    short = a2 <= 0.0
+    if np.any(short):
+        raise NoLiftError(f"projected direction has (v',v')_g = "
+                          f"{np.asarray(q)[short].flat[0]:g}; no lightlike "
+                          "lift")
+    return v_proj - np.sqrt(a2)[..., None] * nu
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +329,41 @@ class GeodesicPath:
 # RK4 flow integration (batched)
 # ---------------------------------------------------------------------------
 
-def _rk4_step(rhs, y: Array, h) -> Array:
+def _by_ray(check, rays):
+    """check(rows) on the slice of all rows of a batch that holds the rays
+    ``rays``.  An error of the batch is raised again by the first ray
+    that raises it on its own, its message prefixed with ``ray i: ``."""
+    try:
+        return check(slice(None))
+    except (LorlabError, ValueError):
+        for i, ray in enumerate(rays):
+            try:
+                check(slice(i, i + 1))
+            except (LorlabError, ValueError) as exc:
+                exc.args = (f"ray {int(ray)}: {exc}",) + exc.args[1:]
+                raise
+        raise
+
+
+def _rk4_step(rhs, y: Array, h, rays: Array) -> Array:
     """One classical RK4 step of the first-order system y' = rhs(y, check)
-    on a (B, n) state.  ``h`` may be a scalar or a per-batch-item array of
-    shape (B,).  Only stage 1, the accepted state the step starts from,
-    asks ``rhs`` for the metric check."""
+    on a (B, n) state whose rows hold the rays ``rays``, of length h, one
+    for all rows or one per row; errors name their first ray (_by_ray).
+    Only stage 1, the accepted state the step starts from, asks ``rhs``
+    for the metric check."""
     h = np.asarray(h, float)
-    if h.ndim == 1:
+    if h.ndim:
         h = h[:, None]
-    k1 = rhs(y, True)
-    k2 = rhs(y + 0.5 * h * k1, False)
-    k3 = rhs(y + 0.5 * h * k2, False)
-    k4 = rhs(y + h * k3, False)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    def step(r):
+        yr, hr = y[r], (h[r] if h.ndim else h)
+        k1 = rhs(yr, True)
+        k2 = rhs(yr + 0.5 * hr * k1, False)
+        k3 = rhs(yr + 0.5 * hr * k2, False)
+        k4 = rhs(yr + hr * k3, False)
+        return yr + (hr / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    return _by_ray(step, rays)
 
 
 def _second_order(accel):
@@ -349,20 +376,6 @@ def _second_order(accel):
         return np.concatenate([v, accel(x, v, check=check)], axis=1)
 
     return rhs
-
-
-def _ray_step(rhs, y: Array, h, rays: Array) -> Array:
-    """_rk4_step on rows that hold the rays ``rays``.  An error of the
-    step is raised again by the first ray that raises it on its own, with
-    the ray named by ray_errors."""
-    try:
-        return _rk4_step(rhs, y, h)
-    except (LorlabError, ValueError):
-        hs = np.broadcast_to(np.asarray(h, float), len(rays))
-        for i, ray in enumerate(rays):
-            with ray_errors(int(ray)):
-                _rk4_step(rhs, y[i:i + 1], hs[i:i + 1])
-        raise
 
 
 def _check_step(k: int, yn: Array, y: Array, rays: Array,
@@ -390,7 +403,7 @@ def _march_fixed(rhs, y: Array, sigma_max: float, step: float,
     ys = np.empty((n + 1,) + y.shape)
     ys[0] = y
     for i in range(n):
-        yn = _ray_step(rhs, y, h, rays)
+        yn = _rk4_step(rhs, y, h, rays)
         _check_step(i + 1, yn, y, rays, names)
         y = ys[i + 1] = yn
     return np.linspace(0.0, sigma_max, n + 1), ys
@@ -435,7 +448,7 @@ def _refine_hit(rhs, S: BoundaryHypersurface, y: Array, f0: Array,
     todo = np.arange(B)
     for _ in range(REFINE_MAX_ITER):
         dt = d[todo]
-        yc = _ray_step(rhs, y[todo], dt, todo)
+        yc = _rk4_step(rhs, y[todo], dt, todo)
         de[todo], ye[todo] = dt, yc
         xc = yc[:, :dim]
         f = S.side(xc)
@@ -485,7 +498,7 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
     while np.any(active) and k < n_max:
         rays = np.flatnonzero(active)
         ya = y[rays]
-        yn = _ray_step(rhs, ya, step, rays)
+        yn = _rk4_step(rhs, ya, step, rays)
         _check_step(k + 1, yn, ya, rays)
         phin = S.side(yn[:, :dim])
         crossing = phin >= 0.0
@@ -534,83 +547,80 @@ def _check_finite(x: Array, v: Array, what: str) -> None:
 def _check_transversal(S: BoundaryHypersurface, g: MetricField, x: Array,
                        v: Array, what: str) -> None:
     nu = boundary_normal(S, g, x)
-    if abs(float(v @ g.matrix(x) @ nu)) < TANGENCY_TOL * np.linalg.norm(v):
+    if np.any(np.abs(_dot(v, g.matrix(x), nu))
+              < TANGENCY_TOL * np.linalg.norm(v, axis=-1)):
         raise TangencyError(f"{what} tangent to the hypersurface")
 
 
-def integrate_flow_paths(accel, metric_for_speed: MetricField, x0: Array,
-                         v0: Array, stop, step: float = 1e-3,
-                         max_sigma: float = 10.0,
-                         require_interior_first: bool = False,
-                         unit_speed: bool = False) -> list[GeodesicPath]:
-    """Fixed-step RK4 paths of the flow x'' = accel(x, x') from a batch
-    of initial data (B, dim), marched in lockstep.
-
-    ``stop`` is either a float (final parameter value) or a
-    BoundaryHypersurface, in which case each final sample lies on {b=0}
-    and tangential arrivals are rejected.  Before the march every ray
-    must have finite data and ``metric_for_speed`` its declared signature
-    at the start; that metric also sets the conserved speed_squared, which
-    ``unit_speed`` requires to be one.  Errors name the failing ray.
-    """
-    x0 = np.atleast_2d(np.asarray(x0, float))
-    v0 = np.atleast_2d(np.asarray(v0, float))
-    speed2 = []
-    for i, (x, v) in enumerate(zip(x0, v0)):
-        with ray_errors(i):
-            _check_finite(x, v, "initial data")
-            speed2.append(float(inner(metric_for_speed, x, v, v)))
-            if unit_speed and abs(speed2[-1] - 1.0) > 1e-8:
-                raise PreconditionError(
-                    f"initial velocity has (v,v) = {speed2[-1]:g}, not 1")
-    if not isinstance(stop, BoundaryHypersurface):
-        sigma, xs, vs = integrate_flow_fixed(accel, x0, v0, float(stop), step)
-        return [GeodesicPath(sigma=sigma, x=xs[:, i], v=vs[:, i],
-                             speed_squared=s) for i, s in enumerate(speed2)]
-    sols = integrate_flow_to_surface(
-        accel, x0, v0, stop, step, max_sigma,
-        require_interior_first=require_interior_first)
-    paths = []
-    for i, (sigma, xs, vs) in enumerate(sols):
-        with ray_errors(i):
-            _check_transversal(stop, metric_for_speed, xs[-1], vs[-1],
-                               "exit")
-            paths.append(GeodesicPath(sigma=sigma, x=xs, v=vs,
-                                      speed_squared=speed2[i]))
-    return paths
+def _initial_speeds(g: MetricField, x0: Array, v0: Array,
+                    unit_speed: bool) -> Array:
+    """The conserved (v0, v0)_g of finite initial data (B, dim), with g
+    of its declared signature at x0; ``unit_speed`` requires it to be 1."""
+    _check_finite(x0, v0, "initial data")
+    speed2 = inner(g, x0, v0, v0)
+    off = np.abs(speed2 - 1.0) > 1e-8
+    if unit_speed and np.any(off):
+        raise PreconditionError(
+            f"initial velocity has (v,v) = {speed2[off][0]:g}, not 1")
+    return speed2
 
 
 def scatter_paths(accel, g: MetricField, U: BoundaryHypersurface,
                   V: BoundaryHypersurface, xs: Array, v_projs: Array, lift,
                   step: float, max_sigma: float, unit_speed: bool = False):
     """Shoot a batch of boundary entries (B, dim) from U to V in one
-    lockstep march; the checks every scattering relation shares.
-
-    Each entry must be finite and lie on U; ``lift(x, v_proj)`` completes
-    it inward, and the completion must be g-transversal to U.  The march
-    and its checks are those of integrate_flow_paths.  Errors name the
-    failing ray.  Returns the entries as (B, dim) arrays and the paths.
-    """
+    lockstep march of x'' = accel(x, x'), with the checks every
+    scattering relation shares.  Each entry must be finite and on U;
+    ``lift(xs, v_projs)`` completes the batch inward, g-transversal to U,
+    and the completions pass _initial_speeds.  Each ray stops where it
+    crosses V (after being inside when U is V), g-transversal to V.
+    Returns the entries as (B, dim) arrays, their exit projections onto
+    V and their paths."""
     xs = np.atleast_2d(np.asarray(xs, float))
     v_projs = np.atleast_2d(np.asarray(v_projs, float))
-    lifts = np.empty_like(xs)
-    for i, (x, vp) in enumerate(zip(xs, v_projs)):
-        with ray_errors(i):
-            _check_finite(x, vp, "entry data")
-            if not abs(float(U.value(x))) <= 1e-9:
-                raise PreconditionError("entry point not on the boundary")
-            lifts[i] = lift(x, vp)
-            _check_transversal(U, g, x, lifts[i], "entry")
-    return xs, v_projs, integrate_flow_paths(
-        accel, g, xs, lifts, V, step, max_sigma,
-        require_interior_first=U is V, unit_speed=unit_speed)
+    if not len(xs):
+        return xs, v_projs, np.empty_like(xs), []
+    rays = range(len(xs))
+
+    def entry(r):
+        x, vp = xs[r], v_projs[r]
+        _check_finite(x, vp, "entry data")
+        if not np.all(np.abs(U.value(x)) <= 1e-9):
+            raise PreconditionError("entry point not on the boundary")
+        v = lift(x, vp)
+        _check_transversal(U, g, x, v, "entry")
+        return v
+
+    v0 = _by_ray(entry, rays)
+    speed2 = _by_ray(lambda r: _initial_speeds(g, xs[r], v0[r], unit_speed),
+                     rays)
+    sols = integrate_flow_to_surface(accel, xs, v0, V, step, max_sigma,
+                                     require_interior_first=U is V)
+    ys, ws = np.array([(x[-1], v[-1]) for _, x, v in sols]).swapaxes(0, 1)
+
+    def exits(r):
+        _check_transversal(V, g, ys[r], ws[r], "exit")
+        return [GeodesicPath(sigma=sigma, x=x, v=v, speed_squared=float(q))
+                for (sigma, x, v), q in zip(sols[r], speed2[r])]
+
+    paths = _by_ray(exits, rays)
+    return xs, v_projs, boundary_project(g, V, ys, ws), paths
 
 
-def integrate_geodesic(g: MetricField, x0: Array, v0: Array,
-                       stop, step: float = 1e-3) -> GeodesicPath:
-    """Fixed-step RK4 geodesic of g: the batch of one of
-    integrate_flow_paths, which documents the stops and checks."""
-    (path,) = integrate_flow_paths(
-        geodesic_accel(g), g, np.asarray(x0, float)[None],
-        np.asarray(v0, float)[None], stop, step)
-    return path
+def _fixed_path(accel, g: MetricField, x0: Array, v0: Array, stop: float,
+                step: float, unit_speed: bool) -> GeodesicPath:
+    """The RK4 path of x'' = accel(x, x') from (x0, v0) over [0, stop],
+    after the _initial_speeds checks, which name ray 0."""
+    x0, v0 = np.asarray(x0, float)[None], np.asarray(v0, float)[None]
+    (speed2,) = _by_ray(lambda r: _initial_speeds(g, x0[r], v0[r], unit_speed),
+                        [0])
+    sigma, xs, vs = integrate_flow_fixed(accel, x0, v0, float(stop), step)
+    return GeodesicPath(sigma=sigma, x=xs[:, 0], v=vs[:, 0],
+                        speed_squared=float(speed2))
+
+
+def integrate_geodesic(g: MetricField, x0: Array, v0: Array, stop: float,
+                       step: float = 1e-3) -> GeodesicPath:
+    """Fixed-step RK4 geodesic of g over [0, stop] (see _fixed_path); a
+    geodesic stopped at a surface is the path of a scatter."""
+    return _fixed_path(geodesic_accel(g), g, x0, v0, stop, step, False)

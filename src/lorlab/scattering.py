@@ -9,8 +9,8 @@ import numpy as np
 from .errors import PreconditionError
 from .fields import Array
 from .geometry import (BoundaryHypersurface, GeodesicPath, MetricField,
-                       boundary_project, geodesic_accel, inner,
-                       lightlike_completion, scatter_paths)
+                       geodesic_accel, inner, lightlike_completion,
+                       scatter_paths)
 
 UNIT_INDUCED = "unit_g_prime"
 TIME_COMPONENT = "time_component"
@@ -40,15 +40,13 @@ def _scatter_rays(g: MetricField, U: BoundaryHypersurface,
                   step: float, max_sigma: float,
                   keep_paths: bool) -> list[ScatteringRecord]:
     """The one implementation behind scatter and scatter_batch."""
-    xs, v_projs, paths = scatter_paths(
+    xs, v_projs, w_projs, paths = scatter_paths(
         geodesic_accel(g), g, U, V, xs, v_projs,
-        lambda x, vp: lightlike_completion(g, U, x, vp),
-        step, max_sigma)
-    return [ScatteringRecord(x=x, v_proj=vp, y=p.end[0],
-                             w_proj=boundary_project(g, V, *p.end),
+        lambda x, vp: lightlike_completion(g, U, x, vp), step, max_sigma)
+    return [ScatteringRecord(x=x, v_proj=vp, y=p.end[0], w_proj=w,
                              travel=float(p.sigma[-1]),
                              path=p if keep_paths else None)
-            for x, vp, p in zip(xs, v_projs, paths)]
+            for x, vp, w, p in zip(xs, v_projs, w_projs, paths)]
 
 
 def scatter(g: MetricField, U: BoundaryHypersurface, V: BoundaryHypersurface,

@@ -18,10 +18,10 @@ import numpy as np
 from .errors import NoLiftError, PreconditionError
 from .fields import Array, CovectorField, ScalarField, SymTwoTensorField
 from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
-                       GeodesicPath, MetricField, boundary_normal,
-                       boundary_project, christoffel_contraction,
-                       geodesic_accel, inner, integrate_flow_paths,
-                       integrate_geodesic, metric_solve, scatter_paths)
+                       GeodesicPath, MetricField, _fixed_path,
+                       boundary_normal, christoffel_contraction,
+                       geodesic_accel, inner, integrate_geodesic,
+                       metric_solve, scatter_paths)
 from .lightray import light_ray_transform, magnetic_linearized_transform
 from .quadrature import CubicSpline, simpson
 from .scattering import ScatteringRecord, scatter
@@ -188,13 +188,11 @@ def magnetic_accel(mag: MagneticSystem, speed_from_velocity: bool = False):
 
 
 def magnetic_integrate(mag: MagneticSystem, x0: Array, u0: Array,
-                       stop) -> GeodesicPath:
-    """Arc-length magnetic geodesic from (x0, u0) in RK4 steps of 1e-3;
-    u0 must be h-unit.  The batch of one of integrate_flow_paths."""
-    (path,) = integrate_flow_paths(
-        magnetic_accel(mag), mag.base, np.asarray(x0, float)[None],
-        np.asarray(u0, float)[None], stop, 1e-3, unit_speed=True)
-    return path
+                       stop: float) -> GeodesicPath:
+    """Arc-length magnetic geodesic from (x0, u0) over [0, stop] in RK4
+    steps of 1e-3; u0 must be h-unit (see geometry._fixed_path)."""
+    return _fixed_path(magnetic_accel(mag), mag.base, x0, u0, stop, 1e-3,
+                       True)
 
 
 def curve_flux(omega: CovectorField, path: GeodesicPath) -> float:
@@ -226,24 +224,23 @@ def magnetic_scatter_batch(mag: MagneticSystem, S: BoundaryHypersurface,
     with NoLiftError for |u'|_h >= 1; errors name the failing ray."""
 
     def lift(x, up):
-        q = float(inner(mag.base, x, up, up))
-        if q >= 1.0:
-            raise NoLiftError(f"tangential entry has |u'|_h^2 = {q:g} >= 1; "
-                              "no unit completion")
-        return up - np.sqrt(1.0 - q) * boundary_normal(S, mag.base, x)
+        q = inner(mag.base, x, up, up)
+        long = q >= 1.0
+        if np.any(long):
+            raise NoLiftError(f"tangential entry has |u'|_h^2 = "
+                              f"{q[long][0]:g} >= 1; no unit completion")
+        nu = boundary_normal(S, mag.base, x)
+        return up - np.sqrt(1.0 - q)[:, None] * nu
 
-    xs, u_projs, paths = scatter_paths(magnetic_accel(mag), mag.base, S, S,
-                                       xs, u_projs, lift, 1e-3, max_sigma,
-                                       unit_speed=True)
-    records = []
-    for x, up, path in zip(xs, u_projs, paths):
-        length = float(path.sigma[-1])
-        records.append(MagneticRecord(
-            x=x, u_proj=up, y=path.end[0],
-            w_proj=boundary_project(mag.base, S, *path.end), length=length,
-            action=length - curve_flux(mag.omega, path),
-            path=path if keep_paths else None))
-    return records
+    xs, u_projs, w_projs, paths = scatter_paths(
+        magnetic_accel(mag), mag.base, S, S, xs, u_projs, lift, 1e-3,
+        max_sigma, unit_speed=True)
+    return [MagneticRecord(x=x, u_proj=up, y=path.end[0], w_proj=w,
+                           length=float(path.sigma[-1]),
+                           action=float(path.sigma[-1])
+                           - curve_flux(mag.omega, path),
+                           path=path if keep_paths else None)
+            for x, up, w, path in zip(xs, u_projs, w_projs, paths)]
 
 
 def magnetic_scatter(mag: MagneticSystem, S: BoundaryHypersurface, x: Array,
@@ -290,14 +287,16 @@ def magnetic_connectors_batch(mag: MagneticSystem, xs: Array, ys: Array,
                          ys, seeds=seeds, n_steps=n_steps, tol=tol,
                          march=march, **kw)
     tau, zx, zv = march
+    lengths = np.sqrt(inner(mag.base, xs, ws, ws))
+    units = ws / lengths[:, None]
+    speed2 = inner(mag.base, xs, units, units)
     out = []
-    for b, (x, y, w) in enumerate(zip(xs, ys, ws)):
-        length = float(np.sqrt(inner(mag.base, x, w, w)))
+    for b, (x, y, w, length) in enumerate(zip(xs, ys, ws, lengths)):
         unit = GeodesicPath(sigma=length * tau, x=zx[:, b],
                             v=zv[:, b] / length,
-                            speed_squared=float(inner(mag.base, x, w / length,
-                                                      w / length)))
-        out.append(MagneticConnector(path=unit, x=x, y=y, length=length,
+                            speed_squared=float(speed2[b]))
+        out.append(MagneticConnector(path=unit, x=x, y=y,
+                                     length=float(length),
                                      flux=curve_flux(mag.omega, unit),
                                      initial_w=w))
     return out

@@ -39,10 +39,12 @@ def test_criterion_02_defining_r_trichotomy():
     _check(acceptance.criterion_trichotomy())
 
 
+@pytest.mark.slow
 def test_criterion_03_michel_graph_identity():
     _check(acceptance.criterion_michel())
 
 
+@pytest.mark.slow
 def test_criterion_04_linearization_of_r():
     _check(acceptance.criterion_linearize())
 
@@ -55,6 +57,7 @@ def test_criterion_06_stationary_to_magnetic():
     _check(acceptance.criterion_projection())
 
 
+@pytest.mark.slow
 def test_criterion_07_length_action_identities():
     _check(acceptance.criterion_reduction_identities())
 
@@ -71,6 +74,7 @@ def test_criterion_09_linearized_equivalence():
     _check(result)
 
 
+@pytest.mark.slow
 def test_criterion_10_scattering_invariance():
     _check(acceptance.criterion_invariance())
 

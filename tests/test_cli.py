@@ -178,6 +178,30 @@ def test_misspelt_config_key_is_parse_error(tmp_path, capsys, command):
     assert err.startswith(f"error: {command} ") and "'tolerence'" in err
 
 
+@pytest.mark.parametrize("command, config", [
+    ("scatter", {"n": "x"}), ("scatter", {"n": 2.0}), ("scatter", {"n": True}),
+    ("scatter", {"tolerance": "tight"}), ("scatter", {"step": False}),
+    ("scatter", {"scenario_params": [1]}), ("connect", {"scenario": 1}),
+    ("normal-coords", {"tolerance": None})])
+def test_wrong_config_value_type_is_parse_error(tmp_path, capsys, command,
+                                                config):
+    """A value whose type does not fit the key's default is a parse error
+    that names the key, raised before any work."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", str(cfg)]) == EXIT_PARSE
+    (key,) = config
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command} reads config key {key!r}")
+
+
+def test_int_config_value_reads_as_float(tmp_path):
+    """An int is fine where a float is read."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "tolerance": 1}))
+    assert run(["scatter", "--config", str(cfg)]) == EXIT_PASS
+
+
 @pytest.mark.parametrize("command", ["verify-thmmag", "magnetic-michel",
                                      "lin-equivalence"])
 def test_stationary_runners_need_a_stationary_scenario(tmp_path, capsys,

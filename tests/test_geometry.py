@@ -131,31 +131,6 @@ def test_lightlike_completion_null_projection_raises(product_disk):
                              np.array([1.0, 0.0, 0.0]) + tang)
 
 
-def test_integrate_straight_line_to_cylinder(product_disk):
-    path = integrate_geodesic(product_disk.metric,
-                              np.array([0.0, -1.0, 0.0]),
-                              np.array([1.0, 1.0, 0.0]),
-                              stop=product_disk.exit_surface, step=1e-3)
-    y, w = path.end
-    assert np.allclose(y, [2.0, 1.0, 0.0], atol=1e-9)
-    assert np.allclose(w, [1.0, 1.0, 0.0], atol=1e-9)
-    assert path.sigma[-1] == pytest.approx(2.0, abs=1e-9)
-
-
-def test_integrate_homogeneity(product_disk):
-    x0 = np.array([0.0, -1.0, 0.0])
-    v0 = np.array([1.0, 0.8, 0.6])
-    base = integrate_geodesic(product_disk.metric, x0, v0,
-                              stop=product_disk.exit_surface, step=1e-3)
-    for a in (0.5, 2.0, 10.0):
-        scaled = integrate_geodesic(product_disk.metric, x0, a * v0,
-                                    stop=product_disk.exit_surface,
-                                    step=1e-3)
-        assert np.allclose(scaled.end[0], base.end[0], rtol=1e-8, atol=1e-8)
-        assert scaled.sigma[-1] * a == pytest.approx(base.sigma[-1],
-                                                     rel=1e-8)
-
-
 def test_speed_drift_on_curved_scenario(perturbed_product):
     path = integrate_geodesic(perturbed_product.metric,
                               np.array([0.0, -0.6, 0.2]),

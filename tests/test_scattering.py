@@ -5,8 +5,9 @@ from lorlab import (LORENTZIAN, TIME_COMPONENT, UNIT_INDUCED,
                     ChartDomainError, EscapeError, MetricField, NoLiftError,
                     NotPositiveDefiniteError, PreconditionError,
                     SignatureError, SingularMetricError, StationaryMetric,
-                    TangencyError, inner, magnetic_scatter,
-                    magnetic_scatter_batch, normalize, scatter, scatter_batch)
+                    TangencyError, connecting_geodesics_batch, inner,
+                    magnetic_scatter, magnetic_scatter_batch, normalize,
+                    scatter, scatter_batch)
 from lorlab import geometry, scenarios
 from lorlab.fields import CovectorField, ScalarField
 
@@ -57,6 +58,33 @@ def test_scatter_homogeneity(product_disk):
         assert np.allclose(rec.y, base.y, atol=1e-8)
         assert np.allclose(rec.w_proj, a * base.w_proj, rtol=1e-8,
                            atol=1e-10)
+
+
+def test_scatter_straight_line_to_cylinder(product_disk):
+    """The entry (0, -1, 0) with projection (1, 0, 0) completes to the
+    lightlike (1, 1, 0), a straight chord along the diameter."""
+    rec = scatter(product_disk.metric, product_disk.entry_surface,
+                  product_disk.exit_surface, np.array([0.0, -1.0, 0.0]),
+                  np.array([1.0, 0.0, 0.0]), step=1e-3)
+    assert np.allclose(rec.path.v[0], [1.0, 1.0, 0.0], atol=1e-12)
+    assert np.allclose(rec.y, [2.0, 1.0, 0.0], atol=1e-9)
+    assert np.allclose(rec.path.v[-1], [1.0, 1.0, 0.0], atol=1e-9)
+    assert rec.travel == pytest.approx(2.0, abs=1e-9)
+
+
+def test_scatter_travel_homogeneity(product_disk):
+    """Scaling the projected entry by a scales its completion (1, 0.8,
+    0.6) by a: the exit stays and the travel scales by 1/a."""
+    x = np.array([0.0, -1.0, 0.0])
+    v_proj = np.array([1.0, 0.0, 0.6])
+    base = scatter(product_disk.metric, product_disk.entry_surface,
+                   product_disk.exit_surface, x, v_proj, step=1e-3)
+    assert np.allclose(base.path.v[0], [1.0, 0.8, 0.6], atol=1e-12)
+    for a in (0.5, 2.0, 10.0):
+        scaled = scatter(product_disk.metric, product_disk.entry_surface,
+                         product_disk.exit_surface, x, a * v_proj, step=1e-3)
+        assert np.allclose(scaled.y, base.y, rtol=1e-8, atol=1e-8)
+        assert scaled.travel * a == pytest.approx(base.travel, rel=1e-8)
 
 
 def test_scatter_grazing_entry_raises(product_disk):
@@ -121,16 +149,57 @@ def test_entries_are_admissible(stationary_rot):
         assert rec.path.speed_drift(stationary_rot.metric) < 1e-8
 
 
-def test_batch_entry_off_boundary_raises(product_disk, stationary_rot):
-    pd, sr = product_disk, stationary_rot
-    xs = np.array([[0.0, 1.0, 0.0], [0.0, 0.9, 0.0]])
-    vs = np.array([[1.0, 0.0, 0.3], [1.0, 0.0, 0.3]])
-    with pytest.raises(PreconditionError, match="ray 1"):
-        scatter_batch(pd.metric, pd.entry_surface, pd.exit_surface, xs, vs)
-    with pytest.raises(PreconditionError, match="ray 1"):
-        magnetic_scatter_batch(sr.magnetic, sr.spatial_boundary,
-                               np.array([[1.0, 0.0], [0.9, 0.0]]),
-                               np.zeros((2, 2)))
+def _entry_failure(kind, pd, sr):
+    """(single call, batch call, entry of ray 0, entry of ray 1, error):
+    ray 0 passes every check, ray 1 fails the named entry check."""
+    if kind.startswith("magnetic"):
+        # a normal, not tangential, u' completes to a non-unit velocity
+        bad = {"magnetic-speed": ([1.0, 0.0], [0.5, 0.0]),
+               "magnetic-off-boundary": ([0.9, 0.0], [0.0, 0.0])}[kind]
+        return (lambda x, u: magnetic_scatter(sr.magnetic,
+                                              sr.spatial_boundary, x, u),
+                lambda xs, us: magnetic_scatter_batch(
+                    sr.magnetic, sr.spatial_boundary, xs, us),
+                ([-1.0, 0.0], [0.0, 0.5]), bad, PreconditionError)
+    metric = {
+        # (v', v')_g = -1e-14: the completion is within 1e-8 of tangent
+        "tangency": scenarios.constant_metric(3, [-1.0, 1.0, 1e-4],
+                                              LORENTZIAN),
+        # two negative eigenvalues on x1 > 0.4, where ray 1 enters
+        "signature": _slab_metric(np.diag([-1.0, 1.0, -1.0])),
+    }.get(kind, pd.metric)
+    bad = {"non-finite": ([0.0, 1.0, 0.0], [1.0, np.nan, 0.0]),
+           "off-boundary": ([0.0, 0.9, 0.0], [1.0, 0.0, 0.3]),
+           "no-lift": ([0.0, 1.0, 0.0], [1.0, 0.0, 1.5]),
+           "tangency": ([0.0, 1.0, 0.0],
+                        [1.0, 0.0, 100.0 * np.sqrt(1.0 - 1e-14)]),
+           "signature": ([0.0, 1.0, 0.0], [1.0, 0.0, 0.3])}[kind]
+    error = {"non-finite": ValueError, "off-boundary": PreconditionError,
+             "no-lift": NoLiftError, "tangency": TangencyError,
+             "signature": SignatureError}[kind]
+    return (lambda x, v: scatter(metric, pd.entry_surface, pd.exit_surface,
+                                 x, v),
+            lambda xs, vs: scatter_batch(metric, pd.entry_surface,
+                                         pd.exit_surface, xs, vs),
+            ([0.0, -1.0, 0.0], [1.0, 0.0, 0.0]), bad, error)
+
+
+@pytest.mark.parametrize("kind", ["non-finite", "off-boundary", "no-lift",
+                                  "tangency", "signature",
+                                  "magnetic-off-boundary", "magnetic-speed"])
+def test_batch_entry_off_boundary_raises(product_disk, stationary_rot, kind):
+    """Every entry check runs once on the batch; ray 1 then raises the
+    error of its single call, named ray 1."""
+    single, batch, good, bad, error = _entry_failure(kind, product_disk,
+                                                     stationary_rot)
+    with pytest.raises(error) as one:
+        single(*map(np.array, bad))
+    with pytest.raises(error) as both:
+        batch(*map(np.array, zip(good, bad)))
+    assert type(both.value) is type(one.value)
+    msg = str(one.value)
+    assert msg.startswith("ray 0: ")
+    assert str(both.value) == "ray 1: " + msg[len("ray 0: "):]
 
 
 def test_batch_nan_entry_raises_before_march(product_disk, monkeypatch):
@@ -314,3 +383,60 @@ def test_empty_magnetic_scatter_batch(stationary_rot):
     sc = stationary_rot
     assert magnetic_scatter_batch(sc.magnetic, sc.spatial_boundary,
                                   np.empty((0, 2)), np.empty((0, 2))) == []
+
+
+@pytest.mark.parametrize("call", ["scatter_batch", "magnetic_scatter_batch",
+                                  "connecting_geodesics_batch"])
+def test_matrix_calls_do_not_grow_with_the_batch(product_disk,
+                                                 stationary_rot,
+                                                 monkeypatch, call):
+    """Around the march, each check, lift and projection evaluates the
+    metric once for the whole batch: a call on 8 entries or pairs makes
+    as many MetricField.matrix calls as a call on one."""
+    pd, sr = product_disk, stationary_rot
+    if call == "scatter_batch":
+        xs, vs = map(np.array, zip(*scenarios.scattering_entries(pd, 8, 3)))
+        run = lambda b: scatter_batch(pd.metric, pd.entry_surface,
+                                      pd.exit_surface, xs[:b], vs[:b],
+                                      step=1e-2)
+    elif call == "magnetic_scatter_batch":
+        xs, us = map(np.array, zip(*scenarios.magnetic_entries(sr, 8, 3)))
+        run = lambda b: magnetic_scatter_batch(
+            sr.magnetic, sr.spatial_boundary, xs[:b], us[:b])
+    else:
+        xs, ys = scenarios.disk_pairs(8, 3)
+        run = lambda b: connecting_geodesics_batch(pd.metric, xs[:b],
+                                                   ys[:b], n_steps=100)
+    matrix = MetricField.matrix
+    calls = []
+
+    def counted(self, x, validate=False):
+        calls.append(np.shape(x))
+        return matrix(self, x, validate)
+
+    monkeypatch.setattr(MetricField, "matrix", counted)
+    counts = []
+    for b in (1, 8):
+        calls.clear()
+        assert len(run(b)) == b
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_boundary_helpers_are_batched(stationary_rot):
+    """boundary_normal, boundary_project and lightlike_completion on a
+    batch give, row by row, their single-point values to 1e-15."""
+    sc = stationary_rot
+    g, S = sc.metric, sc.entry_surface
+    xs, vs = map(np.array, zip(*scenarios.scattering_entries(sc, 6, 5)))
+    ws = np.random.default_rng(5).normal(size=xs.shape)
+    batched = (geometry.boundary_normal(S, g, xs),
+               geometry.boundary_project(g, S, xs, ws),
+               geometry.lightlike_completion(g, S, xs, vs))
+    for i in range(len(xs)):
+        single = (geometry.boundary_normal(S, g, xs[i]),
+                  geometry.boundary_project(g, S, xs[i], ws[i]),
+                  geometry.lightlike_completion(g, S, xs[i], vs[i]))
+        for b, one in zip(batched, single):
+            assert one.shape == (3,)
+            assert np.abs(b[i] - one).max() <= 1e-15
