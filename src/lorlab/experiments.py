@@ -27,12 +27,15 @@ class ScenarioError(LorlabError):
 
 
 class ConfigError(ValueError):
-    """A config key that the runner does not read, or of the wrong type."""
+    """A config key that the runner does not read, or a value of the wrong
+    type or out of range."""
 
 
 def _read_config(name: str, config: dict, **defaults) -> dict:
     """The config of runner name over the defaults of the keys it reads;
-    a ConfigError names any other key, or a value unlike its default."""
+    a ConfigError names any other key, or a value unlike its default.
+    Every number a runner reads is positive: an int (a count such as n)
+    is at least 1, a float (a tolerance or a step) above 0."""
     unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise ConfigError(
@@ -48,6 +51,13 @@ def _read_config(name: str, config: dict, **defaults) -> dict:
             raise ConfigError(
                 f"{name} reads config key {key!r} as "
                 f"{type(default).__name__}, got {value!r}")
+        count = isinstance(default, int) and not isinstance(default, bool)
+        if count and not value >= 1:
+            raise ConfigError(f"{name} reads config key {key!r} as a "
+                              f"count of at least 1, got {value!r}")
+        if isinstance(default, float) and not value > 0:
+            raise ConfigError(f"{name} reads config key {key!r} as a "
+                              f"positive number, got {value!r}")
     return {**defaults, **config}
 
 

@@ -79,7 +79,7 @@ class ScalarField:
 
     def __call__(self, x: Array) -> Array:
         val = np.asarray(self.func(np.asarray(x, float)), float)
-        if self.positive and np.any(val <= 0.0):
+        if self.positive and (val <= 0.0).any():
             raise NotPositiveDefiniteError("scalar field declared positive is not")
         return val
 

@@ -194,9 +194,8 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
         x, xi = y[:, :dim], y[:, dim:]
         gm, dg = g.jet(x, check)
         u = metric_solve(gm, xi)
-        cinv = 1.0 / c(x)[..., None]
         xidot = 0.5 * np.einsum("...ikl,...k,...l->...i", dg, u, u)
-        return np.concatenate([cinv * u, cinv * xidot], axis=1)
+        return (1.0 / c(x)[..., None]) * np.concatenate([u, xidot], axis=1)
 
     sigma, ys = _march_fixed(rhs, np.concatenate([x0, xi0])[None],
                              sigma_max, step, names=("x", "xi"))

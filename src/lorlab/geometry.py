@@ -60,9 +60,9 @@ class MetricField:
         """Finite values, symmetry and a determinant off zero, each
         matrix against its own scale, so that a matrix passes or fails
         whatever batch it is in; the values of an empty batch pass."""
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise SingularMetricError("non-finite metric values")
-        asym = np.abs(g - np.swapaxes(g, -1, -2))
+        asym = np.abs(g - g.swapaxes(-1, -2))
         size = np.abs(g)
         det = np.abs(np.linalg.det(g))
         # When the batch meets the symmetry bound at the smallest scale
@@ -75,10 +75,10 @@ class MetricField:
         scale = np.maximum(size.max(axis=(-2, -1)), 1.0)
         asym = asym.max(axis=(-2, -1))
         unsym = asym > 1e-12 * scale
-        if np.any(unsym):
+        if unsym.any():
             raise SingularMetricError(
                 f"metric not symmetric (asymmetry {asym[unsym].max():g})")
-        if np.any(det < DET_FLOOR * scale ** self.dim):
+        if (det < DET_FLOOR * scale ** self.dim).any():
             raise SingularMetricError("metric determinant below threshold")
 
     def matrix(self, x: Array, validate: bool = False) -> Array:
@@ -154,10 +154,10 @@ def metric_solve(gm: Array, rhs: Array) -> Array:
 
 def christoffel_contraction(dg: Array, v: Array) -> Array:
     """Gamma_{l,ij} v^i v^j = d_i g_lj v^i v^j - (1/2) d_l g_ij v^i v^j,
-    batched, from the partials dg of a metric at the points of v."""
-    t1 = np.einsum("...ilj,...i,...j->...l", dg, v, v)
-    t2 = np.einsum("...lij,...i,...j->...l", dg, v, v)
-    return t1 - 0.5 * t2
+    batched, from the partials dg of a metric at the points of v: with
+    w[..., k, i] = d_k g_ij v^j formed once, the mat-vec (w^T - w / 2) v."""
+    w = np.einsum("...kij,...j->...ki", dg, v)
+    return np.einsum("...li,...i->...l", w.swapaxes(-1, -2) - 0.5 * w, v)
 
 
 def geodesic_term(gm: Array, dg: Array, v: Array) -> Array:
@@ -249,27 +249,37 @@ class BoundaryHypersurface:
 def boundary_normal(S: BoundaryHypersurface, g: MetricField, x: Array) -> Array:
     """Exterior unit normals at the points x (..., dim): g-orthogonal to
     T_xS, |(nu,nu)_g| = 1."""
+    return _normal_metric(S, g, x)[0]
+
+
+def _normal_metric(S: BoundaryHypersurface, g: MetricField,
+                   x: Array) -> tuple[Array, Array]:
+    """(boundary_normal, g.matrix) at the points x from one matrix call,
+    for the helpers below that use both."""
     x = np.asarray(x, float)
     grad = np.asarray(S.gradient(x), float)
     if np.any(np.linalg.norm(grad, axis=-1) == 0.0):
         raise SingularMetricError("vanishing surface gradient")
-    n = metric_solve(g.matrix(x), grad)
+    gm = g.matrix(x)
+    n = metric_solve(gm, grad)
     q = np.einsum("...i,...i->...", grad, n)        # (n,n)_g
     if np.any(np.abs(q) < 1e-14 * np.einsum("...i,...i->...", grad, grad)):
         raise SingularMetricError("degenerate induced metric on surface")
     nu = n / np.sqrt(np.abs(q))[..., None]
     # orient along the exterior side
     inward = S.exterior_sign * np.einsum("...i,...i->...", grad, nu) < 0
-    return np.where(inward[..., None], -nu, nu)
+    return np.where(inward[..., None], -nu, nu), gm
 
 
 def boundary_project(g: MetricField, S: BoundaryHypersurface,
                      x: Array, v: Array) -> Array:
     """Orthogonal projections of v onto T_xS over a batch (..., dim):
     v - ((v,nu)/(nu,nu)) nu."""
-    v = np.asarray(v, float)
-    nu = boundary_normal(S, g, x)
-    gm = g.matrix(x)
+    return _project(*_normal_metric(S, g, x), np.asarray(v, float))
+
+
+def _project(nu: Array, gm: Array, v: Array) -> Array:
+    """boundary_project from the normals nu and metric values gm."""
     coef = _dot(v, gm, nu) / _dot(nu, gm, nu)
     return v - coef[..., None] * nu
 
@@ -278,9 +288,12 @@ def lightlike_completion(g: MetricField, S: BoundaryHypersurface, x: Array,
                          v_proj: Array) -> Array:
     """Inward lightlike vectors v = v' - a*nu, a > 0, with projections v'
     over a batch (..., dim): they point against the exterior normal nu."""
-    v_proj = np.asarray(v_proj, float)
-    nu = boundary_normal(S, g, x)
-    gm = g.matrix(x)
+    return _lightlike_lift(*_normal_metric(S, g, x),
+                           np.asarray(v_proj, float))
+
+
+def _lightlike_lift(nu: Array, gm: Array, v_proj: Array) -> Array:
+    """lightlike_completion from the normals nu and metric values gm."""
     q = _dot(v_proj, gm, v_proj)
     a2 = -q / _dot(nu, gm, nu)
     short = a2 <= 0.0
@@ -357,9 +370,10 @@ def _rk4_step(rhs, y: Array, h, rays: Array) -> Array:
 
     def step(r):
         yr, hr = y[r], (h[r] if h.ndim else h)
+        half = 0.5 * hr
         k1 = rhs(yr, True)
-        k2 = rhs(yr + 0.5 * hr * k1, False)
-        k3 = rhs(yr + 0.5 * hr * k2, False)
+        k2 = rhs(yr + half * k1, False)
+        k3 = rhs(yr + half * k2, False)
         k4 = rhs(yr + hr * k3, False)
         return yr + (hr / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
@@ -488,36 +502,36 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
     n_max = int(np.ceil(max_sigma / step)) + 1
     # x and v are stacked apart, so one list is freed before the next stack
     xs, vs = [y[:, :dim].copy()], [y[:, dim:].copy()]
-    phi = S.side(y[:, :dim])
+    # the still-marching rays, their states and their sides of S
+    rays, ya, phi = np.arange(B), y.copy(), S.side(y[:, :dim])
     seen_interior = phi < -SURFACE_TOL
     hit_index = np.full(B, -1, dtype=int)
     f_in, f_out = np.empty(B), np.empty(B)   # side around the crossing
     y_in = np.empty_like(y)                  # state before the crossing
-    active = np.ones(B, dtype=bool)
     k = 0
-    while np.any(active) and k < n_max:
-        rays = np.flatnonzero(active)
-        ya = y[rays]
+    while rays.size and k < n_max:
         yn = _rk4_step(rhs, ya, step, rays)
         _check_step(k + 1, yn, ya, rays)
         phin = S.side(yn[:, :dim])
         crossing = phin >= 0.0
         if require_interior_first:
             crossing &= seen_interior[rays]
-        seen_interior[rays] |= phin < -SURFACE_TOL
-        hit = rays[crossing]
-        hit_index[hit] = k
-        f_in[hit], f_out[hit] = phi[hit], phin[crossing]
-        y_in[hit] = ya[crossing]
-        active[hit] = False
-        phi[rays] = phin
+            seen_interior[rays] |= phin < -SURFACE_TOL
         y[rays] = yn
         xs.append(y[:, :dim].copy())
         vs.append(y[:, dim:].copy())
+        if crossing.any():
+            hit = rays[crossing]
+            hit_index[hit] = k
+            f_in[hit], f_out[hit] = phi[crossing], phin[crossing]
+            y_in[hit] = ya[crossing]
+            going = ~crossing
+            rays, yn, phin = rays[going], yn[going], phin[going]
+        ya, phi = yn, phin
         k += 1
-    if np.any(active):
+    if rays.size:
         raise EscapeError(
-            f"ray(s) {np.flatnonzero(active).tolist()} never met the target "
+            f"ray(s) {rays.tolist()} never met the target "
             f"surface within sigma budget {max_sigma}")
     xs = np.array(xs)
     vs = np.array(vs)
@@ -544,20 +558,21 @@ def _check_finite(x: Array, v: Array, what: str) -> None:
         raise ValueError(f"non-finite {what}")
 
 
-def _check_transversal(S: BoundaryHypersurface, g: MetricField, x: Array,
-                       v: Array, what: str) -> None:
-    nu = boundary_normal(S, g, x)
-    if np.any(np.abs(_dot(v, g.matrix(x), nu))
+def _check_transversal(nu: Array, gm: Array, v: Array, what: str) -> None:
+    """TangencyError unless v is g-transversal to the surface of the
+    normals nu, where g has the values gm."""
+    if np.any(np.abs(_dot(v, gm, nu))
               < TANGENCY_TOL * np.linalg.norm(v, axis=-1)):
         raise TangencyError(f"{what} tangent to the hypersurface")
 
 
-def _initial_speeds(g: MetricField, x0: Array, v0: Array,
+def _initial_speeds(g: MetricField, gm: Array, v0: Array,
                     unit_speed: bool) -> Array:
-    """The conserved (v0, v0)_g of finite initial data (B, dim), with g
-    of its declared signature at x0; ``unit_speed`` requires it to be 1."""
-    _check_finite(x0, v0, "initial data")
-    speed2 = inner(g, x0, v0, v0)
+    """The conserved (v0, v0)_g of finite initial velocities (B, dim) at
+    points where g has the values gm, which must be of g's declared
+    signature; ``unit_speed`` requires it to be 1."""
+    g._check_signature(gm)
+    speed2 = _dot(v0, gm, v0)
     off = np.abs(speed2 - 1.0) > 1e-8
     if unit_speed and np.any(off):
         raise PreconditionError(
@@ -571,11 +586,14 @@ def scatter_paths(accel, g: MetricField, U: BoundaryHypersurface,
     """Shoot a batch of boundary entries (B, dim) from U to V in one
     lockstep march of x'' = accel(x, x'), with the checks every
     scattering relation shares.  Each entry must be finite and on U;
-    ``lift(xs, v_projs)`` completes the batch inward, g-transversal to U,
-    and the completions pass _initial_speeds.  Each ray stops where it
-    crosses V (after being inside when U is V), g-transversal to V.
-    Returns the entries as (B, dim) arrays, their exit projections onto
-    V and their paths."""
+    ``lift(nu, gm, v_projs)``, given the exterior normals nu of U and
+    the values gm of g at the entries, completes the batch inward,
+    g-transversal to U, and the completions pass _initial_speeds.  Each
+    ray stops where it crosses V (after being inside when U is V),
+    g-transversal to V.  Normals and metric values are computed once
+    per batch at the entries and once at the exits.  Returns the
+    entries as (B, dim) arrays, their exit projections onto V and their
+    paths."""
     xs = np.atleast_2d(np.asarray(xs, float))
     v_projs = np.atleast_2d(np.asarray(v_projs, float))
     if not len(xs):
@@ -587,24 +605,31 @@ def scatter_paths(accel, g: MetricField, U: BoundaryHypersurface,
         _check_finite(x, vp, "entry data")
         if not np.all(np.abs(U.value(x)) <= 1e-9):
             raise PreconditionError("entry point not on the boundary")
-        v = lift(x, vp)
-        _check_transversal(U, g, x, v, "entry")
-        return v
+        nu, gm = _normal_metric(U, g, x)
+        v = lift(nu, gm, vp)
+        _check_transversal(nu, gm, v, "entry")
+        return v, gm
 
-    v0 = _by_ray(entry, rays)
-    speed2 = _by_ray(lambda r: _initial_speeds(g, xs[r], v0[r], unit_speed),
-                     rays)
+    v0, gm0 = _by_ray(entry, rays)
+
+    def speeds(r):
+        _check_finite(xs[r], v0[r], "initial data")
+        return _initial_speeds(g, gm0[r], v0[r], unit_speed)
+
+    speed2 = _by_ray(speeds, rays)
     sols = integrate_flow_to_surface(accel, xs, v0, V, step, max_sigma,
                                      require_interior_first=U is V)
     ys, ws = np.array([(x[-1], v[-1]) for _, x, v in sols]).swapaxes(0, 1)
 
     def exits(r):
-        _check_transversal(V, g, ys[r], ws[r], "exit")
-        return [GeodesicPath(sigma=sigma, x=x, v=v, speed_squared=float(q))
-                for (sigma, x, v), q in zip(sols[r], speed2[r])]
+        nu, gm = _normal_metric(V, g, ys[r])
+        _check_transversal(nu, gm, ws[r], "exit")
+        return ([GeodesicPath(sigma=sigma, x=x, v=v, speed_squared=float(q))
+                 for (sigma, x, v), q in zip(sols[r], speed2[r])],
+                _project(nu, gm, ws[r]))
 
-    paths = _by_ray(exits, rays)
-    return xs, v_projs, boundary_project(g, V, ys, ws), paths
+    paths, w_projs = _by_ray(exits, rays)
+    return xs, v_projs, w_projs, paths
 
 
 def _fixed_path(accel, g: MetricField, x0: Array, v0: Array, stop: float,
@@ -612,8 +637,12 @@ def _fixed_path(accel, g: MetricField, x0: Array, v0: Array, stop: float,
     """The RK4 path of x'' = accel(x, x') from (x0, v0) over [0, stop],
     after the _initial_speeds checks, which name ray 0."""
     x0, v0 = np.asarray(x0, float)[None], np.asarray(v0, float)[None]
-    (speed2,) = _by_ray(lambda r: _initial_speeds(g, x0[r], v0[r], unit_speed),
-                        [0])
+
+    def speeds(r):
+        _check_finite(x0[r], v0[r], "initial data")
+        return _initial_speeds(g, g.matrix(x0[r]), v0[r], unit_speed)
+
+    (speed2,) = _by_ray(speeds, [0])
     sigma, xs, vs = integrate_flow_fixed(accel, x0, v0, float(stop), step)
     return GeodesicPath(sigma=sigma, x=xs[:, 0], v=vs[:, 0],
                         speed_squared=float(speed2))

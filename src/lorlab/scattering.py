@@ -9,8 +9,7 @@ import numpy as np
 from .errors import PreconditionError
 from .fields import Array
 from .geometry import (BoundaryHypersurface, GeodesicPath, MetricField,
-                       geodesic_accel, inner, lightlike_completion,
-                       scatter_paths)
+                       _lightlike_lift, geodesic_accel, inner, scatter_paths)
 
 UNIT_INDUCED = "unit_g_prime"
 TIME_COMPONENT = "time_component"
@@ -41,8 +40,8 @@ def _scatter_rays(g: MetricField, U: BoundaryHypersurface,
                   keep_paths: bool) -> list[ScatteringRecord]:
     """The one implementation behind scatter and scatter_batch."""
     xs, v_projs, w_projs, paths = scatter_paths(
-        geodesic_accel(g), g, U, V, xs, v_projs,
-        lambda x, vp: lightlike_completion(g, U, x, vp), step, max_sigma)
+        geodesic_accel(g), g, U, V, xs, v_projs, _lightlike_lift, step,
+        max_sigma)
     return [ScatteringRecord(x=x, v_proj=vp, y=p.end[0], w_proj=w,
                              travel=float(p.sigma[-1]),
                              path=p if keep_paths else None)

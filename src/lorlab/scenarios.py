@@ -19,7 +19,7 @@ from .connect import MetricFamily
 from .fields import Array, CovectorField, ScalarField, SymTwoTensorField
 from .gauge import GaugePair, scale_metric
 from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
-                       MetricField, boundary_project)
+                       MetricField, _dot, boundary_project)
 from .scattering import ScatteringRecord, scatter_batch
 from .stationary import (MagneticRecord, MagneticSystem, StationaryMetric,
                          magnetic_scatter_batch)
@@ -265,17 +265,15 @@ def scattering_entries(scenario: Scenario, n: int,
             v = rng.uniform(0.4, 1.4) * _unit(rng.normal(size=ns))
             out.append((x, np.concatenate([[0.0], v])))
         return out
-    # cylinder entries: v' = dt + b * dtheta with |b| < 1
-    for _ in range(n):
-        th = rng.uniform(0.0, 2 * np.pi)
-        t = rng.uniform(-0.5, 0.5)
-        b = rng.uniform(-0.75, 0.75)
-        x = np.array([t, np.cos(th), np.sin(th)])
-        tang = np.array([0.0, -np.sin(th), np.cos(th)])
-        v_full = np.concatenate([[1.0], b * tang[1:]])
-        out.append((x, boundary_project(scenario.metric,
-                                        scenario.entry_surface, x, v_full)))
-    return out
+    # cylinder entries: v' = dt + b * dtheta with |b| < 1, each entry
+    # drawing (theta, t, b) in turn, projected in one batch
+    th, t, b = rng.uniform([0.0, -0.5, -0.75], [2 * np.pi, 0.5, 0.75],
+                           size=(n, 3)).T
+    c, s = np.cos(th), np.sin(th)
+    xs = np.stack([t, c, s], axis=-1)
+    v_full = np.stack([np.ones(n), b * -s, b * c], axis=-1)
+    return list(zip(xs, boundary_project(scenario.metric,
+                                         scenario.entry_surface, xs, v_full)))
 
 
 def _unit(v: Array) -> Array:
@@ -287,17 +285,13 @@ def magnetic_entries(scenario: Scenario, n: int,
     """Sub-unit tangential entries (x, u') on the spatial boundary."""
     if scenario.spatial_boundary is None:
         raise ValueError(f"scenario {scenario.name} has no spatial boundary")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        th = rng.uniform(0.0, 2 * np.pi)
-        b = rng.uniform(-0.75, 0.75)
-        x = np.array([np.cos(th), np.sin(th)])
-        tang = np.array([-np.sin(th), np.cos(th)])
-        hm = scenario.magnetic.base.matrix(x)
-        norm = np.sqrt(float(tang @ hm @ tang))
-        out.append((x, (b / norm) * tang))
-    return out
+    # each entry draws (theta, b) in turn; one metric call for all
+    th, b = np.random.default_rng(seed).uniform(
+        [0.0, -0.75], [2 * np.pi, 0.75], size=(n, 2)).T
+    xs = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    tang = np.stack([-xs[:, 1], xs[:, 0]], axis=-1)
+    norm = np.sqrt(_dot(tang, scenario.magnetic.base.matrix(xs), tang))
+    return list(zip(xs, (b / norm)[:, None] * tang))
 
 
 def rotation_bump_pair(eps: float = 0.15):

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import NoLiftError, PreconditionError
 from .fields import Array, CovectorField, ScalarField, SymTwoTensorField
 from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
-                       GeodesicPath, MetricField, _fixed_path,
-                       boundary_normal, christoffel_contraction,
+                       GeodesicPath, MetricField, _dot, _fixed_path,
+                       christoffel_contraction,
                        geodesic_accel, inner, integrate_geodesic,
                        metric_solve, scatter_paths)
 from .lightray import light_ray_transform, magnetic_linearized_transform
@@ -51,18 +51,39 @@ class StationaryMetric:
     @property
     def assembled(self) -> MetricField:
         """g = lam M with M = diag(0, h) - a a^T and a = (1, omega); the
-        jet takes dg = dlam M + lam dM by the product rule."""
+        jet takes dg = dlam M + lam dM by the product rule.
+
+        func and jetfunc share one construction (blocks), so that
+        jet(x)[0] is bit-equal to func(x): the rows A = (a, d_t a, d_k a)
+        give Q = A (x) a, whose symmetrization Q + Q^T is 2 a a^T in
+        slab 0 (halved, exactly) and d_k a a^T + a d_k a^T in slab 1 + k.
+        One array X then holds M, d_t M = 0 and every d_k M, and
+        lam X + dlam (x) M fills g and dg at once."""
         n = self.n
 
-        def block(om, h):
-            a = np.concatenate([np.ones(om.shape[:-1] + (1,)), om], axis=-1)
-            M = -a[..., :, None] * a[..., None, :]
-            M[..., 1:, 1:] += h
-            return a, M
+        def blocks(om, h, J, dh):
+            """X[..., 0, :, :] = M; unless the partials J[..., k, j] =
+            d_k omega_j and dh[..., k, i, j] = d_k h_ij are None, also
+            X[..., 1, :, :] = d_t M = 0 and X[..., 1 + k, :, :] = d_k M."""
+            rows = 1 if J is None else n + 2
+            A = np.zeros(om.shape[:-1] + (rows, n + 1))
+            A[..., 0, 0] = 1.0
+            A[..., 0, 1:] = om
+            X = np.zeros(om.shape[:-1] + (rows, n + 1, n + 1))
+            X[..., 0, 1:, 1:] = h
+            if J is not None:
+                A[..., 2:, 1:] = J
+                X[..., 2:, 1:, 1:] = dh
+            Q = A[..., :, :, None] * A[..., :1, None, :]
+            S = Q + Q.swapaxes(-1, -2)
+            S[..., 0, :, :] *= 0.5
+            X -= S
+            return X
 
         def func(x):
             xs = np.asarray(x, float)[..., 1:]
-            _, M = block(self.omega(xs), np.asarray(self.base.func(xs), float))
+            M = blocks(self.omega(xs), np.asarray(self.base.func(xs), float),
+                       None, None)[..., 0, :, :]
             return self.lam(xs)[..., None, None] * M
 
         jetfunc = None
@@ -70,21 +91,13 @@ class StationaryMetric:
                 and self.base.jetfunc is not None):
 
             def jetfunc(x):
-                x = np.asarray(x, float)
-                xs = x[..., 1:]
-                lam = self.lam(xs)[..., None, None]
-                h, dh = self.base._unchecked_jet(xs)  # dh (..., k, i, j)
-                a, M = block(self.omega(xs), h)
-                da = np.zeros(x.shape[:-1] + (n, n + 1))   # d_k a
-                da[..., 1:] = self.omega.jacobian(xs)
-                dM = -(da[..., :, :, None] * a[..., None, None, :]
-                       + a[..., None, :, None] * da[..., :, None, :])
-                dM[..., 1:, 1:] += dh
-                dg = np.zeros(x.shape[:-1] + (n + 1,) * 3)
-                dg[..., 1:, :, :] = (self.lam.gradient(xs)[..., None, None]
-                                     * M[..., None, :, :]
-                                     + lam[..., None] * dM)
-                return lam * M, dg
+                xs = np.asarray(x, float)[..., 1:]
+                h, dh = self.base._unchecked_jet(xs)
+                X = blocks(self.omega(xs), h, self.omega.jacobian(xs), dh)
+                W = self.lam(xs)[..., None, None, None] * X
+                W[..., 2:, :, :] += (self.lam.gradient(xs)[..., :, None, None]
+                                     * X[..., :1, :, :])
+                return W[..., 0, :, :], W[..., 1:, :, :]
 
         domain = None
         if self.base.domain is not None:
@@ -223,13 +236,13 @@ def magnetic_scatter_batch(mag: MagneticSystem, S: BoundaryHypersurface,
     in one RK4 march of step 1e-3.  The checks are those of scatter_batch,
     with NoLiftError for |u'|_h >= 1; errors name the failing ray."""
 
-    def lift(x, up):
-        q = inner(mag.base, x, up, up)
+    def lift(nu, hm, up):
+        mag.base._check_signature(hm)
+        q = _dot(up, hm, up)
         long = q >= 1.0
         if np.any(long):
             raise NoLiftError(f"tangential entry has |u'|_h^2 = "
                               f"{q[long][0]:g} >= 1; no unit completion")
-        nu = boundary_normal(S, mag.base, x)
         return up - np.sqrt(1.0 - q)[:, None] * nu
 
     xs, u_projs, w_projs, paths = scatter_paths(

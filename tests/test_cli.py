@@ -195,6 +195,22 @@ def test_wrong_config_value_type_is_parse_error(tmp_path, capsys, command,
     assert err.startswith(f"error: {command} reads config key {key!r}")
 
 
+@pytest.mark.parametrize("command, config", [
+    ("scatter", {"n": -3}), ("scatter", {"n": 0}), ("scatter", {"step": 0}),
+    ("connect", {"tolerance": 0.0}), ("normal-coords", {"tolerance": -1})])
+def test_out_of_range_config_value_is_parse_error(tmp_path, capsys, command,
+                                                  config):
+    """A count below 1, or a tolerance or step not above 0, is a parse
+    error that names the key, raised before any work: an empty grid or a
+    negative tolerance would otherwise report a tolerance violation."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", str(cfg)]) == EXIT_PARSE
+    (key,) = config
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command} reads config key {key!r}")
+
+
 def test_int_config_value_reads_as_float(tmp_path):
     """An int is fine where a float is read."""
     cfg = tmp_path / "cfg.json"

@@ -9,6 +9,7 @@ from lorlab import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                     boundary_normal, causal_classify, christoffel,
                     geodesic_accel, inner, integrate_geodesic,
                     lightlike_completion, scatter, scenarios)
+from lorlab import geometry
 from lorlab.errors import LorlabError
 from lorlab.fields import (CovectorField, ScalarField, _central_diff,
                            _central_jet)
@@ -84,6 +85,40 @@ def test_geodesic_accel_flat_zero():
     acc = geodesic_accel(g)
     a = acc(np.array([[0.0, 0.1, 0.2]]), np.array([[1.0, 0.5, -0.2]]))
     assert np.abs(a).max() < 1e-14
+
+
+@pytest.mark.parametrize("lead", [(1,), (16,), (2, 4)])
+def test_christoffel_contraction_against_two_einsums(lead):
+    """The one-product contraction against the two-einsum form
+    d_i g_lj v^i v^j - (1/2) d_l g_ij v^i v^j, per point within
+    1e-14 |dg| |v|^2 (Frobenius norm of dg at that point)."""
+    rng = np.random.default_rng(11)
+    dg = rng.normal(size=lead + (3, 3, 3))
+    dg = dg + np.swapaxes(dg, -1, -2)              # symmetric in i, j
+    v = rng.normal(size=lead + (3,))
+    reference = (np.einsum("...ilj,...i,...j->...l", dg, v, v)
+                 - 0.5 * np.einsum("...lij,...i,...j->...l", dg, v, v))
+    got = geometry.christoffel_contraction(dg, v)
+    assert got.shape == lead + (3,)
+    bound = (1e-14 * np.linalg.norm(dg.reshape(lead + (27,)), axis=-1)
+             * np.einsum("...i,...i->...", v, v))
+    assert (np.abs(got - reference).max(axis=-1) <= bound).all()
+
+
+@pytest.mark.parametrize("name", ["stationary_rot", "perturbed_product"])
+def test_geodesic_accel_rows_do_not_depend_on_the_batch(name):
+    """Each row of a batched acceleration is bit-equal to the same row
+    computed alone, checked or not."""
+    acc = geodesic_accel(scenarios.build(name).metric)
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, (16, 1)),
+                        rng.uniform(-0.6, 0.6, (16, 2))], axis=1)
+    v = rng.normal(size=(16, 3))
+    for check in (True, False):
+        batch = acc(x, v, check)
+        for i in range(len(x)):
+            assert np.array_equal(acc(x[i:i + 1], v[i:i + 1], check)[0],
+                                  batch[i])
 
 
 def test_causal_classification():

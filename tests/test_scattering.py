@@ -369,7 +369,7 @@ def test_generated_pairs_are_the_single_ray_scatters(stationary_rot):
                               keep_path=False)
         assert np.array_equal(rb.x, x) and np.array_equal(rb.y, rs.y)
         assert rb.action == rs.action
-    # an empty grid is an empty list, as the CLI reports it for {"n": 0}
+    # an empty grid is an empty list
     assert scenarios.null_pairs(sc, 0) == scenarios.magnetic_pairs(sc, 0) == []
 
 
@@ -390,9 +390,11 @@ def test_empty_magnetic_scatter_batch(stationary_rot):
 def test_matrix_calls_do_not_grow_with_the_batch(product_disk,
                                                  stationary_rot,
                                                  monkeypatch, call):
-    """Around the march, each check, lift and projection evaluates the
-    metric once for the whole batch: a call on 8 entries or pairs makes
-    as many MetricField.matrix calls as a call on one."""
+    """Around the march the metric is evaluated once for the whole batch
+    at the entries and once at the exits, their normals and values shared
+    by the lift, the checks and the exit projection; a connector batch
+    evaluates it once.  A call on 8 entries or pairs makes as many
+    MetricField.matrix calls as a call on one."""
     pd, sr = product_disk, stationary_rot
     if call == "scatter_batch":
         xs, vs = map(np.array, zip(*scenarios.scattering_entries(pd, 8, 3)))
@@ -420,7 +422,8 @@ def test_matrix_calls_do_not_grow_with_the_batch(product_disk,
         calls.clear()
         assert len(run(b)) == b
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    expected = 1 if call == "connecting_geodesics_batch" else 2
+    assert counts == [expected, expected]
 
 
 def test_boundary_helpers_are_batched(stationary_rot):

@@ -412,7 +412,8 @@ def test_stationary_accel_evaluates_each_field_once(stationary_rot, check):
 def test_assembled_jet_with_varying_fields(perturbed_product, rng):
     """The product-rule partials of lam (diag(0, h) - a a^T), a = (1,
     omega), with lam, omega and h all non-constant, against central
-    differences of the assembled matrix."""
+    differences of the assembled matrix, on a batch of 8 points and on
+    the same points as a (2, 4) grid."""
     m = StationaryMetric(
         lam=ScalarField(
             func=lambda p: 1.0 + 0.2 * np.sin(p[..., 0]) * np.cos(p[..., 1]),
@@ -429,10 +430,13 @@ def test_assembled_jet_with_varying_fields(perturbed_product, rng):
         base=perturbed_product.stationary.base)
     g = m.assembled
     x = rng.uniform(-0.6, 0.6, (8, 3))
-    gm, dg = g.jet(x)
-    fd_g, fd_dg = _central_jet(g.func, x, (3, 3))
-    assert np.array_equal(gm, fd_g)
-    assert np.abs(dg - fd_dg).max() <= 1e-8
+    for pts in (x, x.reshape(2, 4, 3)):
+        gm, dg = g.jet(pts)
+        assert gm.shape == pts.shape[:-1] + (3, 3)
+        assert dg.shape == pts.shape[:-1] + (3, 3, 3)
+        fd_g, fd_dg = _central_jet(g.func, pts, (3, 3))
+        assert np.array_equal(gm, fd_g)
+        assert np.abs(dg - fd_dg).max() <= 1e-8
 
 
 def test_magnetic_accel_closed_form(stationary_rot, monkeypatch):
