@@ -247,7 +247,7 @@ def scattering_invariance(g1: MetricField, g2: MetricField,
                           U: BoundaryHypersurface, V: BoundaryHypersurface,
                           entries: Sequence[tuple[Array, Array]]) -> float:
     """worst_of the discrepancies of the scattering data of two metrics
-    over a set of boundary entries (RK4 steps of 1e-3 up to sigma 30).
+    over a set of boundary entries (scatter_batch up to sigma 30).
     Exit projections are compared after matching the positive exit scale
     (the relation is homogeneous; conformal changes reparametrize the
     rays)."""
@@ -265,8 +265,8 @@ def magnetic_invariance(mag1: MagneticSystem, mag2: MagneticSystem,
                         S: BoundaryHypersurface,
                         entries: Sequence[tuple[Array, Array]]) -> float:
     """worst_of the discrepancies of magnetic boundary data (exit point,
-    exit projection, action) between two gauge-equivalent systems (RK4
-    steps of 1e-3 up to sigma 30)."""
+    exit projection, action) between two gauge-equivalent systems
+    (magnetic_scatter_batch up to sigma 30)."""
     xs = np.array([x for x, _ in entries], float)
     us = np.array([u for _, u in entries], float)
     recs1 = magnetic_scatter_batch(mag1, S, xs, us, max_sigma=30.0)

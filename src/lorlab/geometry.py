@@ -2,11 +2,12 @@
 
 Metric evaluation, Christoffel symbols, causal classification, and
 boundary normals, projections and completions on batches (..., dim), a
-point being the batch of shape ().  One fixed-step RK4 stepper of
-y' = rhs(y) on a batch of flat states serves every flow; scatter_paths
-builds the paths of a march to a surface, _fixed_path those of a fixed
-interval.  A check that fails on a batch runs again ray by ray, so its
-error names the first failing ray (_by_ray).
+point being the batch of shape ().  One RK4 stepper of y' = rhs(y) on
+a batch of flat states, with one step length or one per row, serves
+every flow: fixed steps over an interval (_fixed_path), error-controlled
+steps per ray to a surface (integrate_flow_to_surface, behind
+scatter_paths).  A check that fails on a batch runs again ray by ray, so
+its error names the first failing ray (_by_ray).
 """
 
 from __future__ import annotations
@@ -358,12 +359,13 @@ def _by_ray(check, rays):
         raise
 
 
-def _rk4_step(rhs, y: Array, h, rays: Array) -> Array:
+def _rk4_step(rhs, y: Array, h, rays: Array, k1: Optional[Array] = None):
     """One classical RK4 step of the first-order system y' = rhs(y, check)
     on a (B, n) state whose rows hold the rays ``rays``, of length h, one
     for all rows or one per row; errors name their first ray (_by_ray).
     Only stage 1, the accepted state the step starts from, asks ``rhs``
-    for the metric check."""
+    for the metric check; a march that has it already passes it as
+    ``k1``.  Returns (the new state, stage 4)."""
     h = np.asarray(h, float)
     if h.ndim:
         h = h[:, None]
@@ -371,11 +373,11 @@ def _rk4_step(rhs, y: Array, h, rays: Array) -> Array:
     def step(r):
         yr, hr = y[r], (h[r] if h.ndim else h)
         half = 0.5 * hr
-        k1 = rhs(yr, True)
-        k2 = rhs(yr + half * k1, False)
+        k1r = rhs(yr, True) if k1 is None else k1[r]
+        k2 = rhs(yr + half * k1r, False)
         k3 = rhs(yr + half * k2, False)
         k4 = rhs(yr + hr * k3, False)
-        return yr + (hr / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return yr + (hr / 6.0) * (k1r + 2 * k2 + 2 * k3 + k4), k4
 
     return _by_ray(step, rays)
 
@@ -417,7 +419,7 @@ def _march_fixed(rhs, y: Array, sigma_max: float, step: float,
     ys = np.empty((n + 1,) + y.shape)
     ys[0] = y
     for i in range(n):
-        yn = _rk4_step(rhs, y, h, rays)
+        yn, _ = _rk4_step(rhs, y, h, rays)
         _check_step(i + 1, yn, y, rays, names)
         y = ys[i + 1] = yn
     return np.linspace(0.0, sigma_max, n + 1), ys
@@ -439,10 +441,10 @@ REFINE_MAX_ITER = 60      # bisection of h down to rounding
 
 
 def _refine_hit(rhs, S: BoundaryHypersurface, y: Array, f0: Array,
-                f1: Array, h: float, sigma0: Array):
-    """Locate, for a batch of rays, the b=0 crossing inside the step of
-    length h from the last interior states y = (x, v), where S.side is
-    f0 < 0, to the crossing samples, where it is f1 >= 0.
+                f1: Array, h: Array, sigma0: Array):
+    """Locate, for a batch of rays, the b=0 crossing inside the steps of
+    lengths h (B,) from the last interior states y = (x, v), where S.side
+    is f0 < 0, to the crossing states, where it is f1 >= 0.
 
     One safeguarded Newton search on the step length d in [0, h] runs for
     all rays at once, each iterate one RK4 step of length d from y.
@@ -453,7 +455,7 @@ def _refine_hit(rhs, S: BoundaryHypersurface, y: Array, f0: Array,
     REFINE_TOL * max(1, sigma0).  Returns (d, y(d)).
     """
     B, dim = y.shape[0], y.shape[1] // 2
-    lo, hi = np.zeros(B), np.full(B, float(h))
+    lo, hi = np.zeros(B), np.array(h, float)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = h * f0 / (f0 - f1)
     d = np.where((d >= 0.0) & (d <= h), d, 0.5 * h)
@@ -462,7 +464,7 @@ def _refine_hit(rhs, S: BoundaryHypersurface, y: Array, f0: Array,
     todo = np.arange(B)
     for _ in range(REFINE_MAX_ITER):
         dt = d[todo]
-        yc = _rk4_step(rhs, y[todo], dt, todo)
+        yc, _ = _rk4_step(rhs, y[todo], dt, todo)
         de[todo], ye[todo] = dt, yc
         xc = yc[:, :dim]
         f = S.side(xc)
@@ -484,6 +486,35 @@ def _refine_hit(rhs, S: BoundaryHypersurface, y: Array, f0: Array,
     return de, ye
 
 
+MARCH_TOL = 1e-10         # local error per unit sigma of a surface-march step
+MARCH_GROW = 64           # longest surface-march step, in caller's steps
+
+
+def _hermite(s: Array, y: Array, f: Array, t: Array) -> tuple[Array, Array]:
+    """(x(t), x'(t)) at the increasing sigmas t (M,) inside the knots s
+    (K,) of a path of x'' = a, from its quintic Hermite fit on (x, x',
+    x'') at the knots: the states y = (x, v) (K, 2 dim) and their
+    derivatives f = (v, a).  A t at a knot gives that knot's (x, v)."""
+    dim = y.shape[1] // 2
+    i = np.clip(np.searchsorted(s, t, side="right") - 1, 0, len(s) - 2)
+    h = (s[i + 1] - s[i])[:, None]
+    th = ((t - s[i]) / (s[i + 1] - s[i]))[:, None]
+    th2, u = th * th, 1.0 - th
+    x0, x1, v0, v1 = y[i, :dim], y[i + 1, :dim], y[i, dim:], y[i + 1, dim:]
+    a0, a1 = f[i, dim:], f[i + 1, dim:]
+    h3 = th2 * th * (10.0 - 15.0 * th + 6.0 * th2)
+    x = ((1.0 - h3) * x0 + h3 * x1
+         + h * (th * (1.0 - th2 * (6.0 - 8.0 * th + 3.0 * th2)) * v0
+                + th2 * th * (-4.0 + 7.0 * th - 3.0 * th2) * v1)
+         + h * h * (0.5 * th2 * u ** 3 * a0 + 0.5 * th2 * th * u * u * a1))
+    v = (30.0 * th2 * u * u * (x1 - x0) / h
+         + u * u * (1.0 + 2.0 * th - 15.0 * th2) * v0
+         + th2 * (-12.0 + 28.0 * th - 15.0 * th2) * v1
+         + h * (0.5 * th * u * u * (2.0 - 5.0 * th) * a0
+                + 0.5 * th2 * u * (3.0 - 5.0 * th) * a1))
+    return x, v
+
+
 def integrate_flow_to_surface(accel, x0: Array, v0: Array,
                               S: BoundaryHypersurface, step: float,
                               max_sigma: float = 10.0,
@@ -491,65 +522,91 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
     """March a batch of x'' = accel(x, x') until each ray crosses to the
     exterior side of S.
 
+    Each ray takes its own RK4 steps h in [step, MARCH_GROW * step].  The
+    derivative at a step's end, which is the next step's first stage and
+    its one metric-checked stage, gives the embedded order-3 estimate
+    err = (h/6) max|k4 - f(y_new)| at no extra cost.  A step is accepted
+    when err <= MARCH_TOL * h or h == step, and the next one is
+    h * clip(0.9 (MARCH_TOL h / err)^(1/3), 0.2, 4), never below step:
+    the march is never finer than the fixed march of steps ``step``.
     Rays that have crossed stop marching.  Returns per-ray (sigma, x, v)
-    sample arrays including the refined final sample on {b=0}.  Raises
-    EscapeError listing rays that never crossed within max_sigma, or
-    naming the first ray whose state turns non-finite.
+    sample arrays: the samples at sigma = j * step from the quintic
+    Hermite fit of the accepted states, then the refined final sample on
+    {b=0}, which replaces a sample less than 1e-13 before it.
+    Raises EscapeError listing rays that never crossed within max_sigma,
+    or naming the first ray whose state turns non-finite.
     """
     rhs = _second_order(accel)
     y = np.hstack(np.atleast_2d(x0, v0)).astype(float)
     B, dim = y.shape[0], y.shape[1] // 2
-    n_max = int(np.ceil(max_sigma / step)) + 1
-    # x and v are stacked apart, so one list is freed before the next stack
-    xs, vs = [y[:, :dim].copy()], [y[:, dim:].copy()]
-    # the still-marching rays, their states and their sides of S
-    rays, ya, phi = np.arange(B), y.copy(), S.side(y[:, :dim])
+    # the sigma that ceil(max_sigma / step) + 1 steps of length step
+    # reach, less half a step for the rounding of sums of steps
+    budget = (np.ceil(max_sigma / step) + 0.5) * step
+    # the still-marching rays: states, derivatives, sigmas, sides of S and
+    # next step lengths
+    rays, ya, sa, phi = np.arange(B), y, np.zeros(B), S.side(y[:, :dim])
+    fa = _by_ray(lambda r: rhs(ya[r], True), rays)
+    ha = np.full(B, float(step))
     seen_interior = phi < -SURFACE_TOL
-    hit_index = np.full(B, -1, dtype=int)
+    knots = [(rays, sa, ya, fa)]             # accepted (ray, sigma, y, f)
     f_in, f_out = np.empty(B), np.empty(B)   # side around the crossing
     y_in = np.empty_like(y)                  # state before the crossing
+    s_in, h_in = np.empty(B), np.empty(B)    # its sigma and step length
+    escaped = []
     k = 0
-    while rays.size and k < n_max:
-        yn = _rk4_step(rhs, ya, step, rays)
-        _check_step(k + 1, yn, ya, rays)
+    while rays.size:
+        k += 1
+        yn, k4 = _rk4_step(rhs, ya, ha, rays, fa)
+        _check_step(k, yn, ya, rays)
+        fn = _by_ray(lambda r: rhs(yn[r], True), rays)
         phin = S.side(yn[:, :dim])
-        crossing = phin >= 0.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            err = ha / 6.0 * np.abs(k4 - fn).max(axis=1)
+        err = np.where(np.isfinite(err), err, np.inf)
+        ok = (err <= MARCH_TOL * ha) | (ha == step)
+        grow = np.clip(0.9 * np.cbrt(MARCH_TOL * ha / np.maximum(err, 1e-300)),
+                       0.2, 4.0)
+        sn = sa + ha
+        crossing = ok & (phin >= 0.0)
         if require_interior_first:
             crossing &= seen_interior[rays]
-            seen_interior[rays] |= phin < -SURFACE_TOL
-        y[rays] = yn
-        xs.append(y[:, :dim].copy())
-        vs.append(y[:, dim:].copy())
+            seen_interior[rays] |= ok & (phin < -SURFACE_TOL)
+        knots.append((rays[ok], sn[ok], yn[ok], fn[ok]))
         if crossing.any():
             hit = rays[crossing]
-            hit_index[hit] = k
             f_in[hit], f_out[hit] = phi[crossing], phin[crossing]
-            y_in[hit] = ya[crossing]
-            going = ~crossing
-            rays, yn, phin = rays[going], yn[going], phin[going]
-        ya, phi = yn, phin
-        k += 1
-    if rays.size:
+            y_in[hit], s_in[hit] = ya[crossing], sa[crossing]
+            h_in[hit] = ha[crossing]
+        ya = np.where(ok[:, None], yn, ya)
+        fa = np.where(ok[:, None], fn, fa)
+        sa, phi = np.where(ok, sn, sa), np.where(ok, phin, phi)
+        ha = np.clip(ha * grow, step, MARCH_GROW * step)
+        spent = ~crossing & (sa >= budget)
+        escaped += rays[spent].tolist()
+        going = ~crossing & ~spent
+        rays, ya, fa, sa, phi, ha = (a[going] for a in
+                                     (rays, ya, fa, sa, phi, ha))
+    if escaped:
         raise EscapeError(
-            f"ray(s) {rays.tolist()} never met the target "
+            f"ray(s) {sorted(escaped)} never met the target "
             f"surface within sigma budget {max_sigma}")
-    xs = np.array(xs)
-    vs = np.array(vs)
-    sigma0 = hit_index * step
-    d, ye = _refine_hit(rhs, S, y_in, f_in, f_out, step, sigma0)
+    d, ye = _refine_hit(rhs, S, y_in, f_in, f_out, h_in, s_in)
     missed = ~(np.abs(np.asarray(S.value(ye[:, :dim]), float))
                <= 100 * SURFACE_TOL)
     if np.any(missed):
         raise EscapeError(f"ray {int(np.flatnonzero(missed)[0])}: boundary "
                           "hit refinement failed")
+    ids, ks, ky, kf = (np.concatenate(c) for c in zip(*knots))
+    by_ray = np.argsort(ids, kind="stable")
     out = []
-    for b in range(B):
-        m, end = hit_index[b], sigma0[b] + d[b]
-        if end - sigma0[b] >= 1e-13:   # else the exit replaces sample m
-            m += 1
-        out.append((np.append(np.arange(m) * step, end),
-                    np.vstack([xs[:m, b], ye[b, None, :dim]]),
-                    np.vstack([vs[:m, b], ye[b, None, dim:]])))
+    for b, sel in enumerate(np.split(by_ray, np.cumsum(
+            np.bincount(ids, minlength=B))[:-1])):
+        end = s_in[b] + d[b]
+        grid = np.arange(int(end / step) + 2) * step
+        grid = grid[end - grid >= 1e-13]
+        x, v = _hermite(ks[sel], ky[sel], kf[sel], grid)
+        out.append((np.append(grid, end), np.vstack([x, ye[b, None, :dim]]),
+                    np.vstack([v, ye[b, None, dim:]])))
     return out
 
 

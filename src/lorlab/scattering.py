@@ -53,7 +53,8 @@ def scatter(g: MetricField, U: BoundaryHypersurface, V: BoundaryHypersurface,
             max_sigma: float = 10.0, keep_path: bool = True) -> ScatteringRecord:
     """Shoot the lightlike geodesic with inward completion of v_proj from
     x in U to its first transversal intersection with V: the batch of one
-    of scatter_batch."""
+    of scatter_batch.  ``step`` is the sample spacing of the path and the
+    smallest step of its error-controlled RK4 march."""
     (rec,) = _scatter_rays(g, U, V, np.asarray(x, float)[None],
                            np.asarray(v_proj, float)[None], step, max_sigma,
                            keep_path)
@@ -65,8 +66,11 @@ def scatter_batch(g: MetricField, U: BoundaryHypersurface,
                   step: float = 1e-3, max_sigma: float = 10.0,
                   keep_paths: bool = False) -> list[ScatteringRecord]:
     """scatter over a batch of entries (B, dim), one RK4 march for all,
-    with the checks of geometry.scatter_paths; NoLiftError when an entry
-    has no lightlike completion."""
+    each ray with its own error-controlled steps, never shorter than
+    ``step``, and its path sampled at multiples of ``step`` (see
+    geometry.integrate_flow_to_surface); the checks are those of
+    geometry.scatter_paths, with NoLiftError when an entry has no
+    lightlike completion."""
     return _scatter_rays(g, U, V, xs, v_projs, step, max_sigma, keep_paths)
 
 

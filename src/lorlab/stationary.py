@@ -233,8 +233,9 @@ def magnetic_scatter_batch(mag: MagneticSystem, S: BoundaryHypersurface,
                            keep_paths: bool = False) -> list[MagneticRecord]:
     """Shoot the unit-speed magnetic geodesics with inward completions of
     the sub-unit tangential entries u_projs (B, n) from xs on S back to S,
-    in one RK4 march of step 1e-3.  The checks are those of scatter_batch,
-    with NoLiftError for |u'|_h >= 1; errors name the failing ray."""
+    in one error-controlled RK4 march with paths sampled every 1e-3.  The
+    checks are those of scatter_batch, with NoLiftError for |u'|_h >= 1;
+    errors name the failing ray."""
 
     def lift(nu, hm, up):
         mag.base._check_signature(hm)
@@ -454,8 +455,8 @@ def thmmag_verify(m: StationaryMetric, U: BoundaryHypersurface,
     """Compare the lightlike scattering relation on the cylinder R x dN
     (entry normalized to reduced time component one) with the magnetic
     scattering relation, the length identity length = s - t + flux, and
-    the action identity A(x, y) = s - t.  Both scatters take RK4 steps
-    of 1e-3 up to sigma 30."""
+    the action identity A(x, y) = s - t.  Both scatters march up to
+    sigma 30 with paths sampled every 1e-3."""
     x = np.asarray(x, float)
     v_proj = np.asarray(v_proj, float)
     xs, t = x[1:], float(x[0])
@@ -494,7 +495,7 @@ def reconstruct_exits(m: StationaryMetric, S: BoundaryHypersurface,
                       u_projs: Array) -> list[tuple[Array, Array]]:
     """Rebuild the reduced lightlike exit data (y, w') on the cylinder
     from magnetic data alone, for entries at times ts, with one magnetic
-    scatter for all (RK4 steps of 1e-3 up to sigma 30): exit time
+    scatter for all (up to sigma 30, sampled every 1e-3): exit time
     t + A(x, y), exit covector with reduced time component one and
     tangential part from the magnetic relation."""
     mag = m.magnetic

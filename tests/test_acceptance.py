@@ -39,7 +39,6 @@ def test_criterion_02_defining_r_trichotomy():
     _check(acceptance.criterion_trichotomy())
 
 
-@pytest.mark.slow
 def test_criterion_03_michel_graph_identity():
     _check(acceptance.criterion_michel())
 
@@ -57,7 +56,6 @@ def test_criterion_06_stationary_to_magnetic():
     _check(acceptance.criterion_projection())
 
 
-@pytest.mark.slow
 def test_criterion_07_length_action_identities():
     _check(acceptance.criterion_reduction_identities())
 

@@ -8,7 +8,8 @@ from lorlab import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                     SingularMetricError, StationaryMetric,
                     boundary_normal, causal_classify, christoffel,
                     geodesic_accel, inner, integrate_geodesic,
-                    lightlike_completion, scatter, scenarios)
+                    lightlike_completion, scatter, scatter_batch,
+                    scenarios)
 from lorlab import geometry
 from lorlab.errors import LorlabError
 from lorlab.fields import (CovectorField, ScalarField, _central_diff,
@@ -231,10 +232,18 @@ def _blowing_up_flow(calls):
         jetfunc=lambda x: (flat.func(x), nan_partials(x))))
 
 
-@pytest.mark.parametrize("march", ["to_surface", "fixed"])
-def test_non_finite_state_stops_the_march(slab, march):
+@pytest.mark.parametrize("march, first", [
+    # flat steps grow 0.01, 0.04, 0.16, then 0.64 from sigma 0.21, which
+    # takes both rays past t = 0.3; ray 0 is named first
+    pytest.param("to_surface", "ray 0: state non-finite after step 4; last "
+                 "finite state x = [0.105", id="to_surface"),
+    # ray 1 reaches t = 0.3 first, at step 30
+    pytest.param("fixed", "ray 1: state non-finite after step 30; last "
+                 "finite state x = [0.29", id="fixed")])
+def test_non_finite_state_stops_the_march(slab, march, first):
     """The march stops at the first step whose state is non-finite rather
-    than spending the whole parameter budget (1000 steps here)."""
+    than spending the whole parameter budget (1000 steps here), naming
+    the ray, the step and the last finite state."""
     calls = []
     accel = _blowing_up_flow(calls)
     x0 = np.array([[0.0, 0.0, 0.0], [0.0, 0.1, 0.0]])
@@ -245,11 +254,31 @@ def test_non_finite_state_stops_the_march(slab, march):
                                       step=1e-2, max_sigma=10.0)
         else:
             integrate_flow_fixed(accel, x0, v0, 10.0, 1e-2)
-    msg = str(err.value)
-    # ray 1 reaches t = 0.3 first, at step 30
-    assert msg.startswith("ray 1: state non-finite after step 30; last "
-                          "finite state x = [0.29")
+    assert str(err.value).startswith(first)
     assert len(calls) <= 4 * 32
+
+
+def test_march_without_tolerance_is_the_fixed_march(stationary_rot,
+                                                   monkeypatch):
+    """With MARCH_TOL = 0 no step passes the error test, so the march to
+    the surface keeps every step at its floor: its samples before the
+    exits are, bit for bit, those of integrate_flow_fixed from the same
+    states."""
+    monkeypatch.setattr(geometry, "MARCH_TOL", 0.0)
+    sc, step = stationary_rot, 2.0 ** -8
+    xs, vs = map(np.array, zip(*scenarios.scattering_entries(sc, 4, seed=5)))
+    paths = [rec.path for rec in scatter_batch(
+        sc.metric, sc.entry_surface, sc.exit_surface, xs, vs, step=step,
+        max_sigma=30.0, keep_paths=True)]
+    n = max(len(p.sigma) for p in paths)
+    sigma, xf, vf = integrate_flow_fixed(
+        geodesic_accel(sc.metric), [p.x[0] for p in paths],
+        [p.v[0] for p in paths], n * step, step)
+    for b, p in enumerate(paths):
+        m = len(p.sigma) - 1
+        assert np.array_equal(p.sigma[:-1], sigma[:m])
+        assert np.array_equal(p.x[:-1], xf[:m, b])
+        assert np.array_equal(p.v[:-1], vf[:m, b])
 
 
 def test_refined_exit_on_a_step_boundary():

@@ -138,7 +138,6 @@ def test_ftc_endpoint_identity(product_disk):
         assert transform == pytest.approx(vals[-1] - vals[0], abs=1e-8)
 
 
-@pytest.mark.slow
 def test_magnetic_kernel_pairs(stationary_rot, rng):
     """The linearized magnetic data vanish on the gauge pairs
     (d^s u, d(phi) - (Y u)^flat) along unit-speed magnetic geodesics."""

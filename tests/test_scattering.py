@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -299,11 +301,11 @@ def test_non_positive_conformal_factor_inside_the_march(product_disk):
                       product_disk.exit_surface, xs, vs)
 
 
-def _circle_exits(B, t, th, b):
-    """Exact exits of stationary_rot: the spatial ray with charge
-    k = 1 + B b / 2 runs counter-clockwise on a circle of radius 1/B at
-    speed k, and t grows by arc length minus the flux of omega.  Returns
-    the exit points (t, x, y) and travels."""
+def _circles(B, th, b):
+    """The rays of stationary_rot from the unit-circle angles th with
+    tangential fractions b: the spatial ray with charge k = 1 + B b / 2
+    runs counter-clockwise on a circle of radius 1/B at speed k.
+    Returns the centres c, the start angles phi0 about them and k."""
     R = 1.0 / B
     p = np.stack([np.cos(th), np.sin(th)], axis=-1)
     tang = np.stack([-p[:, 1], p[:, 0]], axis=-1)
@@ -312,6 +314,26 @@ def _circle_exits(B, t, th, b):
          - np.sqrt(k * k - b * b)[:, None] * p) / k[:, None]
     c = p + R * np.stack([-u[:, 1], u[:, 0]], axis=-1)
     phi0 = np.arctan2(p[:, 1] - c[:, 1], p[:, 0] - c[:, 0])
+    return c, phi0, k
+
+
+def _on_circle(B, t, c, phi0, phi):
+    """The points (t, x, y) at the angles phi about the centre c of a ray
+    that starts at time t at angle phi0: t grows by arc length minus the
+    flux of omega."""
+    R = 1.0 / B
+    q = c + R * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    flux = 0.5 * B * (R * R * (phi - phi0)
+                      + R * (c[0] * (np.sin(phi) - np.sin(phi0))
+                             - c[1] * (np.cos(phi) - np.cos(phi0))))
+    return np.column_stack([t + R * (phi - phi0) - flux, q])
+
+
+def _circle_exits(B, t, th, b):
+    """Exact exits of stationary_rot (see _circles).  Returns the exit
+    points (t, x, y) and travels."""
+    R = 1.0 / B
+    c, phi0, k = _circles(B, th, b)
     # the circle meets the unit circle at angles gamma +- half about c
     cn = np.linalg.norm(c, axis=1)
     gamma = np.arctan2(c[:, 1], c[:, 0])
@@ -321,20 +343,15 @@ def _circle_exits(B, t, th, b):
         gaps = [(gamma[i] + s * half[i] - phi0[i]) % (2 * np.pi)
                 for s in (1.0, -1.0)]
         dphi = max(gaps, key=lambda g: min(g, 2 * np.pi - g))  # not entry
-        phi1 = phi0[i] + dphi
-        q = c[i] + R * np.array([np.cos(phi1), np.sin(phi1)])
-        flux = 0.5 * B * (R * R * dphi
-                          + R * (c[i, 0] * (np.sin(phi1) - np.sin(phi0[i]))
-                                 - c[i, 1] * (np.cos(phi1) - np.cos(phi0[i]))))
-        ys.append([t[i] + R * dphi - flux, q[0], q[1]])
+        ys.append(_on_circle(B, t[i], c[i], phi0[i],
+                             np.array([phi0[i] + dphi]))[0])
         travels.append(R * dphi / k[i])
     return np.array(ys), np.array(travels)
 
 
-@pytest.mark.parametrize("step", [1e-2, 1e-3])
-def test_stationary_rot_exits_match_circles(stationary_rot, step):
-    """One batch whose exit parameters differ more than fivefold."""
-    B = stationary_rot.params["B"]
+def _rot_entries(B):
+    """Five entries of stationary_rot whose exit parameters differ more
+    than fivefold: (t, th, b, xs, vs)."""
     t = np.array([0.3, -0.2, 0.0, 0.45, -0.4])
     th = np.array([0.0, 1.3, 2.9, 4.0, 5.5])
     b = np.array([1.1, 0.74, 0.0, -0.5, -0.85])
@@ -343,6 +360,14 @@ def test_stationary_rot_exits_match_circles(stationary_rot, step):
     vs = np.concatenate([np.ones((5, 1)),
                          b[:, None] * np.stack([-p[:, 1], p[:, 0]], axis=-1)],
                         axis=1)
+    return t, th, b, xs, vs
+
+
+@pytest.mark.parametrize("step", [1e-2, 1e-3])
+def test_stationary_rot_exits_match_circles(stationary_rot, step):
+    """One batch whose exit parameters differ more than fivefold."""
+    B = stationary_rot.params["B"]
+    t, th, b, xs, vs = _rot_entries(B)
     recs = scatter_batch(stationary_rot.metric, stationary_rot.entry_surface,
                          stationary_rot.exit_surface, xs, vs, step=step,
                          max_sigma=30.0)
@@ -352,6 +377,56 @@ def test_stationary_rot_exits_match_circles(stationary_rot, step):
         assert np.abs(rec.y - y).max() <= 1e-6
         assert abs(rec.travel - travel) <= 1e-6
         assert abs(float(stationary_rot.exit_surface.value(rec.y))) <= 1e-12
+
+
+def test_stationary_rot_paths_match_circles(stationary_rot):
+    """Every sample of an error-controlled path, not only its exit, lies
+    on its closed-form circle at its sigma, with the velocity of that
+    circle; the samples before the exit are the caller's step grid."""
+    B = stationary_rot.params["B"]
+    R = 1.0 / B
+    t, th, b, xs, vs = _rot_entries(B)
+    step = 1e-3
+    recs = scatter_batch(stationary_rot.metric, stationary_rot.entry_surface,
+                         stationary_rot.exit_surface, xs, vs, step=step,
+                         max_sigma=30.0, keep_paths=True)
+    c, phi0, k = _circles(B, th, b)
+    for i, rec in enumerate(recs):
+        sigma = rec.path.sigma
+        assert np.array_equal(sigma[:-1], np.arange(len(sigma) - 1) * step)
+        phi = phi0[i] + k[i] * sigma / R
+        x = _on_circle(B, t[i], c[i], phi0[i], phi)
+        radial = c[i, 0] * np.cos(phi) + c[i, 1] * np.sin(phi)
+        v = k[i] * np.column_stack([1.0 - 0.5 * B * (R + radial),
+                                    -np.sin(phi), np.cos(phi)])
+        assert np.abs(rec.path.x - x).max() <= 1e-9
+        assert np.abs(rec.path.v - v).max() <= 1e-9
+
+
+def test_error_control_saves_two_thirds_of_the_accel_calls(stationary_rot,
+                                                           monkeypatch):
+    """A scatter of stationary_rot makes at most a third of the metric jets,
+    one per acceleration call, of the fixed march of its step, which is
+    the march with MARCH_TOL = 0."""
+    sc = stationary_rot
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return sc.metric.jetfunc(x)
+
+    g = dataclasses.replace(sc.metric, jetfunc=counted)
+    xs, vs = _rot_entries(sc.params["B"])[3:]
+
+    def jets():
+        calls.clear()
+        scatter_batch(g, sc.entry_surface, sc.exit_surface, xs, vs,
+                      max_sigma=30.0)
+        return len(calls)
+
+    controlled = jets()
+    monkeypatch.setattr(geometry, "MARCH_TOL", 0.0)
+    assert 3 * controlled <= jets()
 
 
 def test_generated_pairs_are_the_single_ray_scatters(stationary_rot):
