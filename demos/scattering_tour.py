@@ -7,7 +7,7 @@ Run with: python3 demos/scattering_tour.py
 
 import numpy as np
 
-from lorlab import (connecting_geodesic, michel_check, scatter,
+from lorlab import (connecting_geodesics_batch, michel_check, scatter,
                     scenarios)
 
 pd = scenarios.build("product_disk")
@@ -28,8 +28,10 @@ print("pairs, zero on the lightlike locus, positive for spacelike.")
 y_sp = np.array([-0.5, np.sqrt(3) / 2])
 rho = float(np.linalg.norm(y_sp - x[1:]))
 print(f"chord length rho = {rho:.6f}")
-for s in np.linspace(0.5, 2.5, 6):
-    c = connecting_geodesic(pd.metric, x, np.array([s, *y_sp]))
+svals = np.linspace(0.5, 2.5, 6)
+conns = connecting_geodesics_batch(pd.metric, np.tile(x, (len(svals), 1)),
+                                   [[s, *y_sp] for s in svals])
+for s, c in zip(svals, conns):
     closed = 0.5 * (rho ** 2 - s ** 2)
     print(f"  s = {s:.2f}  r = {c.energy:+.6f}  closed form {closed:+.6f}"
           f"  ({c.causal.tag})")

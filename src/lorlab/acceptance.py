@@ -29,7 +29,7 @@ from .lightray import (ftc_residual, kernel_conformal_test,
                        kernel_potential_test)
 from .scattering import scatter_batch
 from .stationary import (StationaryMetric, boundary_normal_coords,
-                         equivalence_on_connector, magnetic_connectors_batch,
+                         linearization_equivalence, magnetic_connectors_batch,
                          magnetic_integrate, magnetic_michel,
                          project_and_verify, reconstruct_exits,
                          reduced_time_component, thmmag_verify)
@@ -250,14 +250,14 @@ def _potential_family() -> MetricFamily:
 
 def linearization_records(family: MetricFamily, pairs) -> list[dict]:
     """Central difference in tau (step 1e-4) of r against half the light
-    ray transform of the family's derivative, per pair (verify-thm1)."""
-    records = []
-    for x, y in pairs:
-        rep = linearize_r(family, x, y, fd_step=1e-4)
-        records.append({"x": x, "y": y, "fd_value": rep.fd_value,
-                        "half_transform": rep.kappa * rep.lrt_value,
-                        "rel_error": rep.rel_error})
-    return records
+    ray transform of the family's derivative, per pair, from one batched
+    linearize_r (verify-thm1)."""
+    xs, ys = np.array(pairs).swapaxes(0, 1)
+    return [{"x": x, "y": y, "fd_value": rep.fd_value,
+             "half_transform": rep.kappa * rep.lrt_value,
+             "rel_error": rep.rel_error}
+            for x, y, rep in zip(xs, ys, linearize_r(family, xs, ys,
+                                                     fd_step=1e-4))]
 
 
 def criterion_linearize() -> CriterionResult:
@@ -443,7 +443,7 @@ def equivalence_records(m: StationaryMetric, perturbations, pairs,
     records = []
     for dh, dom in perturbations:
         for c in conns:
-            eq = equivalence_on_connector(m, dh, dom, c)
+            eq = linearization_equivalence(m, dh, dom, c)
             target = 2.0 * eq.length ** 2 * eq.magnetic_value
             records.append({"x": c.x, "y": c.y, "length": eq.length,
                             "lorentzian": eq.lorentzian_value,
@@ -627,7 +627,7 @@ def criterion_orders() -> CriterionResult:
         exact = 0.5 * rho2
         errs = []
         for h in (4e-3, 2e-3, 1e-3):
-            rep = linearize_r(fam, x, y, fd_step=h)
+            (rep,) = linearize_r(fam, x[None], y[None], fd_step=h)
             errs.append(abs(rep.fd_value - exact))
         fd_order = min(np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2]))
         checks.append(Check("central FD order shortfall (1.8 - observed)",

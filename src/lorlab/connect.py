@@ -22,6 +22,8 @@ SIGMA_TOL = 1e-8        # largest |r| that sigma_detect puts on the set
 PAIR_TOL = 1e-6         # |r| above which a pair is off the lightlike set
 FD_STEP = 1e-5          # chart step of michel_check's central quotients
 TAU_STEP = 1e-6         # tau step of MetricFamily.tensor_derivative
+MAX_ITER = 50           # Newton iterations of each solve_two_point grid
+COND_LIMIT = 1e10       # shooting Jacobian condition flagged as conjugate
 
 
 # ---------------------------------------------------------------------------
@@ -42,19 +44,21 @@ def _march(accel, xs: Array, vs: Array, n_steps: int, rows_per_pair: int):
 
 
 def _newton(accel, xs: Array, ys: Array, v: Array, n_steps: int, tol: float,
-            max_iter: int, cond_limit: float, J: Optional[Array] = None):
+            J: Optional[Array] = None):
     """The Newton/Broyden iteration of solve_two_point on one grid of
     n_steps steps, from the velocities v and, when given, the Jacobian J
-    (updated in place).  Returns (v, J, march at v)."""
+    (updated in place), for at most MAX_ITER iterations; a Jacobian of
+    condition above COND_LIMIT is a ConjugatePointError.  Returns (v, J,
+    march at v)."""
     B, dim = xs.shape
     last = _march(accel, xs, v, n_steps, 1)
     F = last[1][-1] - ys
     res = np.abs(F).max(axis=1)
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         done = res <= tol
         if np.all(done):
             return v, J, last
-        if it == max_iter:
+        if it == MAX_ITER:
             break
         last = None           # freed: a residual march precedes any return
         if J is None:
@@ -66,11 +70,11 @@ def _newton(accel, xs: Array, ys: Array, v: Array, n_steps: int, tol: float,
             J = (ends - (F + ys)[:, None, :]) / delta[:, None, None]
             J = np.swapaxes(J, 1, 2)            # J[b, out, in]
             conds = np.linalg.cond(J)
-            bad = np.flatnonzero(conds > cond_limit)
+            bad = np.flatnonzero(conds > COND_LIMIT)
             if bad.size:
                 raise ConjugatePointError(
                     f"pair(s) {bad.tolist()}: shooting Jacobian condition "
-                    f"{conds.max():.3g} exceeds {cond_limit:.1g}; endpoints "
+                    f"{conds.max():.3g} exceeds {COND_LIMIT:.1g}; endpoints "
                     "may be conjugate")
         dv = np.linalg.solve(J, F[..., None])[..., 0]
         v_new = np.where(done[:, None], v, v - dv)
@@ -91,7 +95,7 @@ def _newton(accel, xs: Array, ys: Array, v: Array, n_steps: int, tol: float,
         v, F, res = v_new, F_new, res_new
     raise ConvergenceError(
         f"pair(s) {np.flatnonzero(~done).tolist()}: two-point shooting "
-        f"residual {res.max():.3g} after {max_iter} iterations")
+        f"residual {res.max():.3g} after {MAX_ITER} iterations")
 
 
 COARSE_FACTOR = 8       # the coarse grid has n_steps // COARSE_FACTOR steps
@@ -100,8 +104,7 @@ COARSE_TOL = 1e-8       # the coarse phase stops at max(tol, COARSE_TOL)
 
 
 def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
-                    n_steps: int = 400, tol: float = 1e-10,
-                    max_iter: int = 50, cond_limit: float = 1e10, *,
+                    n_steps: int = 400, tol: float = 1e-10, *,
                     march: Optional[list] = None) -> Array:
     """Newton shooting on initial velocities for a batch of endpoint pairs.
 
@@ -140,11 +143,10 @@ def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
     if n_steps // COARSE_FACTOR >= COARSE_MIN_STEPS:
         try:
             v0, J, _ = _newton(accel, xs, ys, v, n_steps // COARSE_FACTOR,
-                               max(tol, COARSE_TOL), max_iter, cond_limit)
+                               max(tol, COARSE_TOL))
         except LorlabError:
             pass        # the requested grid solves alone from the seeds
-    v, _, last = _newton(accel, xs, ys, v0, n_steps, tol, max_iter,
-                         cond_limit, J)
+    v, _, last = _newton(accel, xs, ys, v0, n_steps, tol, J)
     if march is not None:
         march[:] = last
     return v
@@ -167,13 +169,13 @@ class ConnectingGeodesic:
 
 def connecting_geodesics_batch(g: MetricField, xs: Array, ys: Array,
                                seeds: Optional[Array] = None,
-                               n_steps: int = 400, tol: float = 1e-10,
-                               **kw) -> list[ConnectingGeodesic]:
+                               n_steps: int = 400,
+                               tol: float = 1e-10) -> list[ConnectingGeodesic]:
     xs = np.atleast_2d(np.asarray(xs, float))
     ys = np.atleast_2d(np.asarray(ys, float))
     march = []
     vs = solve_two_point(geodesic_accel(g), xs, ys, seeds=seeds,
-                         n_steps=n_steps, tol=tol, march=march, **kw)
+                         n_steps=n_steps, tol=tol, march=march)
     sigma, px, pv = march
     speed2 = inner(g, xs, vs, vs)
     return [ConnectingGeodesic(
@@ -183,27 +185,21 @@ def connecting_geodesics_batch(g: MetricField, xs: Array, ys: Array,
         for b, causal in enumerate(_causal_classes(speed2, vs))]
 
 
-def connecting_geodesic(g: MetricField, x: Array, y: Array,
-                        seed: Optional[Array] = None, n_steps: int = 400,
-                        tol: float = 1e-10, **kw) -> ConnectingGeodesic:
-    seeds = None if seed is None else np.asarray(seed, float)[None]
-    (conn,) = connecting_geodesics_batch(
-        g, np.asarray(x, float)[None], np.asarray(y, float)[None],
-        seeds=seeds, n_steps=n_steps, tol=tol, **kw)
-    return conn
+def _energies(conns: list[ConnectingGeodesic]) -> Array:
+    return np.array([c.energy for c in conns])
 
 
-def defining_r(g: MetricField, x: Array, y: Array,
-               seed: Optional[Array] = None, **kw) -> float:
-    """Energy of the locally unique connector: negative iff timelike,
-    zero iff lightlike, positive iff spacelike."""
-    return connecting_geodesic(g, x, y, seed=seed, **kw).energy
+def defining_r(g: MetricField, xs: Array, ys: Array) -> Array:
+    """Energies (B,) of the locally unique connectors of the pairs (xs,
+    ys), one connecting_geodesics_batch: negative iff timelike, zero iff
+    lightlike, positive iff spacelike."""
+    return _energies(connecting_geodesics_batch(g, xs, ys))
 
 
-def sigma_detect(g: MetricField, x: Array, y: Array, **kw) -> bool:
-    """True iff the pair lies on the lightlike-connectivity set, to
-    SIGMA_TOL."""
-    return abs(defining_r(g, x, y, **kw)) <= SIGMA_TOL
+def sigma_detect(g: MetricField, xs: Array, ys: Array) -> Array:
+    """Bool array (B,): which pairs lie on the lightlike-connectivity set,
+    to SIGMA_TOL."""
+    return np.abs(defining_r(g, xs, ys)) <= SIGMA_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -314,26 +310,28 @@ class LinearizationReport:
     rel_error: float
 
 
-def linearize_r(family: MetricFamily, x: Array, y: Array,
-                fd_step: float = 1e-4) -> LinearizationReport:
+def linearize_r(family: MetricFamily, xs: Array, ys: Array,
+                fd_step: float = 1e-4) -> list[LinearizationReport]:
     """Central difference of tau -> r_tau against the light ray transform
-    of the family derivative over the base connector (factor one half).
-    The connectors take 400 RK4 steps; the pair must have |r| <= PAIR_TOL
+    of the family derivative over the base connector (factor one half),
+    one report per pair (xs, ys).  Three connecting_geodesics_batch
+    solves of 400 RK4 steps: g_0, then g_{+fd_step} and g_{-fd_step}
+    seeded by the g_0 connectors.  Every pair must have |r| <= PAIR_TOL
     under g_0, and the relative error is floored at 1e-10."""
-    g0 = family.eval(0.0)
-    base = connecting_geodesic(g0, x, y, tol=1e-12)
-    if abs(base.energy) > PAIR_TOL:
-        raise PreconditionError("pair not on the lightlike set of g_0")
-    seed = base.path.v[0]
-    r_plus = connecting_geodesic(family.eval(+fd_step), x, y, seed=seed,
-                                 tol=1e-12).energy
-    r_minus = connecting_geodesic(family.eval(-fd_step), x, y, seed=seed,
-                                  tol=1e-12).energy
-    fd_value = (r_plus - r_minus) / (2 * fd_step)
-    lrt_value = light_ray_transform(family.tensor_derivative(), base.path,
-                                    lightlike_tol=10 * PAIR_TOL)
-    kappa = 0.5
-    rel_error = abs(fd_value - kappa * lrt_value) / max(abs(kappa * lrt_value),
-                                                        1e-10)
-    return LinearizationReport(fd_value=fd_value, lrt_value=lrt_value,
-                               kappa=kappa, rel_error=rel_error)
+    base = connecting_geodesics_batch(family.eval(0.0), xs, ys, tol=1e-12)
+    off = np.flatnonzero(np.abs(_energies(base)) > PAIR_TOL)
+    if off.size:
+        raise PreconditionError(f"pair(s) {off.tolist()}: not on the "
+                                "lightlike set of g_0")
+    seeds = np.array([c.path.v[0] for c in base])
+    r_plus, r_minus = (_energies(connecting_geodesics_batch(
+        family.eval(s * fd_step), xs, ys, seeds=seeds, tol=1e-12))
+        for s in (+1.0, -1.0))
+    f = family.tensor_derivative()
+    lrt = np.array([light_ray_transform(f, c.path, lightlike_tol=10 * PAIR_TOL)
+                    for c in base])
+    fd = (r_plus - r_minus) / (2 * fd_step)
+    rel = np.abs(fd - 0.5 * lrt) / np.maximum(np.abs(0.5 * lrt), 1e-10)
+    return [LinearizationReport(fd_value=a, lrt_value=b, kappa=0.5,
+                                rel_error=e)
+            for a, b, e in zip(fd.tolist(), lrt.tolist(), rel.tolist())]

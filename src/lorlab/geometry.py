@@ -440,14 +440,15 @@ REFINE_TOL = 1e-15        # Newton correction at which a hit is accepted
 REFINE_MAX_ITER = 60      # bisection of h down to rounding
 
 
-def _refine_hit(rhs, S: BoundaryHypersurface, y: Array, f0: Array,
-                f1: Array, h: Array, sigma0: Array):
+def _refine_hit(rhs, S: BoundaryHypersurface, y: Array, k1: Array,
+                f0: Array, f1: Array, h: Array, sigma0: Array):
     """Locate, for a batch of rays, the b=0 crossing inside the steps of
     lengths h (B,) from the last interior states y = (x, v), where S.side
     is f0 < 0, to the crossing states, where it is f1 >= 0.
 
     One safeguarded Newton search on the step length d in [0, h] runs for
-    all rays at once, each iterate one RK4 step of length d from y.
+    all rays at once, each iterate one RK4 step of length d from y whose
+    first stage is k1 = rhs(y, True), which the march already holds.
     It starts from the linear interpolation of side, uses the slope
     exterior_sign * grad b . v, and keeps a bracket per ray whose midpoint
     replaces any Newton iterate that leaves it or has a zero or
@@ -464,7 +465,7 @@ def _refine_hit(rhs, S: BoundaryHypersurface, y: Array, f0: Array,
     todo = np.arange(B)
     for _ in range(REFINE_MAX_ITER):
         dt = d[todo]
-        yc, _ = _rk4_step(rhs, y[todo], dt, todo)
+        yc, _ = _rk4_step(rhs, y[todo], dt, todo, k1[todo])
         de[todo], ye[todo] = dt, yc
         xc = yc[:, :dim]
         f = S.side(xc)
@@ -551,6 +552,7 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
     knots = [(rays, sa, ya, fa)]             # accepted (ray, sigma, y, f)
     f_in, f_out = np.empty(B), np.empty(B)   # side around the crossing
     y_in = np.empty_like(y)                  # state before the crossing
+    k_in = np.empty_like(y)                  # and its derivative
     s_in, h_in = np.empty(B), np.empty(B)    # its sigma and step length
     escaped = []
     k = 0
@@ -576,6 +578,7 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
             hit = rays[crossing]
             f_in[hit], f_out[hit] = phi[crossing], phin[crossing]
             y_in[hit], s_in[hit] = ya[crossing], sa[crossing]
+            k_in[hit] = fa[crossing]
             h_in[hit] = ha[crossing]
         ya = np.where(ok[:, None], yn, ya)
         fa = np.where(ok[:, None], fn, fa)
@@ -590,7 +593,7 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
         raise EscapeError(
             f"ray(s) {sorted(escaped)} never met the target "
             f"surface within sigma budget {max_sigma}")
-    d, ye = _refine_hit(rhs, S, y_in, f_in, f_out, h_in, s_in)
+    d, ye = _refine_hit(rhs, S, y_in, k_in, f_in, f_out, h_in, s_in)
     missed = ~(np.abs(np.asarray(S.value(ye[:, :dim]), float))
                <= 100 * SURFACE_TOL)
     if np.any(missed):

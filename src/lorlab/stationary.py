@@ -289,8 +289,8 @@ class MagneticConnector:
 
 def magnetic_connectors_batch(mag: MagneticSystem, xs: Array, ys: Array,
                               seeds: Optional[Array] = None,
-                              n_steps: int = 400, tol: float = 1e-10,
-                              **kw) -> list[MagneticConnector]:
+                              n_steps: int = 400,
+                              tol: float = 1e-10) -> list[MagneticConnector]:
     """Solve the magnetic two-point problems for a batch of endpoint
     pairs by shooting the smooth [0, 1]-parametrized flow, then rescale
     each connector to arc length."""
@@ -299,7 +299,7 @@ def magnetic_connectors_batch(mag: MagneticSystem, xs: Array, ys: Array,
     march = []
     ws = solve_two_point(magnetic_accel(mag, speed_from_velocity=True), xs,
                          ys, seeds=seeds, n_steps=n_steps, tol=tol,
-                         march=march, **kw)
+                         march=march)
     tau, zx, zv = march
     lengths = np.sqrt(inner(mag.base, xs, ws, ws))
     units = ws / lengths[:, None]
@@ -317,20 +317,13 @@ def magnetic_connectors_batch(mag: MagneticSystem, xs: Array, ys: Array,
 
 
 def magnetic_connector(mag: MagneticSystem, x: Array, y: Array,
-                       seed: Optional[Array] = None, n_steps: int = 400,
-                       tol: float = 1e-10, **kw) -> MagneticConnector:
+                       seed: Optional[Array] = None) -> MagneticConnector:
     """The batch of one of magnetic_connectors_batch."""
     seeds = None if seed is None else np.asarray(seed, float)[None]
     (conn,) = magnetic_connectors_batch(
         mag, np.asarray(x, float)[None], np.asarray(y, float)[None],
-        seeds=seeds, n_steps=n_steps, tol=tol, **kw)
+        seeds=seeds)
     return conn
-
-
-def action_A(mag: MagneticSystem, x: Array, y: Array,
-             seed: Optional[Array] = None, **kw) -> float:
-    """Magnetic action of the connector: length minus flux of omega."""
-    return magnetic_connector(mag, x, y, seed=seed, **kw).action
 
 
 def magnetic_michel(mag: MagneticSystem, S: BoundaryHypersurface, x: Array,
@@ -479,8 +472,8 @@ def thmmag_verify(m: StationaryMetric, U: BoundaryHypersurface,
                            v=rec.path.v[:, 1:], speed_squared=1.0)
     flux = curve_flux(m.omega, spatial)
     length_res = abs(mrec.length - (s - t + flux))
-    act = action_A(mag, xs, yb, seed=(mrec.length
-                                      * spatial.v[0]))
+    act = magnetic_connector(mag, xs, yb,
+                             seed=mrec.length * spatial.v[0]).action
     action_res = abs(act - (s - t))
     return ReductionReport(endpoint_residual=endpoint_res,
                            exit_residual=exit_res,
@@ -495,26 +488,20 @@ def reconstruct_exits(m: StationaryMetric, S: BoundaryHypersurface,
                       u_projs: Array) -> list[tuple[Array, Array]]:
     """Rebuild the reduced lightlike exit data (y, w') on the cylinder
     from magnetic data alone, for entries at times ts, with one magnetic
-    scatter for all (up to sigma 30, sampled every 1e-3): exit time
-    t + A(x, y), exit covector with reduced time component one and
-    tangential part from the magnetic relation."""
+    scatter for all (up to sigma 30, sampled every 1e-3) and one
+    magnetic_connectors_batch for the actions A(x, y), seeded by the
+    scattered rays: exit time t + A(x, y), exit covector with reduced
+    time component one and tangential part from the magnetic relation."""
     mag = m.magnetic
-    out = []
-    for t, mrec in zip(ts, magnetic_scatter_batch(
-            mag, S, xs_spatial, u_projs, max_sigma=30.0, keep_paths=True)):
-        act = action_A(mag, mrec.x, mrec.y,
-                       seed=(mrec.length * (mrec.path.v[0])))
-        wt = 1.0 - float(m.omega(mrec.y) @ mrec.w_proj)
-        out.append((np.concatenate([[t + act], mrec.y]),
-                    np.concatenate([[wt], mrec.w_proj])))
-    return out
-
-
-def reconstruct_exit(m: StationaryMetric, S: BoundaryHypersurface, t: float,
-                     x_spatial: Array, u_proj: Array) -> tuple[Array, Array]:
-    """The batch of one of reconstruct_exits."""
-    (out,) = reconstruct_exits(m, S, [t], [x_spatial], [u_proj])
-    return out
+    mrecs = magnetic_scatter_batch(mag, S, xs_spatial, u_projs,
+                                   max_sigma=30.0, keep_paths=True)
+    conns = magnetic_connectors_batch(
+        mag, [r.x for r in mrecs], [r.y for r in mrecs],
+        seeds=[r.length * r.path.v[0] for r in mrecs])
+    return [(np.concatenate([[t + conn.action], r.y]),
+             np.concatenate([[1.0 - float(m.omega(r.y) @ r.w_proj)],
+                             r.w_proj]))
+            for t, r, conn in zip(ts, mrecs, conns)]
 
 
 # ---------------------------------------------------------------------------
@@ -530,23 +517,14 @@ class LinearizedEquivalence:
 
 
 def linearization_equivalence(m: StationaryMetric, dh: SymTwoTensorField,
-                              dom: CovectorField, x: Array, y: Array,
-                              n_steps: int = 400) -> LinearizedEquivalence:
+                              dom: CovectorField, conn: MagneticConnector
+                              ) -> LinearizedEquivalence:
     """Light ray transform of the variation of -(dt + omega)^2 + h over
     the lifted [0, 1]-connector versus the magnetic transform of
-    (dh / 2, -dom) over the arc-length base connector from x to y: the
-    equivalence_on_connector of the solved magnetic connector."""
-    conn = magnetic_connector(m.magnetic, x, y, n_steps=n_steps)
-    return equivalence_on_connector(m, dh, dom, conn)
-
-
-def equivalence_on_connector(m: StationaryMetric, dh: SymTwoTensorField,
-                             dom: CovectorField,
-                             conn: MagneticConnector) -> LinearizedEquivalence:
-    """linearization_equivalence over a given magnetic connector of
-    (m.base, m.omega), so several perturbations share one solve.  Both
-    values and their ratio are reported; no proportionality factor is
-    assumed."""
+    (dh / 2, -dom) over the arc-length base connector conn, a solved
+    magnetic connector of (m.base, m.omega), so several perturbations
+    share one solve.  Both values and their ratio are reported; no
+    proportionality factor is assumed."""
     if abs(float(m.lam(conn.x)) - 1.0) > 1e-12:
         raise PreconditionError("equivalence requires the unit conformal factor")
     lifted = lift_magnetic(m, conn.path)

@@ -39,11 +39,11 @@ def test_criterion_02_defining_r_trichotomy():
     _check(acceptance.criterion_trichotomy())
 
 
+@pytest.mark.slow
 def test_criterion_03_michel_graph_identity():
     _check(acceptance.criterion_michel())
 
 
-@pytest.mark.slow
 def test_criterion_04_linearization_of_r():
     _check(acceptance.criterion_linearize())
 

@@ -3,43 +3,44 @@ import pytest
 
 from lorlab import (RIEMANNIAN, ConjugatePointError, ConvergenceError,
                     MetricField, MetricFamily, PreconditionError,
-                    connecting_geodesic, connecting_geodesics_batch,
-                    defining_r, geodesic_accel, linearize_r,
-                    magnetic_connectors_batch, michel_check, sigma_detect)
+                    connecting_geodesics_batch, defining_r, geodesic_accel,
+                    linearize_r, magnetic_connectors_batch, michel_check,
+                    sigma_detect)
 from lorlab import connect, geometry, scenarios, stationary
 from lorlab.scenarios import disk_pairs
 
 
 def test_connector_energy_examples(product_disk):
-    g = product_disk.metric
     x = np.array([0.0, -0.5, 0.0])
-    timelike = connecting_geodesic(g, x, np.array([2.0, 0.5, 0.0]))
+    timelike, lightlike, spacelike = connecting_geodesics_batch(
+        product_disk.metric, np.tile(x, (3, 1)),
+        np.array([[2.0, 0.5, 0.0], [1.0, 0.5, 0.0], [0.5, 0.5, 0.0]]))
     assert timelike.energy == pytest.approx(-1.5, abs=1e-9)
     assert timelike.causal.tag == "timelike"
-
-    lightlike = connecting_geodesic(g, x, np.array([1.0, 0.5, 0.0]))
     assert lightlike.energy == pytest.approx(0.0, abs=1e-9)
-
-    spacelike = connecting_geodesic(g, x, np.array([0.5, 0.5, 0.0]))
     assert spacelike.energy == pytest.approx(0.375, abs=1e-9)
     assert spacelike.causal.tag == "spacelike"
 
 
 def test_defining_r_closed_form_grid(product_disk, rng):
+    x = np.array([0.0, -0.4, 0.1])
+    ys = []
     for _ in range(6):
         dx = rng.uniform(-0.8, 0.8, 2)
         dt = rng.uniform(0.1, 1.5)
-        x = np.array([0.0, -0.4, 0.1])
-        y = np.array([dt, x[1] + dx[0] * 0.5, x[2] + dx[1] * 0.5])
-        r = defining_r(product_disk.metric, x, y)
-        rho2 = float(((y[1:] - x[1:]) ** 2).sum())
-        assert r == pytest.approx(0.5 * (rho2 - dt ** 2), abs=1e-9)
+        ys.append([dt, x[1] + dx[0] * 0.5, x[2] + dx[1] * 0.5])
+    ys = np.array(ys)
+    r = defining_r(product_disk.metric, np.tile(x, (6, 1)), ys)
+    rho2 = ((ys[:, 1:] - x[1:]) ** 2).sum(axis=1)
+    assert r.shape == (6,)
+    assert np.abs(r - 0.5 * (rho2 - ys[:, 0] ** 2)).max() <= 1e-9
 
 
 def test_energy_constant_along_connector(product_disk):
     from lorlab import inner
-    c = connecting_geodesic(product_disk.metric, np.array([0.0, -0.5, 0.0]),
-                            np.array([2.0, 0.5, 0.0]))
+    (c,) = connecting_geodesics_batch(product_disk.metric,
+                                      np.array([[0.0, -0.5, 0.0]]),
+                                      np.array([[2.0, 0.5, 0.0]]))
     path = c.path
     for idx in (0, len(path.sigma) // 2, -1):
         e = 0.5 * float(inner(product_disk.metric, path.x[idx],
@@ -48,19 +49,10 @@ def test_energy_constant_along_connector(product_disk):
 
 
 def test_sigma_detect(product_disk):
-    x = np.array([0.0, -0.5, 0.0])
-    assert sigma_detect(product_disk.metric, x, np.array([1.0, 0.5, 0.0]))
-    assert not sigma_detect(product_disk.metric, x,
-                            np.array([2.0, 0.5, 0.0]))
-
-
-def test_batch_matches_scalar(product_disk):
-    xs = np.array([[0.0, -0.5, 0.0], [0.0, -0.3, 0.2]])
-    ys = np.array([[1.2, 0.5, 0.1], [0.8, 0.4, -0.3]])
-    batch = connecting_geodesics_batch(product_disk.metric, xs, ys)
-    for x, y, c in zip(xs, ys, batch):
-        single = connecting_geodesic(product_disk.metric, x, y)
-        assert c.energy == pytest.approx(single.energy, abs=1e-10)
+    on = sigma_detect(product_disk.metric, np.array([[0.0, -0.5, 0.0]] * 2),
+                      np.array([[1.0, 0.5, 0.0], [2.0, 0.5, 0.0]]))
+    assert on.dtype == bool
+    assert on.tolist() == [True, False]
 
 
 def test_michel_residual_small(product_disk):
@@ -73,7 +65,7 @@ def test_michel_residual_small(product_disk):
 
 def test_linearize_matches_transform(product_disk):
     (x, y), = scenarios.null_pairs(product_disk, 1, seed=4)
-    rep = linearize_r(scenarios.stretch_family(), x, y, fd_step=1e-4)
+    (rep,) = linearize_r(scenarios.stretch_family(), [x], [y], fd_step=1e-4)
     assert rep.kappa == 0.5
     assert rep.rel_error < 1e-3
     # closed form: r(tau) = ((1 + tau) rho^2 - dt^2) / 2, derivative rho^2/2
@@ -83,8 +75,8 @@ def test_linearize_matches_transform(product_disk):
 
 def test_linearize_conformal_family_vanishes(product_disk):
     (x, y), = scenarios.null_pairs(product_disk, 1, seed=4)
-    rep = linearize_r(scenarios.conformal_family(product_disk.metric), x, y,
-                      fd_step=1e-4)
+    (rep,) = linearize_r(scenarios.conformal_family(product_disk.metric),
+                         [x], [y], fd_step=1e-4)
     assert abs(rep.fd_value) < 1e-6
     assert abs(rep.kappa * rep.lrt_value) < 1e-6
 
@@ -94,13 +86,11 @@ def test_elliptic_factor_covariance(product_disk):
     its linearization by kappa."""
     (x, y), = scenarios.null_pairs(product_disk, 1, seed=6)
     fam = scenarios.stretch_family()
-    base = linearize_r(fam, x, y, fd_step=1e-4)
-    taus = np.array([-1e-4, 1e-4])
+    (base,) = linearize_r(fam, [x], [y], fd_step=1e-4)
     kappa = 2.5
 
     def r_tau(tau):
-        from lorlab import defining_r
-        return defining_r(fam.eval(tau), x, y)
+        return defining_r(fam.eval(tau), [x], [y])[0]
 
     fd_scaled = kappa * (r_tau(1e-4) - r_tau(-1e-4)) / 2e-4
     assert fd_scaled == pytest.approx(kappa * base.fd_value, rel=1e-6)
@@ -124,8 +114,8 @@ def test_fd_order_of_linearization(product_disk):
                                np.zeros(np.shape(p)[:-1] + (3, 3, 3))))
 
     fam = MetricFamily(eval=eval_tau)
-    errs = [abs(linearize_r(fam, x, y, fd_step=h).fd_value - 0.5 * rho2)
-            for h in (4e-3, 2e-3)]
+    errs = [abs(rep.fd_value - 0.5 * rho2) for h in (4e-3, 2e-3)
+            for rep in linearize_r(fam, [x], [y], fd_step=h)]
     assert np.log2(errs[0] / errs[1]) > 1.8
 
 
@@ -141,41 +131,44 @@ def _round_sphere():
     return MetricField(dim=2, signature=RIEMANNIAN, func=func)
 
 
-def test_conjugate_point_error_names_the_pair():
+def test_conjugate_point_error_names_the_pair(monkeypatch):
     """Pair 1 ends near the antipode of its start, where the shooting
     Jacobian is close to singular (condition about 160); pair 0 is short
     (condition about 1.2)."""
     xs = np.array([[np.pi / 2, 0.0], [np.pi / 2, 0.0]])
     ys = np.array([[np.pi / 2 + 0.3, 1.0],
                    [np.pi / 2 + 0.02, np.pi - 0.02]])
+    monkeypatch.setattr(connect, "COND_LIMIT", 50.0)
     with pytest.raises(ConjugatePointError, match=r"^pair\(s\) \[1\]: "):
-        connecting_geodesics_batch(_round_sphere(), xs, ys, cond_limit=50.0)
+        connecting_geodesics_batch(_round_sphere(), xs, ys)
 
 
-def test_convergence_error_names_the_pair(perturbed_product):
+def test_convergence_error_names_the_pair(perturbed_product, monkeypatch):
     """Pair 0 starts from its solved velocity, pair 1 from the straight
     line, which one Newton iteration does not bring to the tolerance."""
     g = perturbed_product.metric
     xs = np.array([[0.0, -0.6, 0.2], [0.0, 0.5, -0.5]])
     ys = np.array([[1.0, 0.7, 0.1], [1.2, -0.3, 0.6]])
-    solved = connecting_geodesic(g, xs[0], ys[0], tol=1e-12).path.v[0]
+    solved = connecting_geodesics_batch(g, xs[:1], ys[:1],
+                                        tol=1e-12)[0].path.v[0]
     seeds = np.array([solved, ys[1] - xs[1]])
+    monkeypatch.setattr(connect, "MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match=r"^pair\(s\) \[1\]: "):
-        connecting_geodesics_batch(g, xs, ys, seeds=seeds, tol=1e-12,
-                                   max_iter=1)
+        connecting_geodesics_batch(g, xs, ys, seeds=seeds, tol=1e-12)
 
 
-def test_diverged_iterate_names_the_pair():
+def test_diverged_iterate_names_the_pair(monkeypatch):
     """Pair 1 ends a thousandth south of the antipode of its start; its
     first Newton step overshoots so far that the march of the next
     iterate turns non-finite, on the coarse grid and on the requested
     grid alike."""
     xs = np.array([[np.pi / 2, 0.0], [np.pi / 2, 0.0]])
     ys = np.array([[np.pi / 2 + 0.3, 1.0], [np.pi / 2 + 0.001, np.pi]])
+    monkeypatch.setattr(connect, "COND_LIMIT", 1e12)
     with np.errstate(all="ignore"), pytest.raises(
             ConvergenceError, match=r"^pair\(s\) \[1\]: Newton iterate "
                                     r"diverged"):
-        connecting_geodesics_batch(_round_sphere(), xs, ys, cond_limit=1e12)
+        connecting_geodesics_batch(_round_sphere(), xs, ys)
 
 
 def test_connector_paths_are_the_march_of_the_returned_velocities(
@@ -216,17 +209,18 @@ def test_coincident_endpoints_name_the_pair(product_disk):
         connecting_geodesics_batch(product_disk.metric, xs, ys)
 
 
-def test_converges_on_the_last_allowed_iterate(perturbed_product):
+def test_converges_on_the_last_allowed_iterate(perturbed_product,
+                                               monkeypatch):
     """On 150 steps, one grid alone, the 16 pairs of the CLI connect grid
-    reach 1e-12 on exactly their fourth Newton iterate: max_iter=4
-    returns the solve of max_iter=50, and max_iter=3 names the pairs
+    reach 1e-12 on exactly their fourth Newton iterate: MAX_ITER = 4
+    returns the solve of MAX_ITER = 50, and MAX_ITER = 3 names the pairs
     still unfinished."""
     xs, ys = disk_pairs(16, 1)
     accel = geodesic_accel(perturbed_product.metric)
 
     def solve(max_iter):
-        return connect.solve_two_point(accel, xs, ys, n_steps=150, tol=1e-12,
-                                       max_iter=max_iter)
+        monkeypatch.setattr(connect, "MAX_ITER", max_iter)
+        return connect.solve_two_point(accel, xs, ys, n_steps=150, tol=1e-12)
 
     assert np.array_equal(solve(4), solve(50))
     with pytest.raises(ConvergenceError,
@@ -246,7 +240,7 @@ def test_coarse_failure_falls_back_to_the_requested_grid(marches):
     march = []
     with np.errstate(all="ignore"):
         with pytest.raises(ConvergenceError, match="diverged"):
-            connect._newton(accel, xs, ys, ys - xs, 50, 1e-8, 50, 1e10)
+            connect._newton(accel, xs, ys, ys - xs, 50, 1e-8)
         marches.clear()
         connect.solve_two_point(accel, xs, ys, march=march)
     fine = [m for m in marches if m is not None and m[1] == 400]
@@ -371,3 +365,26 @@ def test_michel_check_requires_a_lightlike_pair(product_disk):
         michel_check(product_disk.metric, product_disk.entry_surface,
                      product_disk.exit_surface, np.array([0.0, 1.0, 0.0]),
                      np.array([0.5, -1.0, 0.0]))
+
+
+def test_linearize_r_solves_each_family_member_once(solves, product_disk):
+    """Four pairs: one solve under g_0 and one under each of g_{+-fd_step},
+    each of all four pairs, and every report is the pair's batch of one
+    bit for bit."""
+    pairs = scenarios.null_pairs(product_disk, 4, seed=13)
+    xs, ys = np.array(pairs).swapaxes(0, 1)
+    fam = scenarios.stretch_family()
+    reports = linearize_r(fam, xs, ys, fd_step=1e-4)
+    assert solves == [4, 4, 4]
+    for x, y, rep in zip(xs, ys, reports):
+        assert linearize_r(fam, [x], [y], fd_step=1e-4) == [rep]
+
+
+def test_linearize_r_requires_lightlike_pairs(product_disk):
+    """Pair 1 has time gap 0.5 across a chord of length 2."""
+    (x, y), = scenarios.null_pairs(product_disk, 1, seed=4)
+    xs = np.array([x, [0.0, 1.0, 0.0]])
+    ys = np.array([y, [0.5, -1.0, 0.0]])
+    with pytest.raises(PreconditionError,
+                       match=r"^pair\(s\) \[1\]: not on the lightlike set"):
+        linearize_r(scenarios.stretch_family(), xs, ys)

@@ -8,6 +8,10 @@ Calls are matched to definitions by the called name (``f(...)`` or
 subclasses; a call with ``*args`` or ``**kwargs`` passes every option.
 The scenario builders are exempt: the command line reaches their
 options through a config's ``scenario_params``.
+
+So that a ``**kwargs`` forward cannot pass options that no caller sets,
+no function of ``src/lorlab`` takes ``**kwargs``, apart from the three
+whose keys come from a command line config and are checked there.
 """
 
 import ast
@@ -63,6 +67,12 @@ def _options(trees):
                     yield path.name, node.lineno, names, a.arg, None, bound
 
 
+# functions whose **kwargs are config keys, checked by experiments._read_config
+KWARGS_ALLOWED = {("scenarios.py", "build"),
+                  ("experiments.py", "_read_config"),
+                  ("experiments.py", "_run")}
+
+
 def _calls(trees):
     """Called name -> the ast.Call nodes of that name."""
     calls = {}
@@ -99,3 +109,16 @@ def test_every_option_has_a_caller():
              if not any(_passes(c, option, index, bound)
                         for name in names for c in calls.get(name, []))]
     assert unset == [], "options that no call sets: " + ", ".join(unset)
+
+
+def test_no_function_takes_kwargs():
+    takers = sorted((path.name, node.name)
+                    for path in sorted((ROOT / "src" / "lorlab").glob("*.py"))
+                    for node in ast.walk(_parse(path))
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                    and node.args.kwarg is not None)
+    assert KWARGS_ALLOWED <= set(takers)          # the scan sees them
+    hidden = [f"{file} {name}" for file, name in takers
+              if (file, name) not in KWARGS_ALLOWED]
+    assert hidden == [], "functions taking **kwargs: " + ", ".join(hidden)

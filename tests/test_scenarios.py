@@ -77,3 +77,17 @@ def test_magnetic_system_is_the_stationary_reduction(name):
         return
     assert sc.magnetic.base is sc.stationary.base
     assert sc.magnetic.omega is sc.stationary.omega
+
+
+@pytest.mark.parametrize("name", ["product_disk", "perturbed_product"])
+@pytest.mark.parametrize("batch", [16, 144])
+def test_hand_written_metric_is_its_stationary_form(name, batch, rng):
+    """The hand-written metric of each scenario that has one (kept for the
+    speed of its acceleration) and the assembled stationary form are one
+    metric: values and partials equal bit for bit."""
+    sc = scenarios.build(name)
+    x = rng.uniform(-0.9, 0.9, (batch, 3))
+    gm, dg = sc.metric.jet(x)
+    gs, dgs = sc.stationary.assembled.jet(x)
+    assert np.array_equal(gm, gs)
+    assert np.array_equal(dg, dgs)

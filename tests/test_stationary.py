@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from lorlab import (MagneticSystem, StationaryMetric, action_A,
-                    boundary_normal_coords, conformal_normalize,
-                    connecting_geodesic, curve_flux, from_raw, lift_magnetic,
+from lorlab import (MagneticSystem, StationaryMetric, boundary_normal_coords,
+                    conformal_normalize, connecting_geodesics_batch,
+                    curve_flux, defining_r, from_raw, lift_magnetic,
                     lift_residual, linearization_equivalence,
-                    magnetic_connector, magnetic_integrate,
-                    magnetic_michel, magnetic_scatter, project_and_verify,
-                    reconstruct_exit, reconstruct_exits,
+                    magnetic_connector, magnetic_connectors_batch,
+                    magnetic_integrate, magnetic_michel, magnetic_scatter,
+                    project_and_verify, reconstruct_exits,
                     reduced_time_component, scatter, thmmag_verify)
 from lorlab import acceptance, geometry, scenarios, stationary
 from lorlab.fields import CovectorField, ScalarField, _central_jet
@@ -116,8 +116,8 @@ def test_magnetic_speed_drift_long_run(stationary_rot):
 
 
 def test_action_field_free_diameter(product_disk):
-    a = action_A(product_disk.magnetic, np.array([-1.0, 0.0]),
-                 np.array([1.0, 0.0]))
+    a = magnetic_connector(product_disk.magnetic, np.array([-1.0, 0.0]),
+                           np.array([1.0, 0.0])).action
     assert a == pytest.approx(2.0, abs=1e-8)
 
 
@@ -201,23 +201,42 @@ def test_reconstruct_exit_round_trip(stationary_rot):
     vn = v / k
     rec = scatter(stationary_rot.metric, stationary_rot.entry_surface,
                   stationary_rot.exit_surface, x, vn, keep_path=False)
-    y_rec, w_rec = reconstruct_exit(stationary_rot.stationary,
-                                    stationary_rot.spatial_boundary,
-                                    float(x[0]), x[1:], vn[1:])
+    ((y_rec, w_rec),) = reconstruct_exits(stationary_rot.stationary,
+                                          stationary_rot.spatial_boundary,
+                                          [float(x[0])], [x[1:]], [vn[1:]])
     assert np.allclose(y_rec, rec.y, atol=1e-5)
     assert np.allclose(w_rec, rec.w_proj, atol=1e-5)
 
 
 def test_reconstruct_exits_is_the_per_entry_reconstruction(stationary_rot):
-    """One batched magnetic scatter gives each entry's single
-    reconstruction bit for bit."""
+    """One batched magnetic scatter and one batched action solve give each
+    entry's batch-of-one reconstruction bit for bit."""
     sc = stationary_rot
     xs, us = map(np.array, zip(*scenarios.magnetic_entries(sc, 2, seed=5)))
     ts = [0.1, -0.2]
     batch = reconstruct_exits(sc.stationary, sc.spatial_boundary, ts, xs, us)
     for t, x, u, (y, w) in zip(ts, xs, us, batch):
-        y1, w1 = reconstruct_exit(sc.stationary, sc.spatial_boundary, t, x, u)
+        ((y1, w1),) = reconstruct_exits(sc.stationary, sc.spatial_boundary,
+                                        [t], [x], [u])
         assert np.array_equal(y, y1) and np.array_equal(w, w1)
+
+
+def test_reconstruct_exits_solves_the_actions_once(stationary_rot,
+                                                   monkeypatch):
+    """Three entries: the three actions come from one
+    magnetic_connectors_batch solve."""
+    sc = stationary_rot
+    xs, us = map(np.array, zip(*scenarios.magnetic_entries(sc, 3, seed=5)))
+    solves = []
+    solve = stationary.solve_two_point
+
+    def counted_solve(*args, **kw):
+        solves.append(len(args[1]))
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(stationary, "solve_two_point", counted_solve)
+    reconstruct_exits(sc.stationary, sc.spatial_boundary, [0.0] * 3, xs, us)
+    assert solves == [3]
 
 
 def test_energy_identity_along_projected_connector(stationary_rot):
@@ -225,10 +244,11 @@ def test_energy_identity_along_projected_connector(stationary_rot):
     flux taken along the spatial projection of the connector."""
     xsp = np.array([1.0, 0.0])
     ysp = np.array([-12.0 / 13.0, -5.0 / 13.0])
-    for dt in (0.2, 1.5, 2.4):
-        conn = connecting_geodesic(stationary_rot.metric,
-                                   np.array([0.0, *xsp]),
-                                   np.array([dt, *ysp]), tol=1e-12)
+    dts = (0.2, 1.5, 2.4)
+    conns = connecting_geodesics_batch(
+        stationary_rot.metric, [[0.0, *xsp]] * 3,
+        [[dt, *ysp] for dt in dts], tol=1e-12)
+    for dt, conn in zip(dts, conns):
         p = conn.path
         zdot = p.v[:, 1:]
         length = simpson(np.sqrt(np.einsum("mi,mi->m", zdot, zdot)),
@@ -246,12 +266,10 @@ def test_sign_of_r_near_lightlike_locus(stationary_rot):
     xsp = np.array([1.0, 0.0])
     ysp = np.array([-12.0 / 13.0, -5.0 / 13.0])
     conn = magnetic_connector(stationary_rot.magnetic, xsp, ysp)
-    dt_null = conn.action
-    for eps in (-0.05, 0.05):
-        dt = dt_null + eps
-        c = connecting_geodesic(stationary_rot.metric, np.array([0.0, *xsp]),
-                                np.array([dt, *ysp]), tol=1e-12)
-        assert np.sign(c.energy) == np.sign(conn.action - dt)
+    dts = conn.action + np.array([-0.05, 0.05])
+    r = defining_r(stationary_rot.metric, [[0.0, *xsp]] * 2,
+                   [[dt, *ysp] for dt in dts])
+    assert np.array_equal(np.sign(r), np.sign(conn.action - dts))
 
 
 def test_conformal_normalize_preserves_scattering(product_disk):
@@ -314,8 +332,8 @@ def test_linearized_transforms_differ_by_2l(stationary_rot):
     y = magnetic_scatter(sr.magnetic, sr.spatial_boundary, x, u,
                          keep_path=False).y
     dh, dom = scenarios.equivalence_fields()
-    eq = linearization_equivalence(sr.stationary, dh, dom, x, y,
-                                   n_steps=200)
+    (conn,) = magnetic_connectors_batch(sr.magnetic, [x], [y], n_steps=200)
+    eq = linearization_equivalence(sr.stationary, dh, dom, conn)
     target = 2.0 * eq.length * eq.magnetic_value
     assert abs(eq.lorentzian_value - target) / abs(target) <= 1e-10
 
@@ -323,8 +341,8 @@ def test_linearized_transforms_differ_by_2l(stationary_rot):
 def test_equivalence_records_solve_each_connector_once(stationary_rot,
                                                        monkeypatch):
     """Two pairs and two perturbations: one connector solve of both pairs
-    serves all four records, which match the single-pair composition
-    linearization_equivalence to the solver tolerance."""
+    serves all four records, which match linearization_equivalence over
+    each pair's batch-of-one connector to the solver tolerance."""
     sr = stationary_rot
     pairs = [(r.x, r.y) for r in scenarios.magnetic_pairs(sr, 2, seed=31)]
     dh, dom = scenarios.equivalence_fields()
@@ -343,8 +361,9 @@ def test_equivalence_records_solve_each_connector_once(stationary_rot,
     assert len(recs) == 4
     for rec, ((x, y), (dh_k, dom_k)) in zip(
             recs, [(p, q) for q in perturbations for p in pairs]):
-        eq = linearization_equivalence(sr.stationary, dh_k, dom_k, x, y,
-                                       n_steps=200)
+        (conn,) = magnetic_connectors_batch(sr.magnetic, [x], [y],
+                                            n_steps=200)
+        eq = linearization_equivalence(sr.stationary, dh_k, dom_k, conn)
         assert np.array_equal(rec["x"], x) and np.array_equal(rec["y"], y)
         assert rec["lorentzian"] == pytest.approx(eq.lorentzian_value,
                                                   rel=1e-8)
