@@ -19,7 +19,7 @@ import numpy as np
 
 from . import scenarios
 from .connect import (MetricFamily, connecting_geodesics_batch, linearize_r,
-                      michel_check)
+                      michel_check_batch)
 from .fields import (Array, CovectorField, ScalarField, SymTwoTensorField,
                      worst_of)
 from .gauge import (apply_gauge, compose_gauge, conformal_reparam_check,
@@ -30,9 +30,9 @@ from .lightray import (ftc_residual, kernel_conformal_test,
 from .scattering import scatter_batch
 from .stationary import (StationaryMetric, boundary_normal_coords,
                          linearization_equivalence, magnetic_connectors_batch,
-                         magnetic_integrate, magnetic_michel,
+                         magnetic_integrate, magnetic_michel_batch,
                          project_and_verify, reconstruct_exits,
-                         reduced_time_component, thmmag_verify)
+                         reduced_time_component, thmmag_verify_batch)
 
 
 @dataclass(frozen=True)
@@ -187,13 +187,13 @@ MICHEL_KEYS = ("position_residual", "covector_residual")
 
 
 def michel_records(sc, n: int, seed: int, n_steps: int = 400) -> list[dict]:
-    """Graph identity residuals of r on n null pairs of sc (michel)."""
-    records = []
-    for x, y in scenarios.null_pairs(sc, n, seed=seed):
-        res = michel_check(sc.metric, sc.entry_surface, sc.exit_surface, x,
-                           y, n_steps=n_steps)
-        records.append({"x": x, "y": y, **dict(zip(MICHEL_KEYS, res))})
-    return records
+    """Graph identity residuals of r on n null pairs of sc (michel), from
+    one michel_check_batch."""
+    pairs = scenarios.null_pairs(sc, n, seed=seed)
+    res = michel_check_batch(sc.metric, sc.entry_surface, sc.exit_surface,
+                             *zip(*pairs), n_steps=n_steps)
+    return [{"x": x, "y": y, **dict(zip(MICHEL_KEYS, r))}
+            for (x, y), r in zip(pairs, res)]
 
 
 def criterion_michel() -> CriterionResult:
@@ -352,15 +352,14 @@ THMMAG_KEYS = ("endpoint_residual", "exit_residual", "length_residual",
 
 
 def thmmag_records(sc, n: int, seed: int) -> list[dict]:
-    """Magnetic reduction of the scattering of n entries (verify-thmmag)."""
-    records = []
-    for x, v in scenarios.scattering_entries(sc, n, seed=seed):
-        rep = thmmag_verify(sc.stationary, sc.entry_surface,
-                            sc.spatial_boundary, x, v)
-        records.append({"x": x, "v_proj": v, **{
-            k: getattr(rep, k)
-            for k in THMMAG_KEYS + ("exit_time_component_residual",)}})
-    return records
+    """Magnetic reduction of the scattering of n entries (verify-thmmag),
+    from one thmmag_verify_batch."""
+    entries = scenarios.scattering_entries(sc, n, seed=seed)
+    reps = thmmag_verify_batch(sc.stationary, sc.entry_surface,
+                               sc.spatial_boundary, *zip(*entries))
+    keys = THMMAG_KEYS + ("exit_time_component_residual",)
+    return [{"x": x, "v_proj": v, **{k: getattr(rep, k) for k in keys}}
+            for (x, v), rep in zip(entries, reps)]
 
 
 def criterion_reduction_identities() -> CriterionResult:
@@ -404,14 +403,15 @@ MAGNETIC_MICHEL_KEYS = ("entry_residual", "exit_residual")
 
 def magnetic_michel_records(sc, n: int, seed: int,
                             n_steps: int = 400) -> list[dict]:
-    """Graph identity residuals of the magnetic action (magnetic-michel)."""
-    records = []
-    for rec in scenarios.magnetic_pairs(sc, n, seed=seed):
-        res = magnetic_michel(sc.magnetic, sc.spatial_boundary, rec.x, rec.y,
-                              n_steps=n_steps)
-        records.append({"x": rec.x, "y": rec.y, "action": rec.action,
-                        **dict(zip(MAGNETIC_MICHEL_KEYS, res))})
-    return records
+    """Graph identity residuals of the magnetic action (magnetic-michel),
+    from one magnetic_michel_batch."""
+    recs = scenarios.magnetic_pairs(sc, n, seed=seed)
+    res = magnetic_michel_batch(sc.magnetic, sc.spatial_boundary,
+                                [rec.x for rec in recs],
+                                [rec.y for rec in recs], n_steps=n_steps)
+    return [{"x": rec.x, "y": rec.y, "action": rec.action,
+             **dict(zip(MAGNETIC_MICHEL_KEYS, r))}
+            for rec, r in zip(recs, res)]
 
 
 def criterion_magnetic_michel() -> CriterionResult:

@@ -16,7 +16,7 @@ from .geometry import (BoundaryHypersurface, CausalClass, GeodesicPath,
                        MetricField, _causal_classes, geodesic_accel, inner,
                        integrate_flow_fixed)
 from .lightray import light_ray_transform
-from .scattering import scatter
+from .scattering import scatter_batch
 
 SIGMA_TOL = 1e-8        # largest |r| that sigma_detect puts on the set
 PAIR_TOL = 1e-6         # |r| above which a pair is off the lightlike set
@@ -217,66 +217,76 @@ def _surface_gradient(g: MetricField, S: BoundaryHypersurface, point: Array,
 
 
 def _chart_stencil(U: BoundaryHypersurface, V: BoundaryHypersurface,
-                   x: Array, y: Array, fd_step: float, solve, value):
-    """The pair (x, y) and central quotients of a function of boundary
-    pairs along the charts of U at x and of V at y, from one call
-    ``solve(xs, ys)``, from the solver's default seeds, on the merged
-    batch: row 0 is (x, y), then each chart parameter of x and then of y
-    moved by +fd_step and by -fd_step, in that order.  ``value`` reads
-    the function from a solved row.  Returns the solved row 0, the chart
-    parameters a0 of x and b0 of y and the quotients in each of them."""
-    a0 = np.asarray(U.chart_inverse(x), float)
-    b0 = np.asarray(V.chart_inverse(y), float)
-    xs, ys = [x], [y]
-    for i in range(a0.size):
-        for s in (+1.0, -1.0):
-            a = a0.copy()
-            a[i] += s * fd_step
-            xs.append(np.asarray(U.chart(a), float)), ys.append(y)
-    for j in range(b0.size):
-        for s in (+1.0, -1.0):
-            b = b0.copy()
-            b[j] += s * fd_step
-            xs.append(x), ys.append(np.asarray(V.chart(b), float))
-    base, *moved = solve(np.array(xs), np.array(ys))
-    vals = np.array([value(c) for c in moved])
-    quot = (vals[0::2] - vals[1::2]) / (2 * fd_step)
-    return base, a0, b0, quot[:a0.size], quot[a0.size:]
+                   xs: Array, ys: Array, fd_step: float, solve, value):
+    """The P pairs (xs, ys) and central quotients of a function of
+    boundary pairs along the charts of U at each x and of V at each y,
+    from one call ``solve(xs, ys)`` on a merged batch, every row from
+    the solver's default seeds.  Pair p owns rows p R to p R + R - 1,
+    R = 1 + 2 (a + b) for a chart parameters on U and b on V: (x_p, y_p),
+    then x_p and then y_p moved along each chart parameter by +fd_step
+    and by -fd_step.  ``value`` reads the function from a solved row.
+    Returns the P solved rows (x_p, y_p), the chart parameters A0 (P, a)
+    and B0 (P, b) and the quotients in each, (P, a) and (P, b)."""
+    def moved(chart, p0):
+        return [np.asarray(chart(p0 + s * fd_step * e), float)
+                for e in np.eye(p0.size) for s in (+1.0, -1.0)]
+
+    A0 = np.array([U.chart_inverse(x) for x in xs], float)
+    B0 = np.array([V.chart_inverse(y) for y in ys], float)
+    rows = []
+    for x, y, a0, b0 in zip(xs, ys, A0, B0):
+        rows += ([(x, y)] + [(xm, y) for xm in moved(U.chart, a0)]
+                 + [(x, ym) for ym in moved(V.chart, b0)])
+    solved = solve(*map(np.array, zip(*rows)))
+    R = len(solved) // len(xs)
+    vals = np.array([value(c) for c in solved]).reshape(len(xs), R)
+    quot = (vals[:, 1::2] - vals[:, 2::2]) / (2 * fd_step)
+    a = A0.shape[1]
+    return solved[::R], A0, B0, quot[:, :a], quot[:, a:]
+
+
+def michel_check_batch(g: MetricField, U: BoundaryHypersurface,
+                       V: BoundaryHypersurface, xs: Array, ys: Array,
+                       n_steps: int = 400) -> list[tuple[float, float]]:
+    """Residuals (position, covector) of the graph identity for each
+    pair (xs, ys): shooting from minus the tangential gradient of r at x
+    must land at y with exit projection matching the tangential gradient
+    of r at y (up to one positive scale), gradients by central quotients
+    of chart step FD_STEP.  A PreconditionError names the pairs with
+    |r| > PAIR_TOL.  One connecting_geodesics_batch solves all stencils
+    (row k is pair k // 9 on the cylinder of R x disk; see
+    _chart_stencil), one scatter_batch shoots all rays (ray i: pair i)."""
+    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    bases, A0, B0, dr_da, dr_db = _chart_stencil(
+        U, V, xs, ys, FD_STEP,
+        lambda px, py: connecting_geodesics_batch(g, px, py, n_steps=n_steps,
+                                                  tol=1e-12),
+        lambda c: c.energy)
+    r = _energies(bases)
+    off = np.flatnonzero(np.abs(r) > PAIR_TOL)
+    if off.size:
+        raise PreconditionError(f"pair(s) {off.tolist()}: not on the "
+                                f"lightlike set (r = {r[off].tolist()})")
+    grad_x = np.array([_surface_gradient(g, U, x, d, a0)
+                       for x, d, a0 in zip(xs, dr_da, A0)])
+    out = []
+    for rec, y, d, b0 in zip(scatter_batch(g, U, V, xs, -grad_x), ys, dr_db,
+                             B0):
+        grad_y = _surface_gradient(g, V, y, d, b0)
+        # graph identity holds for one reduced representation: match the scale
+        scale = rec.w_proj[0] / grad_y[0] if abs(grad_y[0]) > 1e-12 else \
+            np.linalg.norm(rec.w_proj) / np.linalg.norm(grad_y)
+        w = rec.w_proj if scale <= 0 else rec.w_proj / scale
+        out.append((float(np.linalg.norm(rec.y - y)),
+                    float(np.linalg.norm(w - grad_y))))
+    return out
 
 
 def michel_check(g: MetricField, U: BoundaryHypersurface,
                  V: BoundaryHypersurface, x: Array, y: Array,
                  n_steps: int = 400) -> tuple[float, float]:
-    """Residuals of the graph identity: shooting from minus the tangential
-    gradient of r at x must land at y with exit projection matching the
-    tangential gradient of r at y (up to one positive scale).  The
-    gradients are central quotients of chart step FD_STEP; the pair must
-    have |r| <= PAIR_TOL.
-
-    The connector of (x, y) and those of its chart stencil are one
-    connecting_geodesics_batch (see _chart_stencil), so a solver error
-    names a row of that batch: 0 for (x, y), 1 + k for stencil pair k."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    base, a0, b0, dr_da, dr_db = _chart_stencil(
-        U, V, x, y, FD_STEP,
-        lambda xs, ys: connecting_geodesics_batch(g, xs, ys, n_steps=n_steps,
-                                                  tol=1e-12),
-        lambda c: c.energy)
-    if abs(base.energy) > PAIR_TOL:
-        raise PreconditionError(
-            f"pair not on the lightlike set (r = {base.energy:g})")
-    grad_x = _surface_gradient(g, U, x, dr_da, a0)
-    grad_y = _surface_gradient(g, V, y, dr_db, b0)
-    rec = scatter(g, U, V, x, -grad_x)
-    pos_res = float(np.linalg.norm(rec.y - y))
-    # graph identity holds for one reduced representation: match the scale
-    scale = rec.w_proj[0] / grad_y[0] if abs(grad_y[0]) > 1e-12 else \
-        np.linalg.norm(rec.w_proj) / np.linalg.norm(grad_y)
-    if scale <= 0:
-        return pos_res, float(np.linalg.norm(rec.w_proj - grad_y))
-    cov_res = float(np.linalg.norm(rec.w_proj / scale - grad_y))
-    return pos_res, cov_res
+    """The batch of one of michel_check_batch."""
+    return michel_check_batch(g, U, V, [x], [y], n_steps)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,17 @@ class ScatteringRecord:
     path: GeodesicPath | None = None
 
 
-def _scatter_rays(g: MetricField, U: BoundaryHypersurface,
+def scatter_batch(g: MetricField, U: BoundaryHypersurface,
                   V: BoundaryHypersurface, xs: Array, v_projs: Array,
-                  step: float, max_sigma: float,
-                  keep_paths: bool) -> list[ScatteringRecord]:
-    """The one implementation behind scatter and scatter_batch."""
+                  step: float = 1e-3, max_sigma: float = 10.0,
+                  keep_paths: bool = False) -> list[ScatteringRecord]:
+    """Shoot the lightlike geodesics with inward completions of v_projs
+    (B, dim) from xs in U to their first transversal intersections with
+    V, in one RK4 march for all, each ray with its own error-controlled
+    steps, never shorter than ``step``, and its path sampled at
+    multiples of ``step`` (see geometry.integrate_flow_to_surface); the
+    checks are those of geometry.scatter_paths, with NoLiftError when an
+    entry has no lightlike completion."""
     xs, v_projs, w_projs, paths = scatter_paths(
         geodesic_accel(g), g, U, V, xs, v_projs, _lightlike_lift, step,
         max_sigma)
@@ -49,29 +55,12 @@ def _scatter_rays(g: MetricField, U: BoundaryHypersurface,
 
 
 def scatter(g: MetricField, U: BoundaryHypersurface, V: BoundaryHypersurface,
-            x: Array, v_proj: Array, step: float = 1e-3,
-            max_sigma: float = 10.0, keep_path: bool = True) -> ScatteringRecord:
-    """Shoot the lightlike geodesic with inward completion of v_proj from
-    x in U to its first transversal intersection with V: the batch of one
-    of scatter_batch.  ``step`` is the sample spacing of the path and the
-    smallest step of its error-controlled RK4 march."""
-    (rec,) = _scatter_rays(g, U, V, np.asarray(x, float)[None],
-                           np.asarray(v_proj, float)[None], step, max_sigma,
-                           keep_path)
-    return rec
-
-
-def scatter_batch(g: MetricField, U: BoundaryHypersurface,
-                  V: BoundaryHypersurface, xs: Array, v_projs: Array,
-                  step: float = 1e-3, max_sigma: float = 10.0,
-                  keep_paths: bool = False) -> list[ScatteringRecord]:
-    """scatter over a batch of entries (B, dim), one RK4 march for all,
-    each ray with its own error-controlled steps, never shorter than
-    ``step``, and its path sampled at multiples of ``step`` (see
-    geometry.integrate_flow_to_surface); the checks are those of
-    geometry.scatter_paths, with NoLiftError when an entry has no
-    lightlike completion."""
-    return _scatter_rays(g, U, V, xs, v_projs, step, max_sigma, keep_paths)
+            x: Array, v_proj: Array, max_sigma: float = 10.0
+            ) -> ScatteringRecord:
+    """The batch of one of scatter_batch, with its path."""
+    return scatter_batch(g, U, V, np.asarray(x, float)[None],
+                         np.asarray(v_proj, float)[None],
+                         max_sigma=max_sigma, keep_paths=True)[0]
 
 
 def normalize(rec: ScatteringRecord, mode: str, g: MetricField) -> ScatteringRecord:

@@ -24,7 +24,7 @@ from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                        metric_solve, scatter_paths)
 from .lightray import light_ray_transform, magnetic_linearized_transform
 from .quadrature import CubicSpline, simpson
-from .scattering import ScatteringRecord, scatter
+from .scattering import ScatteringRecord, scatter_batch
 from .connect import FD_STEP, _chart_stencil, solve_two_point
 
 
@@ -126,27 +126,21 @@ def from_raw(g: MetricField) -> StationaryMetric:
     given as a plain matrix field on R x N."""
     n = g.dim - 1
 
-    def full(xs):
+    def parts(xs):
+        """g at (0, xs), lam and omega."""
         xs = np.asarray(xs, float)
-        return np.concatenate([np.zeros(xs.shape[:-1] + (1,)), xs], axis=-1)
-
-    def lam_func(xs):
-        return -np.asarray(g.func(full(xs)), float)[..., 0, 0]
-
-    def om_func(xs):
-        G = np.asarray(g.func(full(xs)), float)
-        return G[..., 0, 1:] / G[..., 0, 0][..., None]
+        G = np.asarray(g.func(np.concatenate(
+            [np.zeros(xs.shape[:-1] + (1,)), xs], axis=-1)), float)
+        return G, -G[..., 0, 0], G[..., 0, 1:] / G[..., 0, 0][..., None]
 
     def h_func(xs):
-        G = np.asarray(g.func(full(xs)), float)
-        lam = -G[..., 0, 0]
-        om = G[..., 0, 1:] / G[..., 0, 0][..., None]
+        G, lam, om = parts(xs)
         return (G[..., 1:, 1:] / lam[..., None, None]
                 + om[..., :, None] * om[..., None, :])
 
     return StationaryMetric(
-        lam=ScalarField(func=lam_func, positive=True),
-        omega=CovectorField(dim=n, func=om_func),
+        lam=ScalarField(func=lambda xs: parts(xs)[1], positive=True),
+        omega=CovectorField(dim=n, func=lambda xs: parts(xs)[2]),
         base=MetricField(dim=n, signature=RIEMANNIAN, func=h_func))
 
 
@@ -258,13 +252,11 @@ def magnetic_scatter_batch(mag: MagneticSystem, S: BoundaryHypersurface,
 
 
 def magnetic_scatter(mag: MagneticSystem, S: BoundaryHypersurface, x: Array,
-                     u_proj: Array, max_sigma: float = 10.0,
-                     keep_path: bool = True) -> MagneticRecord:
-    """Magnetic scattering of one boundary entry: the batch of one of
-    magnetic_scatter_batch."""
+                     u_proj: Array) -> MagneticRecord:
+    """The batch of one of magnetic_scatter_batch, with its path."""
     return magnetic_scatter_batch(mag, S, np.asarray(x, float)[None],
-                                  np.asarray(u_proj, float)[None], max_sigma,
-                                  keep_path)[0]
+                                  np.asarray(u_proj, float)[None],
+                                  keep_paths=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -316,48 +308,45 @@ def magnetic_connectors_batch(mag: MagneticSystem, xs: Array, ys: Array,
     return out
 
 
-def magnetic_connector(mag: MagneticSystem, x: Array, y: Array,
-                       seed: Optional[Array] = None) -> MagneticConnector:
+def magnetic_connector(mag: MagneticSystem, x: Array,
+                       y: Array) -> MagneticConnector:
     """The batch of one of magnetic_connectors_batch."""
-    seeds = None if seed is None else np.asarray(seed, float)[None]
-    (conn,) = magnetic_connectors_batch(
-        mag, np.asarray(x, float)[None], np.asarray(y, float)[None],
-        seeds=seeds)
-    return conn
+    return magnetic_connectors_batch(mag, np.asarray(x, float)[None],
+                                     np.asarray(y, float)[None])[0]
+
+
+def magnetic_michel_batch(mag: MagneticSystem, S: BoundaryHypersurface,
+                          xs: Array, ys: Array, fd_step: float = FD_STEP,
+                          n_steps: int = 400) -> list[tuple[float, float]]:
+    """Graph identity residuals (entry, exit) for the action of each pair
+    (xs, ys): the tangential parts of the connector's entry and exit
+    velocities (as h-covectors on the boundary charts) must equal
+    -d'_x A + omega'(x) and d'_y A + omega'(y).  Every pair and its
+    chart stencil are one magnetic_connectors_batch, whose row k belongs
+    to pair k // 5 on the boundary circle (see connect._chart_stencil)."""
+    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    conns, A0, B0, dA_da, dA_db = _chart_stencil(
+        S, S, xs, ys, fd_step,
+        lambda px, py: magnetic_connectors_batch(mag, px, py, n_steps=n_steps,
+                                                 tol=1e-12),
+        lambda c: c.action)
+
+    def residual(params, p, v, dA):
+        frame = S.chart_frame(params)
+        return float(np.abs(frame.T @ (mag.base.matrix(p) @ v)
+                            - (dA + frame.T @ mag.omega(p))).max())
+
+    return [(residual(a0, x, c.path.v[0], -da),
+             residual(b0, y, c.path.v[-1], db))
+            for c, x, y, a0, b0, da, db in zip(conns, xs, ys, A0, B0, dA_da,
+                                               dA_db)]
 
 
 def magnetic_michel(mag: MagneticSystem, S: BoundaryHypersurface, x: Array,
                     y: Array, fd_step: float = FD_STEP,
                     n_steps: int = 400) -> tuple[float, float]:
-    """Graph identity residuals for the action: the tangential parts of
-    the connector's entry and exit velocities (as h-covectors on the
-    boundary charts) must equal -d'_x A + omega'(x) and d'_y A +
-    omega'(y).
-
-    The connector of (x, y) and those of its chart stencil are one
-    magnetic_connectors_batch (see connect._chart_stencil), so a solver
-    error names a row of that batch: 0 for (x, y), 1 + k for stencil
-    pair k."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    conn, a0, b0, dA_da, dA_db = _chart_stencil(
-        S, S, x, y, fd_step,
-        lambda xs, ys: magnetic_connectors_batch(mag, xs, ys, n_steps=n_steps,
-                                                 tol=1e-12),
-        lambda c: c.action)
-
-    frame_x = S.chart_frame(a0)
-    frame_y = S.chart_frame(b0)
-    hx = mag.base.matrix(x)
-    hy = mag.base.matrix(y)
-    u_entry = conn.path.v[0]
-    w_exit = conn.path.v[-1]
-    lhs_in = frame_x.T @ (hx @ u_entry)
-    rhs_in = -dA_da + frame_x.T @ mag.omega(x)
-    lhs_out = frame_y.T @ (hy @ w_exit)
-    rhs_out = dA_db + frame_y.T @ mag.omega(y)
-    return (float(np.abs(lhs_in - rhs_in).max()),
-            float(np.abs(lhs_out - rhs_out).max()))
+    """The batch of one of magnetic_michel_batch."""
+    return magnetic_michel_batch(mag, S, [x], [y], fd_step, n_steps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,45 +431,55 @@ class ReductionReport:
     magnetic_record: MagneticRecord
 
 
+def thmmag_verify_batch(m: StationaryMetric, U: BoundaryHypersurface,
+                        S: BoundaryHypersurface, xs: Array,
+                        v_projs: Array) -> list[ReductionReport]:
+    """Compare, for each entry, the lightlike scattering relation on the
+    cylinder R x dN (entry normalized to reduced time component one)
+    with the magnetic scattering relation, the length identity length =
+    s - t + flux, and the action identity A(x, y) = s - t.  One
+    scatter_batch and one magnetic_scatter_batch up to sigma 30, paths
+    sampled every 1e-3, then one magnetic_connectors_batch for the
+    actions, seeded by the rays: an error's ray or pair i is entry i.
+    A PreconditionError names the entries whose reduced time component
+    is not positive."""
+    xs, v_projs = np.asarray(xs, float), np.asarray(v_projs, float)
+    k_in = reduced_time_component(m, xs[:, 1:], v_projs)
+    bad = np.flatnonzero(k_in <= 0)
+    if bad.size:
+        raise PreconditionError(f"entries {bad.tolist()}: reduced time "
+                                "component not positive")
+    v_projs = v_projs / k_in[:, None]
+    mag = m.magnetic
+    recs = scatter_batch(m.assembled, U, U, xs, v_projs, max_sigma=30.0,
+                         keep_paths=True)
+    mrecs = magnetic_scatter_batch(mag, S, xs[:, 1:], v_projs[:, 1:],
+                                   max_sigma=30.0, keep_paths=True)
+    conns = magnetic_connectors_batch(
+        mag, xs[:, 1:], [r.y[1:] for r in recs],
+        seeds=[mr.length * r.path.v[0, 1:] for r, mr in zip(recs, mrecs)])
+    out = []
+    for x, rec, mrec, conn in zip(xs, recs, mrecs, conns):
+        t, s, yb = float(x[0]), float(rec.y[0]), rec.y[1:]
+        flux = curve_flux(m.omega, GeodesicPath(
+            sigma=rec.path.sigma, x=rec.path.x[:, 1:], v=rec.path.v[:, 1:],
+            speed_squared=1.0))
+        wt_red = reduced_time_component(m, yb, rec.w_proj)
+        out.append(ReductionReport(
+            endpoint_residual=float(np.linalg.norm(yb - mrec.y)),
+            exit_residual=float(np.linalg.norm(rec.w_proj[1:] - mrec.w_proj)),
+            length_residual=abs(mrec.length - (s - t + flux)),
+            action_residual=abs(conn.action - (s - t)),
+            exit_time_component_residual=abs(wt_red - 1.0),
+            record=rec, magnetic_record=mrec))
+    return out
+
+
 def thmmag_verify(m: StationaryMetric, U: BoundaryHypersurface,
                   S: BoundaryHypersurface, x: Array,
                   v_proj: Array) -> ReductionReport:
-    """Compare the lightlike scattering relation on the cylinder R x dN
-    (entry normalized to reduced time component one) with the magnetic
-    scattering relation, the length identity length = s - t + flux, and
-    the action identity A(x, y) = s - t.  Both scatters march up to
-    sigma 30 with paths sampled every 1e-3."""
-    x = np.asarray(x, float)
-    v_proj = np.asarray(v_proj, float)
-    xs, t = x[1:], float(x[0])
-    k_in = reduced_time_component(m, xs, v_proj)
-    if k_in <= 0:
-        raise PreconditionError("reduced time component of entry not positive")
-    v_proj = v_proj / k_in
-
-    g = m.assembled
-    rec = scatter(g, U, U, x, v_proj, max_sigma=30.0)
-    s, yb = float(rec.y[0]), rec.y[1:]
-    wt_red = reduced_time_component(m, yb, rec.w_proj)
-
-    mag = m.magnetic
-    mrec = magnetic_scatter(mag, S, xs, v_proj[1:], max_sigma=30.0)
-    endpoint_res = float(np.linalg.norm(yb - mrec.y))
-    exit_res = float(np.linalg.norm(rec.w_proj[1:] - mrec.w_proj))
-
-    spatial = GeodesicPath(sigma=rec.path.sigma, x=rec.path.x[:, 1:],
-                           v=rec.path.v[:, 1:], speed_squared=1.0)
-    flux = curve_flux(m.omega, spatial)
-    length_res = abs(mrec.length - (s - t + flux))
-    act = magnetic_connector(mag, xs, yb,
-                             seed=mrec.length * spatial.v[0]).action
-    action_res = abs(act - (s - t))
-    return ReductionReport(endpoint_residual=endpoint_res,
-                           exit_residual=exit_res,
-                           length_residual=length_res,
-                           action_residual=action_res,
-                           exit_time_component_residual=abs(wt_red - 1.0),
-                           record=rec, magnetic_record=mrec)
+    """The batch of one of thmmag_verify_batch."""
+    return thmmag_verify_batch(m, U, S, [x], [v_proj])[0]
 
 
 def reconstruct_exits(m: StationaryMetric, S: BoundaryHypersurface,

@@ -39,7 +39,6 @@ def test_criterion_02_defining_r_trichotomy():
     _check(acceptance.criterion_trichotomy())
 
 
-@pytest.mark.slow
 def test_criterion_03_michel_graph_identity():
     _check(acceptance.criterion_michel())
 

@@ -5,7 +5,7 @@ from lorlab import (RIEMANNIAN, ConjugatePointError, ConvergenceError,
                     MetricField, MetricFamily, PreconditionError,
                     connecting_geodesics_batch, defining_r, geodesic_accel,
                     linearize_r, magnetic_connectors_batch, michel_check,
-                    sigma_detect)
+                    michel_check_batch, sigma_detect)
 from lorlab import connect, geometry, scenarios, stationary
 from lorlab.scenarios import disk_pairs
 
@@ -344,12 +344,17 @@ def solves(monkeypatch):
 
 
 def test_one_solve_per_graph_check(solves, product_disk, stationary_rot):
-    """The pair and its chart stencil are one batch: 1 + 8 pairs on the
-    two-dimensional cylinder charts, 1 + 4 on the boundary circle."""
-    (x, y), = scenarios.null_pairs(product_disk, 1, seed=2)
+    """Each pair and its chart stencil are one batch: 1 + 8 pairs on the
+    two-dimensional cylinder charts, 1 + 4 on the boundary circle, and
+    a batch of pairs is one solve of all their stencils."""
+    pairs = scenarios.null_pairs(product_disk, 2, seed=2)
     michel_check(product_disk.metric, product_disk.entry_surface,
-                 product_disk.exit_surface, x, y)
+                 product_disk.exit_surface, *pairs[0])
     assert solves == [9]
+    solves.clear()
+    michel_check_batch(product_disk.metric, product_disk.entry_surface,
+                       product_disk.exit_surface, *zip(*pairs))
+    assert solves == [18]
     solves.clear()
     stationary.magnetic_michel(stationary_rot.magnetic,
                                stationary_rot.spatial_boundary,
@@ -358,13 +363,60 @@ def test_one_solve_per_graph_check(solves, product_disk, stationary_rot):
     assert solves == [5]
 
 
+def test_chart_stencil_merges_the_single_pair_stencils(product_disk):
+    """On P pairs, solve sees the P single-pair stencils one after the
+    other, and each pair gets its single-pair rows and quotients."""
+    sc = product_disk
+    pairs = scenarios.null_pairs(sc, 3, seed=5)
+    seen = []
+
+    def solve(xs, ys):
+        seen.append((xs, ys))
+        return list(zip(xs, ys))
+
+    def value(row):
+        x, y = row
+        return float(np.sum(x * x) - np.sum(y * y))
+
+    def stencil(xs, ys):
+        return connect._chart_stencil(sc.entry_surface, sc.exit_surface,
+                                      np.array(xs), np.array(ys), 1e-5,
+                                      solve, value)
+
+    singles = [stencil([x], [y]) for x, y in pairs]
+    merged = stencil(*zip(*pairs))
+    assert len(seen) == 4 and len(seen[-1][0]) == 3 * 9
+    for k in (0, 1):
+        assert np.array_equal(seen[-1][k],
+                              np.concatenate([rows[k] for rows in seen[:3]]))
+    for p, single in enumerate(singles):
+        assert np.array_equal(merged[0][p], single[0][0])
+        for m, s in zip(merged[1:], single[1:]):
+            assert np.array_equal(m[p], s[0])
+
+
+def test_michel_check_batch_is_its_pairs_bit_for_bit(stationary_rot):
+    """Four of criterion 03's stationary_rot pairs: the batch gives the
+    residuals of one michel_check per pair exactly."""
+    sc = stationary_rot
+    pairs = scenarios.null_pairs(sc, 4, seed=7)
+    batch = michel_check_batch(sc.metric, sc.entry_surface, sc.exit_surface,
+                               *zip(*pairs), n_steps=200)
+    assert batch == [michel_check(sc.metric, sc.entry_surface,
+                                  sc.exit_surface, x, y, n_steps=200)
+                     for x, y in pairs]
+
+
 def test_michel_check_requires_a_lightlike_pair(product_disk):
-    """Time gap 0.5 across a chord of length 2: r = (4 - 0.25) / 2."""
+    """Pair 1 has time gap 0.5 across a chord of length 2: r = (4 -
+    0.25) / 2."""
+    (x, y), = scenarios.null_pairs(product_disk, 1, seed=2)
     with pytest.raises(PreconditionError,
-                       match=r"^pair not on the lightlike set \(r = 1.875"):
-        michel_check(product_disk.metric, product_disk.entry_surface,
-                     product_disk.exit_surface, np.array([0.0, 1.0, 0.0]),
-                     np.array([0.5, -1.0, 0.0]))
+                       match=r"^pair\(s\) \[1\]: not on the lightlike set "
+                             r"\(r = \[1\.875"):
+        michel_check_batch(product_disk.metric, product_disk.entry_surface,
+                           product_disk.exit_surface,
+                           [x, [0.0, 1.0, 0.0]], [y, [0.5, -1.0, 0.0]])
 
 
 def test_linearize_r_solves_each_family_member_once(solves, product_disk):

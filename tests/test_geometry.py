@@ -8,8 +8,7 @@ from lorlab import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                     SingularMetricError, StationaryMetric,
                     boundary_normal, causal_classify, christoffel,
                     geodesic_accel, inner, integrate_geodesic,
-                    lightlike_completion, scatter, scatter_batch,
-                    scenarios)
+                    lightlike_completion, scatter_batch, scenarios)
 from lorlab import geometry
 from lorlab.errors import LorlabError
 from lorlab.fields import (CovectorField, ScalarField, _central_diff,
@@ -285,9 +284,9 @@ def test_refined_exit_on_a_step_boundary():
     """Straight ray with v_t = 1 and step 2^-7: t = 1 is sample 128
     exactly, so the crossing lies at d = h and the exit is that sample."""
     sc = scenarios.minkowski_slab(thickness=1.0)
-    rec = scatter(sc.metric, sc.entry_surface, sc.exit_surface,
-                  np.array([0.0, 0.25, 0.0]), np.array([0.0, 1.0, 0.0]),
-                  step=2.0 ** -7)
+    (rec,) = scatter_batch(sc.metric, sc.entry_surface, sc.exit_surface,
+                           [[0.0, 0.25, 0.0]], [[0.0, 1.0, 0.0]],
+                           step=2.0 ** -7, keep_paths=True)
     assert rec.travel == 1.0
     assert np.array_equal(rec.y, [1.0, 1.25, 0.0])
     assert np.array_equal(rec.path.sigma, np.arange(129) * 2.0 ** -7)
@@ -299,9 +298,9 @@ def test_refined_exit_just_after_a_sample(gap):
     sample closer than 1e-13 to the exit is merged into it."""
     thickness = 0.5 + gap
     sc = scenarios.minkowski_slab(thickness=thickness)
-    rec = scatter(sc.metric, sc.entry_surface, sc.exit_surface,
-                  np.array([0.0, 0.25, 0.0]), np.array([0.0, 1.0, 0.0]),
-                  step=2.0 ** -7)
+    (rec,) = scatter_batch(sc.metric, sc.entry_surface, sc.exit_surface,
+                           [[0.0, 0.25, 0.0]], [[0.0, 1.0, 0.0]],
+                           step=2.0 ** -7, keep_paths=True)
     assert rec.travel == pytest.approx(thickness, abs=2e-16)
     assert np.abs(rec.y - [thickness, 0.25 + thickness, 0.0]).max() <= 2e-16
     kept = 65 if gap > 1e-13 else 64

@@ -52,11 +52,10 @@ def test_scatter_homogeneity(product_disk):
     x = np.array([0.0, 1.0, 0.0])
     v_proj = np.array([1.0, 0.0, 0.3])
     base = scatter(product_disk.metric, product_disk.entry_surface,
-                   product_disk.exit_surface, x, v_proj, keep_path=False)
+                   product_disk.exit_surface, x, v_proj)
     for a in (0.5, 2.0, 10.0):
         rec = scatter(product_disk.metric, product_disk.entry_surface,
-                      product_disk.exit_surface, x, a * v_proj,
-                      keep_path=False)
+                      product_disk.exit_surface, x, a * v_proj)
         assert np.allclose(rec.y, base.y, atol=1e-8)
         assert np.allclose(rec.w_proj, a * base.w_proj, rtol=1e-8,
                            atol=1e-10)
@@ -67,7 +66,7 @@ def test_scatter_straight_line_to_cylinder(product_disk):
     lightlike (1, 1, 0), a straight chord along the diameter."""
     rec = scatter(product_disk.metric, product_disk.entry_surface,
                   product_disk.exit_surface, np.array([0.0, -1.0, 0.0]),
-                  np.array([1.0, 0.0, 0.0]), step=1e-3)
+                  np.array([1.0, 0.0, 0.0]))
     assert np.allclose(rec.path.v[0], [1.0, 1.0, 0.0], atol=1e-12)
     assert np.allclose(rec.y, [2.0, 1.0, 0.0], atol=1e-9)
     assert np.allclose(rec.path.v[-1], [1.0, 1.0, 0.0], atol=1e-9)
@@ -80,11 +79,11 @@ def test_scatter_travel_homogeneity(product_disk):
     x = np.array([0.0, -1.0, 0.0])
     v_proj = np.array([1.0, 0.0, 0.6])
     base = scatter(product_disk.metric, product_disk.entry_surface,
-                   product_disk.exit_surface, x, v_proj, step=1e-3)
+                   product_disk.exit_surface, x, v_proj)
     assert np.allclose(base.path.v[0], [1.0, 0.8, 0.6], atol=1e-12)
     for a in (0.5, 2.0, 10.0):
         scaled = scatter(product_disk.metric, product_disk.entry_surface,
-                         product_disk.exit_surface, x, a * v_proj, step=1e-3)
+                         product_disk.exit_surface, x, a * v_proj)
         assert np.allclose(scaled.y, base.y, rtol=1e-8, atol=1e-8)
         assert scaled.travel * a == pytest.approx(base.travel, rel=1e-8)
 
@@ -101,7 +100,7 @@ def test_normalize_modes(product_disk):
     x = np.array([0.0, 1.0, 0.0])
     v_proj = np.array([1.0, 0.0, 0.3])
     rec = scatter(product_disk.metric, product_disk.entry_surface,
-                  product_disk.exit_surface, x, v_proj, keep_path=False)
+                  product_disk.exit_surface, x, v_proj)
     rt = normalize(rec, TIME_COMPONENT, product_disk.metric)
     assert rt.w_proj[0] == pytest.approx(1.0, abs=1e-12)
     ru = normalize(rec, UNIT_INDUCED, product_disk.metric)
@@ -118,7 +117,7 @@ def test_scatter_batch_matches_scalar(product_disk, stationary_rot,
                          product_disk.exit_surface, xs, vs)
     for (x, v), rb in zip(entries, recs):
         rs = scatter(product_disk.metric, product_disk.entry_surface,
-                     product_disk.exit_surface, x, v, keep_path=False)
+                     product_disk.exit_surface, x, v)
         assert np.allclose(rb.y, rs.y, atol=1e-9)
         assert np.allclose(rb.w_proj, rs.w_proj, atol=1e-9)
         assert rb.travel == pytest.approx(rs.travel, abs=1e-9)
@@ -132,8 +131,7 @@ def test_scatter_batch_matches_scalar(product_disk, stationary_rot,
         recs = magnetic_scatter_batch(sc.magnetic, sc.spatial_boundary, xs,
                                       us, keep_paths=True)
         for (x, u), rb in zip(entries, recs):
-            rs = magnetic_scatter(sc.magnetic, sc.spatial_boundary, x, u,
-                                  keep_path=True)
+            rs = magnetic_scatter(sc.magnetic, sc.spatial_boundary, x, u)
             assert np.allclose(rb.y, rs.y, atol=1e-9)
             assert np.allclose(rb.w_proj, rs.w_proj, atol=1e-9)
             assert rb.length == pytest.approx(rs.length, abs=1e-9)
@@ -147,7 +145,7 @@ def test_entries_are_admissible(stationary_rot):
     for x, v in entries:
         assert abs(float(stationary_rot.entry_surface.value(x))) < 1e-9
         rec = scatter(stationary_rot.metric, stationary_rot.entry_surface,
-                      stationary_rot.exit_surface, x, v, keep_path=True)
+                      stationary_rot.exit_surface, x, v)
         assert rec.path.speed_drift(stationary_rot.metric) < 1e-8
 
 
@@ -436,12 +434,11 @@ def test_generated_pairs_are_the_single_ray_scatters(stationary_rot):
     entries = scenarios.scattering_entries(sc, 2, seed=7)
     for (x, v), (xb, y) in zip(entries, scenarios.null_pairs(sc, 2, seed=7)):
         rec = scatter(sc.metric, sc.entry_surface, sc.exit_surface, x, v,
-                      max_sigma=30.0, keep_path=False)
+                      max_sigma=30.0)
         assert np.array_equal(xb, x) and np.array_equal(y, rec.y)
     entries = scenarios.magnetic_entries(sc, 2, seed=29)
     for (x, u), rb in zip(entries, scenarios.magnetic_pairs(sc, 2, seed=29)):
-        rs = magnetic_scatter(sc.magnetic, sc.spatial_boundary, x, u,
-                              keep_path=False)
+        rs = magnetic_scatter(sc.magnetic, sc.spatial_boundary, x, u)
         assert np.array_equal(rb.x, x) and np.array_equal(rb.y, rs.y)
         assert rb.action == rs.action
     # an empty grid is an empty list

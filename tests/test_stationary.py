@@ -1,15 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from lorlab import (MagneticSystem, StationaryMetric, boundary_normal_coords,
-                    conformal_normalize, connecting_geodesics_batch,
-                    curve_flux, defining_r, from_raw, lift_magnetic,
-                    lift_residual, linearization_equivalence,
-                    magnetic_connector, magnetic_connectors_batch,
-                    magnetic_integrate, magnetic_michel, magnetic_scatter,
+from lorlab import (MagneticSystem, PreconditionError, StationaryMetric,
+                    boundary_normal_coords, conformal_normalize,
+                    connecting_geodesics_batch, curve_flux, defining_r,
+                    from_raw, lift_magnetic, lift_residual,
+                    linearization_equivalence, magnetic_connector,
+                    magnetic_connectors_batch, magnetic_integrate,
+                    magnetic_michel, magnetic_michel_batch, magnetic_scatter,
                     project_and_verify, reconstruct_exits,
-                    reduced_time_component, scatter, thmmag_verify)
+                    reduced_time_component, scatter, thmmag_verify,
+                    thmmag_verify_batch)
 from lorlab import acceptance, geometry, scenarios, stationary
 from lorlab.fields import CovectorField, ScalarField, _central_jet
 from lorlab.gauge import scattering_invariance
@@ -143,11 +147,22 @@ def test_action_reversal_asymmetry(stationary_rot):
 def test_magnetic_michel_residuals(stationary_rot):
     (x, u), = scenarios.magnetic_entries(stationary_rot, 1, seed=3)
     rec = magnetic_scatter(stationary_rot.magnetic,
-                           stationary_rot.spatial_boundary, x, u,
-                           keep_path=False)
+                           stationary_rot.spatial_boundary, x, u)
     res = magnetic_michel(stationary_rot.magnetic,
                           stationary_rot.spatial_boundary, x, rec.y)
     assert max(res) < 1e-5
+
+
+def test_magnetic_michel_batch_is_its_pairs_bit_for_bit(stationary_rot):
+    """Four of criterion 08's stationary_rot pairs: the batch gives the
+    residuals of one magnetic_michel per pair exactly."""
+    sc = stationary_rot
+    recs = scenarios.magnetic_pairs(sc, 4, seed=29)
+    xs, ys = [r.x for r in recs], [r.y for r in recs]
+    batch = magnetic_michel_batch(sc.magnetic, sc.spatial_boundary, xs, ys,
+                                  n_steps=200)
+    assert batch == [magnetic_michel(sc.magnetic, sc.spatial_boundary, x, y,
+                                     n_steps=200) for x, y in zip(xs, ys)]
 
 
 def test_projection_of_lightlike_geodesics(stationary_rot):
@@ -195,12 +210,60 @@ def test_thmmag_product_metric(product_disk):
         rep.magnetic_record.length, abs=1e-6)
 
 
+def _bit_equal(a, b):
+    """Dataclasses field by field, arrays and numbers exactly."""
+    if dataclasses.is_dataclass(a):
+        return all(_bit_equal(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    return np.array_equal(a, b)
+
+
+def test_thmmag_verify_batch_is_its_entries_bit_for_bit(monkeypatch,
+                                                        stationary_rot):
+    """Four of criterion 07's entries: one scatter_batch, one
+    magnetic_scatter_batch and one magnetic_connectors_batch of all
+    four, and every report, records and paths included, is the entry's
+    thmmag_verify exactly."""
+    sc = stationary_rot
+    xs, vs = map(np.array, zip(*scenarios.scattering_entries(sc, 4, seed=23)))
+    calls = []
+
+    def logged(name, f):
+        def call(*args, **kw):
+            out = f(*args, **kw)
+            calls.append((name, len(out)))
+            return out
+        return call
+
+    for name in ("scatter_batch", "magnetic_scatter_batch",
+                 "magnetic_connectors_batch"):
+        monkeypatch.setattr(stationary, name,
+                            logged(name, getattr(stationary, name)))
+    batch = thmmag_verify_batch(sc.stationary, sc.entry_surface,
+                                sc.spatial_boundary, xs, vs)
+    assert calls == [("scatter_batch", 4), ("magnetic_scatter_batch", 4),
+                     ("magnetic_connectors_batch", 4)]
+    for x, v, rep in zip(xs, vs, batch):
+        assert _bit_equal(rep, thmmag_verify(sc.stationary, sc.entry_surface,
+                                             sc.spatial_boundary, x, v))
+
+
+def test_thmmag_verify_batch_names_entries_without_positive_time_component(
+        stationary_rot):
+    sc = stationary_rot
+    (x0, v0), (x1, v1) = scenarios.scattering_entries(sc, 2, seed=23)
+    with pytest.raises(PreconditionError, match=r"^entries \[1\]: reduced "
+                       r"time component not positive$"):
+        thmmag_verify_batch(sc.stationary, sc.entry_surface,
+                            sc.spatial_boundary, [x0, x1], [v0, -v1])
+
+
 def test_reconstruct_exit_round_trip(stationary_rot):
     (x, v), = scenarios.scattering_entries(stationary_rot, 1, seed=10)
     k = reduced_time_component(stationary_rot.stationary, x[1:], v)
     vn = v / k
     rec = scatter(stationary_rot.metric, stationary_rot.entry_surface,
-                  stationary_rot.exit_surface, x, vn, keep_path=False)
+                  stationary_rot.exit_surface, x, vn)
     ((y_rec, w_rec),) = reconstruct_exits(stationary_rot.stationary,
                                           stationary_rot.spatial_boundary,
                                           [float(x[0])], [x[1:]], [vn[1:]])
@@ -329,8 +392,7 @@ def test_linearized_transforms_differ_by_2l(stationary_rot):
     and keeps failing until the paper's convention is settled.)"""
     sr = stationary_rot
     (x, u), = scenarios.magnetic_entries(sr, 1, seed=31)
-    y = magnetic_scatter(sr.magnetic, sr.spatial_boundary, x, u,
-                         keep_path=False).y
+    y = magnetic_scatter(sr.magnetic, sr.spatial_boundary, x, u).y
     dh, dom = scenarios.equivalence_fields()
     (conn,) = magnetic_connectors_batch(sr.magnetic, [x], [y], n_steps=200)
     eq = linearization_equivalence(sr.stationary, dh, dom, conn)
