@@ -27,12 +27,11 @@ from .gauge import (apply_gauge, compose_gauge, conformal_reparam_check,
 from .geometry import LORENTZIAN, MetricField, integrate_geodesic
 from .lightray import (ftc_residual, kernel_conformal_test,
                        kernel_potential_test)
-from .scattering import scatter_batch
 from .stationary import (StationaryMetric, boundary_normal_coords,
                          linearization_equivalence, magnetic_connectors_batch,
                          magnetic_integrate, magnetic_michel_batch,
                          project_and_verify, reconstruct_exits,
-                         reduced_time_component, thmmag_verify_batch)
+                         thmmag_verify_batch)
 
 
 @dataclass(frozen=True)
@@ -365,10 +364,12 @@ def thmmag_records(sc, n: int, seed: int) -> list[dict]:
 def criterion_reduction_identities() -> CriterionResult:
     def run():
         sr = scenarios.build("stationary_rot")
-        recs = thmmag_records(sr, 30, seed=23)
+        reps = thmmag_verify_batch(
+            sr.stationary, sr.entry_surface, sr.spatial_boundary,
+            *zip(*scenarios.scattering_entries(sr, 30, seed=23)))
 
         def worst(*keys):
-            return worst_of(r[k] for r in recs for k in keys)
+            return worst_of(getattr(r, k) for r in reps for k in keys)
 
         checks = [Check("exit data vs magnetic relation",
                         worst("endpoint_residual", "exit_residual"), 1e-6),
@@ -377,11 +378,10 @@ def criterion_reduction_identities() -> CriterionResult:
                   Check("exit reduced time component minus 1",
                         worst("exit_time_component_residual"), 1e-8)]
 
-        xs = np.array([r["x"] for r in recs[:10]])
-        vns = np.array([r["v_proj"] / reduced_time_component(
-            sr.stationary, r["x"][1:], r["v_proj"]) for r in recs[:10]])
-        exits = scatter_batch(sr.metric, sr.entry_surface, sr.exit_surface,
-                              xs, vns, step=1e-3, max_sigma=30.0)
+        # the first 10 rays, entries normalized to reduced time component 1
+        exits = [r.record for r in reps[:10]]
+        xs = np.array([rec.x for rec in exits])
+        vns = np.array([rec.v_proj for rec in exits])
         rebuilt = reconstruct_exits(sr.stationary, sr.spatial_boundary,
                                     xs[:, 0], xs[:, 1:], vns[:, 1:])
         rt = worst_of(float(np.linalg.norm(d)) for rec, (y_rec, w_rec) in

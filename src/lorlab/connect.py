@@ -129,12 +129,18 @@ def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
     error, so one or two steps finish the solve.  The coarse phase is
     skipped when it would have fewer than 25 steps.  When it raises,
     the requested grid solves alone from the seeds, so every error comes
-    from the requested grid and names its pairs.
+    from the requested grid and names its pairs.  Before any march, a
+    ValueError names ys or seeds shaped unlike xs, or non-finite pairs.
     """
     xs = np.atleast_2d(np.asarray(xs, float))
     ys = np.atleast_2d(np.asarray(ys, float))
-    v = np.array(seeds, float) if seeds is not None else ys - xs
-    v = np.atleast_2d(v).copy()
+    for name, arr in (("ys", ys), ("seeds", seeds)):
+        if arr is not None and np.atleast_2d(arr).shape != xs.shape:
+            raise ValueError(f"{name} {np.shape(arr)} unlike xs {xs.shape}")
+    v = ys - xs if seeds is None else np.atleast_2d(np.array(seeds, float))
+    bad = np.flatnonzero(~np.isfinite(np.hstack([xs, ys, v])).all(axis=1))
+    if bad.size:
+        raise ValueError(f"pair(s) {bad.tolist()}: non-finite xs, ys or seeds")
     same = np.flatnonzero(np.linalg.norm(ys - xs, axis=1) == 0.0)
     if same.size:
         raise PreconditionError(
@@ -257,6 +263,8 @@ def michel_check_batch(g: MetricField, U: BoundaryHypersurface,
     (row k is pair k // 9 on the cylinder of R x disk; see
     _chart_stencil), one scatter_batch shoots all rays (ray i: pair i)."""
     xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    if not len(xs):
+        return []
     bases, A0, B0, dr_da, dr_db = _chart_stencil(
         U, V, xs, ys, FD_STEP,
         lambda px, py: connecting_geodesics_batch(g, px, py, n_steps=n_steps,
@@ -328,6 +336,8 @@ def linearize_r(family: MetricFamily, xs: Array, ys: Array,
     solves of 400 RK4 steps: g_0, then g_{+fd_step} and g_{-fd_step}
     seeded by the g_0 connectors.  Every pair must have |r| <= PAIR_TOL
     under g_0, and the relative error is floored at 1e-10."""
+    if not len(xs):
+        return []
     base = connecting_geodesics_batch(family.eval(0.0), xs, ys, tol=1e-12)
     off = np.flatnonzero(np.abs(_energies(base)) > PAIR_TOL)
     if off.size:

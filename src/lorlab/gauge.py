@@ -18,7 +18,7 @@ from .fields import (Array, CovectorField, ScalarField, _central_diff,
                      worst_of)
 from .geometry import (BoundaryHypersurface, MetricField, _march_fixed,
                        metric_solve)
-from .quadrature import CubicSpline, simpson
+from .quadrature import CubicHermiteSpline, simpson
 from .scattering import scatter_batch
 from .stationary import MagneticSystem, magnetic_scatter_batch
 
@@ -157,6 +157,8 @@ class HamiltonianPath:
     x: Array                      # (M, dim)
     xi: Array                     # (M, dim)
     h_values: Array               # (M,)
+    xdot: Array                   # (M, dim) x' at the samples
+    xidot: Array                  # (M, dim) xi' at the samples
 
     @property
     def h_drift(self) -> float:
@@ -172,7 +174,7 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
     requires H(x0, xi0) = 0, where the reduction is valid.  Each stage
     solves g once: with u = g^{-1} xi, x' = u / c and, since
     d_i g^{kl} = -(g^{-1} d_i g g^{-1})^{kl},
-    xi'_i = (1/2) d_i g(u, u) / c."""
+    xi'_i = (1/2) d_i g(u, u) / c; one call gives both at the samples."""
     x0 = np.asarray(x0, float)
     xi0 = np.asarray(xi0, float)
     dim = x0.size
@@ -200,7 +202,9 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
     sigma, ys = _march_fixed(rhs, np.concatenate([x0, xi0])[None],
                              sigma_max, step, names=("x", "xi"))
     xs, xis = ys[:, 0, :dim], ys[:, 0, dim:]
-    return HamiltonianPath(sigma=sigma, x=xs, xi=xis, h_values=hval(xs, xis))
+    dys = rhs(ys[:, 0], False)
+    return HamiltonianPath(sigma=sigma, x=xs, xi=xis, h_values=hval(xs, xis),
+                           xdot=dys[:, :dim], xidot=dys[:, dim:])
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +227,8 @@ def conformal_reparam_check(g: MetricField, c: ScalarField, x0: Array,
     carried along unchanged.  All three flows take RK4 steps of 1e-3."""
     step = 1e-3
     base = hamiltonian_flow(g, x0, xi0, sigma_max, step=step)
-    base_x = CubicSpline(base.sigma, base.x)
-    base_xi = CubicSpline(base.sigma, base.xi)
+    base_x = CubicHermiteSpline(base.sigma, base.x, base.xdot)
+    base_xi = CubicHermiteSpline(base.sigma, base.xi, base.xidot)
     s_end = simpson(c(base.x), base.sigma)
 
     scaled = hamiltonian_flow(g, x0, xi0, s_end, c=c, step=step)

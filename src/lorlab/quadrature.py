@@ -1,11 +1,11 @@
 """One-dimensional quadrature and interpolation over a curve's samples.
 
 The light ray transform, the flux integrals and the stationary lift
-integrate or interpolate along the integrator's own samples.  Both
-pieces follow scipy's definitions: ``simpson`` is the composite
-Simpson rule of ``scipy.integrate.simpson`` in its operation order, and
-``CubicSpline`` is the not-a-knot spline of
-``scipy.interpolate.CubicSpline`` with its end-piece extrapolation.
+integrate or interpolate along the integrator's own samples, at which
+a flow also knows its derivatives.  ``simpson`` is the composite Simpson
+rule of ``scipy.integrate.simpson`` in its operation order, and
+``CubicHermiteSpline`` the piecewise cubic of
+``scipy.interpolate.CubicHermiteSpline`` with its end-piece extrapolation.
 """
 
 from __future__ import annotations
@@ -61,89 +61,31 @@ def simpson(y: Array, x: Array) -> float:
     return float(result)
 
 
-def _tridiagonal_solve(lower: list, diag: list, upper: list,
-                       rhs: Array) -> Array:
-    """Thomas algorithm for lower[i-1] s[i-1] + diag[i] s[i] + upper[i]
-    s[i+1] = rhs[i], rhs of shape (n, K): the scalar matrix is
-    eliminated once, then each column of rhs is swept on Python floats
-    (twice as fast as a row-by-row sweep for the few columns of a
-    curve)."""
-    n = len(diag)
-    m = [diag[0]]
-    cp = [upper[0] / diag[0]]
-    for i in range(1, n):
-        m.append(diag[i] - lower[i - 1] * cp[i - 1])
-        if i < n - 1:
-            cp.append(upper[i] / m[i])
-    cols = []
-    for col in rhs.T.tolist():
-        d = col[0] / m[0]
-        dp = [d]
-        for r, low, mi in zip(col[1:], lower, m[1:]):
-            d = (r - low * d) / mi
-            dp.append(d)
-        for i in range(n - 2, -1, -1):
-            d = dp[i] - cp[i] * d
-            dp[i] = d
-        cols.append(dp)
-    return np.array(cols, float).T
+class CubicHermiteSpline:
+    """Cubic Hermite spline through (x[i], y[i]) with slopes dydx[i].
 
+    x is 1-D and strictly increasing with at least two samples; y and
+    dydx have one shape (n, ...).  Calling the spline at points of any
+    shape returns values of shape ``points.shape + y.shape[1:]``; points
+    outside [x[0], x[-1]] take the polynomial of the first or last
+    piece, as scipy's spline does."""
 
-def _not_a_knot_slopes(x: Array, dx: Array, y: Array,
-                       slope: Array) -> Array:
-    """Knot slopes of the not-a-knot cubic spline through (x, y), y of
-    shape (n, K): a line for n = 2, the parabola for n = 3."""
-    n = len(x)
-    if n == 2:
-        return np.repeat(slope, 2, axis=0)
-    dxr = dx[:, None]
-    if n == 3:
-        a = np.array([[1.0, 1.0, 0.0],
-                      [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
-                      [0.0, 1.0, 1.0]])
-        b = np.stack([2 * slope[0],
-                      3 * (dxr[0] * slope[1] + dxr[1] * slope[0]),
-                      2 * slope[1]])
-        return np.linalg.solve(a, b)
-    b = np.empty_like(y)
-    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-    d = x[2] - x[0]
-    b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0]
-            + dxr[0] ** 2 * slope[1]) / d
-    e = x[-1] - x[-3]
-    b[-1] = (dxr[-1] ** 2 * slope[-2]
-             + (2 * e + dxr[-1]) * dxr[-2] * slope[-1]) / e
-    inner = dx.tolist()
-    diag = [inner[1]] + (2 * (dx[:-1] + dx[1:])).tolist() + [inner[-2]]
-    return _tridiagonal_solve(lower=inner[1:] + [float(e)], diag=diag,
-                              upper=[float(d)] + inner[:-1], rhs=b)
-
-
-class CubicSpline:
-    """Not-a-knot cubic spline through (x[i], y[i]) along axis 0 of y.
-
-    x is 1-D and strictly increasing with at least two samples; y has
-    shape (n, ...).  Calling the spline at points of any shape returns
-    values of shape ``points.shape + y.shape[1:]``; points outside
-    [x[0], x[-1]] take the polynomial of the first or last piece, as
-    scipy's spline does."""
-
-    def __init__(self, x: Array, y: Array):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        if x.ndim != 1 or len(x) < 2 or y.shape[:1] != x.shape:
+    def __init__(self, x: Array, y: Array, dydx: Array):
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        dydx = np.asarray(dydx, float)
+        if (x.ndim != 1 or len(x) < 2 or y.shape[:1] != x.shape
+                or dydx.shape != y.shape):
             raise ValueError(f"spline needs 1-D x with at least two samples "
-                             f"and y of the same length, got shapes "
-                             f"{x.shape} and {y.shape}")
+                             f"and y and dydx of that length and one shape, "
+                             f"got {x.shape}, {y.shape} and {dydx.shape}")
         dx = np.diff(x)
         if not np.all(dx > 0):
             raise ValueError("spline abscissae must be strictly increasing")
         self.x = x
         self._trailing = y.shape[1:]
-        y = y.reshape(len(x), -1)
+        y, s = y.reshape(len(x), -1), dydx.reshape(len(x), -1)
         dxr = dx[:, None]
         slope = np.diff(y, axis=0) / dxr
-        s = _not_a_knot_slopes(x, dx, y, slope)
         t = (s[:-1] + s[1:] - 2 * slope) / dxr
         # piece i is c[i, 0] u^3 + c[i, 1] u^2 + c[i, 2] u + c[i, 3] in
         # u = point - x[i]

@@ -23,7 +23,7 @@ from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                        geodesic_accel, inner, integrate_geodesic,
                        metric_solve, scatter_paths)
 from .lightray import light_ray_transform, magnetic_linearized_transform
-from .quadrature import CubicSpline, simpson
+from .quadrature import CubicHermiteSpline, simpson
 from .scattering import ScatteringRecord, scatter_batch
 from .connect import FD_STEP, _chart_stencil, solve_two_point
 
@@ -325,6 +325,8 @@ def magnetic_michel_batch(mag: MagneticSystem, S: BoundaryHypersurface,
     chart stencil are one magnetic_connectors_batch, whose row k belongs
     to pair k // 5 on the boundary circle (see connect._chart_stencil)."""
     xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    if not len(xs):
+        return []
     conns, A0, B0, dA_da, dA_db = _chart_stencil(
         S, S, xs, ys, fd_step,
         lambda px, py: magnetic_connectors_batch(mag, px, py, n_steps=n_steps,
@@ -391,14 +393,17 @@ def project_and_verify(m: StationaryMetric,
 
 def lift_magnetic(m: StationaryMetric, path: GeodesicPath,
                   t0: float = 0.0) -> GeodesicPath:
-    """Lift a unit-speed magnetic geodesic on N to the lightlike
-    geodesic of the assembled metric (lam = 1) with charge k = 1:
-    t' = 1 - <omega, x'>, t(0) = t0."""
+    """Lift a unit-speed magnetic geodesic on N to the lightlike geodesic
+    of the assembled metric (lam = 1) with charge k = 1: t(0) = t0 and
+    t' = 1 - <omega, x'>, t'' = -(x'^T (d omega) x' + <omega, x''>)."""
     if abs(path.speed_squared - 1.0) > 1e-8:
         raise PreconditionError("base path is not unit speed")
-    om_dot = np.einsum("mi,mi->m", m.omega(path.x), path.v)
-    tdot = 1.0 - om_dot
-    t = t0 + CubicSpline(path.sigma, tdot).antiderivative_at_knots()
+    om, acc = m.omega(path.x), magnetic_accel(m.magnetic)(path.x, path.v)
+    tdot = 1.0 - np.einsum("mi,mi->m", om, path.v)
+    tddot = -(np.einsum("mi,mij,mj->m", path.v, m.omega.jacobian(path.x),
+                        path.v) + np.einsum("mi,mi->m", om, acc))
+    t = t0 + CubicHermiteSpline(path.sigma, tdot,
+                                tddot).antiderivative_at_knots()
     X = np.concatenate([t[:, None], path.x], axis=1)
     V = np.concatenate([tdot[:, None], path.v], axis=1)
     speed2 = float(inner(m.assembled, X[0], V[0], V[0]))
@@ -408,11 +413,11 @@ def lift_magnetic(m: StationaryMetric, path: GeodesicPath,
 def lift_residual(m: StationaryMetric, lifted: GeodesicPath) -> float:
     """Sup distance between the lifted curve and the geodesic of the
     assembled metric re-integrated from the lifted initial data."""
-    span = float(lifted.sigma[-1] - lifted.sigma[0])
-    step = float(np.median(np.diff(lifted.sigma)))
+    s = lifted.sigma - lifted.sigma[0]
     re = integrate_geodesic(m.assembled, lifted.x[0], lifted.v[0],
-                            stop=span, step=step)
-    resampled = CubicSpline(re.sigma, re.x)(lifted.sigma - lifted.sigma[0])
+                            stop=float(s[-1]),
+                            step=float(np.median(np.diff(lifted.sigma))))
+    resampled = CubicHermiteSpline(re.sigma, re.x, re.v)(s)
     return float(np.abs(resampled - lifted.x).max())
 
 
@@ -444,6 +449,8 @@ def thmmag_verify_batch(m: StationaryMetric, U: BoundaryHypersurface,
     A PreconditionError names the entries whose reduced time component
     is not positive."""
     xs, v_projs = np.asarray(xs, float), np.asarray(v_projs, float)
+    if not len(xs):
+        return []
     k_in = reduced_time_component(m, xs[:, 1:], v_projs)
     bad = np.flatnonzero(k_in <= 0)
     if bad.size:

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from lorlab import acceptance, scenarios
+from lorlab import acceptance, scenarios, stationary
+from lorlab.scattering import scatter_batch
 
 
 def _check(result):
@@ -57,6 +58,21 @@ def test_criterion_06_stationary_to_magnetic():
 
 def test_criterion_07_length_action_identities():
     _check(acceptance.criterion_reduction_identities())
+
+
+def test_criterion_07_scatters_once(monkeypatch):
+    """The round trip reuses the rays that thmmag_verify_batch scattered."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[3]))
+        return scatter_batch(*args, **kwargs)
+
+    # acceptance no longer imports scatter_batch; a second call there counts
+    for module in (acceptance, stationary):
+        monkeypatch.setattr(module, "scatter_batch", counted, raising=False)
+    acceptance.criterion_reduction_identities()
+    assert calls == [30]
 
 
 def test_criterion_08_magnetic_action_graph():

@@ -4,8 +4,9 @@ import pytest
 from lorlab import (RIEMANNIAN, ConjugatePointError, ConvergenceError,
                     MetricField, MetricFamily, PreconditionError,
                     connecting_geodesics_batch, defining_r, geodesic_accel,
-                    linearize_r, magnetic_connectors_batch, michel_check,
-                    michel_check_batch, sigma_detect)
+                    linearize_r, magnetic_connectors_batch,
+                    magnetic_michel_batch, michel_check, michel_check_batch,
+                    sigma_detect, thmmag_verify_batch)
 from lorlab import connect, geometry, scenarios, stationary
 from lorlab.scenarios import disk_pairs
 
@@ -209,6 +210,37 @@ def test_coincident_endpoints_name_the_pair(product_disk):
         connecting_geodesics_batch(product_disk.metric, xs, ys)
 
 
+def test_non_finite_pairs_are_named_before_any_march(marches,
+                                                     product_disk):
+    """A NaN endpoint or an infinite seed is a ValueError naming its pair,
+    not a diverged Newton iterate."""
+    xs = np.array([[0.0, -0.5, 0.0], [0.0, 0.3, 0.2], [0.0, 0.1, 0.4]])
+    ys = np.array([[1.2, 0.5, 0.1], [0.0, np.nan, 0.2], [0.8, -0.4, 0.3]])
+    accel = geodesic_accel(product_disk.metric)
+    with pytest.raises(ValueError,
+                       match=r"^pair\(s\) \[1\]: non-finite xs, ys or seeds$"):
+        connect.solve_two_point(accel, xs, ys)
+    ys[1, 1] = 0.6
+    seeds = ys - xs
+    seeds[[0, 2], 0] = np.inf
+    with pytest.raises(ValueError, match=r"^pair\(s\) \[0, 2\]: non-finite"):
+        connect.solve_two_point(accel, xs, ys, seeds=seeds)
+    assert marches == []
+
+
+def test_mismatched_shapes_are_named_before_any_march(marches,
+                                                      product_disk):
+    xs = np.array([[0.0, -0.5, 0.0], [0.0, 0.3, 0.2], [0.0, 0.1, 0.4]])
+    ys = np.array([[1.2, 0.5, 0.1], [0.0, 0.6, 0.2], [0.8, -0.4, 0.3]])
+    accel = geodesic_accel(product_disk.metric)
+    with pytest.raises(ValueError, match=r"^ys \(2, 3\) unlike xs \(3, 3\)$"):
+        connect.solve_two_point(accel, xs, ys[:2])
+    with pytest.raises(ValueError,
+                       match=r"^seeds \(3, 2\) unlike xs \(3, 3\)$"):
+        connect.solve_two_point(accel, xs, ys, seeds=(ys - xs)[:, :2])
+    assert marches == []
+
+
 def test_converges_on_the_last_allowed_iterate(perturbed_product,
                                                monkeypatch):
     """On 150 steps, one grid alone, the 16 pairs of the CLI connect grid
@@ -326,6 +358,21 @@ def test_empty_connecting_geodesics_batch(stationary_rot):
 def test_empty_magnetic_connectors_batch(stationary_rot):
     assert magnetic_connectors_batch(stationary_rot.magnetic,
                                      np.empty((0, 2)), np.empty((0, 2))) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda sc, e3, e2: michel_check_batch(sc.metric, sc.entry_surface,
+                                          sc.exit_surface, e3, e3),
+    lambda sc, e3, e2: magnetic_michel_batch(sc.magnetic,
+                                             sc.spatial_boundary, e2, e2),
+    lambda sc, e3, e2: thmmag_verify_batch(sc.stationary, sc.entry_surface,
+                                           sc.spatial_boundary, e3, e3),
+    lambda sc, e3, e2: linearize_r(MetricFamily(eval=lambda tau: sc.metric),
+                                   e3, e3)],
+    ids=["michel_check_batch", "magnetic_michel_batch",
+         "thmmag_verify_batch", "linearize_r"])
+def test_empty_identity_batches(stationary_rot, call):
+    assert call(stationary_rot, np.empty((0, 3)), np.empty((0, 2))) == []
 
 
 @pytest.fixture

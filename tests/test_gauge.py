@@ -128,6 +128,20 @@ def test_hamiltonian_constant_factor_halves_parameter(perturbed_product):
     assert np.abs(scaled.xi[-1] - base.xi[-1]).max() < 1e-8
 
 
+def test_hamiltonian_path_derivatives_on_constant_metric(product_disk):
+    """With g = diag(-1, 1, 1) and c = 4: x' = g^-1 xi / 4 and xi' = 0
+    at every sample."""
+    g = product_disk.metric
+    x0 = np.array([0.0, -0.4, 0.1])
+    xi0 = g.matrix(x0) @ np.array([1.0, 0.6, 0.8])
+    flow = hamiltonian_flow(g, x0, xi0, sigma_max=0.5,
+                            c=ScalarField.constant(4.0), step=1e-2)
+    assert flow.xdot.shape == flow.xidot.shape == flow.x.shape == (51, 3)
+    want = np.linalg.solve(g.matrix(flow.x), flow.xi[..., None])[..., 0] / 4
+    assert np.abs(flow.xdot - want).max() < 1e-15
+    assert np.abs(flow.xidot).max() == 0.0
+
+
 def test_hamiltonian_scaled_requires_null_shell(perturbed_product):
     g = perturbed_product.metric
     x0 = np.array([0.0, -0.4, 0.1])
@@ -271,7 +285,8 @@ def test_magnetic_invariance_detects_a_non_exact_change(stationary_rot):
 
 def test_hamiltonian_flow_solves_once_per_stage(perturbed_product,
                                                 monkeypatch):
-    """Each right-hand side evaluation, one metric jet, solves g once."""
+    """Each right-hand side evaluation, one metric jet, solves g once;
+    the derivatives at the samples are one batched evaluation."""
     g0 = perturbed_product.metric
     jets, solves = [], []
 
@@ -290,7 +305,8 @@ def test_hamiltonian_flow_solves_once_per_stage(perturbed_product,
     xi0 = g0.matrix(x0) @ np.array([1.0, 0.3, 0.2])
     flow = hamiltonian_flow(g, x0, xi0, sigma_max=0.05, step=1e-2)
     assert len(flow.sigma) == 6
-    assert solves == jets == [1] * 20
+    # one jet and one solve per RK4 stage, then one over the 6 samples
+    assert solves == jets == [1] * 20 + [6]
 
 
 def two_call_quotient(func, x, value_shape):

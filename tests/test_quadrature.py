@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import simpson as scipy_simpson
-from scipy.interpolate import CubicSpline as ScipySpline
+from scipy.interpolate import CubicHermiteSpline as ScipySpline
 
-from lorlab.quadrature import CubicSpline, simpson
+from lorlab.quadrature import CubicHermiteSpline, simpson
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lorlab"
@@ -55,25 +55,28 @@ def test_simpson_is_exact_on_quadratics_and_trapezoid_on_two_samples():
 
 
 def _spline_cases(rng):
-    """(M,) and (M, 3) data on near-uniform grids, and (M, 3) data on a
-    uniform grid whose last interval is short."""
+    """(M,) and (M, 3) data with slopes on near-uniform grids, and (M, 3)
+    data with its slopes on a uniform grid whose last interval is short."""
     for m in (2, 3, 4, 5, 9, 300, 1001):
         x = 1e-2 * np.cumsum(rng.uniform(0.5, 1.0, m))
         y = np.sin(40 * x)[:, None] + 0.1 * rng.standard_normal((m, 3))
-        yield pytest.param(x, y[:, 0], id=f"{m}")
-        yield pytest.param(x, y, id=f"{m}x3")
+        dydx = 40 * np.cos(40 * x)[:, None] + rng.standard_normal((m, 3))
+        yield pytest.param(x, y[:, 0], dydx[:, 0], id=f"{m}")
+        yield pytest.param(x, y, dydx, id=f"{m}x3")
         x = 1e-3 * np.arange(m, dtype=float)
         if m > 2:
             x[-1] = x[-2] + 3e-7
-        yield pytest.param(x, np.exp(x)[:, None] * [1.0, -2.0, 0.5],
-                           id=f"{m}x3-short-last")
+        y = np.exp(x)[:, None] * [1.0, -2.0, 0.5]
+        yield pytest.param(x, y, y, id=f"{m}x3-short-last")
 
 
-@pytest.mark.parametrize("x, y", _spline_cases(np.random.default_rng(73)))
-def test_spline_matches_scipy(x, y):
+@pytest.mark.parametrize("x, y, dydx",
+                         _spline_cases(np.random.default_rng(73)))
+def test_spline_matches_scipy(x, y, dydx):
     """Values at the knots, inside and beyond both ends (end-piece
     extrapolation), and the antiderivative at the knots."""
-    ours, ref = CubicSpline(x, y), ScipySpline(x, y, axis=0)
+    ours, ref = (CubicHermiteSpline(x, y, dydx),
+                 ScipySpline(x, y, dydx, axis=0))
     rng = np.random.default_rng(len(x))
     inside = rng.uniform(x[0], x[-1], 40)
     # up to three lengths of the end piece beyond each end
@@ -91,9 +94,14 @@ def test_spline_matches_scipy(x, y):
 
 def test_spline_rejects_unsorted_abscissae():
     with pytest.raises(ValueError, match="strictly increasing"):
-        CubicSpline([0.0, 0.2, 0.2, 0.3], np.zeros(4))
+        CubicHermiteSpline([0.0, 0.2, 0.2, 0.3], np.zeros(4), np.zeros(4))
     with pytest.raises(ValueError, match="two samples"):
-        CubicSpline([0.0], [1.0])
+        CubicHermiteSpline([0.0], [1.0], [0.0])
+
+
+def test_spline_rejects_slopes_shaped_unlike_y():
+    with pytest.raises(ValueError, match=r"\(3, 2\) and \(3,\)"):
+        CubicHermiteSpline([0.0, 0.2, 0.3], np.zeros((3, 2)), np.zeros(3))
 
 
 def test_import_lorlab_leaves_scipy_unloaded():

@@ -186,6 +186,38 @@ def test_lift_of_magnetic_geodesic(stationary_rot):
     assert lifted.x[-1, 0] == pytest.approx(0.3 + rec.action, abs=1e-8)
 
 
+@pytest.mark.parametrize("k", [0.0, 0.3])
+def test_lifted_time_is_closed_form_on_circles(stationary_rot, k):
+    """On stationary_rot a unit-speed magnetic geodesic is a circle of
+    radius 1/B with its centre left of the motion, so the lifted time is
+    t0 + sigma - flux(sigma) at every sample.  Adding d(k x_0 x_1) to
+    omega keeps the circle and subtracts k x_0 x_1 - k x_0(0) x_1(0):
+    its symmetric Jacobian exercises the x'^T (d omega) x' term of t''."""
+    B = stationary_rot.params["B"]
+    R = 1.0 / B
+    m = stationary_rot.stationary
+    om = m.omega
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    gauged = dataclasses.replace(m, omega=CovectorField(
+        dim=2, func=lambda p: om(p) + k * np.asarray(p)[..., ::-1],
+        jac=lambda p: om.jacobian(p) + k * swap))
+    (x, u), = scenarios.magnetic_entries(stationary_rot, 1, seed=7)
+    path = magnetic_scatter(stationary_rot.magnetic,
+                            stationary_rot.spatial_boundary, x, u).path
+    x0, v0 = path.x[0], path.v[0]
+    c = x0 + R * np.array([-v0[1], v0[0]])
+    phi0 = np.arctan2(x0[1] - c[1], x0[0] - c[0])
+    phi = phi0 + path.sigma / R
+    flux = 0.5 * B * (R * R * (phi - phi0)
+                      + R * (c[0] * (np.sin(phi) - np.sin(phi0))
+                             - c[1] * (np.cos(phi) - np.cos(phi0))))
+    want = (0.3 + path.sigma - flux
+            - k * (path.x[:, 0] * path.x[:, 1] - x0[0] * x0[1]))
+    lifted = lift_magnetic(gauged, path, t0=0.3)
+    assert len(path.sigma) > 1000
+    assert np.abs(lifted.x[:, 0] - want).max() < 1e-10
+
+
 def test_reduced_time_component(stationary_rot):
     m = stationary_rot.stationary
     xsp = np.array([0.4, -0.2])
