@@ -30,16 +30,16 @@ COND_LIMIT = 1e10       # shooting Jacobian condition flagged as conjugate
 # generic batched two-point shooting (shared with the magnetic flow)
 # ---------------------------------------------------------------------------
 
-def _march(accel, xs: Array, vs: Array, n_steps: int, rows_per_pair: int):
+def _march(accel, xs: Array, vs: Array, n_steps: int, pairs: Array):
     """integrate_flow_fixed over [0, 1]; a state that turns non-finite
-    is a Newton iterate that diverged, reported for its pair."""
+    is a Newton iterate that diverged, reported for its pair pairs[row]."""
     try:
         return integrate_flow_fixed(accel, xs, vs, 1.0, 1.0 / n_steps)
     except EscapeError as exc:
         if exc.ray is None:
             raise
         raise ConvergenceError(
-            f"pair(s) [{exc.ray // rows_per_pair}]: Newton iterate "
+            f"pair(s) [{pairs[exc.ray]}]: Newton iterate "
             f"diverged ({exc})") from exc
 
 
@@ -49,9 +49,11 @@ def _newton(accel, xs: Array, ys: Array, v: Array, n_steps: int, tol: float,
     n_steps steps, from the velocities v and, when given, the Jacobian J
     (updated in place), for at most MAX_ITER iterations; a Jacobian of
     condition above COND_LIMIT is a ConjugatePointError.  Returns (v, J,
-    march at v)."""
+    march at v); after the first, a march covers the unfinished pairs
+    only, written into the rows of the kept one."""
     B, dim = xs.shape
-    last = _march(accel, xs, v, n_steps, 1)
+    pairs = np.arange(B)
+    last = _march(accel, xs, v, n_steps, pairs)
     F = last[1][-1] - ys
     res = np.abs(F).max(axis=1)
     for it in range(MAX_ITER + 1):
@@ -60,13 +62,12 @@ def _newton(accel, xs: Array, ys: Array, v: Array, n_steps: int, tol: float,
             return v, J, last
         if it == MAX_ITER:
             break
-        last = None           # freed: a residual march precedes any return
         if J is None:
             delta = 1e-6 * np.maximum(1.0, np.linalg.norm(v, axis=1))
             pert = v[:, None, :] + delta[:, None, None] * np.eye(dim)
-            xs_rep = np.repeat(xs[:, None, :], dim, axis=1).reshape(-1, dim)
-            ends = np.array(_march(accel, xs_rep, pert.reshape(-1, dim),
-                                   n_steps, dim)[1][-1]).reshape(B, dim, dim)
+            rows = np.repeat(pairs, dim)        # row b * dim + i: pair b
+            ends = np.array(_march(accel, xs[rows], pert.reshape(-1, dim),
+                                   n_steps, rows)[1][-1]).reshape(B, dim, dim)
             J = (ends - (F + ys)[:, None, :]) / delta[:, None, None]
             J = np.swapaxes(J, 1, 2)            # J[b, out, in]
             conds = np.linalg.cond(J)
@@ -78,7 +79,9 @@ def _newton(accel, xs: Array, ys: Array, v: Array, n_steps: int, tol: float,
                     "may be conjugate")
         dv = np.linalg.solve(J, F[..., None])[..., 0]
         v_new = np.where(done[:, None], v, v - dv)
-        last = _march(accel, xs, v_new, n_steps, 1)
+        todo = pairs[~done]
+        _, xt, vt = _march(accel, xs[todo], v_new[todo], n_steps, todo)
+        last[1][:, todo], last[2][:, todo] = xt, vt
         F_new = last[1][-1] - ys
         res_new = np.abs(F_new).max(axis=1)
         improved = done | (res_new <= 0.5 * np.maximum(res, tol))

@@ -27,16 +27,6 @@ from .stationary import MagneticSystem, magnetic_scatter_batch
 # gauge pairs on the base manifold
 # ---------------------------------------------------------------------------
 
-def _jacobian(psi: Callable[[Array], Array],
-              jac: Optional[Callable[[Array], Array]], dim: int,
-              x: Array) -> Array:
-    """[..., k, i] = d_i psi^k at x: jac when given, else central
-    differences of psi."""
-    if jac is not None:
-        return np.asarray(jac(np.asarray(x, float)), float)
-    return np.swapaxes(_central_diff(psi, x, (dim,)), -1, -2)
-
-
 @dataclass(frozen=True)
 class GaugePair:
     """Diffeomorphism psi of the base fixing the boundary together with
@@ -49,7 +39,11 @@ class GaugePair:
     jac: Optional[Callable[[Array], Array]] = None   # [..., k, i] = d_i psi^k
 
     def jacobian(self, x: Array) -> Array:
-        return _jacobian(self.psi, self.jac, self.dim, x)
+        """[..., k, i] = d_i psi^k at x: jac when given, else central
+        differences of psi."""
+        if self.jac is not None:
+            return np.asarray(self.jac(np.asarray(x, float)), float)
+        return np.swapaxes(_central_diff(self.psi, x, (self.dim,)), -1, -2)
 
     @staticmethod
     def identity(dim: int) -> "GaugePair":
@@ -70,13 +64,14 @@ def apply_gauge(mag: MagneticSystem, pair: GaugePair) -> MagneticSystem:
         return np.einsum("...k,...ki->...i", alpha, pair.jacobian(x))
 
     return MagneticSystem(
-        base=pullback_metric(mag.base, pair.psi, pair.jac),
+        base=pullback_metric(mag.base, pair.psi, pair.jacobian),
         omega=CovectorField(dim=mag.base.dim, func=new_omega))
 
 
 def compose_gauge(p1: GaugePair, p2: GaugePair) -> GaugePair:
     """Pair whose action is the action of p1 followed by that of p2:
-    psi = psi1 o psi2, phi = phi1 + phi2 o psi1^{-1}."""
+    psi = psi1 o psi2, phi = phi1 + phi2 o psi1^{-1}, jac the chain rule
+    of the parts' GaugePair.jacobian (differenced for a part without)."""
     if p1.dim != p2.dim:
         raise ValueError("gauge pairs on different dimensions")
 
@@ -90,12 +85,10 @@ def compose_gauge(p1: GaugePair, p2: GaugePair) -> GaugePair:
         x = np.asarray(x, float)
         return p1.phi(x) + p2.phi(p1.psi_inv(x))
 
-    jac = None
-    if p1.jac is not None and p2.jac is not None:
-        def jac(x):
-            x = np.asarray(x, float)
-            return np.einsum("...kl,...li->...ki",
-                             p1.jacobian(p2.psi(x)), p2.jacobian(x))
+    def jac(x):
+        x = np.asarray(x, float)
+        return np.einsum("...kl,...li->...ki",
+                         p1.jacobian(p2.psi(x)), p2.jacobian(x))
 
     return GaugePair(dim=p1.dim, psi=psi, psi_inv=psi_inv,
                      phi=ScalarField(func=phi_func), jac=jac)
@@ -106,36 +99,34 @@ def compose_gauge(p1: GaugePair, p2: GaugePair) -> GaugePair:
 # ---------------------------------------------------------------------------
 
 def scale_metric(g: MetricField, c: ScalarField) -> MetricField:
-    """Pointwise conformal multiple c * g with analytic partials when
-    both factors provide them."""
+    """Pointwise conformal multiple c * g; its jet takes dc g + c dg by
+    the product rule, differencing only a factor without analytic ones."""
 
     def func(x):
         return c(x)[..., None, None] * np.asarray(g.func(x), float)
 
-    jetfunc = None
-    if g.jetfunc is not None and c.grad is not None:
-        def jetfunc(x):
-            x = np.asarray(x, float)
-            cx = c(x)
-            gm, dg = g._unchecked_jet(x)
-            return (cx[..., None, None] * gm,
-                    c.gradient(x)[..., :, None, None] * gm[..., None, :, :]
-                    + cx[..., None, None, None] * dg)
+    def jetfunc(x):
+        x = np.asarray(x, float)
+        cx = c(x)
+        gm, dg = g._unchecked_jet(x)
+        return (cx[..., None, None] * gm,
+                c.gradient(x)[..., :, None, None] * gm[..., None, :, :]
+                + cx[..., None, None, None] * dg)
 
     return MetricField(dim=g.dim, signature=g.signature, func=func,
                        domain=g.domain, jetfunc=jetfunc)
 
 
 def pullback_metric(g: MetricField, psi: Callable[[Array], Array],
-                    jac: Optional[Callable[[Array], Array]] = None
-                    ) -> MetricField:
-    """psi^* g as a matrix field (jac layout [..., k, i] = d_i psi^k, by
-    central differences of psi when not given) on the points that psi
-    maps into g's domain; its partials are central differences."""
+                    jac: Callable[[Array], Array]) -> MetricField:
+    """psi^* g as a matrix field on the points that psi maps into g's
+    domain, jac [..., k, i] = d_i psi^k (GaugePair.jacobian); its
+    partials, which would need second derivatives of psi, are central
+    differences."""
 
     def func(x):
         x = np.asarray(x, float)
-        J = _jacobian(psi, jac, g.dim, x)
+        J = np.asarray(jac(x), float)
         gp = np.asarray(g.func(psi(x)), float)
         return np.einsum("...ki,...kl,...lj->...ij", J, gp, J)
 

@@ -55,12 +55,10 @@ def scatter_batch(g: MetricField, U: BoundaryHypersurface,
 
 
 def scatter(g: MetricField, U: BoundaryHypersurface, V: BoundaryHypersurface,
-            x: Array, v_proj: Array, max_sigma: float = 10.0
-            ) -> ScatteringRecord:
+            x: Array, v_proj: Array) -> ScatteringRecord:
     """The batch of one of scatter_batch, with its path."""
     return scatter_batch(g, U, V, np.asarray(x, float)[None],
-                         np.asarray(v_proj, float)[None],
-                         max_sigma=max_sigma, keep_paths=True)[0]
+                         np.asarray(v_proj, float)[None], keep_paths=True)[0]
 
 
 def normalize(rec: ScatteringRecord, mode: str, g: MetricField) -> ScatteringRecord:

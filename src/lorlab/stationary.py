@@ -51,7 +51,8 @@ class StationaryMetric:
     @property
     def assembled(self) -> MetricField:
         """g = lam M with M = diag(0, h) - a a^T and a = (1, omega); the
-        jet takes dg = dlam M + lam dM by the product rule.
+        jet takes dg = dlam M + lam dM by the product rule, where a part
+        without analytic partials is differenced by its own accessor.
 
         func and jetfunc share one construction (blocks), so that
         jet(x)[0] is bit-equal to func(x): the rows A = (a, d_t a, d_k a)
@@ -86,18 +87,14 @@ class StationaryMetric:
                        None, None)[..., 0, :, :]
             return self.lam(xs)[..., None, None] * M
 
-        jetfunc = None
-        if (self.lam.grad is not None and self.omega.jac is not None
-                and self.base.jetfunc is not None):
-
-            def jetfunc(x):
-                xs = np.asarray(x, float)[..., 1:]
-                h, dh = self.base._unchecked_jet(xs)
-                X = blocks(self.omega(xs), h, self.omega.jacobian(xs), dh)
-                W = self.lam(xs)[..., None, None, None] * X
-                W[..., 2:, :, :] += (self.lam.gradient(xs)[..., :, None, None]
-                                     * X[..., :1, :, :])
-                return W[..., 0, :, :], W[..., 1:, :, :]
+        def jetfunc(x):
+            xs = np.asarray(x, float)[..., 1:]
+            h, dh = self.base._unchecked_jet(xs)
+            X = blocks(self.omega(xs), h, self.omega.jacobian(xs), dh)
+            W = self.lam(xs)[..., None, None, None] * X
+            W[..., 2:, :, :] += (self.lam.gradient(xs)[..., :, None, None]
+                                 * X[..., :1, :, :])
+            return W[..., 0, :, :], W[..., 1:, :, :]
 
         domain = None
         if self.base.domain is not None:

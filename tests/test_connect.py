@@ -336,7 +336,8 @@ def test_broyden_updates_replace_jacobian_builds(marches, perturbed_product):
     """The 16 pairs of the CLI connect grid on perturbed_product reach
     1e-12 with one forward-difference Jacobian, built on the coarse grid
     of 50 steps, and at most three residual marches on the requested
-    grid of 400; one grid alone took one Jacobian and five residual
+    grid of 400, the last of which marches the one pair still
+    unfinished; one grid alone took one Jacobian and five residual
     marches on 400 steps, and chord iterations with that Jacobian took
     seven."""
     xs, ys = disk_pairs(16, 1)
@@ -345,9 +346,47 @@ def test_broyden_updates_replace_jacobian_builds(marches, perturbed_product):
     assert marches.count((16 * 3, 50)) == 1
     assert marches.count((16 * 3, 400)) == 0
     assert marches.count((16, 400)) <= 3
-    assert marches[-2:] == [(16, 400), None]
+    assert marches[-2:] == [(1, 400), None]
     for c in conns:
         assert np.abs(c.path.x[-1] - c.y).max() <= 1e-12
+
+
+def test_newton_marches_only_unfinished_pairs(marches, perturbed_product):
+    """A residual march covers the pairs not yet within tolerance, and
+    the connectors, whose rows come from different marches, are bit for
+    bit one march of their solved velocities: rows are independent.
+    With every residual march over all 16 rows the solve marched 24,800
+    row-steps."""
+    g = perturbed_product.metric
+    xs, ys = disk_pairs(16, 1)
+    conns = connecting_geodesics_batch(g, xs, ys, tol=1e-12)
+    log = marches[:-1]
+    assert sum(rows * steps for rows, steps in log) == 18750
+    assert min(rows for rows, _ in log) < 16
+    vs = np.array([c.path.v[0] for c in conns])
+    _, px, pv = geometry.integrate_flow_fixed(geodesic_accel(g), xs, vs,
+                                              1.0, 1.0 / 400)
+    for b, c in enumerate(conns):
+        assert np.array_equal(c.path.x, px[:, b])
+        assert np.array_equal(c.path.v, pv[:, b])
+
+
+def test_diverged_subset_march_names_the_pair(marches, monkeypatch):
+    """Pair 0 starts from its solved velocity and is done at once, so the
+    iterate that diverges marches pair 1 alone, as row 0; the error names
+    it by its pair index."""
+    xs = np.array([[np.pi / 2, 0.0], [np.pi / 2, 0.0]])
+    ys = np.array([[np.pi / 2 + 0.3, 1.0], [np.pi / 2 + 0.001, np.pi]])
+    accel = geodesic_accel(_round_sphere())
+    solved = connect.solve_two_point(accel, xs[:1], ys[:1])
+    seeds = np.vstack([solved, ys[1:] - xs[1:]])
+    monkeypatch.setattr(connect, "COND_LIMIT", 1e12)
+    marches.clear()
+    with np.errstate(all="ignore"), pytest.raises(
+            ConvergenceError, match=r"^pair\(s\) \[1\]: Newton iterate "
+                                    r"diverged"):
+        connect._newton(accel, xs, ys, seeds, 400, 1e-10)
+    assert marches == [(2, 400), (4, 400), (1, 400)]
 
 
 def test_empty_connecting_geodesics_batch(stationary_rot):

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lorlab import (LORENTZIAN, EscapeError, GaugePair, MagneticSystem,
                     MetricField, PreconditionError, apply_gauge,
-                    compose_gauge, hamiltonian_flow, integrate_geodesic,
-                    pullback_metric, scale_metric)
+                    compose_gauge, from_raw, hamiltonian_flow,
+                    integrate_geodesic, pullback_metric, scale_metric)
 from lorlab import fields, gauge, geometry, scenarios
 from lorlab.fields import CovectorField, ScalarField
 from lorlab.gauge import (conformal_reparam_check, magnetic_invariance,
@@ -98,6 +100,51 @@ def test_pullback_metric_flat_rotation(product_disk, rng):
     J = pair.jacobian(pts)
     expected = np.einsum("...ki,...kj->...ij", J, J)
     assert np.abs(pulled.matrix(pts) - expected).max() < 1e-12
+
+
+def _without_jac(pair):
+    return GaugePair(dim=pair.dim, psi=pair.psi, psi_inv=pair.psi_inv,
+                     phi=pair.phi)
+
+
+def _gauged_assembled(sc, pair):
+    mag = apply_gauge(sc.magnetic, pair)
+    return replace(sc.stationary, omega=mag.omega, base=mag.base).assembled
+
+
+@pytest.mark.parametrize("build", [
+    lambda sc: from_raw(sc.metric).assembled,
+    lambda sc: scale_metric(sc.metric, ScalarField(
+        func=scenarios.spacetime_field(scenarios.conformal_bump(0.1)).func)),
+    lambda sc: _gauged_assembled(sc, scenarios.rotation_bump_pair(0.15))],
+    ids=["from_raw", "scale_metric", "apply_gauge"])
+def test_builders_differentiate_through_parts(stationary_rot, build):
+    """A derived metric with a part that has no analytic derivative
+    still takes its partials through its parts, the differenced part by
+    its own accessor: they agree with central differences of the whole
+    metric to the differencing error, and its jet's values are its
+    func's, bit for bit."""
+    g = build(stationary_rot)
+    assert g.jetfunc is not None
+    rng = np.random.default_rng(21)
+    pts = np.hstack([rng.uniform(-1.0, 1.0, (20, 1)), grid(rng, n=20)])
+    gm, dg = g.jet(pts)
+    fd = fields._central_jet(g.func, pts, (3, 3))[1]
+    assert np.array_equal(gm, g.func(pts))
+    assert np.abs(dg - fd).max() <= 1e-8 * np.abs(fd).max()
+
+
+def test_composed_jacobian_is_the_chain_rule():
+    """compose_gauge multiplies its parts' Jacobians, differencing only
+    the part without jac.  (A metric pulled back by a differenced
+    Jacobian would be differenced twice, to a noise of about 1e-6.)"""
+    p1 = _without_jac(scenarios.rotation_bump_pair(0.15))
+    p2 = scenarios.rotation_bump_pair(0.1)
+    comp = compose_gauge(p1, p2)
+    pts = grid(np.random.default_rng(22))
+    fd = np.swapaxes(fields._central_jet(comp.psi, pts, (2,))[1], -1, -2)
+    assert comp.jac is not None
+    assert np.abs(comp.jacobian(pts) - fd).max() <= 1e-8 * np.abs(fd).max()
 
 
 def test_hamiltonian_flow_matches_geodesic(perturbed_product):

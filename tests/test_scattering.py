@@ -429,12 +429,13 @@ def test_error_control_saves_two_thirds_of_the_accel_calls(stationary_rot,
 
 def test_generated_pairs_are_the_single_ray_scatters(stationary_rot):
     """null_pairs and magnetic_pairs scatter their grids in one batch and
-    give, bit for bit, the exits of one single-ray call per entry."""
+    give, bit for bit, the exits of one single-ray call per entry.  The
+    batch's budget max_sigma 30 and scatter's default 10 both exceed
+    every exit sigma here (below 3), so they march alike."""
     sc = stationary_rot
     entries = scenarios.scattering_entries(sc, 2, seed=7)
     for (x, v), (xb, y) in zip(entries, scenarios.null_pairs(sc, 2, seed=7)):
-        rec = scatter(sc.metric, sc.entry_surface, sc.exit_surface, x, v,
-                      max_sigma=30.0)
+        rec = scatter(sc.metric, sc.entry_surface, sc.exit_surface, x, v)
         assert np.array_equal(xb, x) and np.array_equal(y, rec.y)
     entries = scenarios.magnetic_entries(sc, 2, seed=29)
     for (x, u), rb in zip(entries, scenarios.magnetic_pairs(sc, 2, seed=29)):
