@@ -21,7 +21,6 @@ from .scattering import scatter_batch
 SIGMA_TOL = 1e-8        # largest |r| that sigma_detect puts on the set
 PAIR_TOL = 1e-6         # |r| above which a pair is off the lightlike set
 FD_STEP = 1e-5          # chart step of michel_check's central quotients
-TAU_STEP = 1e-6         # tau step of MetricFamily.tensor_derivative
 MAX_ITER = 50           # Newton iterations of each solve_two_point grid
 COND_LIMIT = 1e10       # shooting Jacobian condition flagged as conjugate
 
@@ -133,10 +132,13 @@ def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
     skipped when it would have fewer than 25 steps.  When it raises,
     the requested grid solves alone from the seeds, so every error comes
     from the requested grid and names its pairs.  Before any march, a
-    ValueError names ys or seeds shaped unlike xs, or non-finite pairs.
+    ValueError names points of width zero, ys or seeds shaped unlike xs,
+    or non-finite pairs.
     """
     xs = np.atleast_2d(np.asarray(xs, float))
     ys = np.atleast_2d(np.asarray(ys, float))
+    if not xs.shape[1]:
+        raise ValueError(f"points of shape {xs.shape} have width 0")
     for name, arr in (("ys", ys), ("seeds", seeds)):
         if arr is not None and np.atleast_2d(arr).shape != xs.shape:
             raise ValueError(f"{name} {np.shape(arr)} unlike xs {xs.shape}")
@@ -215,14 +217,12 @@ def sigma_detect(g: MetricField, xs: Array, ys: Array) -> Array:
 # Michel-type graph identity
 # ---------------------------------------------------------------------------
 
-def _surface_gradient(g: MetricField, S: BoundaryHypersurface, point: Array,
-                      chart_derivs: Array, params: Array) -> Array:
-    """Tangent vector whose g-pairing with the chart frame matches the
-    given chart-coordinate derivatives."""
-    frame = S.chart_frame(params)                 # (dim, p)
-    gm = g.matrix(point)
-    gram = frame.T @ gm @ frame
-    return frame @ np.linalg.solve(gram, chart_derivs)
+def _surface_gradient(gm: Array, frame: Array, derivs: Array) -> Array:
+    """Tangent vectors (P, dim) whose pairing under the metric values gm
+    (P, dim, dim) with the chart frames (P, dim, p) matches the
+    chart-coordinate derivatives (P, p)."""
+    gram = np.swapaxes(frame, 1, 2) @ gm @ frame
+    return (frame @ np.linalg.solve(gram, derivs[..., None]))[..., 0]
 
 
 def _chart_stencil(U: BoundaryHypersurface, V: BoundaryHypersurface,
@@ -233,25 +233,27 @@ def _chart_stencil(U: BoundaryHypersurface, V: BoundaryHypersurface,
     the solver's default seeds.  Pair p owns rows p R to p R + R - 1,
     R = 1 + 2 (a + b) for a chart parameters on U and b on V: (x_p, y_p),
     then x_p and then y_p moved along each chart parameter by +fd_step
-    and by -fd_step.  ``value`` reads the function from a solved row.
-    Returns the P solved rows (x_p, y_p), the chart parameters A0 (P, a)
-    and B0 (P, b) and the quotients in each, (P, a) and (P, b)."""
-    def moved(chart, p0):
-        return [np.asarray(chart(p0 + s * fd_step * e), float)
-                for e in np.eye(p0.size) for s in (+1.0, -1.0)]
+    and by -fd_step, all from one chart call per side.  ``value`` reads
+    the function from a solved row.  Returns the P solved rows (x_p,
+    y_p), the chart frames at xs (P, dim, a) and at ys (P, dim, b),
+    central quotients of the same moved points, and the quotients of
+    the function in each chart, (P, a) and (P, b)."""
+    def moved(S, pts):      # (P, 2 p, dim), then the frames (P, dim, p)
+        a0 = S.chart_inverse(pts)
+        d = fd_step * np.eye(a0.shape[1])
+        out = np.asarray(S.chart(a0[:, None, None] + np.stack([d, -d], 1)))
+        frame = (out[:, :, 0] - out[:, :, 1]) / (2 * fd_step)
+        return out.reshape(len(pts), -1, pts.shape[1]), frame.swapaxes(1, 2)
 
-    A0 = np.array([U.chart_inverse(x) for x in xs], float)
-    B0 = np.array([V.chart_inverse(y) for y in ys], float)
-    rows = []
-    for x, y, a0, b0 in zip(xs, ys, A0, B0):
-        rows += ([(x, y)] + [(xm, y) for xm in moved(U.chart, a0)]
-                 + [(x, ym) for ym in moved(V.chart, b0)])
-    solved = solve(*map(np.array, zip(*rows)))
-    R = len(solved) // len(xs)
-    vals = np.array([value(c) for c in solved]).reshape(len(xs), R)
+    (mx, fx), (my, fy) = moved(U, xs), moved(V, ys)
+    px = np.concatenate([xs[:, None], mx,
+                         np.repeat(xs[:, None], my.shape[1], 1)], 1)
+    py = np.concatenate([np.repeat(ys[:, None], 1 + mx.shape[1], 1), my], 1)
+    solved = solve(*(q.reshape(-1, q.shape[2]) for q in (px, py)))
+    vals = np.array([value(c) for c in solved]).reshape(px.shape[:2])
     quot = (vals[:, 1::2] - vals[:, 2::2]) / (2 * fd_step)
-    a = A0.shape[1]
-    return solved[::R], A0, B0, quot[:, :a], quot[:, a:]
+    a = fx.shape[2]
+    return solved[::px.shape[1]], fx, fy, quot[:, :a], quot[:, a:]
 
 
 def michel_check_batch(g: MetricField, U: BoundaryHypersurface,
@@ -268,7 +270,7 @@ def michel_check_batch(g: MetricField, U: BoundaryHypersurface,
     xs, ys = np.asarray(xs, float), np.asarray(ys, float)
     if not len(xs):
         return []
-    bases, A0, B0, dr_da, dr_db = _chart_stencil(
+    bases, fx, fy, dr_da, dr_db = _chart_stencil(
         U, V, xs, ys, FD_STEP,
         lambda px, py: connecting_geodesics_batch(g, px, py, n_steps=n_steps,
                                                   tol=1e-12),
@@ -278,18 +280,16 @@ def michel_check_batch(g: MetricField, U: BoundaryHypersurface,
     if off.size:
         raise PreconditionError(f"pair(s) {off.tolist()}: not on the "
                                 f"lightlike set (r = {r[off].tolist()})")
-    grad_x = np.array([_surface_gradient(g, U, x, d, a0)
-                       for x, d, a0 in zip(xs, dr_da, A0)])
+    grad_x = _surface_gradient(g.matrix(xs), fx, dr_da)
+    grad_y = _surface_gradient(g.matrix(ys), fy, dr_db)
     out = []
-    for rec, y, d, b0 in zip(scatter_batch(g, U, V, xs, -grad_x), ys, dr_db,
-                             B0):
-        grad_y = _surface_gradient(g, V, y, d, b0)
+    for rec, y, gy in zip(scatter_batch(g, U, V, xs, -grad_x), ys, grad_y):
         # graph identity holds for one reduced representation: match the scale
-        scale = rec.w_proj[0] / grad_y[0] if abs(grad_y[0]) > 1e-12 else \
-            np.linalg.norm(rec.w_proj) / np.linalg.norm(grad_y)
+        scale = rec.w_proj[0] / gy[0] if abs(gy[0]) > 1e-12 else \
+            np.linalg.norm(rec.w_proj) / np.linalg.norm(gy)
         w = rec.w_proj if scale <= 0 else rec.w_proj / scale
         out.append((float(np.linalg.norm(rec.y - y)),
-                    float(np.linalg.norm(w - grad_y))))
+                    float(np.linalg.norm(w - gy))))
     return out
 
 
@@ -306,21 +306,12 @@ def michel_check(g: MetricField, U: BoundaryHypersurface,
 
 @dataclass(frozen=True)
 class MetricFamily:
-    """One-parameter metric family tau -> g_tau with g_0 the base metric."""
+    """One-parameter metric family tau -> g_tau with g_0 the base metric,
+    and d/dtau g_tau at 0 when it is known in closed form (without it,
+    linearize_r differences the family)."""
 
     eval: Callable[[float], MetricField]
     derivative_at_0: Optional[SymTwoTensorField] = None
-
-    def tensor_derivative(self) -> SymTwoTensorField:
-        """derivative_at_0, else the central difference of step TAU_STEP."""
-        if self.derivative_at_0 is not None:
-            return self.derivative_at_0
-        gp, gm = self.eval(TAU_STEP), self.eval(-TAU_STEP)
-
-        def f(x):
-            return (gp.func(x) - gm.func(x)) / (2 * TAU_STEP)
-
-        return SymTwoTensorField(dim=self.eval(0.0).dim, func=f)
 
 
 @dataclass(frozen=True)
@@ -337,8 +328,11 @@ def linearize_r(family: MetricFamily, xs: Array, ys: Array,
     of the family derivative over the base connector (factor one half),
     one report per pair (xs, ys).  Three connecting_geodesics_batch
     solves of 400 RK4 steps: g_0, then g_{+fd_step} and g_{-fd_step}
-    seeded by the g_0 connectors.  Every pair must have |r| <= PAIR_TOL
-    under g_0, and the relative error is floored at 1e-10."""
+    seeded by the g_0 connectors.  The family derivative is
+    derivative_at_0, else the central difference of those same two
+    metrics, (g_{+fd_step} - g_{-fd_step}) / (2 fd_step).  Every pair
+    must have |r| <= PAIR_TOL under g_0, and the relative error is
+    floored at 1e-10."""
     if not len(xs):
         return []
     base = connecting_geodesics_batch(family.eval(0.0), xs, ys, tol=1e-12)
@@ -347,10 +341,11 @@ def linearize_r(family: MetricFamily, xs: Array, ys: Array,
         raise PreconditionError(f"pair(s) {off.tolist()}: not on the "
                                 "lightlike set of g_0")
     seeds = np.array([c.path.v[0] for c in base])
+    gp, gm = family.eval(fd_step), family.eval(-fd_step)
     r_plus, r_minus = (_energies(connecting_geodesics_batch(
-        family.eval(s * fd_step), xs, ys, seeds=seeds, tol=1e-12))
-        for s in (+1.0, -1.0))
-    f = family.tensor_derivative()
+        g, xs, ys, seeds=seeds, tol=1e-12)) for g in (gp, gm))
+    f = family.derivative_at_0 or SymTwoTensorField(
+        dim=gp.dim, func=lambda x: (gp.func(x) - gm.func(x)) / (2 * fd_step))
     lrt = np.array([light_ray_transform(f, c.path, lightlike_tol=10 * PAIR_TOL)
                     for c in base])
     fd = (r_plus - r_minus) / (2 * fd_step)

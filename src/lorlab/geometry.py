@@ -26,7 +26,6 @@ DET_FLOOR = 1e-12
 CAUSAL_TOL = 1e-9
 SURFACE_TOL = 1e-10
 TANGENCY_TOL = 1e-8
-CHART_STEP = 1e-6
 
 LORENTZIAN = "lorentzian"
 RIEMANNIAN = "riemannian"
@@ -219,8 +218,10 @@ def causal_classify(g: MetricField, x: Array, v: Array) -> CausalClass:
 class BoundaryHypersurface:
     """Level set {b = 0} with the exterior on the side exterior_sign*b > 0.
 
-    ``chart``/``chart_inverse`` give an explicit local parametrization,
-    used for tangential finite-difference gradients.
+    ``chart``/``chart_inverse`` give an explicit local parametrization
+    on batches, (..., p) <-> (..., dim), like ``value``, ``gradient``
+    and ``side``; connect._chart_stencil takes tangential gradients and
+    chart frames from it.
     """
 
     value: Callable[[Array], Array]
@@ -232,19 +233,6 @@ class BoundaryHypersurface:
     def side(self, x: Array) -> Array:
         """Signed distance proxy, positive on the exterior side."""
         return self.exterior_sign * np.asarray(self.value(x), float)
-
-    def chart_frame(self, params: Array) -> Array:
-        """Columns of d(chart)/d(params) at params, central differences
-        of step CHART_STEP; shape (dim, n_params)."""
-        params = np.asarray(params, float)
-        cols = []
-        for i in range(params.size):
-            e = np.zeros_like(params)
-            e[i] = CHART_STEP
-            cols.append((np.asarray(self.chart(params + e), float)
-                         - np.asarray(self.chart(params - e), float))
-                        / (2 * CHART_STEP))
-        return np.stack(cols, axis=-1)
 
 
 def boundary_normal(S: BoundaryHypersurface, g: MetricField, x: Array) -> Array:
@@ -518,10 +506,9 @@ def _hermite(s: Array, y: Array, f: Array, t: Array) -> tuple[Array, Array]:
 
 def integrate_flow_to_surface(accel, x0: Array, v0: Array,
                               S: BoundaryHypersurface, step: float,
-                              max_sigma: float = 10.0,
-                              require_interior_first: bool = False):
+                              max_sigma: float = 10.0):
     """March a batch of x'' = accel(x, x') until each ray crosses to the
-    exterior side of S.
+    exterior side of S after being strictly inside it (side < -SURFACE_TOL).
 
     Each ray takes its own RK4 steps h in [step, MARCH_GROW * step].  The
     derivative at a step's end, which is the next step's first stage and
@@ -569,10 +556,8 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
         grow = np.clip(0.9 * np.cbrt(MARCH_TOL * ha / np.maximum(err, 1e-300)),
                        0.2, 4.0)
         sn = sa + ha
-        crossing = ok & (phin >= 0.0)
-        if require_interior_first:
-            crossing &= seen_interior[rays]
-            seen_interior[rays] |= ok & (phin < -SURFACE_TOL)
+        crossing = ok & (phin >= 0.0) & seen_interior[rays]
+        seen_interior[rays] |= ok & (phin < -SURFACE_TOL)
         knots.append((rays[ok], sn[ok], yn[ok], fn[ok]))
         if crossing.any():
             hit = rays[crossing]
@@ -649,13 +634,15 @@ def scatter_paths(accel, g: MetricField, U: BoundaryHypersurface,
     ``lift(nu, gm, v_projs)``, given the exterior normals nu of U and
     the values gm of g at the entries, completes the batch inward,
     g-transversal to U, and the completions pass _initial_speeds.  Each
-    ray stops where it crosses V (after being inside when U is V),
-    g-transversal to V.  Normals and metric values are computed once
-    per batch at the entries and once at the exits.  Returns the
-    entries as (B, dim) arrays, their exit projections onto V and their
-    paths."""
+    ray stops where it crosses V after being strictly inside it,
+    g-transversal to V.  Normals and metric values are computed once per
+    batch at the entries and once at the exits.  Returns the entries as
+    (B, dim) arrays, their exit projections onto V and their paths.
+    Before any march, a ValueError names entry points of width zero."""
     xs = np.atleast_2d(np.asarray(xs, float))
     v_projs = np.atleast_2d(np.asarray(v_projs, float))
+    if not xs.shape[1]:
+        raise ValueError(f"entry points of shape {xs.shape} have width 0")
     if not len(xs):
         return xs, v_projs, np.empty_like(xs), []
     rays = range(len(xs))
@@ -677,8 +664,7 @@ def scatter_paths(accel, g: MetricField, U: BoundaryHypersurface,
         return _initial_speeds(g, gm0[r], v0[r], unit_speed)
 
     speed2 = _by_ray(speeds, rays)
-    sols = integrate_flow_to_surface(accel, xs, v0, V, step, max_sigma,
-                                     require_interior_first=U is V)
+    sols = integrate_flow_to_surface(accel, xs, v0, V, step, max_sigma)
     ys, ws = np.array([(x[-1], v[-1]) for _, x, v in sols]).swapaxes(0, 1)
 
     def exits(r):

@@ -93,8 +93,8 @@ def _time_slice(level: float, dim: int, exterior_sign: float) -> BoundaryHypersu
         value=lambda x: np.asarray(x, float)[..., 0] - level,
         gradient=lambda x: np.broadcast_to(grad, np.shape(x)),
         exterior_sign=exterior_sign,
-        chart=lambda a: np.concatenate([[level], np.asarray(a, float)]),
-        chart_inverse=lambda x: np.asarray(x, float)[1:])
+        chart=lambda a: np.insert(np.asarray(a, float), 0, level, axis=-1),
+        chart_inverse=lambda x: np.asarray(x, float)[..., 1:])
 
 
 def _cylinder() -> BoundaryHypersurface:
@@ -107,26 +107,28 @@ def _cylinder() -> BoundaryHypersurface:
             [np.zeros(np.shape(x)[:-1] + (1,)),
              circle.gradient(np.asarray(x, float)[..., 1:])], axis=-1),
         exterior_sign=1.0,
-        chart=lambda a: np.concatenate([[float(a[0])],
-                                        circle.chart(np.asarray(a)[1:])]),
-        chart_inverse=lambda x: np.concatenate(
-            [[float(x[0])], circle.chart_inverse(np.asarray(x)[1:])]))
+        chart=lambda a: np.insert(circle.chart(np.asarray(a, float)[..., 1:]),
+                                  0, np.asarray(a, float)[..., 0], axis=-1),
+        chart_inverse=lambda x: np.insert(
+            circle.chart_inverse(np.asarray(x, float)[..., 1:]), 0,
+            np.asarray(x, float)[..., 0], axis=-1))
 
 
 def _circle() -> BoundaryHypersurface:
-    """The unit circle |x| = 1."""
+    """The unit circle |x| = 1 charted by its angle; the value and the
+    gradient x are those of the unit sphere in any dimension."""
 
     def value(x):
         x = np.asarray(x, float)
-        return 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2 - 1.0)
+        return 0.5 * (np.einsum("...i,...i->...", x, x) - 1.0)
 
-    def chart(a):                  # a = (theta,)
-        th = float(np.asarray(a, float).reshape(-1)[0])
-        return np.array([np.cos(th), np.sin(th)])
+    def chart(a):                  # a = (..., 1), the angle theta
+        th = np.asarray(a, float)[..., 0]
+        return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
     def chart_inverse(x):
         x = np.asarray(x, float)
-        return np.array([np.arctan2(x[1], x[0])])
+        return np.arctan2(x[..., 1], x[..., 0])[..., None]
 
     return BoundaryHypersurface(value=value,
                                 gradient=lambda x: np.asarray(x, float),

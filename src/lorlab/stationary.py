@@ -324,21 +324,20 @@ def magnetic_michel_batch(mag: MagneticSystem, S: BoundaryHypersurface,
     xs, ys = np.asarray(xs, float), np.asarray(ys, float)
     if not len(xs):
         return []
-    conns, A0, B0, dA_da, dA_db = _chart_stencil(
+    conns, fx, fy, dA_da, dA_db = _chart_stencil(
         S, S, xs, ys, fd_step,
         lambda px, py: magnetic_connectors_batch(mag, px, py, n_steps=n_steps,
                                                  tol=1e-12),
         lambda c: c.action)
 
-    def residual(params, p, v, dA):
-        frame = S.chart_frame(params)
-        return float(np.abs(frame.T @ (mag.base.matrix(p) @ v)
-                            - (dA + frame.T @ mag.omega(p))).max())
+    def residual(frame, p, k, dA):      # at path sample k, every pair: (P,)
+        v = np.array([c.path.v[k] for c in conns])
+        ft = np.swapaxes(frame, 1, 2)
+        return np.abs(ft @ (mag.base.matrix(p) @ v[..., None])
+                      - (dA[..., None] + ft @ mag.omega(p)[..., None])
+                      ).max(axis=(1, 2)).tolist()
 
-    return [(residual(a0, x, c.path.v[0], -da),
-             residual(b0, y, c.path.v[-1], db))
-            for c, x, y, a0, b0, da, db in zip(conns, xs, ys, A0, B0, dA_da,
-                                               dA_db)]
+    return list(zip(residual(fx, xs, 0, -dA_da), residual(fy, ys, -1, dA_db)))
 
 
 def magnetic_michel(mag: MagneticSystem, S: BoundaryHypersurface, x: Array,
@@ -494,7 +493,10 @@ def reconstruct_exits(m: StationaryMetric, S: BoundaryHypersurface,
     scatter for all (up to sigma 30, sampled every 1e-3) and one
     magnetic_connectors_batch for the actions A(x, y), seeded by the
     scattered rays: exit time t + A(x, y), exit covector with reduced
-    time component one and tangential part from the magnetic relation."""
+    time component one and tangential part from the magnetic relation.
+    An empty batch gives []."""
+    if not len(ts):
+        return []
     mag = m.magnetic
     mrecs = magnetic_scatter_batch(mag, S, xs_spatial, u_projs,
                                    max_sigma=30.0, keep_paths=True)

@@ -6,7 +6,7 @@ from lorlab import (RIEMANNIAN, ConjugatePointError, ConvergenceError,
                     connecting_geodesics_batch, defining_r, geodesic_accel,
                     linearize_r, magnetic_connectors_batch,
                     magnetic_michel_batch, michel_check, michel_check_batch,
-                    sigma_detect, thmmag_verify_batch)
+                    reconstruct_exits, sigma_detect, thmmag_verify_batch)
 from lorlab import connect, geometry, scenarios, stationary
 from lorlab.scenarios import disk_pairs
 
@@ -118,6 +118,24 @@ def test_fd_order_of_linearization(product_disk):
     errs = [abs(rep.fd_value - 0.5 * rho2) for h in (4e-3, 2e-3)
             for rep in linearize_r(fam, [x], [y], fd_step=h)]
     assert np.log2(errs[0] / errs[1]) > 1.8
+
+
+def test_differenced_family_derivative_is_the_closed_form(product_disk):
+    """Without derivative_at_0, linearize_r differences the family
+    exp(tau) |dx|^2 at the g_{+-fd_step} it solves; with fd_step 1e-4
+    that is diag(0, 1, 1) to fd_step^2 / 6, and so is the transform."""
+    (x, y), = scenarios.null_pairs(product_disk, 1, seed=41)
+
+    def eval_tau(tau):
+        return scenarios.constant_metric(3, [-1.0, np.exp(tau), np.exp(tau)],
+                                         geometry.LORENTZIAN)
+
+    exact = scenarios.stretch_family().derivative_at_0
+    (fd,) = linearize_r(MetricFamily(eval=eval_tau), [x], [y])
+    (closed,) = linearize_r(MetricFamily(eval=eval_tau, derivative_at_0=exact),
+                            [x], [y])
+    assert fd.fd_value == closed.fd_value
+    assert abs(fd.lrt_value - closed.lrt_value) <= 1e-8 * abs(closed.lrt_value)
 
 
 def _round_sphere():
@@ -394,6 +412,22 @@ def test_empty_connecting_geodesics_batch(stationary_rot):
                                       np.empty((0, 3))) == []
 
 
+@pytest.mark.parametrize("call", [
+    lambda sc: connecting_geodesics_batch(sc.metric, [], []),
+    lambda sc: magnetic_connectors_batch(sc.magnetic, [], [])],
+    ids=["connecting_geodesics_batch", "magnetic_connectors_batch"])
+def test_an_empty_list_is_not_a_pair(stationary_rot, monkeypatch, call):
+    """np.atleast_2d([]) is one point of width zero: solve_two_point
+    names its shape before any march."""
+    def no_march(*args):
+        raise AssertionError("marched")
+
+    monkeypatch.setattr(connect, "integrate_flow_fixed", no_march)
+    with pytest.raises(ValueError, match=r"^points of shape \(1, 0\) have "
+                                         r"width 0$"):
+        call(stationary_rot)
+
+
 def test_empty_magnetic_connectors_batch(stationary_rot):
     assert magnetic_connectors_batch(stationary_rot.magnetic,
                                      np.empty((0, 2)), np.empty((0, 2))) == []
@@ -407,9 +441,11 @@ def test_empty_magnetic_connectors_batch(stationary_rot):
     lambda sc, e3, e2: thmmag_verify_batch(sc.stationary, sc.entry_surface,
                                            sc.spatial_boundary, e3, e3),
     lambda sc, e3, e2: linearize_r(MetricFamily(eval=lambda tau: sc.metric),
-                                   e3, e3)],
+                                   e3, e3),
+    lambda sc, e3, e2: reconstruct_exits(sc.stationary, sc.spatial_boundary,
+                                         np.empty(0), e2, e2)],
     ids=["michel_check_batch", "magnetic_michel_batch",
-         "thmmag_verify_batch", "linearize_r"])
+         "thmmag_verify_batch", "linearize_r", "reconstruct_exits"])
 def test_empty_identity_batches(stationary_rot, call):
     assert call(stationary_rot, np.empty((0, 3)), np.empty((0, 2))) == []
 
@@ -451,7 +487,9 @@ def test_one_solve_per_graph_check(solves, product_disk, stationary_rot):
 
 def test_chart_stencil_merges_the_single_pair_stencils(product_disk):
     """On P pairs, solve sees the P single-pair stencils one after the
-    other, and each pair gets its single-pair rows and quotients."""
+    other, and each pair gets its single-pair rows, chart frames and
+    quotients bit for bit.  The frames are the cylinder's tangents
+    (d_t, d_theta) to the step's truncation and rounding."""
     sc = product_disk
     pairs = scenarios.null_pairs(sc, 3, seed=5)
     seen = []
@@ -479,6 +517,22 @@ def test_chart_stencil_merges_the_single_pair_stencils(product_disk):
         assert np.array_equal(merged[0][p], single[0][0])
         for m, s in zip(merged[1:], single[1:]):
             assert np.array_equal(m[p], s[0])
+    for pts, frames in zip(map(np.array, zip(*pairs)), merged[1:3]):
+        tangents = np.zeros((3, 3, 2))
+        tangents[:, 0, 0] = 1.0
+        tangents[:, 1:, 1] = pts[:, 2:0:-1] * [-1.0, 1.0]
+        assert np.abs(frames - tangents).max() <= 1e-9
+
+
+def test_michel_residuals_on_product_disk(product_disk):
+    """Six product_disk pairs on the coarse grid of 200 steps: the frames
+    come from the stencil's own +-FD_STEP points, so no second chart
+    step adds its rounding to the residuals."""
+    pairs = scenarios.null_pairs(product_disk, 6, seed=7)
+    res = michel_check_batch(product_disk.metric, product_disk.entry_surface,
+                             product_disk.exit_surface, *zip(*pairs),
+                             n_steps=200)
+    assert np.max(res) < 1e-10
 
 
 def test_michel_check_batch_is_its_pairs_bit_for_bit(stationary_rot):

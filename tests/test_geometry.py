@@ -327,6 +327,17 @@ def test_refinement_failure_names_the_ray():
                                   step=0.03)
 
 
+def test_a_crossing_counts_after_the_ray_was_inside(product_disk):
+    """A straight ray from (t, x) = (0, 1.5, 0) along (1, -1, 0) starts
+    outside the unit cylinder: it enters at sigma 0.5 and stops where it
+    leaves, at sigma 2.5."""
+    ((sigma, x, v),) = integrate_flow_to_surface(
+        geodesic_accel(minkowski()), [[0.0, 1.5, 0.0]], [[1.0, -1.0, 0.0]],
+        product_disk.entry_surface, step=1e-2)
+    assert sigma[-1] == pytest.approx(2.5, abs=1e-12)
+    assert np.abs(x[-1] - [2.5, -1.0, 0.0]).max() <= 1e-12
+
+
 def test_geodesic_march_is_fourth_order():
     """Observed order of integrate_geodesic on perturbed_product from the
     start of criterion 13 at the first three steps of its ladder.  The

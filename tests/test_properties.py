@@ -1,11 +1,13 @@
 """Property-based checks for the algebraic invariants that hold for
-arbitrary inputs: bilinearity, homogeneity, and classification scaling."""
+arbitrary inputs: bilinearity, homogeneity, classification scaling, and
+boundary charts that act on batches row by row."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorlab import GeodesicPath, causal_classify, inner, light_ray_transform
+from lorlab import (GeodesicPath, causal_classify, inner, light_ray_transform,
+                    scenarios)
 from lorlab.fields import SymTwoTensorField
 from lorlab.geometry import LORENTZIAN, MetricField
 
@@ -71,3 +73,44 @@ def test_light_ray_transform_linear(entries, a, b):
     rhs = (a * light_ray_transform(const(m1), path)
            + b * light_ray_transform(const(m2), path))
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
+
+
+def bundled_surfaces():
+    """(name, surface, chart parameters) of every distinct boundary
+    hypersurface of the bundled scenarios."""
+    out, seen = [], set()
+    for name in scenarios.available():
+        sc = scenarios.build(name)
+        for kind, S, dim in (("entry", sc.entry_surface, sc.metric.dim),
+                             ("exit", sc.exit_surface, sc.metric.dim),
+                             ("spatial", sc.spatial_boundary,
+                              sc.metric.dim - 1)):
+            if S is not None and id(S) not in seen:
+                seen.add(id(S))
+                out.append((f"{name}.{kind}", S, dim - 1))
+    return out
+
+
+SURFACES = bundled_surfaces()
+chart_param = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=30, deadline=None)
+def test_charts_act_on_batches_row_by_row(B, C, data):
+    """chart and chart_inverse on batches (p,), (B, p) and (B, C, p) are
+    the stacked calls on their rows, and chart_inverse undoes chart."""
+    for name, S, p in SURFACES:
+        a = np.reshape(data.draw(st.lists(chart_param, min_size=B * C * p,
+                                          max_size=B * C * p)), (B, C, p))
+        x = S.chart(a)
+        assert np.abs(S.chart_inverse(x) - a).max() <= 1e-15, name
+        for batch, pts in ((a[0, 0], x[0, 0]), (a[0], x[0]), (a, x)):
+            rows, prows = batch.reshape(-1, p), pts.reshape(-1, pts.shape[-1])
+            assert np.array_equal(
+                S.chart(batch), np.reshape([S.chart(r) for r in rows],
+                                           batch.shape[:-1] + (-1,))), name
+            assert np.array_equal(
+                S.chart_inverse(pts),
+                np.reshape([S.chart_inverse(r) for r in prows],
+                           batch.shape)), name

@@ -458,6 +458,24 @@ def test_empty_magnetic_scatter_batch(stationary_rot):
                                   np.empty((0, 2)), np.empty((0, 2))) == []
 
 
+@pytest.mark.parametrize("call", [
+    lambda sc: scatter_batch(sc.metric, sc.entry_surface, sc.exit_surface,
+                             [], []),
+    lambda sc: magnetic_scatter_batch(sc.magnetic, sc.spatial_boundary,
+                                      [], [])],
+    ids=["scatter_batch", "magnetic_scatter_batch"])
+def test_an_empty_list_is_not_an_entry(stationary_rot, monkeypatch, call):
+    """np.atleast_2d([]) is one entry of width zero: scatter_paths names
+    its shape before any march."""
+    def no_march(*args):
+        raise AssertionError("marched")
+
+    monkeypatch.setattr(geometry, "integrate_flow_to_surface", no_march)
+    with pytest.raises(ValueError, match=r"^entry points of shape \(1, 0\) "
+                                         r"have width 0$"):
+        call(stationary_rot)
+
+
 @pytest.mark.parametrize("call", ["scatter_batch", "magnetic_scatter_batch",
                                   "connecting_geodesics_batch"])
 def test_matrix_calls_do_not_grow_with_the_batch(product_disk,
