@@ -1,19 +1,24 @@
 """The thirteen acceptance checks, shared by the test suite and the
 command line runner.
 
-Each criterion function is self-contained: it builds its scenarios,
-runs the relevant pipeline at the stated steps and grid sizes, and
-returns a CriterionResult whose checks carry the measured residuals
-against the declared tolerances.  Where a criterion has a matching
-subcommand, one ``*_records`` function defines the experiment: it
-builds the per-item record dicts that the subcommand reports and the
-criterion reduces to its checks.
+Each criterion is declared once, by ``@criterion(index, name)`` on a
+self-contained builder: it builds its scenarios, runs the relevant
+pipeline at the stated steps and grid sizes, and returns its checks,
+which carry the measured residuals against the declared tolerances,
+and its notes.  The decorator times the builder, returns the
+CriterionResult and registers the criterion in CRITERIA, in the order
+of the file, which is the order of the indices.  Where a criterion has
+a matching subcommand, one ``*_records`` function defines the
+experiment: it builds the per-item record dicts that the subcommand
+reports and the criterion reduces to its checks.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -69,11 +74,28 @@ class CriterionResult:
                 f"worst {w.label}: {w.value:.3e} (tol {w.tolerance:.1e})")
 
 
-def _timed(index, name, build_checks):
-    t0 = time.perf_counter()
-    checks, notes = build_checks()
-    return CriterionResult(index=index, name=name, checks=checks,
-                           wall_time_s=time.perf_counter() - t0, notes=notes)
+CRITERIA: list[Callable[[], CriterionResult]] = []
+
+
+def criterion(index: int, name: str):
+    """Register the decorated builder of (checks, notes) in CRITERIA as
+    criterion index, called name; the registered criterion times the
+    builder and returns its CriterionResult.  It keeps its index and
+    name as attributes, so the registry can be read without running it."""
+    def register(build):
+        @functools.wraps(build)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            checks, notes = build()
+            return CriterionResult(index=index, name=name, checks=checks,
+                                   wall_time_s=time.perf_counter() - t0,
+                                   notes=notes)
+
+        run.index, run.name = index, name
+        CRITERIA.append(run)
+        return run
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -88,37 +110,35 @@ def scatter_records(sc, n: int, seed: int, step: float) -> list[dict]:
                                                  keep_paths=True)]
 
 
-def criterion_conservation() -> CriterionResult:
-    def run():
-        checks = []
-        for kind in scenarios.available():
-            sc = scenarios.build(kind)
-            drift = worst_of(r["speed_drift"]
-                             for r in scatter_records(sc, 4, 11, 1e-3))
-            checks.append(Check(f"lightlike drift {kind}", drift, 1e-8))
+@criterion(1, "conservation")
+def criterion_conservation():
+    checks = []
+    for kind in scenarios.available():
+        sc = scenarios.build(kind)
+        drift = worst_of(r["speed_drift"]
+                         for r in scatter_records(sc, 4, 11, 1e-3))
+        checks.append(Check(f"lightlike drift {kind}", drift, 1e-8))
 
-        sr = scenarios.build("stationary_rot")
-        x0 = np.array([-1.0, 0.0])
-        u0 = np.array([np.sqrt(1 - 0.36), 0.6])
-        mpath = magnetic_integrate(sr.magnetic, x0, u0, stop=3.0)
-        checks.append(Check("magnetic drift", mpath.speed_drift(sr.magnetic.base),
-                            1e-8))
+    sr = scenarios.build("stationary_rot")
+    x0 = np.array([-1.0, 0.0])
+    u0 = np.array([np.sqrt(1 - 0.36), 0.6])
+    mpath = magnetic_integrate(sr.magnetic, x0, u0, stop=3.0)
+    checks.append(Check("magnetic drift",
+                        mpath.speed_drift(sr.magnetic.base), 1e-8))
 
-        pp = scenarios.build("perturbed_product")
-        xh = np.array([0.0, -0.4, 0.1])
-        gm = pp.metric.matrix(xh)
-        vx = np.array([0.6, 0.5])
-        c_here = gm[1, 1]
-        vnull = np.concatenate([[np.sqrt(c_here * (vx @ vx))], vx])
-        xi0 = gm @ vnull
-        flow = hamiltonian_flow(pp.metric, xh, xi0, sigma_max=1.2, step=1e-3)
-        checks.append(Check("hamiltonian drift", flow.h_drift, 1e-9))
-        flow2 = hamiltonian_flow(pp.metric, xh, xi0, sigma_max=1.2,
-                                 c=scenarios.gaussian_factor(), step=1e-3)
-        checks.append(Check("scaled hamiltonian drift", flow2.h_drift, 1e-9))
-        return checks, {}
-
-    return _timed(1, "conservation", run)
+    pp = scenarios.build("perturbed_product")
+    xh = np.array([0.0, -0.4, 0.1])
+    gm = pp.metric.matrix(xh)
+    vx = np.array([0.6, 0.5])
+    c_here = gm[1, 1]
+    vnull = np.concatenate([[np.sqrt(c_here * (vx @ vx))], vx])
+    xi0 = gm @ vnull
+    flow = hamiltonian_flow(pp.metric, xh, xi0, sigma_max=1.2, step=1e-3)
+    checks.append(Check("hamiltonian drift", flow.h_drift, 1e-9))
+    flow2 = hamiltonian_flow(pp.metric, xh, xi0, sigma_max=1.2,
+                             c=scenarios.gaussian_factor(), step=1e-3)
+    checks.append(Check("scaled hamiltonian drift", flow2.h_drift, 1e-9))
+    return checks, {}
 
 
 # ---------------------------------------------------------------------------
@@ -156,26 +176,24 @@ def sweep_residuals(sweep: list[dict]) -> tuple[np.ndarray, int]:
             int((np.diff(np.sign(r)) != 0).sum()))
 
 
-def criterion_trichotomy() -> CriterionResult:
-    def run():
-        thetas = np.linspace(0.35 * np.pi, 1.65 * np.pi, 20)
-        sweeps = r_sweeps(scenarios.build("product_disk"), thetas,
-                          np.linspace(0.25, 2.55, 20))
-        rel, crossings = zip(*map(sweep_residuals, sweeps))
-        checks = [Check("closed-form r relative error",
-                        worst_of(np.concatenate(rel)), 1e-8)]
-        sign_ok = all(rec["causal"] == ("timelike" if rec["r_closed_form"] < 0
-                                        else "spacelike")
-                      for sweep in sweeps for rec in sweep
-                      if abs(rec["r_closed_form"]) >= 1e-6)
-        checks.append(Check("sign/causal agreement (0 = all agree)",
-                            0.0 if sign_ok else 1.0, 0.5))
-        checks.append(Check("sweep sign changes minus one",
-                            worst_of(abs(c - 1) for c in crossings), 0.5))
-        rho = 2.0 * np.abs(np.sin(thetas / 2.0))
-        return checks, {"grid": "20x20", "min_rho": float(rho.min())}
-
-    return _timed(2, "defining-r trichotomy", run)
+@criterion(2, "defining-r trichotomy")
+def criterion_trichotomy():
+    thetas = np.linspace(0.35 * np.pi, 1.65 * np.pi, 20)
+    sweeps = r_sweeps(scenarios.build("product_disk"), thetas,
+                      np.linspace(0.25, 2.55, 20))
+    rel, crossings = zip(*map(sweep_residuals, sweeps))
+    checks = [Check("closed-form r relative error",
+                    worst_of(np.concatenate(rel)), 1e-8)]
+    sign_ok = all(rec["causal"] == ("timelike" if rec["r_closed_form"] < 0
+                                    else "spacelike")
+                  for sweep in sweeps for rec in sweep
+                  if abs(rec["r_closed_form"]) >= 1e-6)
+    checks.append(Check("sign/causal agreement (0 = all agree)",
+                        0.0 if sign_ok else 1.0, 0.5))
+    checks.append(Check("sweep sign changes minus one",
+                        worst_of(abs(c - 1) for c in crossings), 0.5))
+    rho = 2.0 * np.abs(np.sin(thetas / 2.0))
+    return checks, {"grid": "20x20", "min_rho": float(rho.min())}
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +213,14 @@ def michel_records(sc, n: int, seed: int, n_steps: int = 400) -> list[dict]:
             for (x, y), r in zip(pairs, res)]
 
 
-def criterion_michel() -> CriterionResult:
-    def run():
-        checks = []
-        for kind in ("product_disk", "stationary_rot"):
-            recs = michel_records(scenarios.build(kind), 20, 7, n_steps=200)
-            worst = worst_of(r[k] for r in recs for k in MICHEL_KEYS)
-            checks.append(Check(f"graph residual {kind}", worst, 1e-5))
-        return checks, {"pairs_per_scenario": 20}
-
-    return _timed(3, "michel graph identity", run)
+@criterion(3, "michel graph identity")
+def criterion_michel():
+    checks = []
+    for kind in ("product_disk", "stationary_rot"):
+        recs = michel_records(scenarios.build(kind), 20, 7, n_steps=200)
+        worst = worst_of(r[k] for r in recs for k in MICHEL_KEYS)
+        checks.append(Check(f"graph residual {kind}", worst, 1e-5))
+    return checks, {"pairs_per_scenario": 20}
 
 
 # ---------------------------------------------------------------------------
@@ -259,87 +275,80 @@ def linearization_records(family: MetricFamily, pairs) -> list[dict]:
                                                      fd_step=1e-4))]
 
 
-def criterion_linearize() -> CriterionResult:
-    def run():
-        pd = scenarios.build("product_disk")
-        pairs = scenarios.null_pairs(pd, 20, seed=13)
-        worst = worst_of(r["rel_error"] for r in linearization_records(
-            scenarios.stretch_family(), pairs))
-        checks = [Check("non-gauge family relative error", worst, 1e-3)]
+@criterion(4, "r-linearization (kappa=1/2)")
+def criterion_linearize():
+    pd = scenarios.build("product_disk")
+    pairs = scenarios.null_pairs(pd, 20, seed=13)
+    worst = worst_of(r["rel_error"] for r in linearization_records(
+        scenarios.stretch_family(), pairs))
+    checks = [Check("non-gauge family relative error", worst, 1e-3)]
 
-        both = worst_of(abs(r[k])
-                        for fam in (scenarios.conformal_family(pd.metric),
-                                    _potential_family())
-                        for r in linearization_records(fam, pairs[:5])
-                        for k in ("fd_value", "half_transform"))
-        checks.append(Check("gauge families, both sides absolute", both,
-                            1e-6))
-        return checks, {"pairs": 20, "fd_step": 1e-4}
-
-    return _timed(4, "r-linearization (kappa=1/2)", run)
+    both = worst_of(abs(r[k])
+                    for fam in (scenarios.conformal_family(pd.metric),
+                                _potential_family())
+                    for r in linearization_records(fam, pairs[:5])
+                    for k in ("fd_value", "half_transform"))
+    checks.append(Check("gauge families, both sides absolute", both, 1e-6))
+    return checks, {"pairs": 20, "fd_step": 1e-4}
 
 
 # ---------------------------------------------------------------------------
 # 5. kernel of the light ray transform
 # ---------------------------------------------------------------------------
 
-def criterion_kernel() -> CriterionResult:
-    def run():
-        pd = scenarios.build("product_disk")
-        rays = [r.path for r in scenarios.scattered_entries(
-            pd, 50, seed=17, keep_paths=True)]
+@criterion(5, "light-ray kernel")
+def criterion_kernel():
+    pd = scenarios.build("product_disk")
+    rays = [r.path for r in scenarios.scattered_entries(
+        pd, 50, seed=17, keep_paths=True)]
 
-        def v_int_func(x):
-            x = np.asarray(x, float)
-            xs_ = x[..., 1:]
-            B = (1.0 - np.einsum("...i,...i->...", xs_, xs_)) ** 3
-            comps = np.stack([np.sin(x[..., 0] + x[..., 1]),
-                              x[..., 2], np.cos(x[..., 1])], axis=-1)
-            return B[..., None] * comps
+    def v_int_func(x):
+        x = np.asarray(x, float)
+        xs_ = x[..., 1:]
+        B = (1.0 - np.einsum("...i,...i->...", xs_, xs_)) ** 3
+        comps = np.stack([np.sin(x[..., 0] + x[..., 1]),
+                          x[..., 2], np.cos(x[..., 1])], axis=-1)
+        return B[..., None] * comps
 
-        v_int = CovectorField(dim=3, func=v_int_func)
-        checks = [Check("max |L(d^s v)|, interior v",
-                        kernel_potential_test(v_int, pd.metric, rays), 1e-8)]
+    v_int = CovectorField(dim=3, func=v_int_func)
+    checks = [Check("max |L(d^s v)|, interior v",
+                    kernel_potential_test(v_int, pd.metric, rays), 1e-8)]
 
-        c = ScalarField(func=lambda x: scenarios.gaussian(
-            np.asarray(x, float)[..., 1:], 1.0, 0)[0], positive=True)
-        checks.append(Check("max |L(c g)|",
-                            kernel_conformal_test(c, pd.metric, rays), 1e-12))
+    c = ScalarField(func=lambda x: scenarios.gaussian(
+        np.asarray(x, float)[..., 1:], 1.0, 0)[0], positive=True)
+    checks.append(Check("max |L(c g)|",
+                        kernel_conformal_test(c, pd.metric, rays), 1e-12))
 
-        v_nv = CovectorField(dim=3, func=lambda x: np.stack(
-            [0.2 + np.asarray(x, float)[..., 2],
-             0.1 * np.asarray(x, float)[..., 0],
-             np.cos(np.asarray(x, float)[..., 1])], axis=-1))
-        ftc = worst_of(abs(ftc_residual(v_nv, pd.metric, p)) for p in rays)
-        checks.append(Check("FTC endpoint identity", ftc, 1e-8))
-        return checks, {"rays": 50}
-
-    return _timed(5, "light-ray kernel", run)
+    v_nv = CovectorField(dim=3, func=lambda x: np.stack(
+        [0.2 + np.asarray(x, float)[..., 2],
+         0.1 * np.asarray(x, float)[..., 0],
+         np.cos(np.asarray(x, float)[..., 1])], axis=-1))
+    ftc = worst_of(abs(ftc_residual(v_nv, pd.metric, p)) for p in rays)
+    checks.append(Check("FTC endpoint identity", ftc, 1e-8))
+    return checks, {"rays": 50}
 
 
 # ---------------------------------------------------------------------------
 # 6. reduction of lightlike geodesics to the magnetic flow
 # ---------------------------------------------------------------------------
 
-def criterion_projection() -> CriterionResult:
-    def run():
-        sr = scenarios.build("stationary_rot")
-        chks = [project_and_verify(sr.stationary, r.path)
-                for r in scenarios.scattered_entries(sr, 5, seed=19,
-                                                     keep_paths=True)]
-        checks = [Check("magnetic ODE residual",
-                        worst_of(c.ode_residual for c in chks), 1e-6),
-                  Check("k drift", worst_of(c.k_drift for c in chks), 1e-7)]
+@criterion(6, "stationary-to-magnetic ODE")
+def criterion_projection():
+    sr = scenarios.build("stationary_rot")
+    chks = [project_and_verify(sr.stationary, r.path)
+            for r in scenarios.scattered_entries(sr, 5, seed=19,
+                                                 keep_paths=True)]
+    checks = [Check("magnetic ODE residual",
+                    worst_of(c.ode_residual for c in chks), 1e-6),
+              Check("k drift", worst_of(c.k_drift for c in chks), 1e-7)]
 
-        speed = worst_of(
-            project_and_verify(sr.stationary, integrate_geodesic(
-                sr.metric, np.array([0.0, -0.3, 0.2]), v0, stop=1.0,
-                step=1e-3)).speed_identity_residual
-            for v0 in (np.array([1.0, 0.2, 0.1]), np.array([0.2, 0.8, 0.3])))
-        checks.append(Check("speed identity -k^2+m^2", speed, 1e-8))
-        return checks, {}
-
-    return _timed(6, "stationary-to-magnetic ODE", run)
+    speed = worst_of(
+        project_and_verify(sr.stationary, integrate_geodesic(
+            sr.metric, np.array([0.0, -0.3, 0.2]), v0, stop=1.0,
+            step=1e-3)).speed_identity_residual
+        for v0 in (np.array([1.0, 0.2, 0.1]), np.array([0.2, 0.8, 0.3])))
+    checks.append(Check("speed identity -k^2+m^2", speed, 1e-8))
+    return checks, {}
 
 
 # ---------------------------------------------------------------------------
@@ -361,37 +370,34 @@ def thmmag_records(sc, n: int, seed: int) -> list[dict]:
             for (x, v), rep in zip(entries, reps)]
 
 
-def criterion_reduction_identities() -> CriterionResult:
-    def run():
-        sr = scenarios.build("stationary_rot")
-        reps = thmmag_verify_batch(
-            sr.stationary, sr.entry_surface, sr.spatial_boundary,
-            *zip(*scenarios.scattering_entries(sr, 30, seed=23)))
+@criterion(7, "length/action identities")
+def criterion_reduction_identities():
+    sr = scenarios.build("stationary_rot")
+    reps = thmmag_verify_batch(
+        sr.stationary, sr.entry_surface, sr.spatial_boundary,
+        *zip(*scenarios.scattering_entries(sr, 30, seed=23)))
 
-        def worst(*keys):
-            return worst_of(getattr(r, k) for r in reps for k in keys)
+    def worst(*keys):
+        return worst_of(getattr(r, k) for r in reps for k in keys)
 
-        checks = [Check("exit data vs magnetic relation",
-                        worst("endpoint_residual", "exit_residual"), 1e-6),
-                  Check("length identity", worst("length_residual"), 1e-6),
-                  Check("action identity", worst("action_residual"), 1e-6),
-                  Check("exit reduced time component minus 1",
-                        worst("exit_time_component_residual"), 1e-8)]
+    checks = [Check("exit data vs magnetic relation",
+                    worst("endpoint_residual", "exit_residual"), 1e-6),
+              Check("length identity", worst("length_residual"), 1e-6),
+              Check("action identity", worst("action_residual"), 1e-6),
+              Check("exit reduced time component minus 1",
+                    worst("exit_time_component_residual"), 1e-8)]
 
-        # the first 10 rays, entries normalized to reduced time component 1
-        exits = [r.record for r in reps[:10]]
-        xs = np.array([rec.x for rec in exits])
-        vns = np.array([rec.v_proj for rec in exits])
-        rebuilt = reconstruct_exits(sr.stationary, sr.spatial_boundary,
-                                    xs[:, 0], xs[:, 1:], vns[:, 1:])
-        rt = worst_of(float(np.linalg.norm(d)) for rec, (y_rec, w_rec) in
-                      zip(exits, rebuilt)
-                      for d in (rec.y - y_rec, rec.w_proj - w_rec))
-        checks.append(Check("scattering round trip via magnetic data", rt,
-                            1e-5))
-        return checks, {"rays": 30}
-
-    return _timed(7, "length/action identities", run)
+    # the first 10 rays, entries normalized to reduced time component 1
+    exits = [r.record for r in reps[:10]]
+    xs = np.array([rec.x for rec in exits])
+    vns = np.array([rec.v_proj for rec in exits])
+    rebuilt = reconstruct_exits(sr.stationary, sr.spatial_boundary,
+                                xs[:, 0], xs[:, 1:], vns[:, 1:])
+    rt = worst_of(float(np.linalg.norm(d)) for rec, (y_rec, w_rec) in
+                  zip(exits, rebuilt)
+                  for d in (rec.y - y_rec, rec.w_proj - w_rec))
+    checks.append(Check("scattering round trip via magnetic data", rt, 1e-5))
+    return checks, {"rays": 30}
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +420,15 @@ def magnetic_michel_records(sc, n: int, seed: int,
             for rec, r in zip(recs, res)]
 
 
-def criterion_magnetic_michel() -> CriterionResult:
-    def run():
-        checks = []
-        for kind in ("product_disk", "stationary_rot"):
-            recs = magnetic_michel_records(scenarios.build(kind), 8, 29,
-                                           n_steps=200)
-            worst = worst_of(r[k] for r in recs for k in MAGNETIC_MICHEL_KEYS)
-            checks.append(Check(f"action graph residual {kind}", worst, 1e-5))
-        return checks, {"pairs_per_scenario": 8}
-
-    return _timed(8, "magnetic action graph identity", run)
+@criterion(8, "magnetic action graph identity")
+def criterion_magnetic_michel():
+    checks = []
+    for kind in ("product_disk", "stationary_rot"):
+        recs = magnetic_michel_records(scenarios.build(kind), 8, 29,
+                                       n_steps=200)
+        worst = worst_of(r[k] for r in recs for k in MAGNETIC_MICHEL_KEYS)
+        checks.append(Check(f"action graph residual {kind}", worst, 1e-5))
+    return checks, {"pairs_per_scenario": 8}
 
 
 # ---------------------------------------------------------------------------
@@ -455,65 +459,59 @@ def equivalence_records(m: StationaryMetric, perturbations, pairs,
     return records
 
 
-def criterion_linearized_equivalence() -> CriterionResult:
-    def run():
-        sr = scenarios.build("stationary_rot")
-        pairs = [(r.x, r.y) for r in scenarios.magnetic_pairs(sr, 10, 31)]
-        dh_bump, dom_poly = scenarios.equivalence_fields()
-        perturbations = {"dh-only": (dh_bump, CovectorField.zero(2)),
-                         "dom-only": (SymTwoTensorField.zero(2), dom_poly),
-                         "mixed": (dh_bump, dom_poly)}
-        labels = [label for label in perturbations for _ in pairs]
-        recs = list(zip(labels, equivalence_records(
-            sr.stationary, perturbations.values(), pairs, n_steps=200)))
-        stated = worst_of(r["rel_error_vs_2l2"] for _, r in recs)
-        corrected = worst_of(
-            abs(r["lorentzian"] - 2.0 * r["length"] * r["magnetic"])
-            / max(abs(2.0 * r["length"] * r["magnetic"]), 1e-12)
-            for _, r in recs)
-        checks = [Check("relative error against 2*l^2 * magnetic", stated,
-                        1e-6)]
-        return checks, {"pairs": len(pairs),
-                        "relative_error_against_2l": corrected,
-                        "sample_ratios": [(label, r["ratio"], r["length"])
-                                          for label, r in recs[:3]]}
-
-    return _timed(9, "linearized transform equivalence", run)
+@criterion(9, "linearized transform equivalence")
+def criterion_linearized_equivalence():
+    sr = scenarios.build("stationary_rot")
+    pairs = [(r.x, r.y) for r in scenarios.magnetic_pairs(sr, 10, 31)]
+    dh_bump, dom_poly = scenarios.equivalence_fields()
+    perturbations = {"dh-only": (dh_bump, CovectorField.zero(2)),
+                     "dom-only": (SymTwoTensorField.zero(2), dom_poly),
+                     "mixed": (dh_bump, dom_poly)}
+    labels = [label for label in perturbations for _ in pairs]
+    recs = list(zip(labels, equivalence_records(
+        sr.stationary, perturbations.values(), pairs, n_steps=200)))
+    stated = worst_of(r["rel_error_vs_2l2"] for _, r in recs)
+    corrected = worst_of(
+        abs(r["lorentzian"] - 2.0 * r["length"] * r["magnetic"])
+        / max(abs(2.0 * r["length"] * r["magnetic"]), 1e-12)
+        for _, r in recs)
+    checks = [Check("relative error against 2*l^2 * magnetic", stated, 1e-6)]
+    return checks, {"pairs": len(pairs),
+                    "relative_error_against_2l": corrected,
+                    "sample_ratios": [(label, r["ratio"], r["length"])
+                                      for label, r in recs[:3]]}
 
 
 # ---------------------------------------------------------------------------
 # 10. gauge and conformal invariance of the scattering relation
 # ---------------------------------------------------------------------------
 
-def criterion_invariance() -> CriterionResult:
-    def run():
-        checks = []
-        pd = scenarios.build("product_disk")
-        sr = scenarios.build("stationary_rot")
-        diffeo = scenarios.rotation_bump_pair(0.15)
-        shift = scenarios.time_shift_pair(0.05)
+@criterion(10, "scattering invariance")
+def criterion_invariance():
+    checks = []
+    pd = scenarios.build("product_disk")
+    sr = scenarios.build("stationary_rot")
+    diffeo = scenarios.rotation_bump_pair(0.15)
+    shift = scenarios.time_shift_pair(0.05)
 
-        def gauged(sc, pair):
-            """sc's assembled metric with its magnetic system gauged."""
-            mag = apply_gauge(sc.magnetic, pair)
-            return replace(sc.stationary, omega=mag.omega,
-                           base=mag.base).assembled
+    def gauged(sc, pair):
+        """sc's assembled metric with its magnetic system gauged."""
+        mag = apply_gauge(sc.magnetic, pair)
+        return replace(sc.stationary, omega=mag.omega, base=mag.base).assembled
 
-        cases = [
-            ("interior diffeomorphism", pd, gauged(pd, diffeo)),
-            ("time-shift potential", sr, gauged(sr, shift)),
-            ("conformal factor", sr, replace(
-                sr.stationary, lam=scenarios.conformal_bump(0.1)).assembled),
-            ("composition", sr, gauged(sr, compose_gauge(diffeo, shift))),
-        ]
-        for label, sc, g2 in cases:
-            entries = scenarios.scattering_entries(sc, 50, seed=37)
-            dev = scattering_invariance(sc.metric, g2, sc.entry_surface,
-                                        sc.exit_surface, entries)
-            checks.append(Check(label, dev, 1e-6))
-        return checks, {"rays_per_transform": 50}
-
-    return _timed(10, "scattering invariance", run)
+    cases = [
+        ("interior diffeomorphism", pd, gauged(pd, diffeo)),
+        ("time-shift potential", sr, gauged(sr, shift)),
+        ("conformal factor", sr, replace(
+            sr.stationary, lam=scenarios.conformal_bump(0.1)).assembled),
+        ("composition", sr, gauged(sr, compose_gauge(diffeo, shift))),
+    ]
+    for label, sc, g2 in cases:
+        entries = scenarios.scattering_entries(sc, 50, seed=37)
+        dev = scattering_invariance(sc.metric, g2, sc.entry_surface,
+                                    sc.exit_surface, entries)
+        checks.append(Check(label, dev, 1e-6))
+    return checks, {"rays_per_transform": 50}
 
 
 # ---------------------------------------------------------------------------
@@ -540,21 +538,19 @@ def reparam_records(sc) -> list[dict]:
     return records
 
 
-def criterion_reparam() -> CriterionResult:
-    def run():
-        one, four, gauss = reparam_records(scenarios.build("product_disk"))
-        checks = [
-            Check("identity factor deviation", one["max_deviation"], 1e-10),
-            Check("constant factor 4: alpha vs s/4",
-                  four["alpha_rate_error"], 1e-9),
-            Check("constant factor 4 deviation", four["max_deviation"], 1e-9),
-            Check("gaussian factor deviation", gauss["max_deviation"], 1e-6),
-            Check("alpha monotone (violations)",
-                  gauss["alpha_monotone_violations"], 0.5),
-        ]
-        return checks, {}
-
-    return _timed(11, "conformal reparametrization", run)
+@criterion(11, "conformal reparametrization")
+def criterion_reparam():
+    one, four, gauss = reparam_records(scenarios.build("product_disk"))
+    checks = [
+        Check("identity factor deviation", one["max_deviation"], 1e-10),
+        Check("constant factor 4: alpha vs s/4",
+              four["alpha_rate_error"], 1e-9),
+        Check("constant factor 4 deviation", four["max_deviation"], 1e-9),
+        Check("gaussian factor deviation", gauss["max_deviation"], 1e-6),
+        Check("alpha monotone (violations)",
+              gauss["alpha_monotone_violations"], 0.5),
+    ]
+    return checks, {}
 
 
 # ---------------------------------------------------------------------------
@@ -576,17 +572,14 @@ def normal_coords_records() -> list[dict]:
     return records
 
 
-def criterion_normal_coords() -> CriterionResult:
-    def run():
-        recs = normal_coords_records()
-        checks = [Check("gauged normal component",
-                        worst_of(r["max_normal_component"] for r in recs),
-                        1e-8),
-                  Check("phi on the boundary", recs[0]["max_abs_phi"],
-                        1e-12)]
-        return checks, {"grid": "12x8 collar"}
-
-    return _timed(12, "boundary-normal gauge", run)
+@criterion(12, "boundary-normal gauge")
+def criterion_normal_coords():
+    recs = normal_coords_records()
+    checks = [Check("gauged normal component",
+                    worst_of(r["max_normal_component"] for r in recs),
+                    1e-8),
+              Check("phi on the boundary", recs[0]["max_abs_phi"], 1e-12)]
+    return checks, {"grid": "12x8 collar"}
 
 
 # ---------------------------------------------------------------------------
@@ -610,50 +603,31 @@ def rk4_order(g: MetricField, x0: Array, v0: Array) -> float:
                      np.log2(diffs[1] / diffs[2])))
 
 
-def criterion_orders() -> CriterionResult:
-    def run():
-        pp = scenarios.build("perturbed_product")
-        rk4 = rk4_order(pp.metric, np.array([0.0, -0.6, 0.2]),
-                        np.array([1.1, 0.9, 0.35]))
-        checks = [Check("RK4 order shortfall (3.7 - observed)",
-                        worst_of([0.0, 3.7 - rk4]), 1e-12)]
+@criterion(13, "convergence orders")
+def criterion_orders():
+    pp = scenarios.build("perturbed_product")
+    rk4 = rk4_order(pp.metric, np.array([0.0, -0.6, 0.2]),
+                    np.array([1.1, 0.9, 0.35]))
+    checks = [Check("RK4 order shortfall (3.7 - observed)",
+                    worst_of([0.0, 3.7 - rk4]), 1e-12)]
 
-        pd = scenarios.build("product_disk")
-        (x, y), = scenarios.null_pairs(pd, 1, seed=41)
-        rho2 = float(np.sum((y[1:] - x[1:]) ** 2))
+    pd = scenarios.build("product_disk")
+    (x, y), = scenarios.null_pairs(pd, 1, seed=41)
+    rho2 = float(np.sum((y[1:] - x[1:]) ** 2))
 
-        fam = MetricFamily(eval=lambda tau: scenarios.constant_metric(
-            3, [-1.0, np.exp(tau), np.exp(tau)], LORENTZIAN))
-        exact = 0.5 * rho2
-        errs = []
-        for h in (4e-3, 2e-3, 1e-3):
-            (rep,) = linearize_r(fam, x[None], y[None], fd_step=h)
-            errs.append(abs(rep.fd_value - exact))
-        fd_order = min(np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2]))
-        checks.append(Check("central FD order shortfall (1.8 - observed)",
-                            worst_of([0.0, 1.8 - fd_order]), 1e-12))
-        return checks, {"rk4_order": rk4,
-                        "fd_order": float(fd_order)}
-
-    return _timed(13, "convergence orders", run)
-
-
-CRITERIA = [
-    criterion_conservation,
-    criterion_trichotomy,
-    criterion_michel,
-    criterion_linearize,
-    criterion_kernel,
-    criterion_projection,
-    criterion_reduction_identities,
-    criterion_magnetic_michel,
-    criterion_linearized_equivalence,
-    criterion_invariance,
-    criterion_reparam,
-    criterion_normal_coords,
-    criterion_orders,
-]
+    fam = MetricFamily(eval=lambda tau: scenarios.constant_metric(
+        3, [-1.0, np.exp(tau), np.exp(tau)], LORENTZIAN))
+    exact = 0.5 * rho2
+    errs = []
+    for h in (4e-3, 2e-3, 1e-3):
+        (rep,) = linearize_r(fam, x[None], y[None], fd_step=h)
+        errs.append(abs(rep.fd_value - exact))
+    fd_order = min(np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2]))
+    checks.append(Check("central FD order shortfall (1.8 - observed)",
+                        worst_of([0.0, 1.8 - fd_order]), 1e-12))
+    return checks, {"rk4_order": rk4, "fd_order": float(fd_order)}
 
 
 def run_all() -> list[CriterionResult]:
+    """Every criterion of CRITERIA, in its order."""
     return [c() for c in CRITERIA]

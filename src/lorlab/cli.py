@@ -84,7 +84,7 @@ def main(argv=None) -> int:
 
     runner = RUNNERS[args.command]
     try:
-        report = runner(config, args.seed)
+        report = runner(args.command, config, args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

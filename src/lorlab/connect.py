@@ -14,7 +14,7 @@ from .errors import (ConjugatePointError, ConvergenceError, EscapeError,
 from .fields import Array, SymTwoTensorField
 from .geometry import (BoundaryHypersurface, CausalClass, GeodesicPath,
                        MetricField, _causal_classes, geodesic_accel, inner,
-                       integrate_flow_fixed)
+                       integrate_flow_fixed, paired_rows)
 from .lightray import light_ray_transform
 from .scattering import scatter_batch
 
@@ -135,14 +135,8 @@ def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
     ValueError names points of width zero, ys or seeds shaped unlike xs,
     or non-finite pairs.
     """
-    xs = np.atleast_2d(np.asarray(xs, float))
-    ys = np.atleast_2d(np.asarray(ys, float))
-    if not xs.shape[1]:
-        raise ValueError(f"points of shape {xs.shape} have width 0")
-    for name, arr in (("ys", ys), ("seeds", seeds)):
-        if arr is not None and np.atleast_2d(arr).shape != xs.shape:
-            raise ValueError(f"{name} {np.shape(arr)} unlike xs {xs.shape}")
-    v = ys - xs if seeds is None else np.atleast_2d(np.array(seeds, float))
+    xs, ys, seeds = paired_rows("points", xs, ("ys", ys), ("seeds", seeds))
+    v = ys - xs if seeds is None else seeds
     bad = np.flatnonzero(~np.isfinite(np.hstack([xs, ys, v])).all(axis=1))
     if bad.size:
         raise ValueError(f"pair(s) {bad.tolist()}: non-finite xs, ys or seeds")
@@ -266,8 +260,9 @@ def michel_check_batch(g: MetricField, U: BoundaryHypersurface,
     of chart step FD_STEP.  A PreconditionError names the pairs with
     |r| > PAIR_TOL.  One connecting_geodesics_batch solves all stencils
     (row k is pair k // 9 on the cylinder of R x disk; see
-    _chart_stencil), one scatter_batch shoots all rays (ray i: pair i)."""
-    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    _chart_stencil), one scatter_batch shoots all rays (ray i: pair i).
+    Before any stencil, paired_rows names ys shaped unlike xs."""
+    xs, ys = paired_rows("points", xs, ("ys", ys))
     if not len(xs):
         return []
     bases, fx, fy, dr_da, dr_db = _chart_stencil(

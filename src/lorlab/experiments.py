@@ -1,12 +1,16 @@
 """Config-driven experiment runners behind the command line interface.
 
-Every runner takes a plain-dict config and a seed and returns a JSON
-serializable report with a fixed shape: schema_version, experiment,
-scenario, seed, a list of per-item records, and a summary block with
-the residual statistics and the pass flag.  A config key that the
-runner does not read is a ConfigError.  The records of a runner that
-has a matching acceptance criterion come from that criterion's
-``acceptance.*_records`` function, so each experiment is defined once.
+RUNNERS declares each subcommand once, under its name.  Every runner
+is called with that name, a plain-dict config and a seed, and returns a
+JSON serializable report with a fixed shape: schema_version,
+experiment, scenario, seed, a list of per-item records, and a summary
+block with the residual statistics and the pass flag.  A config key
+that the runner does not read is a ConfigError.  Most runners are one
+``_run`` row: help text, records builder, residual keys and config
+defaults.  The records of a runner that has a matching acceptance
+criterion come from that criterion's ``acceptance.*_records``
+function, or from the criterion's checks, so each experiment is
+defined once.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ def _build_scenario(name: str, cfg: dict):
     system and the scenario has none."""
     try:
         sc = scenarios.build(cfg["scenario"], **cfg["scenario_params"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(str(exc)) from exc
     if sc.stationary is None and name in ("verify-thmmag", "magnetic-michel",
                                           "lin-equivalence"):
@@ -110,25 +114,32 @@ def _report(experiment, scenario_name, seed, records, residuals, tolerance,
     }
 
 
-def _run(name, config, seed, scenario, n, tolerance, records, keys,
-         **extra):
-    """Report records(sc, n, seed, **extra), the worst of keys as each
-    residual; the config keys are scenario, scenario_params, n, tolerance
-    and those of extra, whose values are defaults."""
-    t0 = time.perf_counter()
-    cfg = _read_config(name, config, scenario=scenario, scenario_params={},
-                       n=n, tolerance=tolerance, **extra)
-    sc = _build_scenario(name, cfg)
-    recs = records(sc, cfg["n"], seed, **{k: cfg[k] for k in extra})
-    return _report(name, sc.name, seed, recs,
-                   [acceptance.worst_of(r[k] for k in keys) for r in recs],
-                   float(cfg["tolerance"]), t0)
+def _run(doc: str, records, keys, **defaults):
+    """A runner of RUNNERS, with help doc: it reads its config over
+    defaults and scenario_params ({}), builds the scenario sc and
+    reports ``records(sc, seed=seed, **rest)``, rest being every config
+    key but scenario, scenario_params and tolerance; each record's
+    residual is the worst of its keys."""
+    def run(name: str, config: dict, seed: int) -> dict:
+        t0 = time.perf_counter()
+        cfg = _read_config(name, config, scenario_params={}, **defaults)
+        sc = _build_scenario(name, cfg)
+        recs = records(sc, seed=seed, **{
+            k: v for k, v in cfg.items()
+            if k not in ("scenario", "scenario_params", "tolerance")})
+        return _report(name, sc.name, seed, recs,
+                       [acceptance.worst_of(r[k] for k in keys) for r in recs],
+                       float(cfg["tolerance"]), t0)
+
+    run.__doc__ = doc
+    return run
 
 
-def run_scatter(config: dict, seed: int) -> dict:
-    """Scatter boundary entries and report the lightlike speed drift."""
-    return _run("scatter", config, seed, "minkowski_slab", 10, 1e-8,
-                acceptance.scatter_records, ["speed_drift"], step=1e-3)
+def _check_records(checks, label: str, value: str) -> list[dict]:
+    """One record per criterion check, its label and value under the
+    keys label and value."""
+    return [{label: c.label, value: c.value, "tolerance": c.tolerance,
+             "pass": c.passed} for c in checks]
 
 
 def _connect_records(sc, n, seed):
@@ -138,150 +149,111 @@ def _connect_records(sc, n, seed):
             for c in connecting_geodesics_batch(sc.metric, xs, ys, tol=1e-12)]
 
 
-def run_connect(config: dict, seed: int) -> dict:
-    """Solve connecting geodesics of boundary pairs; report endpoint misses."""
-    return _run("connect", config, seed, "product_disk", 20, 1e-8,
-                _connect_records, ["endpoint_miss"])
-
-
-def run_defining_r_sweep(config: dict, seed: int) -> dict:
+def run_defining_r_sweep(name: str, config: dict, seed: int) -> dict:
     """Connector energy r along a time sweep against its closed form."""
     t0 = time.perf_counter()
-    cfg = _read_config("defining-r-sweep", config, scenario="product_disk",
+    cfg = _read_config(name, config, scenario="product_disk",
                        scenario_params={}, n=20, tolerance=1e-8)
-    sc = _build_scenario("defining-r-sweep", cfg)
+    sc = _build_scenario(name, cfg)
     n_s, tol = cfg["n"], float(cfg["tolerance"])
     th2 = np.random.default_rng(seed).uniform(0.4 * np.pi, 1.6 * np.pi)
     (records,) = acceptance.r_sweeps(sc, [th2], np.linspace(0.25, 2.55, n_s))
     residuals, crossings = acceptance.sweep_residuals(records)
-    rep = _report("defining-r-sweep", sc.name, seed, records, residuals,
-                  tol, t0)
+    rep = _report(name, sc.name, seed, records, residuals, tol, t0)
     rep["summary"]["sign_changes"] = crossings
     rep["summary"]["pass"] = rep["summary"]["pass"] and crossings == 1
     return rep
 
 
-def run_michel(config: dict, seed: int) -> dict:
-    """Graph (Michel) identity residuals of r on lightlike pairs."""
-    return _run("michel", config, seed, "product_disk", 10, 1e-5,
-                acceptance.michel_records, acceptance.MICHEL_KEYS)
-
-
-def run_verify_thm1(config: dict, seed: int) -> dict:
-    """Linearization of r against half its light ray transform."""
-    return _run("verify-thm1", config, seed, "product_disk", 10, 1e-3,
-                lambda sc, n, seed: acceptance.linearization_records(
-                    scenarios.stretch_family(),
-                    scenarios.null_pairs(sc, n, seed)),
-                ["rel_error"])
-
-
-def run_kernel_tests(config: dict, seed: int) -> dict:
+def run_kernel_tests(name: str, config: dict, seed: int) -> dict:
     """Kernel checks of the light ray transform (criterion 5)."""
-    _read_config("kernel-tests", config)
+    _read_config(name, config)
     t0 = time.perf_counter()
-    res = acceptance.criterion_kernel()
-    records = [{"check": c.label, "value": c.value, "tolerance": c.tolerance,
-                "pass": c.passed} for c in res.checks]
-    rep = _report("kernel-tests", "product_disk", seed, records,
-                  [c.value / c.tolerance for c in res.checks], 1.0, t0)
+    checks = acceptance.criterion_kernel().checks
+    rep = _report(name, "product_disk", seed,
+                  _check_records(checks, "check", "value"),
+                  [c.value / c.tolerance for c in checks], 1.0, t0)
     rep["summary"]["tolerance"] = "per-record"
     return rep
 
 
-def run_verify_thmmag(config: dict, seed: int) -> dict:
-    """Stationary scattering against its magnetic reduction."""
-    return _run("verify-thmmag", config, seed, "stationary_rot", 10, 1e-6,
-                acceptance.thmmag_records, acceptance.THMMAG_KEYS)
-
-
-def run_magnetic_michel(config: dict, seed: int) -> dict:
-    """Graph identity residuals of the magnetic action."""
-    return _run("magnetic-michel", config, seed, "stationary_rot", 6, 1e-5,
-                acceptance.magnetic_michel_records,
-                acceptance.MAGNETIC_MICHEL_KEYS)
-
-
-def run_lin_equivalence(config: dict, seed: int) -> dict:
-    """Lorentzian against magnetic linearized transforms."""
-    return _run("lin-equivalence", config, seed, "stationary_rot", 5, 1e-6,
-                lambda sc, n, seed: acceptance.equivalence_records(
-                    sc.stationary, [scenarios.equivalence_fields()],
-                    [(r.x, r.y) for r in scenarios.magnetic_pairs(sc, n,
-                                                                  seed)]),
-                ["rel_error_vs_2l2"])
-
-
-def run_gauge_invariance(config: dict, seed: int) -> dict:
+def run_gauge_invariance(name: str, config: dict, seed: int) -> dict:
     """Gauge and conformal invariance of scattering (criterion 10)."""
-    _read_config("gauge-invariance", config)
+    _read_config(name, config)
     t0 = time.perf_counter()
-    res = acceptance.criterion_invariance()
-    records = [{"transform": c.label, "max_deviation": c.value,
-                "tolerance": c.tolerance, "pass": c.passed}
-               for c in res.checks]
-    return _report("gauge-invariance", "product_disk+stationary_rot", seed,
-                   records, [c.value for c in res.checks], 1e-6, t0)
+    checks = acceptance.criterion_invariance().checks
+    return _report(name, "product_disk+stationary_rot", seed,
+                   _check_records(checks, "transform", "max_deviation"),
+                   [c.value for c in checks], 1e-6, t0)
 
 
-def run_conformal_reparam(config: dict, seed: int) -> dict:
-    """Conformal reparametrization of the null Hamiltonian flow."""
-    t0 = time.perf_counter()
-    cfg = _read_config("conformal-reparam", config, scenario="product_disk",
-                       scenario_params={}, tolerance=1e-6)
-    sc = _build_scenario("conformal-reparam", cfg)
-    records = acceptance.reparam_records(sc)
-    return _report("conformal-reparam", sc.name, seed, records,
-                   [r["max_deviation"] for r in records],
-                   float(cfg["tolerance"]), t0)
-
-
-def run_normal_coords(config: dict, seed: int) -> dict:
+def run_normal_coords(name: str, config: dict, seed: int) -> dict:
     """Normal component of the boundary-normal gauged one-form."""
     t0 = time.perf_counter()
-    tol = float(_read_config("normal-coords", config,
-                             tolerance=1e-8)["tolerance"])
+    tol = float(_read_config(name, config, tolerance=1e-8)["tolerance"])
     records = acceptance.normal_coords_records()
-    return _report("normal-coords", "collar", seed, records,
+    return _report(name, "collar", seed, records,
                    [r["max_normal_component"] for r in records], tol, t0)
 
 
-def run_all(config: dict, seed: int) -> dict:
+def run_all(name: str, config: dict, seed: int) -> dict:
     """Run the thirteen acceptance criteria."""
-    _read_config("all", config)
+    _read_config(name, config)
     t0 = time.perf_counter()
-    records, ratios = [], []
-    for result in acceptance.run_all():
-        records.append({
-            "index": result.index,
-            "name": result.name,
-            "pass": result.passed,
-            "wall_time_s": result.wall_time_s,
-            "checks": [{"label": c.label, "value": c.value,
-                        "tolerance": c.tolerance, "pass": c.passed}
-                       for c in result.checks],
-            "notes": result.notes,
-        })
-        ratios += [c.value / c.tolerance for c in result.checks]
-    rep = _report("all", "bundled", seed, records,
+    results = acceptance.run_all()
+    records = [{"index": r.index, "name": r.name, "pass": r.passed,
+                "wall_time_s": r.wall_time_s,
+                "checks": _check_records(r.checks, "label", "value"),
+                "notes": r.notes} for r in results]
+    ratios = [c.value / c.tolerance for r in results for c in r.checks]
+    rep = _report(name, "bundled", seed, records,
                   [acceptance.worst_of(ratios)], 1.0, t0)
-    rep["summary"]["pass"] = all(r["pass"] for r in records)
+    rep["summary"]["pass"] = all(r.passed for r in results)
     rep["summary"]["tolerance"] = "per-check"
     return rep
 
 
+# Each subcommand's runner, called as runner(name, config, seed), its
+# help the runner's __doc__, in the order of the command line's help.
 RUNNERS = {
-    "scatter": run_scatter,
-    "connect": run_connect,
+    "scatter": _run(
+        "Scatter boundary entries and report the lightlike speed drift.",
+        acceptance.scatter_records, ["speed_drift"],
+        scenario="minkowski_slab", n=10, tolerance=1e-8, step=1e-3),
+    "connect": _run(
+        "Solve connecting geodesics of boundary pairs; report endpoint "
+        "misses.", _connect_records, ["endpoint_miss"],
+        scenario="product_disk", n=20, tolerance=1e-8),
     "defining-r-sweep": run_defining_r_sweep,
-    "michel": run_michel,
-    "verify-thm1": run_verify_thm1,
+    "michel": _run(
+        "Graph (Michel) identity residuals of r on lightlike pairs.",
+        acceptance.michel_records, acceptance.MICHEL_KEYS,
+        scenario="product_disk", n=10, tolerance=1e-5),
+    "verify-thm1": _run(
+        "Linearization of r against half its light ray transform.",
+        lambda sc, n, seed: acceptance.linearization_records(
+            scenarios.stretch_family(), scenarios.null_pairs(sc, n, seed)),
+        ["rel_error"], scenario="product_disk", n=10, tolerance=1e-3),
     "kernel-tests": run_kernel_tests,
-    "verify-thmmag": run_verify_thmmag,
-    "magnetic-michel": run_magnetic_michel,
-    "lin-equivalence": run_lin_equivalence,
+    "verify-thmmag": _run(
+        "Stationary scattering against its magnetic reduction.",
+        acceptance.thmmag_records, acceptance.THMMAG_KEYS,
+        scenario="stationary_rot", n=10, tolerance=1e-6),
+    "magnetic-michel": _run(
+        "Graph identity residuals of the magnetic action.",
+        acceptance.magnetic_michel_records, acceptance.MAGNETIC_MICHEL_KEYS,
+        scenario="stationary_rot", n=6, tolerance=1e-5),
+    "lin-equivalence": _run(
+        "Lorentzian against magnetic linearized transforms.",
+        lambda sc, n, seed: acceptance.equivalence_records(
+            sc.stationary, [scenarios.equivalence_fields()],
+            [(r.x, r.y) for r in scenarios.magnetic_pairs(sc, n, seed)]),
+        ["rel_error_vs_2l2"], scenario="stationary_rot", n=5, tolerance=1e-6),
     "gauge-invariance": run_gauge_invariance,
-    "conformal-reparam": run_conformal_reparam,
+    "conformal-reparam": _run(
+        "Conformal reparametrization of the null Hamiltonian flow.",
+        lambda sc, seed: acceptance.reparam_records(sc), ["max_deviation"],
+        scenario="product_disk", tolerance=1e-6),
     "normal-coords": run_normal_coords,
     "all": run_all,
 }

@@ -598,6 +598,25 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
     return out
 
 
+def paired_rows(what: str, xs: Array, *named) -> list:
+    """xs and the arrays of the (name, array) pairs named as float
+    arrays of at least two dimensions, row i of each belonging to batch
+    entry i; an array given as None stays None.  Before any work, a
+    ValueError names xs, as what, when its rows have width 0, and each
+    array shaped unlike xs, by its name and the shape the caller gave."""
+    xs = np.atleast_2d(np.asarray(xs, float))
+    if not xs.shape[1]:
+        raise ValueError(f"{what} of shape {xs.shape} have width 0")
+    out = [xs]
+    for name, arr in named:
+        if arr is not None:
+            given, arr = np.shape(arr), np.atleast_2d(np.asarray(arr, float))
+            if arr.shape != xs.shape:
+                raise ValueError(f"{name} {given} unlike xs {xs.shape}")
+        out.append(arr)
+    return out
+
+
 def _check_finite(x: Array, v: Array, what: str) -> None:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
         raise ValueError(f"non-finite {what}")
@@ -638,11 +657,9 @@ def scatter_paths(accel, g: MetricField, U: BoundaryHypersurface,
     g-transversal to V.  Normals and metric values are computed once per
     batch at the entries and once at the exits.  Returns the entries as
     (B, dim) arrays, their exit projections onto V and their paths.
-    Before any march, a ValueError names entry points of width zero."""
-    xs = np.atleast_2d(np.asarray(xs, float))
-    v_projs = np.atleast_2d(np.asarray(v_projs, float))
-    if not xs.shape[1]:
-        raise ValueError(f"entry points of shape {xs.shape} have width 0")
+    Before any march, paired_rows names entry points of width zero and
+    directions v_projs shaped unlike xs."""
+    xs, v_projs = paired_rows("entry points", xs, ("directions", v_projs))
     if not len(xs):
         return xs, v_projs, np.empty_like(xs), []
     rays = range(len(xs))

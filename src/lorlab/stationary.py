@@ -21,7 +21,7 @@ from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                        GeodesicPath, MetricField, _dot, _fixed_path,
                        christoffel_contraction,
                        geodesic_accel, inner, integrate_geodesic,
-                       metric_solve, scatter_paths)
+                       metric_solve, paired_rows, scatter_paths)
 from .lightray import light_ray_transform, magnetic_linearized_transform
 from .quadrature import CubicHermiteSpline, simpson
 from .scattering import ScatteringRecord, scatter_batch
@@ -320,8 +320,9 @@ def magnetic_michel_batch(mag: MagneticSystem, S: BoundaryHypersurface,
     velocities (as h-covectors on the boundary charts) must equal
     -d'_x A + omega'(x) and d'_y A + omega'(y).  Every pair and its
     chart stencil are one magnetic_connectors_batch, whose row k belongs
-    to pair k // 5 on the boundary circle (see connect._chart_stencil)."""
-    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    to pair k // 5 on the boundary circle (see connect._chart_stencil).
+    Before any stencil, paired_rows names ys shaped unlike xs."""
+    xs, ys = paired_rows("points", xs, ("ys", ys))
     if not len(xs):
         return []
     conns, fx, fy, dA_da, dA_db = _chart_stencil(
@@ -442,9 +443,10 @@ def thmmag_verify_batch(m: StationaryMetric, U: BoundaryHypersurface,
     scatter_batch and one magnetic_scatter_batch up to sigma 30, paths
     sampled every 1e-3, then one magnetic_connectors_batch for the
     actions, seeded by the rays: an error's ray or pair i is entry i.
-    A PreconditionError names the entries whose reduced time component
-    is not positive."""
-    xs, v_projs = np.asarray(xs, float), np.asarray(v_projs, float)
+    Before any march, paired_rows names v_projs shaped unlike xs, and a
+    PreconditionError names the entries whose reduced time component is
+    not positive."""
+    xs, v_projs = paired_rows("entry points", xs, ("v_projs", v_projs))
     if not len(xs):
         return []
     k_in = reduced_time_component(m, xs[:, 1:], v_projs)
@@ -494,7 +496,11 @@ def reconstruct_exits(m: StationaryMetric, S: BoundaryHypersurface,
     magnetic_connectors_batch for the actions A(x, y), seeded by the
     scattered rays: exit time t + A(x, y), exit covector with reduced
     time component one and tangential part from the magnetic relation.
-    An empty batch gives []."""
+    An empty batch gives [].  Before any march, a ValueError names ts
+    of a length other than the number of entries."""
+    if len(ts) != len(xs_spatial):
+        raise ValueError(f"ts of length {len(ts)} for {len(xs_spatial)} "
+                         "entries")
     if not len(ts):
         return []
     mag = m.magnetic

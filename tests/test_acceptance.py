@@ -32,6 +32,27 @@ def test_worst_of_propagates_nan():
     assert not result.passed and result.worst.label == "nan"
 
 
+def test_criteria_register_in_index_order(monkeypatch):
+    """CRITERIA holds the thirteen criterion_* functions, each declared
+    once by @criterion, in index order 1..13 with unique names; run_all
+    runs them in that order.  Nothing here runs a criterion."""
+    defined = {v for k, v in vars(acceptance).items()
+               if k.startswith("criterion_")}
+    assert set(acceptance.CRITERIA) == defined
+    assert [c.index for c in acceptance.CRITERIA] == list(range(1, 14))
+    names = [c.name for c in acceptance.CRITERIA]
+    assert len(set(names)) == 13 and all(names)
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [])
+    for index in (3, 1, 2):
+        acceptance.criterion(index, f"stub {index}")(
+            lambda i=index: ([acceptance.Check("c", 0.0, 1.0)], {"i": i}))
+    results = acceptance.run_all()
+    assert [(r.index, r.name, r.notes["i"]) for r in results] == [
+        (3, "stub 3", 3), (1, "stub 1", 1), (2, "stub 2", 2)]
+    assert all(r.passed and r.wall_time_s >= 0.0 for r in results)
+
+
 def test_criterion_01_conservation():
     _check(acceptance.criterion_conservation())
 

@@ -70,6 +70,16 @@ def test_unknown_scenario_is_scenario_error(tmp_path):
     assert run(["scatter", "--config", str(cfg)]) == EXIT_SCENARIO
 
 
+def test_bad_scenario_params_are_scenario_error(tmp_path, capsys):
+    """A scenario parameter that the builder cannot read exits 3, like an
+    unknown scenario; before, its ValueError escaped as a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "stationary_rot",
+                               "scenario_params": {"B": "x"}}))
+    assert run(["scatter", "--config", str(cfg)]) == EXIT_SCENARIO
+    assert capsys.readouterr().err.startswith("scenario error: ")
+
+
 def test_unknown_command_is_parse_error(capsys):
     assert run(["no-such-command"]) == EXIT_PARSE
 
@@ -104,11 +114,22 @@ def test_normal_coords_runs(tmp_path):
     assert run(["normal-coords", "--out", str(out)]) == EXIT_PASS
     report = json.loads(out.read_text())
     assert report["summary"]["max_residual"] < 1e-8
+    assert len(report["records"]) == 8
+    for rec in report["records"]:
+        assert set(rec) == {"normal_distance", "max_normal_component",
+                            "max_abs_phi"}, set(rec)
 
 
 def test_conformal_reparam_runs(tmp_path):
     out = tmp_path / "r.json"
     assert run(["conformal-reparam", "--out", str(out)]) == EXIT_PASS
+    report = json.loads(out.read_text())
+    assert [r["factor"] for r in report["records"]] == [
+        "constant 1", "constant 4", "gaussian"]
+    for rec in report["records"]:
+        assert set(rec) == {"factor", "max_deviation", "sigma_end",
+                            "alpha_rate_error",
+                            "alpha_monotone_violations"}, set(rec)
 
 
 def test_every_subcommand_has_help():
@@ -119,9 +140,14 @@ def test_every_subcommand_has_help():
     assert all(h and h.strip() for h in helps.values()), helps
 
 
-# Exit code and record keys of the runners that share their per-item code
-# with an acceptance criterion, each run at {"n": 2}.
+# Exit code and record keys of the runners that read n, each run at
+# {"n": 2}.
 CONTRACTS = {
+    "scatter": (EXIT_PASS, {"x", "v_proj", "y", "w_proj", "travel",
+                            "speed_drift"}),
+    "connect": (EXIT_PASS, {"x", "y", "energy", "causal", "endpoint_miss"}),
+    "michel": (EXIT_PASS, {"x", "y", "position_residual",
+                           "covector_residual"}),
     "defining-r-sweep": (EXIT_PASS, {"s", "r", "r_closed_form"}),
     "verify-thm1": (EXIT_PASS, {"x", "y", "fd_value", "half_transform",
                                 "rel_error"}),

@@ -5,8 +5,9 @@ from lorlab import (RIEMANNIAN, ConjugatePointError, ConvergenceError,
                     MetricField, MetricFamily, PreconditionError,
                     connecting_geodesics_batch, defining_r, geodesic_accel,
                     linearize_r, magnetic_connectors_batch,
-                    magnetic_michel_batch, michel_check, michel_check_batch,
-                    reconstruct_exits, sigma_detect, thmmag_verify_batch)
+                    magnetic_michel_batch, magnetic_scatter_batch,
+                    michel_check, michel_check_batch, reconstruct_exits,
+                    scatter_batch, sigma_detect, thmmag_verify_batch)
 from lorlab import connect, geometry, scenarios, stationary
 from lorlab.scenarios import disk_pairs
 
@@ -448,6 +449,58 @@ def test_empty_magnetic_connectors_batch(stationary_rot):
          "thmmag_verify_batch", "linearize_r", "reconstruct_exits"])
 def test_empty_identity_batches(stationary_rot, call):
     assert call(stationary_rot, np.empty((0, 3)), np.empty((0, 2))) == []
+
+
+def _two_of_one(sc, kind):
+    """Two rows of a bundled batch of sc, and the second array of that
+    batch cut to one row: scattering entries, null pairs, or magnetic
+    pairs (x, u_proj) or (x, y)."""
+    if kind == "entries":
+        xs, bs = map(np.array, zip(*scenarios.scattering_entries(sc, 2, 3)))
+    elif kind == "null":
+        xs, bs = map(np.array, zip(*scenarios.null_pairs(sc, 2, seed=7)))
+    else:
+        recs = scenarios.magnetic_pairs(sc, 2, seed=3)
+        xs, bs = (np.array([getattr(r, k) for r in recs]) for k in ("x", kind))
+    return xs, bs[:1]
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda sc, a, b: scatter_batch(sc.metric, sc.entry_surface,
+                                    sc.exit_surface, a, b),
+     "entries", r"directions \(1, 3\) unlike xs \(2, 3\)"),
+    (lambda sc, a, b: magnetic_scatter_batch(sc.magnetic,
+                                             sc.spatial_boundary, a, b),
+     "u_proj", r"directions \(1, 2\) unlike xs \(2, 2\)"),
+    (lambda sc, a, b: thmmag_verify_batch(sc.stationary, sc.entry_surface,
+                                          sc.spatial_boundary, a, b),
+     "entries", r"v_projs \(1, 3\) unlike xs \(2, 3\)"),
+    (lambda sc, a, b: michel_check_batch(sc.metric, sc.entry_surface,
+                                         sc.exit_surface, a, b),
+     "null", r"ys \(1, 3\) unlike xs \(2, 3\)"),
+    (lambda sc, a, b: magnetic_michel_batch(sc.magnetic,
+                                            sc.spatial_boundary, a, b),
+     "y", r"ys \(1, 2\) unlike xs \(2, 2\)"),
+    (lambda sc, a, b: reconstruct_exits(sc.stationary, sc.spatial_boundary,
+                                        [0.0], a, np.vstack([b, b])),
+     "u_proj", r"ts of length 1 for 2 entries")],
+    ids=["scatter_batch", "magnetic_scatter_batch", "thmmag_verify_batch",
+         "michel_check_batch", "magnetic_michel_batch", "reconstruct_exits"])
+def test_mismatched_batches_are_named_before_any_march(
+        stationary_rot, monkeypatch, call, kind, message):
+    """Each batch entry point checks its rows once, before any stencil or
+    march, and names the shapes its caller gave: before, scatter_batch
+    broadcast one direction over two entries, and the graph checks named
+    the shapes of their merged stencils."""
+    a, b = _two_of_one(stationary_rot, kind)
+
+    def no_march(*args):
+        raise AssertionError("marched")
+
+    monkeypatch.setattr(geometry, "integrate_flow_to_surface", no_march)
+    monkeypatch.setattr(connect, "integrate_flow_fixed", no_march)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(stationary_rot, a, b)
 
 
 @pytest.fixture
