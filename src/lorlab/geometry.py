@@ -22,6 +22,14 @@ from .errors import (ChartDomainError, EscapeError, LorlabError,
                      SingularMetricError, TangencyError)
 from .fields import Array, _central_jet
 
+try:
+    # the gufuncs behind np.linalg.solve and np.linalg.det, called without
+    # the wrappers' per-call type checks (see metric_solve)
+    from numpy.linalg import _umath_linalg
+    _solve1, _det = _umath_linalg.solve1, _umath_linalg.det
+except (ImportError, AttributeError):
+    _solve1 = _det = None
+
 DET_FLOOR = 1e-12
 CAUSAL_TOL = 1e-9
 SURFACE_TOL = 1e-10
@@ -60,17 +68,19 @@ class MetricField:
         """Finite values, symmetry and a determinant off zero, each
         matrix against its own scale, so that a matrix passes or fails
         whatever batch it is in; the values of an empty batch pass."""
-        if not np.isfinite(g).all():
+        size = np.abs(g)
+        top = size.max(initial=0.0)     # NaN or inf iff a value is
+        if not top < np.inf:
             raise SingularMetricError("non-finite metric values")
         asym = np.abs(g - g.swapaxes(-1, -2))
-        size = np.abs(g)
-        det = np.abs(np.linalg.det(g))
+        det = np.abs(np.linalg.det(g) if _det is None
+                     else _det(g, signature="d->d"))
         # When the batch meets the symmetry bound at the smallest scale
         # (1) and the determinant floor at its largest scale, every matrix
         # meets them at its own; the per-matrix reductions are then
         # skipped, which would add about a third to every RK4 step's check.
         if (asym.max(initial=0.0) <= 1e-12 and det.min(initial=np.inf)
-                >= DET_FLOOR * max(size.max(initial=0.0), 1.0) ** self.dim):
+                >= DET_FLOOR * max(top, 1.0) ** self.dim):
             return
         scale = np.maximum(size.max(axis=(-2, -1)), 1.0)
         asym = asym.max(axis=(-2, -1))
@@ -143,13 +153,24 @@ def christoffel(g: MetricField, x: Array) -> Array:
     return np.einsum("...kl,...lij->...kij", ginv, low)
 
 
+def _singular(err, flag):
+    raise SingularMetricError("singular metric matrix")
+
+
 def metric_solve(gm: Array, rhs: Array) -> Array:
-    """gm^{-1} rhs for a batch of vectors; SingularMetricError when a
-    matrix of the batch is singular."""
-    try:
-        return np.linalg.solve(gm, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        raise SingularMetricError("singular metric matrix") from None
+    """gm^{-1} rhs for a batch of vectors, bit for bit as np.linalg.solve;
+    SingularMetricError when a matrix of the batch is singular.  Calls
+    np.linalg.solve's gufunc under the floating-point error state that
+    np.linalg.solve sets, whose handler reports a singular matrix, and
+    np.linalg.solve itself when numpy has no such gufunc."""
+    if _solve1 is None:
+        try:
+            return np.linalg.solve(gm, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            raise SingularMetricError("singular metric matrix") from None
+    with np.errstate(call=_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _solve1(gm, rhs, signature="dd->d")
 
 
 def christoffel_contraction(dg: Array, v: Array) -> Array:
@@ -354,12 +375,11 @@ def _rk4_step(rhs, y: Array, h, rays: Array, k1: Optional[Array] = None):
     Only stage 1, the accepted state the step starts from, asks ``rhs``
     for the metric check; a march that has it already passes it as
     ``k1``.  Returns (the new state, stage 4)."""
-    h = np.asarray(h, float)
-    if h.ndim:
-        h = h[:, None]
+    per_row = np.ndim(h) > 0
+    h = np.asarray(h, float)[:, None] if per_row else float(h)
 
     def step(r):
-        yr, hr = y[r], (h[r] if h.ndim else h)
+        yr, hr = y[r], (h[r] if per_row else h)
         half = 0.5 * hr
         k1r = rhs(yr, True) if k1 is None else k1[r]
         k2 = rhs(yr + half * k1r, False)
@@ -386,10 +406,10 @@ def _check_step(k: int, yn: Array, y: Array, rays: Array,
                 names=("x", "v")) -> None:
     """EscapeError when step k left a ray's state non-finite, naming the
     ray, the step and its state before it, split into parts ``names``."""
-    finite = np.isfinite(yn).all(axis=1)
+    finite = np.isfinite(yn)
     if finite.all():
         return
-    i = np.flatnonzero(~finite)[0]
+    i = np.flatnonzero(~finite.all(axis=1))[0]
     state = ", ".join(f"{name} = {part.tolist()}" for name, part
                       in zip(names, np.split(y[i], len(names))))
     raise EscapeError(f"ray {int(rays[i])}: state non-finite after step "
@@ -530,12 +550,12 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
     # the sigma that ceil(max_sigma / step) + 1 steps of length step
     # reach, less half a step for the rounding of sums of steps
     budget = (np.ceil(max_sigma / step) + 0.5) * step
-    # the still-marching rays: states, derivatives, sigmas, sides of S and
-    # next step lengths
+    # the still-marching rays: states, derivatives, sigmas, sides of S,
+    # next step lengths and whether they have been strictly inside S
     rays, ya, sa, phi = np.arange(B), y, np.zeros(B), S.side(y[:, :dim])
     fa = _by_ray(lambda r: rhs(ya[r], True), rays)
     ha = np.full(B, float(step))
-    seen_interior = phi < -SURFACE_TOL
+    seen = phi < -SURFACE_TOL
     knots = [(rays, sa, ya, fa)]             # accepted (ray, sigma, y, f)
     f_in, f_out = np.empty(B), np.empty(B)   # side around the crossing
     y_in = np.empty_like(y)                  # state before the crossing
@@ -553,11 +573,17 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
             err = ha / 6.0 * np.abs(k4 - fn).max(axis=1)
         err = np.where(np.isfinite(err), err, np.inf)
         ok = (err <= MARCH_TOL * ha) | (ha == step)
-        grow = np.clip(0.9 * np.cbrt(MARCH_TOL * ha / np.maximum(err, 1e-300)),
-                       0.2, 4.0)
+        grow = np.minimum(np.maximum(
+            0.9 * np.cbrt(MARCH_TOL * ha / np.maximum(err, 1e-300)), 0.2), 4.0)
         sn = sa + ha
-        crossing = ok & (phin >= 0.0) & seen_interior[rays]
-        seen_interior[rays] |= ok & (phin < -SURFACE_TOL)
+        crossing = ok & (phin >= 0.0) & seen
+        seen = seen | (ok & (phin < -SURFACE_TOL))
+        hn = np.minimum(np.maximum(ha * grow, step), MARCH_GROW * step)
+        if ok.all() and not crossing.any() and (sn < budget).all():
+            # every ray steps on: no merge, no hit, no ray to drop
+            knots.append((rays, sn, yn, fn))
+            ya, fa, sa, phi, ha = yn, fn, sn, phin, hn
+            continue
         knots.append((rays[ok], sn[ok], yn[ok], fn[ok]))
         if crossing.any():
             hit = rays[crossing]
@@ -568,12 +594,11 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
         ya = np.where(ok[:, None], yn, ya)
         fa = np.where(ok[:, None], fn, fa)
         sa, phi = np.where(ok, sn, sa), np.where(ok, phin, phi)
-        ha = np.clip(ha * grow, step, MARCH_GROW * step)
         spent = ~crossing & (sa >= budget)
         escaped += rays[spent].tolist()
         going = ~crossing & ~spent
-        rays, ya, fa, sa, phi, ha = (a[going] for a in
-                                     (rays, ya, fa, sa, phi, ha))
+        rays, ya, fa, sa, phi, ha, seen = (a[going] for a in
+                                           (rays, ya, fa, sa, phi, hn, seen))
     if escaped:
         raise EscapeError(
             f"ray(s) {sorted(escaped)} never met the target "

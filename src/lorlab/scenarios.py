@@ -159,6 +159,11 @@ def _rotation_form(B: float) -> CovectorField:
 # ---------------------------------------------------------------------------
 
 def minkowski_slab(n_space: int = 2, thickness: float = 1.0) -> Scenario:
+    if not n_space >= 1:
+        raise ValueError(f"minkowski_slab needs n_space >= 1, not {n_space}")
+    if not thickness > 0.0:
+        raise ValueError(f"minkowski_slab needs thickness > 0, not "
+                         f"{thickness}")
     dim = n_space + 1
     diag = np.ones(dim)
     diag[0] = -1.0

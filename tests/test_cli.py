@@ -80,6 +80,24 @@ def test_bad_scenario_params_are_scenario_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("scenario error: ")
 
 
+@pytest.mark.parametrize("params, value", [({"n_space": 0}, "n_space"),
+                                           ({"thickness": 0.0}, "thickness"),
+                                           ({"thickness": -1.0}, "thickness")],
+                         ids=["no_space", "zero_thickness", "negative_thickness"])
+def test_degenerate_slab_is_scenario_error(tmp_path, capsys, params, value):
+    """A slab without a spatial direction or with no thickness cannot be
+    built: exit 3 naming the value, not a numerical failure in the
+    march."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "minkowski_slab",
+                               "scenario_params": params}))
+    assert run(["scatter", "--config", str(cfg)]) == EXIT_SCENARIO
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ")
+    assert f"needs {value} " in err
+    assert err.rstrip().endswith(f"not {params[value]}")
+
+
 def test_unknown_command_is_parse_error(capsys):
     assert run(["no-such-command"]) == EXIT_PARSE
 

@@ -214,6 +214,55 @@ def test_matrix_check_does_not_depend_on_the_batch(bad, fails):
     assert verdict(np.stack([bad, np.diag([-10.0, 10.0, 10.0])])) is fails
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lead", [(), (1,), (16,), (48,)])
+def test_metric_solve_is_numpys_solve(rng, monkeypatch, dim, lead):
+    """metric_solve gives the bits of np.linalg.solve, through the gufunc
+    and through the fallback taken when numpy lacks it."""
+    gm = rng.normal(size=lead + (dim, dim))
+    gm = gm + gm.swapaxes(-1, -2) + 2 * dim * np.eye(dim)
+    rhs = rng.normal(size=lead + (dim,))
+    want = np.linalg.solve(gm, rhs[..., None])[..., 0]
+    assert np.array_equal(geometry.metric_solve(gm, rhs), want)
+    monkeypatch.setattr(geometry, "_solve1", None)
+    assert np.array_equal(geometry.metric_solve(gm, rhs), want)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["gufunc", "wrapper"])
+def test_metric_solve_raises_on_a_singular_matrix(monkeypatch, fallback):
+    """An exactly singular matrix of the batch raises SingularMetricError
+    and no RuntimeWarning (which the test configuration makes an error)."""
+    if fallback:
+        monkeypatch.setattr(geometry, "_solve1", None)
+    gm = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]])
+    with pytest.raises(SingularMetricError, match="singular metric matrix"):
+        geometry.metric_solve(gm, np.ones((2, 2)))
+
+
+_GOOD = np.diag([-1.0, 1.0])
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["gufunc", "wrapper"])
+@pytest.mark.parametrize("bad, message", [
+    ([[np.nan, 0.0], [0.0, 1.0]], "non-finite metric values"),
+    ([[-1.0, 0.0], [0.0, np.inf]], "non-finite metric values"),
+    ([[np.nan, 1.0], [0.0, 0.0]], "non-finite metric values"),
+    ([[1.0, 1.0], [0.0, 0.0]], "metric not symmetric"),
+    ([[1.0, 1.0], [1.0, 1.0]], "metric determinant below threshold")],
+    ids=["nan", "inf", "nan-asymmetric", "asymmetric-singular", "singular"])
+def test_check_values_messages(monkeypatch, fallback, bad, message):
+    """The first failing check of a batch names the failure, in the order
+    finite values, symmetry, determinant, with the determinant from
+    np.linalg.det's gufunc or from np.linalg.det."""
+    if fallback:
+        monkeypatch.setattr(geometry, "_det", None)
+    g = MetricField(dim=2, signature=LORENTZIAN, func=lambda x: x)
+    with pytest.raises(SingularMetricError, match=message):
+        g._check_values(np.array([_GOOD, bad]))
+    g._check_values(_GOOD)
+    g._check_values(np.empty((0, 2, 2)))
+
+
 def _blowing_up_flow(calls):
     """Flat Minkowski metric whose partials turn NaN for t > 0.3, so the
     geodesic state goes non-finite a few steps past t = 0.3."""

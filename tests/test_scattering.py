@@ -114,13 +114,14 @@ def test_scatter_batch_matches_scalar(product_disk, stationary_rot,
     xs = np.array([x for x, _ in entries])
     vs = np.array([v for _, v in entries])
     recs = scatter_batch(product_disk.metric, product_disk.entry_surface,
-                         product_disk.exit_surface, xs, vs)
+                         product_disk.exit_surface, xs, vs, keep_paths=True)
     for (x, v), rb in zip(entries, recs):
         rs = scatter(product_disk.metric, product_disk.entry_surface,
                      product_disk.exit_surface, x, v)
-        assert np.allclose(rb.y, rs.y, atol=1e-9)
-        assert np.allclose(rb.w_proj, rs.w_proj, atol=1e-9)
-        assert rb.travel == pytest.approx(rs.travel, abs=1e-9)
+        _assert_same_path(rb.path, rs.path)
+        assert np.array_equal(rb.y, rs.y)
+        assert np.array_equal(rb.w_proj, rs.w_proj)
+        assert rb.travel == rs.travel
 
     # four entries on perturbed_product: its base partials must broadcast
     # over any batch size, not only one or two points
@@ -132,12 +133,39 @@ def test_scatter_batch_matches_scalar(product_disk, stationary_rot,
                                       us, keep_paths=True)
         for (x, u), rb in zip(entries, recs):
             rs = magnetic_scatter(sc.magnetic, sc.spatial_boundary, x, u)
-            assert np.allclose(rb.y, rs.y, atol=1e-9)
-            assert np.allclose(rb.w_proj, rs.w_proj, atol=1e-9)
-            assert rb.length == pytest.approx(rs.length, abs=1e-9)
-            assert rb.action == pytest.approx(rs.action, abs=1e-9)
-            assert np.allclose(rb.path.x, rs.path.x, atol=1e-9)
+            _assert_same_path(rb.path, rs.path)
+            assert np.array_equal(rb.y, rs.y)
+            assert np.array_equal(rb.w_proj, rs.w_proj)
+            assert rb.length == rs.length
+            assert rb.action == rs.action
             assert rb.path.speed_squared == pytest.approx(1.0, abs=1e-8)
+
+
+def _assert_same_path(a, b):
+    """The samples of two paths agree bit for bit."""
+    for name in ("sigma", "x", "v"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_hot_loop_skips_numpys_linalg_wrappers(monkeypatch, stationary_rot):
+    """The marches solve and check the metric through the gufuncs of
+    np.linalg.solve and np.linalg.det, never through the wrappers.  (The
+    connectors' Newton step keeps np.linalg.solve for its Jacobian.)"""
+    sc = stationary_rot
+    entries = scenarios.scattering_entries(sc, 2, seed=3)
+    xs, vs = (np.array(a) for a in zip(*entries))
+    mxs, mus = (np.array(a) for a in zip(*scenarios.magnetic_entries(
+        sc, 2, seed=3)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg wrapper called in the march")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    scatter_batch(sc.metric, sc.entry_surface, sc.exit_surface, xs, vs)
+    geometry.integrate_flow_fixed(geometry.geodesic_accel(sc.metric), xs, vs,
+                                  0.1, 1e-2)
+    magnetic_scatter_batch(sc.magnetic, sc.spatial_boundary, mxs, mus)
 
 
 def test_entries_are_admissible(stationary_rot):
