@@ -25,8 +25,8 @@ from .lightray import (ftc_residual, kernel_conformal_test,
 from .stationary import (LinearizedEquivalence, MagneticConnector,
                          MagneticRecord, MagneticSystem, ProjectionCheck,
                          ReductionReport, StationaryMetric,
-                         boundary_normal_coords, conformal_normalize,
-                         curve_flux, from_raw, lift_magnetic, lift_residual,
+                         boundary_normal_coords, curve_flux, from_raw,
+                         lift_magnetic, lift_residual,
                          linearization_equivalence, magnetic_connector,
                          magnetic_connectors_batch, magnetic_integrate,
                          magnetic_michel, magnetic_michel_batch,

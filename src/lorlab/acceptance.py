@@ -28,7 +28,7 @@ from .connect import (MetricFamily, connecting_geodesics_batch, linearize_r,
 from .fields import (Array, CovectorField, ScalarField, SymTwoTensorField,
                      worst_of)
 from .gauge import (apply_gauge, compose_gauge, conformal_reparam_check,
-                    hamiltonian_flow, scattering_invariance)
+                    hamiltonian_flow, scale_metric, scattering_invariance)
 from .geometry import LORENTZIAN, MetricField, integrate_geodesic
 from .lightray import (ftc_residual, kernel_conformal_test,
                        kernel_potential_test)
@@ -493,6 +493,7 @@ def criterion_invariance():
     sr = scenarios.build("stationary_rot")
     diffeo = scenarios.rotation_bump_pair(0.15)
     shift = scenarios.time_shift_pair(0.05)
+    bump = scenarios.spacetime_field(scenarios.conformal_bump(0.1))
 
     def gauged(sc, pair):
         """sc's assembled metric with its magnetic system gauged."""
@@ -502,8 +503,7 @@ def criterion_invariance():
     cases = [
         ("interior diffeomorphism", pd, gauged(pd, diffeo)),
         ("time-shift potential", sr, gauged(sr, shift)),
-        ("conformal factor", sr, replace(
-            sr.stationary, lam=scenarios.conformal_bump(0.1)).assembled),
+        ("conformal factor", sr, scale_metric(sr.metric, bump)),
         ("composition", sr, gauged(sr, compose_gauge(diffeo, shift))),
     ]
     for label, sc, g2 in cases:

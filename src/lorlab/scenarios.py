@@ -182,7 +182,7 @@ def _disk_scenario(name: str, metric: Optional[MetricField],
     -(dt + omega)^2 + base, whose metric is ``metric`` or, for None, the
     assembled stationary form: lightlike data on the unit cylinder,
     magnetic data on the unit circle."""
-    m = StationaryMetric(lam=ScalarField.constant(1.0), omega=omega, base=base)
+    m = StationaryMetric(omega=omega, base=base)
     cyl = _cylinder()
     return Scenario(
         name=name, metric=m.assembled if metric is None else metric,

@@ -1,5 +1,7 @@
-"""Stationary Lorentzian metrics lam * (-(dt + omega)^2 + h) and their
-reduction to a magnetic flow on the spatial base.
+"""Stationary Lorentzian metrics -(dt + omega)^2 + h and their reduction
+to a magnetic flow on the spatial base.  A conformal factor only
+reparametrizes lightlike rays; a conformal multiple lam g is
+gauge.scale_metric(g, lam).
 
 Covers assembly and disassembly of the block form, the magnetic
 scattering relation and action on the base, lifting of magnetic
@@ -34,13 +36,12 @@ from .connect import FD_STEP, _chart_stencil, solve_two_point
 
 @dataclass(frozen=True)
 class StationaryMetric:
-    """Time-independent metric lam * (-(dt + omega)^2 + h) on R x N.
+    """Time-independent metric -(dt + omega)^2 + h on R x N.
 
-    ``lam`` and ``omega`` live on the spatial chart of N, ``base`` is the
-    Riemannian metric h there.  Coordinate 0 of the assembled chart is t.
+    ``omega`` lives on the spatial chart of N, ``base`` is the Riemannian
+    metric h there.  Coordinate 0 of the assembled chart is t.
     """
 
-    lam: ScalarField
     omega: CovectorField
     base: MetricField
 
@@ -50,22 +51,21 @@ class StationaryMetric:
 
     @property
     def assembled(self) -> MetricField:
-        """g = lam M with M = diag(0, h) - a a^T and a = (1, omega); the
-        jet takes dg = dlam M + lam dM by the product rule, where a part
-        without analytic partials is differenced by its own accessor.
+        """g = diag(0, h) - a a^T with a = (1, omega); the jet takes dg
+        from the parts, where a part without analytic partials is
+        differenced by its own accessor.
 
         func and jetfunc share one construction (blocks), so that
         jet(x)[0] is bit-equal to func(x): the rows A = (a, d_t a, d_k a)
         give Q = A (x) a, whose symmetrization Q + Q^T is 2 a a^T in
         slab 0 (halved, exactly) and d_k a a^T + a d_k a^T in slab 1 + k.
-        One array X then holds M, d_t M = 0 and every d_k M, and
-        lam X + dlam (x) M fills g and dg at once."""
+        One array X then holds g, d_t g = 0 and every d_k g."""
         n = self.n
 
         def blocks(om, h, J, dh):
-            """X[..., 0, :, :] = M; unless the partials J[..., k, j] =
+            """X[..., 0, :, :] = g; unless the partials J[..., k, j] =
             d_k omega_j and dh[..., k, i, j] = d_k h_ij are None, also
-            X[..., 1, :, :] = d_t M = 0 and X[..., 1 + k, :, :] = d_k M."""
+            X[..., 1, :, :] = d_t g = 0 and X[..., 1 + k, :, :] = d_k g."""
             rows = 1 if J is None else n + 2
             A = np.zeros(om.shape[:-1] + (rows, n + 1))
             A[..., 0, 0] = 1.0
@@ -83,18 +83,14 @@ class StationaryMetric:
 
         def func(x):
             xs = np.asarray(x, float)[..., 1:]
-            M = blocks(self.omega(xs), np.asarray(self.base.func(xs), float),
-                       None, None)[..., 0, :, :]
-            return self.lam(xs)[..., None, None] * M
+            return blocks(self.omega(xs), np.asarray(self.base.func(xs), float),
+                          None, None)[..., 0, :, :]
 
         def jetfunc(x):
             xs = np.asarray(x, float)[..., 1:]
             h, dh = self.base._unchecked_jet(xs)
             X = blocks(self.omega(xs), h, self.omega.jacobian(xs), dh)
-            W = self.lam(xs)[..., None, None, None] * X
-            W[..., 2:, :, :] += (self.lam.gradient(xs)[..., :, None, None]
-                                 * X[..., :1, :, :])
-            return W[..., 0, :, :], W[..., 1:, :, :]
+            return X[..., 0, :, :], X[..., 1:, :, :]
 
         domain = None
         if self.base.domain is not None:
@@ -118,9 +114,10 @@ def reduced_time_component(m: StationaryMetric, x_spatial: Array,
     return float(val) if np.ndim(val) == 0 else val
 
 
-def from_raw(g: MetricField) -> StationaryMetric:
-    """Recover (lam, omega, h) from a time-independent Lorentzian metric
-    given as a plain matrix field on R x N."""
+def from_raw(g: MetricField) -> tuple[ScalarField, StationaryMetric]:
+    """Split a time-independent Lorentzian metric, given as a plain matrix
+    field on R x N, into lam and m with g = lam m.assembled; lam is a
+    field of the spatial point, like m.omega."""
     n = g.dim - 1
 
     def parts(xs):
@@ -135,16 +132,10 @@ def from_raw(g: MetricField) -> StationaryMetric:
         return (G[..., 1:, 1:] / lam[..., None, None]
                 + om[..., :, None] * om[..., None, :])
 
-    return StationaryMetric(
-        lam=ScalarField(func=lambda xs: parts(xs)[1], positive=True),
-        omega=CovectorField(dim=n, func=lambda xs: parts(xs)[2]),
-        base=MetricField(dim=n, signature=RIEMANNIAN, func=h_func))
-
-
-def conformal_normalize(m: StationaryMetric) -> StationaryMetric:
-    """Divide out the conformal factor: same omega and h, lam = 1."""
-    return StationaryMetric(lam=ScalarField.constant(1.0), omega=m.omega,
-                            base=m.base)
+    return (ScalarField(func=lambda xs: parts(xs)[1], positive=True),
+            StationaryMetric(
+                omega=CovectorField(dim=n, func=lambda xs: parts(xs)[2]),
+                base=MetricField(dim=n, signature=RIEMANNIAN, func=h_func)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +354,10 @@ class ProjectionCheck:
 def project_and_verify(m: StationaryMetric,
                        path: GeodesicPath) -> ProjectionCheck:
     """Check that the spatial projection of a geodesic of the assembled
-    metric (lam = 1 to 1e-12) obeys the magnetic equation with constant
-    charge k = t' + <omega, x'>, and that (v,v)_g = -k^2 + |x'|_h^2."""
+    metric obeys the magnetic equation with constant charge k = t' +
+    <omega, x'>, and that (v,v)_g = -k^2 + |x'|_h^2."""
     xs = path.x[:, 1:]
     vs = path.v[:, 1:]
-    if np.abs(m.lam(xs) - 1.0).max() > 1e-12:
-        raise PreconditionError("reduction requires the unit conformal factor")
     om = m.omega(xs)
     k = path.v[:, 0] + np.einsum("mi,mi->m", om, vs)
     k0 = float(k[0])
@@ -388,19 +377,18 @@ def project_and_verify(m: StationaryMetric,
                            speed_identity_residual=speed_res)
 
 
-def lift_magnetic(m: StationaryMetric, path: GeodesicPath,
-                  t0: float = 0.0) -> GeodesicPath:
+def lift_magnetic(m: StationaryMetric, path: GeodesicPath) -> GeodesicPath:
     """Lift a unit-speed magnetic geodesic on N to the lightlike geodesic
-    of the assembled metric (lam = 1) with charge k = 1: t(0) = t0 and
-    t' = 1 - <omega, x'>, t'' = -(x'^T (d omega) x' + <omega, x''>)."""
+    of the assembled metric with charge k = 1: t(0) = 0 and t' = 1 -
+    <omega, x'>, t'' = -(x'^T (d omega) x' + <omega, x''>).  The metric
+    does not depend on t, so the lift from t0 is this one shifted by t0."""
     if abs(path.speed_squared - 1.0) > 1e-8:
         raise PreconditionError("base path is not unit speed")
     om, acc = m.omega(path.x), magnetic_accel(m.magnetic)(path.x, path.v)
     tdot = 1.0 - np.einsum("mi,mi->m", om, path.v)
     tddot = -(np.einsum("mi,mij,mj->m", path.v, m.omega.jacobian(path.x),
                         path.v) + np.einsum("mi,mi->m", om, acc))
-    t = t0 + CubicHermiteSpline(path.sigma, tdot,
-                                tddot).antiderivative_at_knots()
+    t = CubicHermiteSpline(path.sigma, tdot, tddot).antiderivative_at_knots()
     X = np.concatenate([t[:, None], path.x], axis=1)
     V = np.concatenate([tdot[:, None], path.v], axis=1)
     speed2 = float(inner(m.assembled, X[0], V[0], V[0]))
@@ -536,8 +524,6 @@ def linearization_equivalence(m: StationaryMetric, dh: SymTwoTensorField,
     magnetic connector of (m.base, m.omega), so several perturbations
     share one solve.  Both values and their ratio are reported; no
     proportionality factor is assumed."""
-    if abs(float(m.lam(conn.x)) - 1.0) > 1e-12:
-        raise PreconditionError("equivalence requires the unit conformal factor")
     lifted = lift_magnetic(m, conn.path)
     ell = conn.length
     lifted01 = GeodesicPath(sigma=lifted.sigma / ell, x=lifted.x,

@@ -11,8 +11,7 @@ from lorlab import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                     lightlike_completion, scatter_batch, scenarios)
 from lorlab import geometry
 from lorlab.errors import LorlabError
-from lorlab.fields import (CovectorField, ScalarField, _central_diff,
-                           _central_jet)
+from lorlab.fields import CovectorField, _central_diff, _central_jet
 from lorlab.geometry import integrate_flow_fixed, integrate_flow_to_surface
 from lorlab.gauge import apply_gauge, scale_metric
 
@@ -42,7 +41,7 @@ def test_inner_stationary_example():
     h = MetricField(dim=2, signature=RIEMANNIAN,
                     func=lambda p: np.broadcast_to(np.eye(2),
                                                    np.shape(p)[:-1] + (2, 2)))
-    m = StationaryMetric(lam=ScalarField.constant(1.0), omega=om, base=h)
+    m = StationaryMetric(omega=om, base=h)
     v = np.array([1.0, 1.0, 0.0])
     assert inner(m.assembled, np.zeros(3), v, v) == pytest.approx(-0.69)
 
@@ -139,8 +138,7 @@ def test_boundary_normal_stationary_tilts(product_disk):
     om = CovectorField(dim=2,
                        func=lambda p: np.broadcast_to(np.array([0.3, 0.0]),
                                                       np.shape(p)))
-    m = StationaryMetric(lam=ScalarField.constant(1.0), omega=om,
-                         base=product_disk.magnetic.base)
+    m = StationaryMetric(omega=om, base=product_disk.magnetic.base)
     nu = boundary_normal(product_disk.entry_surface, m.assembled,
                          np.array([0.0, 1.0, 0.0]))
     assert np.allclose(nu, [-0.3, 1.0, 0.0], atol=1e-12)

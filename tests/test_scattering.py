@@ -6,12 +6,12 @@ import pytest
 from lorlab import (LORENTZIAN, TIME_COMPONENT, UNIT_INDUCED,
                     ChartDomainError, EscapeError, MetricField, NoLiftError,
                     NotPositiveDefiniteError, PreconditionError,
-                    SignatureError, SingularMetricError, StationaryMetric,
-                    TangencyError, connecting_geodesics_batch, inner,
-                    magnetic_scatter, magnetic_scatter_batch, normalize,
-                    scatter, scatter_batch)
+                    SignatureError, SingularMetricError, TangencyError,
+                    connecting_geodesics_batch, inner, magnetic_scatter,
+                    magnetic_scatter_batch, normalize, scatter, scatter_batch)
 from lorlab import geometry, scenarios
-from lorlab.fields import CovectorField, ScalarField
+from lorlab.fields import ScalarField
+from lorlab.gauge import scale_metric
 
 
 def test_slab_straight_line_exit(slab):
@@ -315,8 +315,7 @@ def test_non_positive_conformal_factor_inside_the_march(product_disk):
                       grad=lambda p: np.broadcast_to([-1.0, 0.0],
                                                      np.shape(p)),
                       positive=True)
-    metric = StationaryMetric(lam=lam, omega=CovectorField.zero(2),
-                              base=product_disk.stationary.base).assembled
+    metric = scale_metric(product_disk.metric, scenarios.spacetime_field(lam))
     th = np.array([np.pi - 0.3, np.pi])
     b = np.array([0.9, 0.0])
     xs = np.stack([np.zeros(2), np.cos(th), np.sin(th)], axis=1)

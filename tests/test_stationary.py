@@ -5,18 +5,18 @@ import pytest
 from scipy.integrate import simpson
 
 from lorlab import (MagneticSystem, PreconditionError, StationaryMetric,
-                    boundary_normal_coords, conformal_normalize,
-                    connecting_geodesics_batch, curve_flux, defining_r,
-                    from_raw, lift_magnetic, lift_residual,
-                    linearization_equivalence, magnetic_connector,
-                    magnetic_connectors_batch, magnetic_integrate,
-                    magnetic_michel, magnetic_michel_batch, magnetic_scatter,
+                    boundary_normal_coords, connecting_geodesics_batch,
+                    curve_flux, defining_r, from_raw, lift_magnetic,
+                    lift_residual, linearization_equivalence,
+                    magnetic_connector, magnetic_connectors_batch,
+                    magnetic_integrate, magnetic_michel,
+                    magnetic_michel_batch, magnetic_scatter,
                     project_and_verify, reconstruct_exits,
                     reduced_time_component, scatter, thmmag_verify,
                     thmmag_verify_batch)
 from lorlab import acceptance, geometry, scenarios, stationary
 from lorlab.fields import CovectorField, ScalarField, _central_jet
-from lorlab.gauge import scattering_invariance
+from lorlab.gauge import scale_metric
 from lorlab.geometry import (MetricField, RIEMANNIAN, geodesic_accel, inner,
                              metric_solve)
 from lorlab.stationary import magnetic_accel
@@ -35,8 +35,7 @@ def test_assembled_blocks(rng):
     om = CovectorField(dim=2,
                        func=lambda p: np.broadcast_to(np.array([0.3, 0.0]),
                                                       np.shape(p)))
-    m = StationaryMetric(lam=ScalarField.constant(1.0), omega=om,
-                         base=flat_h())
+    m = StationaryMetric(omega=om, base=flat_h())
     x = np.array([0.1, 0.2, -0.3])
     gm = m.assembled.matrix(x)
     w = np.array([0.3, 0.0])
@@ -48,10 +47,15 @@ def test_assembled_blocks(rng):
 
 
 def test_from_raw_round_trip(stationary_rot, rng):
+    """from_raw splits lam m.assembled, lam not constant, back into lam,
+    omega and h."""
     m = stationary_rot.stationary
-    rebuilt = from_raw(m.assembled)
+    lam = scenarios.conformal_bump(0.1)
+    lam_back, rebuilt = from_raw(scale_metric(m.assembled,
+                                              scenarios.spacetime_field(lam)))
     pts = rng.uniform(-0.7, 0.7, (100, 2))
-    assert np.abs(rebuilt.lam(pts) - m.lam(pts)).max() < 1e-12
+    assert np.ptp(lam(pts)) > 0.03
+    assert np.abs(lam_back(pts) - lam(pts)).max() < 1e-12
     assert np.abs(rebuilt.omega(pts) - m.omega(pts)).max() < 1e-12
     assert np.abs(rebuilt.base.matrix(pts) - m.base.matrix(pts)).max() < 1e-12
 
@@ -69,8 +73,10 @@ def test_from_raw_unit_lapse_formulas(rng):
         return g
 
     from lorlab.geometry import LORENTZIAN
-    rebuilt = from_raw(MetricField(dim=3, signature=LORENTZIAN, func=func))
+    lam, rebuilt = from_raw(MetricField(dim=3, signature=LORENTZIAN,
+                                        func=func))
     pts = rng.uniform(-0.5, 0.5, (10, 2))
+    assert np.array_equal(lam(pts), np.ones(10))
     assert np.abs(rebuilt.omega(pts) - (-omt)).max() < 1e-12
     assert np.abs(rebuilt.base.matrix(pts)
                   - (np.eye(2) + np.outer(omt, omt))).max() < 1e-12
@@ -179,18 +185,18 @@ def test_lift_of_magnetic_geodesic(stationary_rot):
     (x, u), = scenarios.magnetic_entries(stationary_rot, 1, seed=7)
     rec = magnetic_scatter(stationary_rot.magnetic,
                            stationary_rot.spatial_boundary, x, u)
-    lifted = lift_magnetic(stationary_rot.stationary, rec.path, t0=0.3)
+    lifted = lift_magnetic(stationary_rot.stationary, rec.path)
     assert abs(lifted.speed_squared) < 1e-10
     assert lift_residual(stationary_rot.stationary, lifted) < 1e-8
-    # exit time = t0 + length - flux = t0 + action
-    assert lifted.x[-1, 0] == pytest.approx(0.3 + rec.action, abs=1e-8)
+    # exit time = length - flux = action
+    assert lifted.x[-1, 0] == pytest.approx(rec.action, abs=1e-8)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.3])
 def test_lifted_time_is_closed_form_on_circles(stationary_rot, k):
     """On stationary_rot a unit-speed magnetic geodesic is a circle of
     radius 1/B with its centre left of the motion, so the lifted time is
-    t0 + sigma - flux(sigma) at every sample.  Adding d(k x_0 x_1) to
+    sigma - flux(sigma) at every sample.  Adding d(k x_0 x_1) to
     omega keeps the circle and subtracts k x_0 x_1 - k x_0(0) x_1(0):
     its symmetric Jacobian exercises the x'^T (d omega) x' term of t''."""
     B = stationary_rot.params["B"]
@@ -211,9 +217,9 @@ def test_lifted_time_is_closed_form_on_circles(stationary_rot, k):
     flux = 0.5 * B * (R * R * (phi - phi0)
                       + R * (c[0] * (np.sin(phi) - np.sin(phi0))
                              - c[1] * (np.cos(phi) - np.cos(phi0))))
-    want = (0.3 + path.sigma - flux
+    want = (path.sigma - flux
             - k * (path.x[:, 0] * path.x[:, 1] - x0[0] * x0[1]))
-    lifted = lift_magnetic(gauged, path, t0=0.3)
+    lifted = lift_magnetic(gauged, path)
     assert len(path.sigma) > 1000
     assert np.abs(lifted.x[:, 0] - want).max() < 1e-10
 
@@ -367,20 +373,6 @@ def test_sign_of_r_near_lightlike_locus(stationary_rot):
     assert np.array_equal(np.sign(r), np.sign(conn.action - dts))
 
 
-def test_conformal_normalize_preserves_scattering(product_disk):
-    lam = ScalarField(func=lambda p: 1.0 + 0.5 * np.exp(
-        -np.einsum("...i,...i->...", np.asarray(p, float),
-                   np.asarray(p, float))), positive=True)
-    m = StationaryMetric(lam=lam, omega=CovectorField.zero(2), base=flat_h())
-    normalized = conformal_normalize(m)
-    assert np.abs(normalized.lam(np.zeros((4, 2))) - 1.0).max() < 1e-14
-    entries = scenarios.scattering_entries(product_disk, 5, seed=14)
-    dev = scattering_invariance(m.assembled, normalized.assembled,
-                                product_disk.entry_surface,
-                                product_disk.exit_surface, entries)
-    assert dev < 1e-6
-
-
 def test_boundary_normal_coords_quadratic():
     """omega = x_n dx_n gives phi = x_n^2 / 2 and a fully gauged form."""
     om = CovectorField(dim=2, func=lambda p: np.stack(
@@ -489,10 +481,11 @@ def test_stationary_accel_closed_form(stationary_rot):
 
 @pytest.mark.parametrize("check", [True, False])
 def test_stationary_accel_evaluates_each_field_once(stationary_rot, check):
-    """One acceleration call on the assembled metric evaluates lam, omega
-    and each of their derivatives exactly once, and h with its partials
-    in one jet call and never through its func, with and without the
-    metric check."""
+    """One acceleration call on the assembled metric evaluates omega and
+    its Jacobian exactly once, and h with its partials in one jet call
+    and never through its func, with and without the metric check; its
+    conformal multiple by scale_metric adds one call of lam and one of
+    its gradient."""
     m0 = stationary_rot.stationary
     calls = {}
 
@@ -505,9 +498,6 @@ def test_stationary_accel_evaluates_each_field_once(stationary_rot, check):
         return wrapped
 
     m = StationaryMetric(
-        lam=ScalarField(func=counted("lam", m0.lam.func),
-                        grad=counted("dlam", m0.lam.grad),
-                        positive=m0.lam.positive),
         omega=CovectorField(dim=2, func=counted("omega", m0.omega.func),
                             jac=counted("domega", m0.omega.jac)),
         base=MetricField(dim=2, signature=RIEMANNIAN,
@@ -516,23 +506,37 @@ def test_stationary_accel_evaluates_each_field_once(stationary_rot, check):
     rng = np.random.default_rng(43)
     x = rng.uniform(-0.5, 0.5, (4, 3))
     v = rng.uniform(-1.0, 1.0, (4, 3))
-    a = geodesic_accel(m.assembled)(x, v, check=check)
+
+    def evaluations(g):
+        """The acceleration of g at (x, v) and the calls it took."""
+        calls.update(dict.fromkeys(calls, 0))
+        return geodesic_accel(g)(x, v, check=check), dict(calls)
+
+    once = {"omega": 1, "domega": 1, "h": 0, "h jet": 1}
+    a, n = evaluations(m.assembled)
     assert np.array_equal(a, geodesic_accel(stationary_rot.metric)(x, v))
-    assert calls.pop("h") == 0
-    assert calls == dict.fromkeys(calls, 1)
+    assert n == once
+    bump = scenarios.spacetime_field(scenarios.conformal_bump(0.1))
+    lam = ScalarField(func=counted("lam", bump.func),
+                      grad=counted("dlam", bump.grad), positive=True)
+    a, n = evaluations(scale_metric(m.assembled, lam))
+    assert np.array_equal(a, geodesic_accel(
+        scale_metric(stationary_rot.metric, bump))(x, v))
+    assert n == dict(once, lam=1, dlam=1)
 
 
 def test_assembled_jet_with_varying_fields(perturbed_product, rng):
-    """The product-rule partials of lam (diag(0, h) - a a^T), a = (1,
-    omega), with lam, omega and h all non-constant, against central
-    differences of the assembled matrix, on a batch of 8 points and on
-    the same points as a (2, 4) grid."""
+    """The partials of diag(0, h) - a a^T, a = (1, omega), with omega and
+    h non-constant, and of its conformal multiple by scale_metric with a
+    non-constant lam, against central differences of the matrix, on a
+    batch of 8 points and on the same points as a (2, 4) grid; the jet's
+    values are func's, bit for bit."""
+    lam = ScalarField(
+        func=lambda p: 1.0 + 0.2 * np.sin(p[..., 0]) * np.cos(p[..., 1]),
+        grad=lambda p: 0.2 * np.stack(
+            [np.cos(p[..., 0]) * np.cos(p[..., 1]),
+             -np.sin(p[..., 0]) * np.sin(p[..., 1])], axis=-1))
     m = StationaryMetric(
-        lam=ScalarField(
-            func=lambda p: 1.0 + 0.2 * np.sin(p[..., 0]) * np.cos(p[..., 1]),
-            grad=lambda p: 0.2 * np.stack(
-                [np.cos(p[..., 0]) * np.cos(p[..., 1]),
-                 -np.sin(p[..., 0]) * np.sin(p[..., 1])], axis=-1)),
         omega=CovectorField(
             dim=2,
             func=lambda p: np.stack([0.3 * p[..., 1] ** 2,
@@ -541,15 +545,16 @@ def test_assembled_jet_with_varying_fields(perturbed_product, rng):
                 [np.stack([0.0 * p[..., 0], 0.1 * np.cos(p[..., 0])], -1),
                  np.stack([0.6 * p[..., 1], 0.0 * p[..., 0]], -1)], -2)),
         base=perturbed_product.stationary.base)
-    g = m.assembled
     x = rng.uniform(-0.6, 0.6, (8, 3))
-    for pts in (x, x.reshape(2, 4, 3)):
-        gm, dg = g.jet(pts)
-        assert gm.shape == pts.shape[:-1] + (3, 3)
-        assert dg.shape == pts.shape[:-1] + (3, 3, 3)
-        fd_g, fd_dg = _central_jet(g.func, pts, (3, 3))
-        assert np.array_equal(gm, fd_g)
-        assert np.abs(dg - fd_dg).max() <= 1e-8
+    for g in (m.assembled,
+              scale_metric(m.assembled, scenarios.spacetime_field(lam))):
+        for pts in (x, x.reshape(2, 4, 3)):
+            gm, dg = g.jet(pts)
+            assert gm.shape == pts.shape[:-1] + (3, 3)
+            assert dg.shape == pts.shape[:-1] + (3, 3, 3)
+            fd_g, fd_dg = _central_jet(g.func, pts, (3, 3))
+            assert np.array_equal(gm, fd_g)
+            assert np.abs(dg - fd_dg).max() <= 1e-8
 
 
 def test_magnetic_accel_closed_form(stationary_rot, monkeypatch):
