@@ -26,7 +26,7 @@ from . import scenarios
 from .connect import (MetricFamily, connecting_geodesics_batch, linearize_r,
                       michel_check_batch)
 from .fields import (Array, CovectorField, ScalarField, SymTwoTensorField,
-                     worst_of)
+                     einsum, worst_of)
 from .gauge import (apply_gauge, compose_gauge, conformal_reparam_check,
                     hamiltonian_flow, scale_metric, scattering_invariance)
 from .geometry import LORENTZIAN, MetricField, integrate_geodesic
@@ -305,7 +305,7 @@ def criterion_kernel():
     def v_int_func(x):
         x = np.asarray(x, float)
         xs_ = x[..., 1:]
-        B = (1.0 - np.einsum("...i,...i->...", xs_, xs_)) ** 3
+        B = (1.0 - einsum("...i,...i->...", xs_, xs_)) ** 3
         comps = np.stack([np.sin(x[..., 0] + x[..., 1]),
                           x[..., 2], np.cos(x[..., 1])], axis=-1)
         return B[..., None] * comps

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (ConjugatePointError, ConvergenceError, EscapeError,
                      LorlabError, PreconditionError)
-from .fields import Array, SymTwoTensorField
+from .fields import Array, SymTwoTensorField, einsum
 from .geometry import (BoundaryHypersurface, CausalClass, GeodesicPath,
                        MetricField, _causal_classes, geodesic_accel, inner,
                        integrate_flow_fixed, paired_rows)
@@ -42,16 +42,35 @@ def _march(accel, xs: Array, vs: Array, n_steps: int, pairs: Array):
             f"diverged ({exc})") from exc
 
 
+def _jacobian(accel, xs: Array, v: Array, ends: Array, n_steps: int):
+    """Forward-difference Jacobian J[b, out, in] of the endpoints at the
+    velocities v: one march of the rows v_b + delta_b e_i (row b * dim +
+    i), differenced against ends, the endpoints of a march at v.  A
+    condition number above COND_LIMIT is a ConjugatePointError."""
+    B, dim = xs.shape
+    delta = 1e-6 * np.maximum(1.0, np.linalg.norm(v, axis=1))[:, None, None]
+    rows = np.repeat(np.arange(B), dim)
+    pert = (v[:, None, :] + delta * np.eye(dim)).reshape(-1, dim)
+    moved = _march(accel, xs[rows], pert, n_steps, rows)[1][-1]
+    J = np.swapaxes((moved.reshape(B, dim, dim) - ends[:, None]) / delta, 1, 2)
+    conds = np.linalg.cond(J)
+    bad = np.flatnonzero(conds > COND_LIMIT)
+    if bad.size:
+        raise ConjugatePointError(
+            f"pair(s) {bad.tolist()}: shooting Jacobian condition "
+            f"{conds.max():.3g} exceeds {COND_LIMIT:.1g}; endpoints "
+            "may be conjugate")
+    return J
+
+
 def _newton(accel, xs: Array, ys: Array, v: Array, n_steps: int, tol: float,
             J: Optional[Array] = None):
     """The Newton/Broyden iteration of solve_two_point on one grid of
     n_steps steps, from the velocities v and, when given, the Jacobian J
-    (updated in place), for at most MAX_ITER iterations; a Jacobian of
-    condition above COND_LIMIT is a ConjugatePointError.  Returns (v, J,
+    (updated in place), for at most MAX_ITER iterations.  Returns (v, J,
     march at v); after the first, a march covers the unfinished pairs
     only, written into the rows of the kept one."""
-    B, dim = xs.shape
-    pairs = np.arange(B)
+    pairs = np.arange(len(xs))
     last = _march(accel, xs, v, n_steps, pairs)
     F = last[1][-1] - ys
     res = np.abs(F).max(axis=1)
@@ -62,20 +81,7 @@ def _newton(accel, xs: Array, ys: Array, v: Array, n_steps: int, tol: float,
         if it == MAX_ITER:
             break
         if J is None:
-            delta = 1e-6 * np.maximum(1.0, np.linalg.norm(v, axis=1))
-            pert = v[:, None, :] + delta[:, None, None] * np.eye(dim)
-            rows = np.repeat(pairs, dim)        # row b * dim + i: pair b
-            ends = np.array(_march(accel, xs[rows], pert.reshape(-1, dim),
-                                   n_steps, rows)[1][-1]).reshape(B, dim, dim)
-            J = (ends - (F + ys)[:, None, :]) / delta[:, None, None]
-            J = np.swapaxes(J, 1, 2)            # J[b, out, in]
-            conds = np.linalg.cond(J)
-            bad = np.flatnonzero(conds > COND_LIMIT)
-            if bad.size:
-                raise ConjugatePointError(
-                    f"pair(s) {bad.tolist()}: shooting Jacobian condition "
-                    f"{conds.max():.3g} exceeds {COND_LIMIT:.1g}; endpoints "
-                    "may be conjugate")
+            J = _jacobian(accel, xs, v, last[1][-1], n_steps)
         dv = np.linalg.solve(J, F[..., None])[..., 0]
         v_new = np.where(done[:, None], v, v - dv)
         todo = pairs[~done]
@@ -90,9 +96,9 @@ def _newton(accel, xs: Array, ys: Array, v: Array, n_steps: int, tol: float,
             # good Broyden update J += (dF - J s) s^T / (s^T s) with the
             # step s, for each unfinished pair that moved
             s, dF = v_new - v, F_new - F
-            s2 = np.einsum("bi,bi->b", s, s)
+            s2 = einsum("bi,bi->b", s, s)
             upd = np.flatnonzero(~done & (s2 > 0.0))
-            r = dF[upd] - np.einsum("bij,bj->bi", J[upd], s[upd])
+            r = dF[upd] - einsum("bij,bj->bi", J[upd], s[upd])
             J[upd] += r[:, :, None] * s[upd, None, :] / s2[upd, None, None]
         v, F, res = v_new, F_new, res_new
     raise ConvergenceError(
@@ -114,26 +120,23 @@ def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
     are the initial velocities v with endpoint(x, v) = y.  The Jacobian
     is built by forward differences; while the residual of every
     unfinished pair contracts, each pair's Jacobian takes the good
-    Broyden rank-one update, and it is rebuilt by forward differences
-    at the current iterate when one does not.  Returns the solved
-    velocities, shape (B, dim), with every residual at most tol on the
-    grid of n_steps steps.  A list passed as ``march`` receives
-    (sigma, xs, vs) of integrate_flow_fixed at those velocities on that
-    grid: the solver's last march, so callers need not integrate again.
+    Broyden rank-one update, and it is rebuilt at the current iterate
+    when one does not.  Returns the solved velocities, shape (B, dim),
+    with every residual at most tol on the grid of n_steps steps.  A
+    list passed as ``march`` receives (sigma, xs, vs) of the solver's
+    last march, on that grid at those velocities.
 
     Two grids: the iteration first runs from the seeds on the coarse
     grid of n_steps // 8 steps, to max(tol, 1e-8), then on the requested
-    grid from the coarse velocities and the coarse Jacobian with its
-    Broyden updates, which is rebuilt on the requested grid only when a
-    step fails to contract.  Far from the answer a march of an eighth of
-    the steps serves Newton as well as a full one; near it, the coarse
-    Jacobian differs from the requested grid's by the discretization
-    error, so one or two steps finish the solve.  The coarse phase is
-    skipped when it would have fewer than 25 steps.  When it raises,
-    the requested grid solves alone from the seeds, so every error comes
-    from the requested grid and names its pairs.  Before any march, a
-    ValueError names points of width zero, ys or seeds shaped unlike xs,
-    or non-finite pairs.
+    grid from the coarse velocities.  If the coarse phase built a
+    Jacobian, the requested grid starts from a fresh one, built on the
+    coarse grid at the coarse velocities, not from the Broyden-updated
+    one, which has drifted; it is rebuilt on the requested grid only
+    when a step fails to contract.  No coarse phase below 25 steps.
+    When the coarse phase or that build raises, the requested grid
+    solves alone from the seeds, so every error names pairs of the
+    requested grid.  Before any march, a ValueError names points of
+    width zero, ys or seeds shaped unlike xs, or non-finite pairs.
     """
     xs, ys, seeds = paired_rows("points", xs, ("ys", ys), ("seeds", seeds))
     v = ys - xs if seeds is None else seeds
@@ -144,13 +147,15 @@ def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
     if same.size:
         raise PreconditionError(
             f"pair(s) {same.tolist()}: coincident endpoints")
-    v0, J = v, None
-    if n_steps // COARSE_FACTOR >= COARSE_MIN_STEPS:
+    v0, J, coarse = v, None, n_steps // COARSE_FACTOR
+    if coarse >= COARSE_MIN_STEPS:
         try:
-            v0, J, _ = _newton(accel, xs, ys, v, n_steps // COARSE_FACTOR,
-                               max(tol, COARSE_TOL))
+            v0, J, last = _newton(accel, xs, ys, v, coarse,
+                                  max(tol, COARSE_TOL))
+            if J is not None:   # fresh: the Broyden-updated one has drifted
+                J = _jacobian(accel, xs, v0, last[1][-1], coarse)
         except LorlabError:
-            pass        # the requested grid solves alone from the seeds
+            v0, J = v, None   # the requested grid solves alone from the seeds
     v, _, last = _newton(accel, xs, ys, v0, n_steps, tol, J)
     if march is not None:
         march[:] = last

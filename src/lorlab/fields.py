@@ -17,6 +17,14 @@ from .errors import NotPositiveDefiniteError
 
 Array = np.ndarray
 
+try:    # the C einsum whose result np.einsum returns when not optimizing
+    from numpy._core.multiarray import c_einsum as einsum
+except ImportError:
+    try:                                                    # NumPy 1
+        from numpy.core.multiarray import c_einsum as einsum
+    except ImportError:
+        einsum = np.einsum
+
 FD_SCALE = 1e-5
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fields import (Array, CovectorField, ScalarField, _central_diff,
-                     worst_of)
+                     einsum, worst_of)
 from .geometry import (BoundaryHypersurface, MetricField, _march_fixed,
                        metric_solve)
 from .quadrature import CubicHermiteSpline, simpson
@@ -61,7 +61,7 @@ def apply_gauge(mag: MagneticSystem, pair: GaugePair) -> MagneticSystem:
         x = np.asarray(x, float)
         px = pair.psi(x)
         alpha = mag.omega(px) + pair.phi.gradient(px)
-        return np.einsum("...k,...ki->...i", alpha, pair.jacobian(x))
+        return einsum("...k,...ki->...i", alpha, pair.jacobian(x))
 
     return MagneticSystem(
         base=pullback_metric(mag.base, pair.psi, pair.jacobian),
@@ -87,8 +87,8 @@ def compose_gauge(p1: GaugePair, p2: GaugePair) -> GaugePair:
 
     def jac(x):
         x = np.asarray(x, float)
-        return np.einsum("...kl,...li->...ki",
-                         p1.jacobian(p2.psi(x)), p2.jacobian(x))
+        return einsum("...kl,...li->...ki",
+                      p1.jacobian(p2.psi(x)), p2.jacobian(x))
 
     return GaugePair(dim=p1.dim, psi=psi, psi_inv=psi_inv,
                      phi=ScalarField(func=phi_func), jac=jac)
@@ -128,7 +128,7 @@ def pullback_metric(g: MetricField, psi: Callable[[Array], Array],
         x = np.asarray(x, float)
         J = np.asarray(jac(x), float)
         gp = np.asarray(g.func(psi(x)), float)
-        return np.einsum("...ki,...kl,...lj->...ij", J, gp, J)
+        return einsum("...ki,...kl,...lj->...ij", J, gp, J)
 
     return MetricField(dim=g.dim, signature=g.signature, func=func,
                        domain=None if g.domain is None
@@ -175,7 +175,7 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
 
     def hval(x, xi):
         ginv = np.linalg.inv(g.matrix(x))
-        return 0.5 * np.einsum("...k,...kl,...l->...", xi, ginv, xi) / c(x)
+        return 0.5 * einsum("...k,...kl,...l->...", xi, ginv, xi) / c(x)
 
     h0 = float(hval(x0, xi0))
     if scaled and abs(h0) > 1e-10 * max(1.0, float(xi0 @ xi0)):
@@ -187,7 +187,7 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
         x, xi = y[:, :dim], y[:, dim:]
         gm, dg = g.jet(x, check)
         u = metric_solve(gm, xi)
-        xidot = 0.5 * np.einsum("...ikl,...k,...l->...i", dg, u, u)
+        xidot = 0.5 * einsum("...ikl,...k,...l->...i", dg, u, u)
         return (1.0 / c(x)[..., None]) * np.concatenate([u, xidot], axis=1)
 
     sigma, ys = _march_fixed(rhs, np.concatenate([x0, xi0])[None],

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (ChartDomainError, EscapeError, LorlabError,
                      NoLiftError, PreconditionError, SignatureError,
                      SingularMetricError, TangencyError)
-from .fields import Array, _central_jet
+from .fields import Array, _central_jet, einsum
 
 try:
     # the gufuncs behind np.linalg.solve and np.linalg.det, called without
@@ -133,7 +133,7 @@ class MetricField:
 
 def _dot(u: Array, gm: Array, w: Array) -> Array:
     """u . gm . w over a batch (...)."""
-    return np.einsum("...i,...ij,...j->...", u, gm, w)
+    return einsum("...i,...ij,...j->...", u, gm, w)
 
 
 def inner(g: MetricField, x: Array, u: Array, w: Array) -> Union[float, Array]:
@@ -147,10 +147,10 @@ def christoffel(g: MetricField, x: Array) -> Array:
     """Levi-Civita symbols Gamma[..., k, i, j] from metric partials."""
     gm, dg = g.jet(x)
     # Gamma_{l,ij} = (d_i g_lj + d_j g_li - d_l g_ij) / 2
-    low = 0.5 * (np.einsum("...ilj->...lij", dg)
-                 + np.einsum("...jli->...lij", dg) - dg)
+    low = 0.5 * (einsum("...ilj->...lij", dg)
+                 + einsum("...jli->...lij", dg) - dg)
     ginv = np.linalg.inv(gm)
-    return np.einsum("...kl,...lij->...kij", ginv, low)
+    return einsum("...kl,...lij->...kij", ginv, low)
 
 
 def _singular(err, flag):
@@ -177,8 +177,8 @@ def christoffel_contraction(dg: Array, v: Array) -> Array:
     """Gamma_{l,ij} v^i v^j = d_i g_lj v^i v^j - (1/2) d_l g_ij v^i v^j,
     batched, from the partials dg of a metric at the points of v: with
     w[..., k, i] = d_k g_ij v^j formed once, the mat-vec (w^T - w / 2) v."""
-    w = np.einsum("...kij,...j->...ki", dg, v)
-    return np.einsum("...li,...i->...l", w.swapaxes(-1, -2) - 0.5 * w, v)
+    w = einsum("...kij,...j->...ki", dg, v)
+    return einsum("...li,...i->...l", w.swapaxes(-1, -2) - 0.5 * w, v)
 
 
 def geodesic_term(gm: Array, dg: Array, v: Array) -> Array:
@@ -217,7 +217,7 @@ class CausalClass:
 def _causal_classes(q: Array, v: Array) -> list[CausalClass]:
     """The class of each row of v (B, dim), of (v,v)_g = q (B,), by sign
     with the relative tolerance band CAUSAL_TOL."""
-    band = CAUSAL_TOL * np.maximum(np.einsum("bi,bi->b", v, v), 1e-300)
+    band = CAUSAL_TOL * np.maximum(einsum("bi,bi->b", v, v), 1e-300)
     tags = np.where(q < -band, "timelike",
                     np.where(q > band, "spacelike", "lightlike"))
     return [CausalClass(tag=str(t), quadratic_form_value=float(a),
@@ -272,12 +272,12 @@ def _normal_metric(S: BoundaryHypersurface, g: MetricField,
         raise SingularMetricError("vanishing surface gradient")
     gm = g.matrix(x)
     n = metric_solve(gm, grad)
-    q = np.einsum("...i,...i->...", grad, n)        # (n,n)_g
-    if np.any(np.abs(q) < 1e-14 * np.einsum("...i,...i->...", grad, grad)):
+    q = einsum("...i,...i->...", grad, n)        # (n,n)_g
+    if np.any(np.abs(q) < 1e-14 * einsum("...i,...i->...", grad, grad)):
         raise SingularMetricError("degenerate induced metric on surface")
     nu = n / np.sqrt(np.abs(q))[..., None]
     # orient along the exterior side
-    inward = S.exterior_sign * np.einsum("...i,...i->...", grad, nu) < 0
+    inward = S.exterior_sign * einsum("...i,...i->...", grad, nu) < 0
     return np.where(inward[..., None], -nu, nu), gm
 
 
@@ -344,7 +344,7 @@ class GeodesicPath:
     def speed_drift(self, metric: MetricField) -> float:
         """max over samples of |(v,v)_g - speed_squared|."""
         gm = metric.matrix(self.x)
-        q = np.einsum("mi,mij,mj->m", self.v, gm, self.v)
+        q = einsum("mi,mij,mj->m", self.v, gm, self.v)
         return float(np.abs(q - self.speed_squared).max())
 
 
@@ -477,7 +477,7 @@ def _refine_hit(rhs, S: BoundaryHypersurface, y: Array, k1: Array,
         de[todo], ye[todo] = dt, yc
         xc = yc[:, :dim]
         f = S.side(xc)
-        slope = S.exterior_sign * np.einsum(
+        slope = S.exterior_sign * einsum(
             "bi,bi->b", np.asarray(S.gradient(xc), float), yc[:, dim:])
         below = f < 0.0
         lo[todo[below]] = dt[below]

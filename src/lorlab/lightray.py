@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fields import (Array, CovectorField, ScalarField, SymTwoTensorField,
-                     worst_of)
+                     einsum, worst_of)
 from .geometry import GeodesicPath, MetricField, christoffel
 from .quadrature import simpson
 
@@ -22,7 +22,7 @@ def light_ray_transform(f: SymTwoTensorField, path: GeodesicPath,
     if abs(path.speed_squared) > lightlike_tol:
         raise PreconditionError(
             f"path is not lightlike (speed squared {path.speed_squared:g})")
-    vals = np.einsum("mij,mi,mj->m", f(path.x), path.v, path.v)
+    vals = einsum("mij,mi,mj->m", f(path.x), path.v, path.v)
     return simpson(vals, path.sigma)
 
 
@@ -32,7 +32,7 @@ def sym_diff(v: CovectorField, g: MetricField) -> SymTwoTensorField:
     def func(x):
         dv = v.jacobian(x)                       # dv[..., i, j] = d_i v_j
         gamma = christoffel(g, x)
-        corr = np.einsum("...kij,...k->...ij", gamma, v(x))
+        corr = einsum("...kij,...k->...ij", gamma, v(x))
         return 0.5 * (dv + np.swapaxes(dv, -1, -2)) - corr
 
     return SymTwoTensorField(dim=g.dim, func=func)
@@ -40,7 +40,7 @@ def sym_diff(v: CovectorField, g: MetricField) -> SymTwoTensorField:
 
 def pairing_along(v: CovectorField, path: GeodesicPath) -> Array:
     """<v, gamma'> sampled along the path."""
-    return np.einsum("mi,mi->m", v(path.x), path.v)
+    return einsum("mi,mi->m", v(path.x), path.v)
 
 
 def ftc_residual(v: CovectorField, g: MetricField, path: GeodesicPath) -> float:
@@ -87,6 +87,5 @@ def magnetic_linearized_transform(f: SymTwoTensorField, beta: CovectorField,
     if abs(path.speed_squared - 1.0) > UNIT_SPEED_TOL:
         raise PreconditionError(
             f"base path not unit speed (|x'|^2 = {path.speed_squared:g})")
-    vals = (np.einsum("mij,mi,mj->m", f(path.x), path.v, path.v)
-            + np.einsum("mi,mi->m", beta(path.x), path.v))
-    return simpson(vals, path.sigma)
+    vals = einsum("mij,mi,mj->m", f(path.x), path.v, path.v)
+    return simpson(vals + pairing_along(beta, path), path.sigma)

@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .connect import MetricFamily
-from .fields import Array, CovectorField, ScalarField, SymTwoTensorField
+from .fields import (Array, CovectorField, ScalarField, SymTwoTensorField,
+                     einsum)
 from .gauge import GaugePair, scale_metric
 from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                        MetricField, _dot, boundary_project)
@@ -67,7 +68,7 @@ def disk_bump(x: Array, amplitude: float, order: int) -> tuple[Array, ...]:
     d_i b = -4 amplitude (1 - |x|^2) x_i and d_i d_j b = amplitude
     (-4 (1 - |x|^2) delta_ij + 8 x_i x_j)."""
     x = np.asarray(x, float)
-    u = 1.0 - np.einsum("...i,...i->...", x, x)
+    u = 1.0 - einsum("...i,...i->...", x, x)
     out = (amplitude * u ** 2,)
     if order >= 1:
         out += (-4.0 * amplitude * u[..., None] * x,)
@@ -81,7 +82,7 @@ def gaussian(x: Array, amplitude: float, order: int) -> tuple[Array, ...]:
     """The Gaussian G = amplitude exp(-|x|^2), and for ``order`` 1 also
     its gradient -2 x G, from one exp."""
     x = np.asarray(x, float)
-    G = amplitude * np.exp(-np.einsum("...i,...i->...", x, x))
+    G = amplitude * np.exp(-einsum("...i,...i->...", x, x))
     return (G, -2.0 * x * G[..., None]) if order >= 1 else (G,)
 
 
@@ -120,7 +121,7 @@ def _circle() -> BoundaryHypersurface:
 
     def value(x):
         x = np.asarray(x, float)
-        return 0.5 * (np.einsum("...i,...i->...", x, x) - 1.0)
+        return 0.5 * (einsum("...i,...i->...", x, x) - 1.0)
 
     def chart(a):                  # a = (..., 1), the angle theta
         th = np.asarray(a, float)[..., 0]
@@ -213,9 +214,7 @@ def perturbed_product(amplitude: float = 0.1) -> Scenario:
         x = np.asarray(x, float)
         bump, dc = gaussian(x[..., 1:], a, 1)     # (...), (..., 2)
         dg = np.zeros(x.shape[:-1] + (3, 3, 3))
-        for k in (1, 2):
-            dg[..., k, 1, 1] = dc[..., k - 1]
-            dg[..., k, 2, 2] = dc[..., k - 1]
+        dg[..., 1:, 1, 1] = dg[..., 1:, 2, 2] = dc
         return g_of(1.0 + bump), dg
 
     return _disk_scenario(
@@ -322,7 +321,7 @@ def rotation_bump_pair(eps: float = 0.15):
                       np.stack([s, c], axis=-1)], axis=-2)
         Rp = np.stack([np.stack([-s, -c], axis=-1),
                        np.stack([c, -s], axis=-1)], axis=-2)
-        Rx = np.einsum("...kl,...l->...k", Rp, x)
+        Rx = einsum("...kl,...l->...k", Rp, x)
         return R + Rx[..., :, None] * dth[..., None, :]
 
     return GaugePair(dim=2, psi=lambda x: rotate(x, +1.0),

@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoLiftError, PreconditionError
-from .fields import Array, CovectorField, ScalarField, SymTwoTensorField
+from .fields import (Array, CovectorField, ScalarField, SymTwoTensorField,
+                     einsum)
 from .geometry import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                        GeodesicPath, MetricField, _dot, _fixed_path,
                        christoffel_contraction,
@@ -110,7 +111,7 @@ def reduced_time_component(m: StationaryMetric, x_spatial: Array,
     boundary normal, hence equal on a vector and its projection."""
     v = np.asarray(v, float)
     om = m.omega(np.asarray(x_spatial, float))
-    val = v[..., 0] + np.einsum("...i,...i->...", om, v[..., 1:])
+    val = v[..., 0] + einsum("...i,...i->...", om, v[..., 1:])
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -154,8 +155,8 @@ class MagneticSystem:
 
     def force_covector(self, x: Array, u: Array) -> Array:
         """d(omega)(u, .), batched."""
-        return np.einsum("...ij,...i->...j", self.two_form(x),
-                         np.asarray(u, float))
+        return einsum("...ij,...i->...j", self.two_form(x),
+                      np.asarray(u, float))
 
     def lorentz_force(self, x: Array, u: Array) -> Array:
         """Y u with h(Y u, .) = d(omega)(u, .), batched."""
@@ -175,7 +176,7 @@ def magnetic_accel(mag: MagneticSystem, speed_from_velocity: bool = False):
         hm, dh = base.jet(x, check)
         force = mag.force_covector(x, v)
         if speed_from_velocity:
-            speed = np.sqrt(np.einsum("...i,...ij,...j->...", v, hm, v))
+            speed = np.sqrt(einsum("...i,...ij,...j->...", v, hm, v))
             force = speed[..., None] * force
         return metric_solve(hm, force - christoffel_contraction(dh, v))
 
@@ -192,7 +193,7 @@ def magnetic_integrate(mag: MagneticSystem, x0: Array, u0: Array,
 
 def curve_flux(omega: CovectorField, path: GeodesicPath) -> float:
     """Line integral of the one-form along the sampled curve."""
-    vals = np.einsum("mi,mi->m", omega(path.x), path.v)
+    vals = einsum("mi,mi->m", omega(path.x), path.v)
     return simpson(vals, path.sigma)
 
 
@@ -359,7 +360,7 @@ def project_and_verify(m: StationaryMetric,
     xs = path.x[:, 1:]
     vs = path.v[:, 1:]
     om = m.omega(xs)
-    k = path.v[:, 0] + np.einsum("mi,mi->m", om, vs)
+    k = path.v[:, 0] + einsum("mi,mi->m", om, vs)
     k0 = float(k[0])
     k_drift = float(np.abs(k - k0).max())
 
@@ -370,7 +371,7 @@ def project_and_verify(m: StationaryMetric,
     ode_residual = float(np.abs(a_full[:, 1:] - a_mag).max())
 
     hm = m.base.matrix(xs)
-    msq = np.einsum("mi,mij,mj->m", vs, hm, vs)
+    msq = einsum("mi,mij,mj->m", vs, hm, vs)
     speed_res = float(np.abs(path.speed_squared - (-k ** 2 + msq)).max())
     return ProjectionCheck(k_value=k0, k_drift=k_drift,
                            ode_residual=ode_residual,
@@ -385,9 +386,9 @@ def lift_magnetic(m: StationaryMetric, path: GeodesicPath) -> GeodesicPath:
     if abs(path.speed_squared - 1.0) > 1e-8:
         raise PreconditionError("base path is not unit speed")
     om, acc = m.omega(path.x), magnetic_accel(m.magnetic)(path.x, path.v)
-    tdot = 1.0 - np.einsum("mi,mi->m", om, path.v)
-    tddot = -(np.einsum("mi,mij,mj->m", path.v, m.omega.jacobian(path.x),
-                        path.v) + np.einsum("mi,mi->m", om, acc))
+    tdot = 1.0 - einsum("mi,mi->m", om, path.v)
+    tddot = -(einsum("mi,mij,mj->m", path.v, m.omega.jacobian(path.x),
+                     path.v) + einsum("mi,mi->m", om, acc))
     t = CubicHermiteSpline(path.sigma, tdot, tddot).antiderivative_at_knots()
     X = np.concatenate([t[:, None], path.x], axis=1)
     V = np.concatenate([tdot[:, None], path.v], axis=1)
@@ -578,7 +579,7 @@ def boundary_normal_coords(
         pts = np.repeat(x[..., None, :], NORMAL_QUAD_ORDER, axis=-2).copy()
         pts[..., -1] = half[..., None] * (nodes + 1.0)
         vals = omega(pts)[..., -1]
-        return half * np.einsum("...q,q->...", vals, weights)
+        return half * einsum("...q,q->...", vals, weights)
 
     phi = ScalarField(func=phi_func)
     gauged = CovectorField(dim=omega.dim,

@@ -353,19 +353,21 @@ def test_no_coarse_grid_below_25_steps(marches, product_disk):
 
 def test_broyden_updates_replace_jacobian_builds(marches, perturbed_product):
     """The 16 pairs of the CLI connect grid on perturbed_product reach
-    1e-12 with one forward-difference Jacobian, built on the coarse grid
-    of 50 steps, and at most three residual marches on the requested
-    grid of 400, the last of which marches the one pair still
-    unfinished; one grid alone took one Jacobian and five residual
-    marches on 400 steps, and chord iterations with that Jacobian took
-    seven."""
+    1e-12 with two forward-difference Jacobians, both built on the
+    coarse grid of 50 steps: one at the seeds, and one at the coarse
+    solution, which the requested grid of 400 takes in place of the
+    Broyden-updated one.  It then needs two residual marches over all
+    16 pairs and no Jacobian of its own.  With the Broyden-updated
+    Jacobian the requested grid took a third march, of the one pair
+    still unfinished; one grid alone took one Jacobian and five
+    residual marches on 400 steps, and chord iterations with that
+    Jacobian took seven."""
     xs, ys = disk_pairs(16, 1)
     conns = connecting_geodesics_batch(perturbed_product.metric, xs, ys,
                                        tol=1e-12)
-    assert marches.count((16 * 3, 50)) == 1
+    assert marches.count((16 * 3, 50)) == 2
     assert marches.count((16 * 3, 400)) == 0
-    assert marches.count((16, 400)) <= 3
-    assert marches[-2:] == [(1, 400), None]
+    assert [m for m in marches if m and m[1] == 400] == [(16, 400)] * 2
     for c in conns:
         assert np.abs(c.path.x[-1] - c.y).max() <= 1e-12
 
@@ -374,13 +376,19 @@ def test_newton_marches_only_unfinished_pairs(marches, perturbed_product):
     """A residual march covers the pairs not yet within tolerance, and
     the connectors, whose rows come from different marches, are bit for
     bit one march of their solved velocities: rows are independent.
-    With every residual march over all 16 rows the solve marched 24,800
-    row-steps."""
+    The solve marches 20,750 row-steps in 1,100 march steps.  Handing
+    the requested grid the Broyden-updated coarse Jacobian took 18,750
+    row-steps but 1,450 march steps: the 48-row switch build on 50
+    steps costs 2,000 more row-steps than the one-pair march on 400 it
+    saves.  A step of 48 rows costs less than twice a step of one, so
+    the 350 fewer march steps win.  With every residual march over all
+    16 rows the solve marched 24,800 row-steps."""
     g = perturbed_product.metric
     xs, ys = disk_pairs(16, 1)
     conns = connecting_geodesics_batch(g, xs, ys, tol=1e-12)
     log = marches[:-1]
-    assert sum(rows * steps for rows, steps in log) == 18750
+    assert sum(rows * steps for rows, steps in log) == 20750
+    assert sum(steps for _, steps in log) == 1100
     assert min(rows for rows, _ in log) < 16
     vs = np.array([c.path.v[0] for c in conns])
     _, px, pv = geometry.integrate_flow_fixed(geodesic_accel(g), xs, vs,
@@ -388,6 +396,48 @@ def test_newton_marches_only_unfinished_pairs(marches, perturbed_product):
     for b, c in enumerate(conns):
         assert np.array_equal(c.path.x, px[:, b])
         assert np.array_equal(c.path.v, pv[:, b])
+
+
+def test_stencil_solve_takes_two_marches_on_the_requested_grid(
+        marches, stationary_rot):
+    """The 9-row stencil of criterion 03's first stationary_rot pair, on
+    200 steps: the fresh coarse Jacobian finishes every row in two
+    residual marches on the requested grid, all 9 rows each (the
+    Broyden-updated one took three), with no Jacobian built there."""
+    sc = stationary_rot
+    (x, y), = scenarios.null_pairs(sc, 20, seed=7)[:1]
+    michel_check_batch(sc.metric, sc.entry_surface, sc.exit_surface,
+                       [x], [y], n_steps=200)
+    assert [m for m in marches if m and m[1] == 200] == [(9, 200)] * 2
+    assert marches.count((27, 25)) == 2
+
+
+def test_failed_switch_build_falls_back_to_the_seeds(marches, monkeypatch,
+                                                     perturbed_product):
+    """When the Jacobian built at the coarse solution raises, the coarse
+    phase counts as failed: the requested grid solves alone from the
+    seeds, building its own Jacobian, and returns the velocities of that
+    grid's solve."""
+    xs, ys = disk_pairs(16, 1)
+    accel = geodesic_accel(perturbed_product.metric)
+    jacobian, calls = connect._jacobian, []
+
+    def second_call_raises(*args):
+        calls.append(args[-1])
+        if len(calls) == 2:
+            raise ConjugatePointError("pair(s) [0]: conjugate")
+        return jacobian(*args)
+
+    monkeypatch.setattr(connect, "_jacobian", second_call_raises)
+    v = connect.solve_two_point(accel, xs, ys, tol=1e-12)
+    assert calls[:3] == [50, 50, 400]
+    coarse = [(16, 50), (48, 50), (16, 50), (16, 50), (15, 50)]
+    assert marches[:6] == coarse + [(16, 400)]
+    assert marches[6] == (48, 400)
+    assert {steps for _, steps in marches[6:-1]} == {400}
+    monkeypatch.setattr(connect, "_jacobian", jacobian)
+    alone, _, _ = connect._newton(accel, xs, ys, ys - xs, 400, 1e-12)
+    assert np.array_equal(v, alone)
 
 
 def test_diverged_subset_march_names_the_pair(marches, monkeypatch):

@@ -1,4 +1,7 @@
+import importlib.util
+import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from lorlab import (LORENTZIAN, RIEMANNIAN, BoundaryHypersurface,
                     boundary_normal, causal_classify, christoffel,
                     geodesic_accel, inner, integrate_geodesic,
                     lightlike_completion, scatter_batch, scenarios)
-from lorlab import geometry
+from lorlab import fields, geometry
 from lorlab.errors import LorlabError
 from lorlab.fields import CovectorField, _central_diff, _central_jet
 from lorlab.geometry import integrate_flow_fixed, integrate_flow_to_surface
@@ -224,6 +227,61 @@ def test_metric_solve_is_numpys_solve(rng, monkeypatch, dim, lead):
     assert np.array_equal(geometry.metric_solve(gm, rhs), want)
     monkeypatch.setattr(geometry, "_solve1", None)
     assert np.array_equal(geometry.metric_solve(gm, rhs), want)
+
+
+_SRC = pathlib.Path(geometry.__file__).parent
+_SUBSCRIPTS = sorted({sub for f in _SRC.glob("*.py") for sub in
+                      re.findall(r'einsum\(\s*"([^"]+)"', f.read_text())})
+
+
+def _fields_without_c_einsum(monkeypatch):
+    """A fresh copy of lorlab.fields, run while numpy's multiarray
+    modules, where c_einsum lives, cannot be imported."""
+    for name in ("numpy._core.multiarray", "numpy.core.multiarray"):
+        monkeypatch.setitem(sys.modules, name, None)
+    spec = importlib.util.spec_from_file_location("lorlab._fields_fallback",
+                                                  fields.__file__)
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _einsum_operands(rng, subscripts, n):
+    """Normal operands of subscripts on a batch of n rows: "..." is (n,),
+    without it the first index of the first operand is the batch, and
+    every other index has length 3."""
+    terms = subscripts.split("->")[0].split(",")
+    batch = None if "..." in subscripts else terms[0][0]
+    return [rng.normal(size=((n,) if t.startswith("...") else ()) + tuple(
+        n if c == batch else 3 for c in t.replace("...", "")))
+        for t in terms]
+
+
+def test_every_einsum_call_goes_through_the_alias(monkeypatch):
+    """No module of lorlab calls np.einsum (or any einsum but the alias
+    of lorlab.fields), and the alias is numpy's C einsum unless it
+    cannot be imported."""
+    calls = {f.name: re.findall(r"[\w.]+\.einsum\(", f.read_text())
+             for f in _SRC.glob("*.py")}
+    assert not {name: c for name, c in calls.items() if c}
+    assert len(_SUBSCRIPTS) > 10
+    assert fields.einsum is not np.einsum
+    assert _fields_without_c_einsum(monkeypatch).einsum is np.einsum
+
+
+@pytest.mark.parametrize("n", [0, 1, 16])
+@pytest.mark.parametrize("subscripts", _SUBSCRIPTS)
+def test_einsum_alias_is_numpys_einsum(rng, monkeypatch, subscripts, n):
+    """Every subscript string of lorlab gives the bytes of np.einsum,
+    through c_einsum and through the fallback."""
+    ops = _einsum_operands(rng, subscripts, n)
+    want = np.einsum(subscripts, *ops)
+    for einsum in (fields.einsum,
+                   _fields_without_c_einsum(monkeypatch).einsum):
+        got = einsum(subscripts, *ops)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["gufunc", "wrapper"])
