@@ -2,12 +2,14 @@
 
 Metric evaluation, Christoffel symbols, causal classification, and
 boundary normals, projections and completions on batches (..., dim), a
-point being the batch of shape ().  One RK4 stepper of y' = rhs(y) on
-a batch of flat states, with one step length or one per row, serves
-every flow: fixed steps over an interval (_fixed_path), error-controlled
-steps per ray to a surface (integrate_flow_to_surface, behind
-scatter_paths).  A check that fails on a batch runs again ray by ray, so
-its error names the first failing ray (_by_ray).
+point being the batch of shape ().  Two steppers of y' = rhs(y) on a
+batch of flat states serve every flow: classical RK4, with one step
+length or one per row, for fixed steps over an interval (_fixed_path,
+and the flows of gauge and connect), and the Dormand-Prince 5(4) pair
+for error-controlled steps per ray to a surface
+(integrate_flow_to_surface, behind scatter_paths).  A check that fails
+on a batch runs again ray by ray, so its error names the first failing
+ray (_by_ray).
 """
 
 from __future__ import annotations
@@ -192,9 +194,9 @@ def geodesic_accel(g: MetricField):
     one MetricField.jet per call.
 
     With ``check`` (the default) the metric values pass the checks of
-    MetricField.matrix; without, only its chart-domain check.  _rk4_step
-    checks at the state a step starts from and skips the check at the
-    three inner stages.
+    MetricField.matrix; without, only its chart-domain check.  The
+    steppers check at the state a step starts from and skip the check at
+    the inner stages.
     """
 
     def accel(x: Array, v: Array, check: bool = True) -> Array:
@@ -349,7 +351,7 @@ class GeodesicPath:
 
 
 # ---------------------------------------------------------------------------
-# RK4 flow integration (batched)
+# flow integration (batched)
 # ---------------------------------------------------------------------------
 
 def _by_ray(check, rays):
@@ -368,24 +370,72 @@ def _by_ray(check, rays):
         raise
 
 
-def _rk4_step(rhs, y: Array, h, rays: Array, k1: Optional[Array] = None):
+def _rk4_step(rhs, y: Array, h, rays: Array) -> Array:
     """One classical RK4 step of the first-order system y' = rhs(y, check)
     on a (B, n) state whose rows hold the rays ``rays``, of length h, one
     for all rows or one per row; errors name their first ray (_by_ray).
     Only stage 1, the accepted state the step starts from, asks ``rhs``
-    for the metric check; a march that has it already passes it as
-    ``k1``.  Returns (the new state, stage 4)."""
+    for the metric check.  Returns the new state."""
     per_row = np.ndim(h) > 0
     h = np.asarray(h, float)[:, None] if per_row else float(h)
 
     def step(r):
         yr, hr = y[r], (h[r] if per_row else h)
         half = 0.5 * hr
-        k1r = rhs(yr, True) if k1 is None else k1[r]
-        k2 = rhs(yr + half * k1r, False)
+        k1 = rhs(yr, True)
+        k2 = rhs(yr + half * k1, False)
         k3 = rhs(yr + half * k2, False)
         k4 = rhs(yr + hr * k3, False)
-        return yr + (hr / 6.0) * (k1r + 2 * k2 + 2 * k3 + k4), k4
+        return yr + (hr / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    return _by_ray(step, rays)
+
+
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980): the rows a_2 .. a_7 of its stage matrix, and the weights b of the
+# order-5 solution and b_hat of the order-4 one.  a_7 = b, so the 7th
+# stage is the derivative at the new state, the next step's first (FSAL).
+DP54_A = ((1 / 5,),
+          (3 / 40, 9 / 40),
+          (44 / 45, -56 / 15, 32 / 9),
+          (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+          (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+          (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+DP54_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+DP54_BHAT = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+             187 / 2100, 1 / 40)
+_DP54_E = tuple(b - bh for b, bh in zip(DP54_B, DP54_BHAT))
+
+
+def _combo(w, ks: list) -> Array:
+    """sum_i w_i ks_i over the nonzero weights w_i, in order."""
+    out = None
+    for wi, ki in zip(w, ks):
+        if wi:
+            out = wi * ki if out is None else out + wi * ki
+    return out
+
+
+def _dp54_step(rhs, y: Array, h: Array, rays: Array,
+               k1: Array) -> tuple[Array, Array]:
+    """One Dormand-Prince 5(4) step (DP54_A) of y' = rhs(y, check) on a
+    (B, n) state whose rows hold the rays ``rays``, of lengths h (B,),
+    from its first stage k1 = rhs(y, True), which the caller holds; the
+    five further stages skip the metric check, and errors name their
+    first ray (_by_ray).  In increment form, so that a ray whose stages
+    agree moves by exactly h k1: returns (the order-5 state
+    y + h (k1 + sum_{i>=2} b_i (k_i - k1)), and the error sum
+    sum_{i=2..6} e_i (k_i - k1), e = b - b_hat, without the 7th stage's
+    term e_7 (rhs(new state) - k1), which the caller adds)."""
+    h = np.asarray(h, float)[:, None]
+
+    def step(r):
+        yr, hr, k = y[r], h[r], [k1[r]]
+        for row in DP54_A[:-1]:
+            k.append(rhs(yr + hr * _combo(row, k), False))
+        dk = [ki - k[0] for ki in k[1:]]
+        return (yr + hr * (k[0] + _combo(DP54_A[-1][1:], dk)),
+                _combo(_DP54_E[1:6], dk))
 
     return _by_ray(step, rays)
 
@@ -427,7 +477,7 @@ def _march_fixed(rhs, y: Array, sigma_max: float, step: float,
     ys = np.empty((n + 1,) + y.shape)
     ys[0] = y
     for i in range(n):
-        yn, _ = _rk4_step(rhs, y, h, rays)
+        yn = _rk4_step(rhs, y, h, rays)
         _check_step(i + 1, yn, y, rays, names)
         y = ys[i + 1] = yn
     return np.linspace(0.0, sigma_max, n + 1), ys
@@ -455,8 +505,9 @@ def _refine_hit(rhs, S: BoundaryHypersurface, y: Array, k1: Array,
     is f0 < 0, to the crossing states, where it is f1 >= 0.
 
     One safeguarded Newton search on the step length d in [0, h] runs for
-    all rays at once, each iterate one RK4 step of length d from y whose
-    first stage is k1 = rhs(y, True), which the march already holds.
+    all rays at once, each iterate one step of the march's pair
+    (_dp54_step) of length d from y whose first stage is k1 = rhs(y,
+    True), which the march already holds.
     It starts from the linear interpolation of side, uses the slope
     exterior_sign * grad b . v, and keeps a bracket per ray whose midpoint
     replaces any Newton iterate that leaves it or has a zero or
@@ -473,7 +524,7 @@ def _refine_hit(rhs, S: BoundaryHypersurface, y: Array, k1: Array,
     todo = np.arange(B)
     for _ in range(REFINE_MAX_ITER):
         dt = d[todo]
-        yc, _ = _rk4_step(rhs, y[todo], dt, todo, k1[todo])
+        yc, _ = _dp54_step(rhs, y[todo], dt, todo, k1[todo])
         de[todo], ye[todo] = dt, yc
         xc = yc[:, :dim]
         f = S.side(xc)
@@ -530,13 +581,16 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
     """March a batch of x'' = accel(x, x') until each ray crosses to the
     exterior side of S after being strictly inside it (side < -SURFACE_TOL).
 
-    Each ray takes its own RK4 steps h in [step, MARCH_GROW * step].  The
-    derivative at a step's end, which is the next step's first stage and
-    its one metric-checked stage, gives the embedded order-3 estimate
-    err = (h/6) max|k4 - f(y_new)| at no extra cost.  A step is accepted
-    when err <= MARCH_TOL * h or h == step, and the next one is
-    h * clip(0.9 (MARCH_TOL h / err)^(1/3), 0.2, 4), never below step:
-    the march is never finer than the fixed march of steps ``step``.
+    Each ray takes its own steps h in [step, MARCH_GROW * step] of the
+    Dormand-Prince 5(4) pair (_dp54_step), which advances the order-5
+    solution.  The derivative at a step's end, f(y_new), is the pair's
+    7th stage, the next step's first and its one metric-checked stage,
+    so a step costs six acceleration calls.  A step is accepted when the
+    estimate err = h max|sum_i e_i k_i| of the order-4 solution's local
+    error, e = b - b_hat, meets err <= MARCH_TOL * h, or when h == step;
+    the next one is h * clip(0.9 (MARCH_TOL h / err)^(1/4), 0.2, 4),
+    never below step: the march is never finer than the march of fixed
+    steps ``step``.
     Rays that have crossed stop marching.  Returns per-ray (sigma, x, v)
     sample arrays: the samples at sigma = j * step from the quintic
     Hermite fit of the accepted states, then the refined final sample on
@@ -565,16 +619,16 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
     k = 0
     while rays.size:
         k += 1
-        yn, k4 = _rk4_step(rhs, ya, ha, rays, fa)
+        yn, e6 = _dp54_step(rhs, ya, ha, rays, fa)
         _check_step(k, yn, ya, rays)
         fn = _by_ray(lambda r: rhs(yn[r], True), rays)
         phin = S.side(yn[:, :dim])
         with np.errstate(invalid="ignore", over="ignore"):
-            err = ha / 6.0 * np.abs(k4 - fn).max(axis=1)
+            err = ha * np.abs(e6 + _DP54_E[6] * (fn - fa)).max(axis=1)
         err = np.where(np.isfinite(err), err, np.inf)
         ok = (err <= MARCH_TOL * ha) | (ha == step)
-        grow = np.minimum(np.maximum(
-            0.9 * np.cbrt(MARCH_TOL * ha / np.maximum(err, 1e-300)), 0.2), 4.0)
+        grow = np.minimum(np.maximum(0.9 * np.sqrt(np.sqrt(
+            MARCH_TOL * ha / np.maximum(err, 1e-300))), 0.2), 4.0)
         sn = sa + ha
         crossing = ok & (phin >= 0.0) & seen
         seen = seen | (ok & (phin < -SURFACE_TOL))

@@ -40,11 +40,12 @@ def scatter_batch(g: MetricField, U: BoundaryHypersurface,
                   keep_paths: bool = False) -> list[ScatteringRecord]:
     """Shoot the lightlike geodesics with inward completions of v_projs
     (B, dim) from xs in U to their first transversal intersections with
-    V, in one RK4 march for all, each ray with its own error-controlled
-    steps, never shorter than ``step``, and its path sampled at
-    multiples of ``step`` (see geometry.integrate_flow_to_surface); the
-    checks are those of geometry.scatter_paths, with NoLiftError when an
-    entry has no lightlike completion."""
+    V, in one march for all, each ray with its own error-controlled
+    Dormand-Prince 5(4) steps, never shorter than ``step``, and its path
+    sampled at multiples of ``step`` (see
+    geometry.integrate_flow_to_surface); the checks are those of
+    geometry.scatter_paths, with NoLiftError when an entry has no
+    lightlike completion."""
     xs, v_projs, w_projs, paths = scatter_paths(
         geodesic_accel(g), g, U, V, xs, v_projs, _lightlike_lift, step,
         max_sigma)

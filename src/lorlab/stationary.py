@@ -216,7 +216,8 @@ def magnetic_scatter_batch(mag: MagneticSystem, S: BoundaryHypersurface,
                            keep_paths: bool = False) -> list[MagneticRecord]:
     """Shoot the unit-speed magnetic geodesics with inward completions of
     the sub-unit tangential entries u_projs (B, n) from xs on S back to S,
-    in one error-controlled RK4 march with paths sampled every 1e-3.  The
+    in one march of error-controlled Dormand-Prince 5(4) steps (see
+    geometry.integrate_flow_to_surface) with paths sampled every 1e-3.  The
     checks are those of scatter_batch, with NoLiftError for |u'|_h >= 1;
     errors name the failing ray."""
 

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import pathlib
 import re
 import sys
@@ -362,12 +363,25 @@ def test_non_finite_state_stops_the_march(slab, march, first):
     assert len(calls) <= 4 * 32
 
 
+def _pair_march(accel, x0, v0, step, n):
+    """The states (n + 1, B, 2 dim) of n fixed steps of the surface
+    march's pair (geometry._dp54_step), each from the metric-checked
+    derivative at the state it starts from."""
+    rhs = geometry._second_order(accel)
+    ys = [np.hstack([x0, v0])]
+    rays = np.arange(len(ys[0]))
+    for _ in range(n):
+        ys.append(geometry._dp54_step(rhs, ys[-1], np.full(len(rays), step),
+                                      rays, rhs(ys[-1], True))[0])
+    return np.array(ys)
+
+
 def test_march_without_tolerance_is_the_fixed_march(stationary_rot,
                                                    monkeypatch):
     """With MARCH_TOL = 0 no step passes the error test, so the march to
     the surface keeps every step at its floor: its samples before the
-    exits are, bit for bit, those of integrate_flow_fixed from the same
-    states."""
+    exits are, bit for bit, those of a loop of the pair's fixed steps
+    from the same states."""
     monkeypatch.setattr(geometry, "MARCH_TOL", 0.0)
     sc, step = stationary_rot, 2.0 ** -8
     xs, vs = map(np.array, zip(*scenarios.scattering_entries(sc, 4, seed=5)))
@@ -375,14 +389,35 @@ def test_march_without_tolerance_is_the_fixed_march(stationary_rot,
         sc.metric, sc.entry_surface, sc.exit_surface, xs, vs, step=step,
         max_sigma=30.0, keep_paths=True)]
     n = max(len(p.sigma) for p in paths)
-    sigma, xf, vf = integrate_flow_fixed(
-        geodesic_accel(sc.metric), [p.x[0] for p in paths],
-        [p.v[0] for p in paths], n * step, step)
+    ys = _pair_march(geodesic_accel(sc.metric), [p.x[0] for p in paths],
+                     [p.v[0] for p in paths], step, n)
     for b, p in enumerate(paths):
         m = len(p.sigma) - 1
-        assert np.array_equal(p.sigma[:-1], sigma[:m])
-        assert np.array_equal(p.x[:-1], xf[:m, b])
-        assert np.array_equal(p.v[:-1], vf[:m, b])
+        assert np.array_equal(p.sigma[:-1], np.arange(m) * step)
+        assert np.array_equal(p.x[:-1], ys[:m, b, :3])
+        assert np.array_equal(p.v[:-1], ys[:m, b, 3:])
+
+
+def test_dormand_prince_tableau():
+    """The pair's stage rows sum to the published nodes c, b and b_hat sum
+    to 1, and the 7th row is b (FSAL).  A mistyped weight that passes
+    these shows in the observed order of the pair's fixed steps on
+    perturbed_product from the start of criterion 13, at steps 0.1, 0.05
+    and 0.025 over sigma 1, whose end-state differences (about 3e-11 and
+    1e-12) measure truncation, far above rounding."""
+    c = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+    for row, ci in zip(geometry.DP54_A, c[1:]):
+        assert math.fsum(row) == pytest.approx(ci, abs=1e-15)
+    assert math.fsum(geometry.DP54_B) == pytest.approx(1.0, abs=1e-15)
+    assert math.fsum(geometry.DP54_BHAT) == pytest.approx(1.0, abs=1e-15)
+    assert geometry.DP54_A[-1] + (0.0,) == geometry.DP54_B
+    accel = geodesic_accel(scenarios.build("perturbed_product").metric)
+    x0, v0 = np.array([[0.0, -0.6, 0.2]]), np.array([[1.1, 0.9, 0.35]])
+    ends = [_pair_march(accel, x0, v0, h, n)[-1, 0]
+            for h, n in ((0.1, 10), (0.05, 20), (0.025, 40))]
+    order = np.log2(np.linalg.norm(ends[0] - ends[1])
+                    / np.linalg.norm(ends[1] - ends[2]))
+    assert 4.8 <= order <= 5.2
 
 
 def test_refined_exit_on_a_step_boundary():

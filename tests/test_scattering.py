@@ -428,11 +428,11 @@ def test_stationary_rot_paths_match_circles(stationary_rot):
         assert np.abs(rec.path.v - v).max() <= 1e-9
 
 
-def test_error_control_saves_two_thirds_of_the_accel_calls(stationary_rot,
-                                                           monkeypatch):
-    """A scatter of stationary_rot makes at most a third of the metric jets,
-    one per acceleration call, of the fixed march of its step, which is
-    the march with MARCH_TOL = 0."""
+def test_error_control_saves_nineteen_twentieths_of_the_accel_calls(
+        stationary_rot, monkeypatch):
+    """A scatter of stationary_rot makes at most a twentieth of the metric
+    jets, one per acceleration call, of the fixed march of its step, which
+    is the march with MARCH_TOL = 0 (225 against 11860)."""
     sc = stationary_rot
     calls = []
 
@@ -451,7 +451,7 @@ def test_error_control_saves_two_thirds_of_the_accel_calls(stationary_rot,
 
     controlled = jets()
     monkeypatch.setattr(geometry, "MARCH_TOL", 0.0)
-    assert 3 * controlled <= jets()
+    assert 20 * controlled <= jets()
 
 
 def test_generated_pairs_are_the_single_ray_scatters(stationary_rot):
