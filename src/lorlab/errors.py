@@ -33,8 +33,8 @@ class NoLiftError(LorlabError):
 
 class EscapeError(LorlabError):
     """Ray never met the target hypersurface within the parameter budget,
-    or its state turned non-finite on the way; ``ray`` is the batch row
-    of a ray whose state turned non-finite, else None."""
+    its state turned non-finite on the way, or its refined hit on it was
+    rejected; ``ray`` is the ray's batch row in the last two, else None."""
 
     def __init__(self, message: str, ray: Optional[int] = None):
         super().__init__(message)

@@ -550,29 +550,33 @@ MARCH_TOL = 1e-10         # local error per unit sigma of a surface-march step
 MARCH_GROW = 64           # longest surface-march step, in caller's steps
 
 
-def _hermite(s: Array, y: Array, f: Array, t: Array) -> tuple[Array, Array]:
-    """(x(t), x'(t)) at the increasing sigmas t (M,) inside the knots s
-    (K,) of a path of x'' = a, from its quintic Hermite fit on (x, x',
-    x'') at the knots: the states y = (x, v) (K, 2 dim) and their
-    derivatives f = (v, a).  A t at a knot gives that knot's (x, v)."""
-    dim = y.shape[1] // 2
+def _hermite(s: Array, y: Array, f: Array, t: Array) -> list[Array]:
+    """[x(t), x'(t)] as (dim, M) arrays at the increasing sigmas t (M,) in
+    [s[0], s[-1]) of the quintic Hermite fit, on the knots s (K,), of the
+    states y = (x, v) (K, 2 dim) and derivatives f = (v, a) of x'' = a:
+    Horner sums in th = (t - s_i) / h_i over (dim, K-1) coefficient arrays
+    per power, the constant term of x' being v_i, so that a t at a knot
+    gives that knot's (x, v) bit for bit."""
+    dim, h = y.shape[1] // 2, np.diff(s)
+    x, v, a = y[:, :dim].T, y[:, dim:].T, f[:, dim:].T     # (dim, K)
+    c1, c2 = h * v[:, :-1], 0.5 * h * h * a[:, :-1]
+    # what c3 th^3 + c4 th^4 + c5 th^5 adds to x, h x' and h^2 x'' at th = 1
+    d, e, q = (x[:, 1:] - x[:, :-1] - c1 - c2, h * v[:, 1:] - c1 - 2.0 * c2,
+               h * h * a[:, 1:] - 2.0 * c2)
+    c3, c4 = 10.0 * d - 4.0 * e + 0.5 * q, 7.0 * e - 15.0 * d - q
+    c5 = 6.0 * d - 3.0 * e + 0.5 * q
     i = np.clip(np.searchsorted(s, t, side="right") - 1, 0, len(s) - 2)
-    h = (s[i + 1] - s[i])[:, None]
-    th = ((t - s[i]) / (s[i + 1] - s[i]))[:, None]
-    th2, u = th * th, 1.0 - th
-    x0, x1, v0, v1 = y[i, :dim], y[i + 1, :dim], y[i, dim:], y[i + 1, dim:]
-    a0, a1 = f[i, dim:], f[i + 1, dim:]
-    h3 = th2 * th * (10.0 - 15.0 * th + 6.0 * th2)
-    x = ((1.0 - h3) * x0 + h3 * x1
-         + h * (th * (1.0 - th2 * (6.0 - 8.0 * th + 3.0 * th2)) * v0
-                + th2 * th * (-4.0 + 7.0 * th - 3.0 * th2) * v1)
-         + h * h * (0.5 * th2 * u ** 3 * a0 + 0.5 * th2 * th * u * u * a1))
-    v = (30.0 * th2 * u * u * (x1 - x0) / h
-         + u * u * (1.0 + 2.0 * th - 15.0 * th2) * v0
-         + th2 * (-12.0 + 28.0 * th - 15.0 * th2) * v1
-         + h * (0.5 * th * u * u * (2.0 - 5.0 * th) * a0
-                + 0.5 * th2 * u * (3.0 - 5.0 * th) * a1))
-    return x, v
+    th = (t - s[i]) / h[i]
+    out = []
+    for cs in ((c5, c4, c3, c2, c1, x[:, :-1]),
+               (5.0 * c5 / h, 4.0 * c4 / h, 3.0 * c3 / h, h * a[:, :-1],
+                v[:, :-1])):
+        p = np.take(cs[0], i, axis=1)
+        for c in cs[1:]:
+            p *= th
+            p += np.take(c, i, axis=1)
+        out.append(p)
+    return out
 
 
 def integrate_flow_to_surface(accel, x0: Array, v0: Array,
@@ -592,11 +596,12 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
     never below step: the march is never finer than the march of fixed
     steps ``step``.
     Rays that have crossed stop marching.  Returns per-ray (sigma, x, v)
-    sample arrays: the samples at sigma = j * step from the quintic
-    Hermite fit of the accepted states, then the refined final sample on
-    {b=0}, which replaces a sample less than 1e-13 before it.
-    Raises EscapeError listing rays that never crossed within max_sigma,
-    or naming the first ray whose state turns non-finite.
+    arrays: the samples at sigma = j * step of the accepted states'
+    quintic Hermite fit, by Horner (_hermite), then the refined sample on
+    {b=0}, which replaces a sample less than 1e-13 before it.  Raises
+    EscapeError listing rays that never crossed within max_sigma, or
+    naming the first ray whose state turns non-finite or whose refined
+    hit misses S.
     """
     rhs = _second_order(accel)
     y = np.hstack(np.atleast_2d(x0, v0)).astype(float)
@@ -658,11 +663,13 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
             f"ray(s) {sorted(escaped)} never met the target "
             f"surface within sigma budget {max_sigma}")
     d, ye = _refine_hit(rhs, S, y_in, k_in, f_in, f_out, h_in, s_in)
-    missed = ~(np.abs(np.asarray(S.value(ye[:, :dim]), float))
-               <= 100 * SURFACE_TOL)
-    if np.any(missed):
-        raise EscapeError(f"ray {int(np.flatnonzero(missed)[0])}: boundary "
-                          "hit refinement failed")
+    miss = np.asarray(S.value(ye[:, :dim]), float)
+    bad = np.flatnonzero(~(np.abs(miss) <= 100 * SURFACE_TOL))
+    if bad.size:
+        b = int(bad[0])
+        raise EscapeError(f"ray {b}: boundary hit refinement failed; rejected "
+                          f"(x, v) = {ye[b].tolist()}, surface value "
+                          f"{miss[b]:g}", ray=b)
     ids, ks, ky, kf = (np.concatenate(c) for c in zip(*knots))
     by_ray = np.argsort(ids, kind="stable")
     out = []
@@ -672,8 +679,8 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
         grid = np.arange(int(end / step) + 2) * step
         grid = grid[end - grid >= 1e-13]
         x, v = _hermite(ks[sel], ky[sel], kf[sel], grid)
-        out.append((np.append(grid, end), np.vstack([x, ye[b, None, :dim]]),
-                    np.vstack([v, ye[b, None, dim:]])))
+        out.append((np.append(grid, end), np.vstack([x.T, ye[b, None, :dim]]),
+                    np.vstack([v.T, ye[b, None, dim:]])))
     return out
 
 

@@ -22,8 +22,7 @@ def light_ray_transform(f: SymTwoTensorField, path: GeodesicPath,
     if abs(path.speed_squared) > lightlike_tol:
         raise PreconditionError(
             f"path is not lightlike (speed squared {path.speed_squared:g})")
-    vals = einsum("mij,mi,mj->m", f(path.x), path.v, path.v)
-    return simpson(vals, path.sigma)
+    return simpson(_tensor_along(f, path), path.sigma)
 
 
 def sym_diff(v: CovectorField, g: MetricField) -> SymTwoTensorField:
@@ -36,6 +35,12 @@ def sym_diff(v: CovectorField, g: MetricField) -> SymTwoTensorField:
         return 0.5 * (dv + np.swapaxes(dv, -1, -2)) - corr
 
     return SymTwoTensorField(dim=g.dim, func=func)
+
+
+def _tensor_along(f: SymTwoTensorField, path: GeodesicPath) -> Array:
+    """<f, gamma' x gamma'> sampled along the path, by two contractions."""
+    return einsum("mi,mi->m", einsum("mij,mj->mi", f(path.x), path.v),
+                  path.v)
 
 
 def pairing_along(v: CovectorField, path: GeodesicPath) -> Array:
@@ -87,5 +92,5 @@ def magnetic_linearized_transform(f: SymTwoTensorField, beta: CovectorField,
     if abs(path.speed_squared - 1.0) > UNIT_SPEED_TOL:
         raise PreconditionError(
             f"base path not unit speed (|x'|^2 = {path.speed_squared:g})")
-    vals = einsum("mij,mi,mj->m", f(path.x), path.v, path.v)
-    return simpson(vals + pairing_along(beta, path), path.sigma)
+    return simpson(_tensor_along(f, path) + pairing_along(beta, path),
+                   path.sigma)

@@ -3,6 +3,7 @@ import math
 import pathlib
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -462,9 +463,36 @@ def test_refinement_failure_names_the_ray():
     x0 = np.array([[0.0, -0.2, 0.0], [0.0, 0.2, 0.0]])
     v0 = np.array([[1.0, 0.0, 0.3], [1.0, 0.0, -0.3]])
     with pytest.raises(EscapeError,
-                       match=r"^ray 1: boundary hit refinement failed"):
+                       match=r"^ray 1: boundary hit refinement failed; "
+                       r"rejected \(x, v\) = \[.*\], surface value -?1$"
+                       ) as err:
         integrate_flow_to_surface(geodesic_accel(minkowski()), x0, v0, jump,
                                   step=0.03)
+    assert err.value.ray == 1
+
+
+def test_hermite_sampler_is_exact_on_quintics():
+    """Given (p, p', p'') at unevenly spaced knots of a quintic p, the
+    sampler's fit is p itself: its samples match p and p' to 1e-13
+    relative, samples at the knots other than the last return the
+    knot's (x, v) bit for bit, and a path of one interval samples
+    without a RuntimeWarning."""
+    P = np.polynomial.polynomial
+    coef = np.random.default_rng(29).uniform(-1.0, 1.0, (6, 3))
+    s = np.array([0.0, 0.13, 0.4, 0.47, 0.9, 1.3])
+    x, v, a = (P.polyval(s, P.polyder(coef, k)).T for k in range(3))
+    y, f = np.hstack([x, v]), np.hstack([v, a])
+    t = np.sort(np.random.default_rng(31).uniform(0.0, 1.3, 400))
+    for k, got in enumerate(geometry._hermite(s, y, f, t)):
+        want = P.polyval(t, P.polyder(coef, k))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    xk, vk = geometry._hermite(s, y, f, s[:-1])
+    assert np.array_equal(xk.T, x[:-1]) and np.array_equal(vk.T, v[:-1])
+    t = np.linspace(s[1], s[2], 9)[:-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x1, _ = geometry._hermite(s[1:3], y[1:3], f[1:3], t)
+    assert np.abs(x1 - P.polyval(t, coef)).max() <= 1e-13
 
 
 def test_a_crossing_counts_after_the_ray_was_inside(product_disk):

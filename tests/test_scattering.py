@@ -123,6 +123,18 @@ def test_scatter_batch_matches_scalar(product_disk, stationary_rot,
         assert np.array_equal(rb.w_proj, rs.w_proj)
         assert rb.travel == rs.travel
 
+    # stationary_rot's curved rays take steps of up to MARCH_GROW samples,
+    # so each path is sampled inside long knot intervals
+    entries = scenarios.scattering_entries(stationary_rot, 5, seed=3)
+    xs, vs = (np.array(a) for a in zip(*entries))
+    sc = stationary_rot
+    recs = scatter_batch(sc.metric, sc.entry_surface, sc.exit_surface, xs,
+                         vs, keep_paths=True)
+    for b, rb in enumerate(recs):
+        (rs,) = scatter_batch(sc.metric, sc.entry_surface, sc.exit_surface,
+                              xs[b:b + 1], vs[b:b + 1], keep_paths=True)
+        _assert_same_path(rb.path, rs.path)
+
     # four entries on perturbed_product: its base partials must broadcast
     # over any batch size, not only one or two points
     for sc, n in ((stationary_rot, 3), (perturbed_product, 4)):
