@@ -2,8 +2,9 @@
 
 Boundary-fixing gauge pairs (diffeomorphism plus potential) acting on
 magnetic data, conformal rescaling of Lorentzian metrics, the null-shell
-Hamiltonian flow and its conformal reparametrization (right-hand sides
-of the RK4 stepper in ``geometry``), and scattering invariance checks.
+Hamiltonian flow (a right-hand side of the RK4 stepper in ``geometry``),
+the check that a conformal factor only reparametrizes it (a quadrature
+along the flow, ``lorlab.quadrature``), and scattering invariance checks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .fields import (Array, CovectorField, ScalarField, _central_diff,
                      einsum, worst_of)
 from .geometry import (BoundaryHypersurface, MetricField, _march_fixed,
                        metric_solve)
-from .quadrature import CubicHermiteSpline, simpson
+from .quadrature import CubicHermiteSpline
 from .scattering import scatter_batch
 from .stationary import MagneticSystem, magnetic_scatter_batch
 
@@ -205,8 +206,8 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
 @dataclass(frozen=True)
 class ReparamReport:
     max_deviation: float
-    alpha: Array                  # parameter change sampled on the s grid
-    s: Array
+    alpha: Array                  # alpha(s) at the scaled flow's samples
+    s: Array                      # the scaled flow's sigmas
     sigma_end: float
 
 
@@ -215,22 +216,27 @@ def conformal_reparam_check(g: MetricField, c: ScalarField, x0: Array,
     """The flow of the c-scaled Hamiltonian started on the null shell
     traces the unscaled flow under the parameter change alpha with
     alpha'(s) = 1 / c(x(alpha(s))), alpha(0) = 0; the covector is
-    carried along unchanged.  All three flows take RK4 steps of 1e-3."""
+    carried along unchanged.  Both flows take RK4 steps of 1e-3.  The
+    inverse s(sigma), the integral of c along the unscaled flow, is taken
+    exactly for c's cubic Hermite fit, and alpha is the Hermite fit of
+    its inverse; PreconditionError when s does not increase."""
     step = 1e-3
     base = hamiltonian_flow(g, x0, xi0, sigma_max, step=step)
     base_x = CubicHermiteSpline(base.sigma, base.x, base.xdot)
     base_xi = CubicHermiteSpline(base.sigma, base.xi, base.xidot)
-    s_end = simpson(c(base.x), base.sigma)
-
-    scaled = hamiltonian_flow(g, x0, xi0, s_end, c=c, step=step)
-    s_grid, alpha = _march_fixed(
-        lambda a, check: 1.0 / c(base_x(a[:, 0]))[:, None], np.zeros((1, 1)),
-        s_end, step, names=("alpha",))
-    alpha = alpha[:, 0, 0]
-    inside = alpha <= sigma_max
-    dev = max(float(np.abs(scaled.x[inside] - base_x(alpha[inside])).max()),
-              float(np.abs(scaled.xi[inside] - base_xi(alpha[inside])).max()))
-    return ReparamReport(max_deviation=dev, alpha=alpha, s=s_grid,
+    cb = c(base.x)
+    s = CubicHermiteSpline(base.sigma, cb, einsum(
+        "mi,mi->m", c.gradient(base.x), base.xdot)).antiderivative_at_knots()
+    bad = np.flatnonzero(~(np.diff(s) > 0.0)) + 1
+    if bad.size:
+        raise PreconditionError(
+            f"conformal factor not positive along the flow: s = int c "
+            f"does not increase at sample {bad[0]} (c = {cb[bad[0]]:g})")
+    scaled = hamiltonian_flow(g, x0, xi0, s[-1], c=c, step=step)
+    alpha = CubicHermiteSpline(s, base.sigma, 1.0 / cb)(scaled.sigma)
+    dev = max(float(np.abs(scaled.x - base_x(alpha)).max()),
+              float(np.abs(scaled.xi - base_xi(alpha)).max()))
+    return ReparamReport(max_deviation=dev, alpha=alpha, s=scaled.sigma,
                          sigma_end=sigma_max)
 
 

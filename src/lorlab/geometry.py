@@ -370,23 +370,21 @@ def _by_ray(check, rays):
         raise
 
 
-def _rk4_step(rhs, y: Array, h, rays: Array) -> Array:
-    """One classical RK4 step of the first-order system y' = rhs(y, check)
-    on a (B, n) state whose rows hold the rays ``rays``, of length h, one
-    for all rows or one per row; errors name their first ray (_by_ray).
-    Only stage 1, the accepted state the step starts from, asks ``rhs``
-    for the metric check.  Returns the new state."""
-    per_row = np.ndim(h) > 0
-    h = np.asarray(h, float)[:, None] if per_row else float(h)
+def _rk4_step(rhs, y: Array, h: float, rays: Array) -> Array:
+    """One classical RK4 step of length h of the first-order system
+    y' = rhs(y, check) on a (B, n) state whose rows hold the rays
+    ``rays``; errors name their first ray (_by_ray).  Only stage 1, the
+    accepted state the step starts from, asks ``rhs`` for the metric
+    check.  Returns the new state."""
+    half = 0.5 * h
 
     def step(r):
-        yr, hr = y[r], (h[r] if per_row else h)
-        half = 0.5 * hr
+        yr = y[r]
         k1 = rhs(yr, True)
         k2 = rhs(yr + half * k1, False)
         k3 = rhs(yr + half * k2, False)
-        k4 = rhs(yr + hr * k3, False)
-        return yr + (hr / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k4 = rhs(yr + h * k3, False)
+        return yr + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     return _by_ray(step, rays)
 
@@ -609,17 +607,15 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
     # the sigma that ceil(max_sigma / step) + 1 steps of length step
     # reach, less half a step for the rounding of sums of steps
     budget = (np.ceil(max_sigma / step) + 0.5) * step
-    # the still-marching rays: states, derivatives, sigmas, sides of S,
-    # next step lengths and whether they have been strictly inside S
+    # the still-marching rays: states, derivatives, sigmas, next step
+    # lengths and whether they have been strictly inside S
     rays, ya, sa, phi = np.arange(B), y, np.zeros(B), S.side(y[:, :dim])
     fa = _by_ray(lambda r: rhs(ya[r], True), rays)
     ha = np.full(B, float(step))
     seen = phi < -SURFACE_TOL
-    knots = [(rays, sa, ya, fa)]             # accepted (ray, sigma, y, f)
-    f_in, f_out = np.empty(B), np.empty(B)   # side around the crossing
-    y_in = np.empty_like(y)                  # state before the crossing
-    k_in = np.empty_like(y)                  # and its derivative
-    s_in, h_in = np.empty(B), np.empty(B)    # its sigma and step length
+    # accepted (ray, sigma, y, f, side of S): a ray's last two knots hold
+    # its crossing step, the refinement's data
+    knots = [(rays, sa, ya, fa, phi)]
     escaped = []
     k = 0
     while rays.size:
@@ -640,29 +636,28 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
         hn = np.minimum(np.maximum(ha * grow, step), MARCH_GROW * step)
         if ok.all() and not crossing.any() and (sn < budget).all():
             # every ray steps on: no merge, no hit, no ray to drop
-            knots.append((rays, sn, yn, fn))
-            ya, fa, sa, phi, ha = yn, fn, sn, phin, hn
+            knots.append((rays, sn, yn, fn, phin))
+            ya, fa, sa, ha = yn, fn, sn, hn
             continue
-        knots.append((rays[ok], sn[ok], yn[ok], fn[ok]))
-        if crossing.any():
-            hit = rays[crossing]
-            f_in[hit], f_out[hit] = phi[crossing], phin[crossing]
-            y_in[hit], s_in[hit] = ya[crossing], sa[crossing]
-            k_in[hit] = fa[crossing]
-            h_in[hit] = ha[crossing]
+        knots.append((rays[ok], sn[ok], yn[ok], fn[ok], phin[ok]))
         ya = np.where(ok[:, None], yn, ya)
         fa = np.where(ok[:, None], fn, fa)
-        sa, phi = np.where(ok, sn, sa), np.where(ok, phin, phi)
+        sa = np.where(ok, sn, sa)
         spent = ~crossing & (sa >= budget)
         escaped += rays[spent].tolist()
         going = ~crossing & ~spent
-        rays, ya, fa, sa, phi, ha, seen = (a[going] for a in
-                                           (rays, ya, fa, sa, phi, hn, seen))
+        rays, ya, fa, sa, ha, seen = (a[going] for a in
+                                      (rays, ya, fa, sa, hn, seen))
     if escaped:
         raise EscapeError(
             f"ray(s) {sorted(escaped)} never met the target "
             f"surface within sigma budget {max_sigma}")
-    d, ye = _refine_hit(rhs, S, y_in, k_in, f_in, f_out, h_in, s_in)
+    ids, ks, ky, kf, kphi = (np.concatenate(c) for c in zip(*knots))
+    by_ray = np.split(np.argsort(ids, kind="stable"),
+                      np.cumsum(np.bincount(ids, minlength=B))[:-1])
+    j0, j1 = (np.array([sel[i] for sel in by_ray]) for i in (-2, -1))
+    d, ye = _refine_hit(rhs, S, ky[j0], kf[j0], kphi[j0], kphi[j1],
+                        ks[j1] - ks[j0], ks[j0])
     miss = np.asarray(S.value(ye[:, :dim]), float)
     bad = np.flatnonzero(~(np.abs(miss) <= 100 * SURFACE_TOL))
     if bad.size:
@@ -670,12 +665,9 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
         raise EscapeError(f"ray {b}: boundary hit refinement failed; rejected "
                           f"(x, v) = {ye[b].tolist()}, surface value "
                           f"{miss[b]:g}", ray=b)
-    ids, ks, ky, kf = (np.concatenate(c) for c in zip(*knots))
-    by_ray = np.argsort(ids, kind="stable")
     out = []
-    for b, sel in enumerate(np.split(by_ray, np.cumsum(
-            np.bincount(ids, minlength=B))[:-1])):
-        end = s_in[b] + d[b]
+    for b, sel in enumerate(by_ray):
+        end = ks[j0[b]] + d[b]
         grid = np.arange(int(end / step) + 2) * step
         grid = grid[end - grid >= 1e-13]
         x, v = _hermite(ks[sel], ky[sel], kf[sel], grid)

@@ -227,6 +227,42 @@ def test_reparam_constant_rate(product_disk):
     assert np.abs(rep.alpha - rep.s / 4.0).max() < 1e-9
 
 
+def test_reparam_marches_two_flows(product_disk, monkeypatch):
+    """The unscaled and the scaled flow are the only marches: the
+    parameter change is a quadrature along the first."""
+    marches = []
+
+    def counted(*args, **kwargs):
+        marches.append(args[2])
+        return geometry._march_fixed(*args, **kwargs)
+
+    monkeypatch.setattr(gauge, "_march_fixed", counted)
+    x0, xi0 = scenarios.reparam_start(product_disk)
+    conformal_reparam_check(product_disk.metric, scenarios.gaussian_factor(),
+                            x0, xi0, sigma_max=0.6)
+    assert len(marches) == 2 and marches[0] == 0.6
+
+
+def test_reparam_closed_form_parameter_change(product_disk):
+    """On the straight null line x = x0 + sigma (1, 0.8, 0.6) of
+    g = diag(-1, 1, 1), c = 1 + 0.2 x_1 = 0.9 + 0.16 sigma, so
+    s(sigma) = 0.9 sigma + 0.08 sigma^2 and alpha(s) is its inverse."""
+    x0 = np.array([0.0, -0.5, 0.1])
+    xi0 = product_disk.metric.matrix(x0) @ np.array([1.0, 0.8, 0.6])
+    c = ScalarField(func=lambda x: 1.0 + 0.2 * np.asarray(x)[..., 1],
+                    grad=lambda x: np.broadcast_to([0.0, 0.2, 0.0],
+                                                   np.shape(x)))
+    rep = conformal_reparam_check(product_disk.metric, c, x0, xi0,
+                                  sigma_max=0.6)
+    alpha = (-0.9 + np.sqrt(0.81 + 0.32 * rep.s)) / 0.16
+    assert np.abs(rep.alpha - alpha).max() <= 1e-13
+    assert rep.max_deviation <= 1e-13
+    with pytest.raises(PreconditionError, match="sample 1 "):
+        conformal_reparam_check(product_disk.metric,
+                                ScalarField.constant(-1.0), x0, xi0,
+                                sigma_max=0.6)
+
+
 def test_scale_metric_matches_manual(product_disk, rng):
     c = scenarios.conformal_bump(0.2)
 
