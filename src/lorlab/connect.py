@@ -106,8 +106,8 @@ def _newton(accel, xs: Array, ys: Array, v: Array, n_steps: int, tol: float,
         f"residual {res.max():.3g} after {MAX_ITER} iterations")
 
 
-COARSE_FACTOR = 8       # the coarse grid has n_steps // COARSE_FACTOR steps
-COARSE_MIN_STEPS = 25   # no coarse phase on fewer steps than this
+COARSE_FACTOR = 16      # the coarse grid has n_steps // COARSE_FACTOR steps
+COARSE_MIN_STEPS = 12   # no coarse phase on fewer steps than this
 COARSE_TOL = 1e-8       # the coarse phase stops at max(tol, COARSE_TOL)
 
 
@@ -127,16 +127,17 @@ def solve_two_point(accel, xs: Array, ys: Array, seeds: Optional[Array] = None,
     last march, on that grid at those velocities.
 
     Two grids: the iteration first runs from the seeds on the coarse
-    grid of n_steps // 8 steps, to max(tol, 1e-8), then on the requested
+    grid of n_steps // 16 steps, to max(tol, 1e-8), then on the requested
     grid from the coarse velocities.  If the coarse phase built a
     Jacobian, the requested grid starts from a fresh one, built on the
     coarse grid at the coarse velocities, not from the Broyden-updated
     one, which has drifted; it is rebuilt on the requested grid only
-    when a step fails to contract.  No coarse phase below 25 steps.
-    When the coarse phase or that build raises, the requested grid
-    solves alone from the seeds, so every error names pairs of the
-    requested grid.  Before any march, a ValueError names points of
-    width zero, ys or seeds shaped unlike xs, or non-finite pairs.
+    when a step fails to contract.  No coarse phase on fewer than 12
+    steps (n_steps < 192).  When the coarse phase or that build raises,
+    the requested grid solves alone from the seeds, so every error names
+    pairs of the requested grid.  Before any march, a ValueError names
+    points of width zero, ys or seeds shaped unlike xs, or non-finite
+    pairs.
     """
     xs, ys, seeds = paired_rows("points", xs, ("ys", ys), ("seeds", seeds))
     v = ys - xs if seeds is None else seeds

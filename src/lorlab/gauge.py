@@ -170,16 +170,14 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
     x0 = np.asarray(x0, float)
     xi0 = np.asarray(xi0, float)
     dim = x0.size
-    scaled = c is not None
-    if c is None:
-        c = ScalarField.constant(1.0)
 
     def hval(x, xi):
         ginv = np.linalg.inv(g.matrix(x))
-        return 0.5 * einsum("...k,...kl,...l->...", xi, ginv, xi) / c(x)
+        h = 0.5 * einsum("...k,...kl,...l->...", xi, ginv, xi)
+        return h if c is None else h / c(x)
 
     h0 = float(hval(x0, xi0))
-    if scaled and abs(h0) > 1e-10 * max(1.0, float(xi0 @ xi0)):
+    if c is not None and abs(h0) > 1e-10 * max(1.0, float(xi0 @ xi0)):
         raise PreconditionError(
             f"scaled Hamiltonian flow requires the null shell (H = {h0:g})")
 
@@ -189,7 +187,8 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
         gm, dg = g.jet(x, check)
         u = metric_solve(gm, xi)
         xidot = 0.5 * einsum("...ikl,...k,...l->...i", dg, u, u)
-        return (1.0 / c(x)[..., None]) * np.concatenate([u, xidot], axis=1)
+        dy = np.concatenate([u, xidot], axis=1)
+        return dy if c is None else (1.0 / c(x)[..., None]) * dy
 
     sigma, ys = _march_fixed(rhs, np.concatenate([x0, xi0])[None],
                              sigma_max, step, names=("x", "xi"))

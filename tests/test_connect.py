@@ -282,23 +282,28 @@ def test_converges_on_the_last_allowed_iterate(perturbed_product,
 
 def test_coarse_failure_falls_back_to_the_requested_grid(marches):
     """The pair ends near the antipode of its start.  On the coarse grid
-    of 50 steps a Newton iterate diverges; the solver then starts again
+    of 25 steps a Newton iterate diverges; the solver then starts again
     on the requested grid from the seed, builds its own Jacobian at its
-    first iterate, and converges there."""
+    first iterate, and converges there, to the shortest great circle:
+    its speed is the distance arccos(-cos dp cos da) of the endpoints."""
+    dp, da = 0.0008, 0.001
     xs = np.array([[np.pi / 2, 0.0]])
-    ys = np.array([[np.pi / 2 + 0.00025, np.pi - 0.0005]])
+    ys = np.array([[np.pi / 2 + dp, np.pi - da]])
     accel = geodesic_accel(_round_sphere())
     march = []
     with np.errstate(all="ignore"):
         with pytest.raises(ConvergenceError, match="diverged"):
-            connect._newton(accel, xs, ys, ys - xs, 50, 1e-8)
+            connect._newton(accel, xs, ys, ys - xs,
+                            400 // connect.COARSE_FACTOR, 1e-8)
         marches.clear()
-        connect.solve_two_point(accel, xs, ys, march=march)
+        v = connect.solve_two_point(accel, xs, ys, march=march)
     fine = [m for m in marches if m is not None and m[1] == 400]
     assert fine[:2] == [(1, 400), (2, 400)]
     assert marches.index(fine[0]) > 0          # after the coarse phase
     assert len(march[0]) == 401
     assert np.abs(march[1][-1] - ys).max() <= 1e-10
+    assert abs(np.linalg.norm(v) - np.arccos(-np.cos(dp) * np.cos(da))) \
+        <= 1e-8
 
 
 @pytest.fixture
@@ -333,7 +338,7 @@ def test_no_march_after_the_solver(marches, product_disk, stationary_rot):
     connecting_geodesics_batch(product_disk.metric,
                                np.array([[0.0, -0.5, 0.0]]),
                                np.array([[1.2, 0.5, 0.1]]))
-    assert marches == [(1, 50), (1, 400), None]
+    assert marches == [(1, 25), (1, 400), None]
     marches.clear()
     magnetic_connectors_batch(stationary_rot.magnetic,
                               np.array([[1.0, 0.0], [0.0, 1.0]]),
@@ -342,30 +347,30 @@ def test_no_march_after_the_solver(marches, product_disk, stationary_rot):
     assert marches.count(None) == 1
 
 
-def test_no_coarse_grid_below_25_steps(marches, product_disk):
-    for n_steps in (200, 199):
+def test_no_coarse_grid_below_12_steps(marches, product_disk):
+    for n_steps in (192, 191):
         connecting_geodesics_batch(product_disk.metric,
                                    np.array([[0.0, -0.5, 0.0]]),
                                    np.array([[1.2, 0.5, 0.1]]),
                                    n_steps=n_steps)
-    assert marches == [(1, 25), (1, 200), None, (1, 199), None]
+    assert marches == [(1, 12), (1, 192), None, (1, 191), None]
 
 
 def test_broyden_updates_replace_jacobian_builds(marches, perturbed_product):
     """The 16 pairs of the CLI connect grid on perturbed_product reach
     1e-12 with two forward-difference Jacobians, both built on the
-    coarse grid of 50 steps: one at the seeds, and one at the coarse
+    coarse grid of 25 steps: one at the seeds, and one at the coarse
     solution, which the requested grid of 400 takes in place of the
     Broyden-updated one.  It then needs two residual marches over all
     16 pairs and no Jacobian of its own.  With the Broyden-updated
-    Jacobian the requested grid took a third march, of the one pair
+    Jacobian the requested grid took a third march, of the 10 pairs
     still unfinished; one grid alone took one Jacobian and five
     residual marches on 400 steps, and chord iterations with that
     Jacobian took seven."""
     xs, ys = disk_pairs(16, 1)
     conns = connecting_geodesics_batch(perturbed_product.metric, xs, ys,
                                        tol=1e-12)
-    assert marches.count((16 * 3, 50)) == 2
+    assert marches.count((16 * 3, 25)) == 2
     assert marches.count((16 * 3, 400)) == 0
     assert [m for m in marches if m and m[1] == 400] == [(16, 400)] * 2
     for c in conns:
@@ -376,19 +381,20 @@ def test_newton_marches_only_unfinished_pairs(marches, perturbed_product):
     """A residual march covers the pairs not yet within tolerance, and
     the connectors, whose rows come from different marches, are bit for
     bit one march of their solved velocities: rows are independent.
-    The solve marches 20,750 row-steps in 1,100 march steps.  Handing
-    the requested grid the Broyden-updated coarse Jacobian took 18,750
-    row-steps but 1,450 march steps: the 48-row switch build on 50
-    steps costs 2,000 more row-steps than the one-pair march on 400 it
-    saves.  A step of 48 rows costs less than twice a step of one, so
-    the 350 fewer march steps win.  With every residual march over all
-    16 rows the solve marched 24,800 row-steps."""
+    The solve marches 16,775 row-steps in 950 march steps: 159 rows of
+    25 steps on the coarse grid (3,975 row-steps), then two marches of
+    the 16 pairs on 400 (12,800).  Handing the requested grid the
+    Broyden-updated coarse Jacobian took 19,575 row-steps in 1,325
+    march steps: its third march on 400, of 10 pairs, costs more than
+    the 48-row switch build on 25 steps (1,200 row-steps) that saves
+    it.  With every residual march over all 16 rows the solve marched
+    16,800 row-steps."""
     g = perturbed_product.metric
     xs, ys = disk_pairs(16, 1)
     conns = connecting_geodesics_batch(g, xs, ys, tol=1e-12)
     log = marches[:-1]
-    assert sum(rows * steps for rows, steps in log) == 20750
-    assert sum(steps for _, steps in log) == 1100
+    assert sum(rows * steps for rows, steps in log) == 16775
+    assert sum(steps for _, steps in log) == 950
     assert min(rows for rows, _ in log) < 16
     vs = np.array([c.path.v[0] for c in conns])
     _, px, pv = geometry.integrate_flow_fixed(geodesic_accel(g), xs, vs,
@@ -409,7 +415,7 @@ def test_stencil_solve_takes_two_marches_on_the_requested_grid(
     michel_check_batch(sc.metric, sc.entry_surface, sc.exit_surface,
                        [x], [y], n_steps=200)
     assert [m for m in marches if m and m[1] == 200] == [(9, 200)] * 2
-    assert marches.count((27, 25)) == 2
+    assert marches.count((27, 12)) == 2
 
 
 def test_failed_switch_build_falls_back_to_the_seeds(marches, monkeypatch,
@@ -430,14 +436,43 @@ def test_failed_switch_build_falls_back_to_the_seeds(marches, monkeypatch,
 
     monkeypatch.setattr(connect, "_jacobian", second_call_raises)
     v = connect.solve_two_point(accel, xs, ys, tol=1e-12)
-    assert calls[:3] == [50, 50, 400]
-    coarse = [(16, 50), (48, 50), (16, 50), (16, 50), (15, 50)]
+    assert calls[:3] == [25, 25, 400]
+    coarse = [(16, 25), (48, 25), (16, 25), (16, 25), (15, 25)]
     assert marches[:6] == coarse + [(16, 400)]
     assert marches[6] == (48, 400)
     assert {steps for _, steps in marches[6:-1]} == {400}
     monkeypatch.setattr(connect, "_jacobian", jacobian)
     alone, _, _ = connect._newton(accel, xs, ys, ys - xs, 400, 1e-12)
     assert np.array_equal(v, alone)
+
+
+def test_two_grids_return_the_connector_of_the_requested_grid(
+        monkeypatch, perturbed_product, stationary_rot):
+    """The coarse grid only moves the seeds: on the 16 pairs of the CLI
+    connect grid on perturbed_product (400 steps) and on the 9-row
+    stencil of criterion 03's first stationary_rot pair (200 steps),
+    the solver returns the velocities that the requested grid's
+    iteration reaches alone from the seeds, to 1e-10 (they differ by
+    about 4e-13), not those of another connector."""
+    xs, ys = disk_pairs(16, 1)
+    solves = [(geodesic_accel(perturbed_product.metric), xs, ys, 400, 1e-12)]
+    solve = connect.solve_two_point
+
+    def recorded(accel, xs, ys, **kw):
+        solves.append((accel, xs, ys, kw["n_steps"], kw["tol"]))
+        return solve(accel, xs, ys, **kw)
+
+    monkeypatch.setattr(connect, "solve_two_point", recorded)
+    sc = stationary_rot
+    (x, y), = scenarios.null_pairs(sc, 20, seed=7)[:1]
+    michel_check_batch(sc.metric, sc.entry_surface, sc.exit_surface,
+                       [x], [y], n_steps=200)
+    monkeypatch.setattr(connect, "solve_two_point", solve)
+    assert [(len(s[1]), s[3]) for s in solves] == [(16, 400), (9, 200)]
+    for accel, xs, ys, n_steps, tol in solves:
+        v = connect.solve_two_point(accel, xs, ys, n_steps=n_steps, tol=tol)
+        alone, _, _ = connect._newton(accel, xs, ys, ys - xs, n_steps, tol)
+        assert np.abs(v - alone).max() <= 1e-10
 
 
 def test_diverged_subset_march_names_the_pair(marches, monkeypatch):

@@ -194,6 +194,23 @@ def test_hamiltonian_path_derivatives_on_constant_metric(product_disk):
     assert np.abs(flow.xidot).max() == 0.0
 
 
+@pytest.mark.parametrize("name", ["product_disk", "perturbed_product"])
+def test_unscaled_flow_is_the_unit_factor_flow(name):
+    """Without a factor the flow skips it: from a null-shell start it
+    equals, bit for bit, the flow with the factor 1."""
+    g = scenarios.build(name).metric
+    x0 = np.array([0.0, -0.4, 0.1])
+    gm = g.matrix(x0)
+    vx = np.array([0.6, 0.5])
+    v0 = np.concatenate([[np.sqrt(gm[1, 1] * (vx @ vx))], vx])
+    xi0 = gm @ v0
+    base = hamiltonian_flow(g, x0, xi0, sigma_max=0.6)
+    unit = hamiltonian_flow(g, x0, xi0, sigma_max=0.6,
+                            c=ScalarField.constant(1.0))
+    for field in ("sigma", "x", "xi", "h_values", "xdot", "xidot"):
+        assert np.array_equal(getattr(base, field), getattr(unit, field))
+
+
 def test_hamiltonian_scaled_requires_null_shell(perturbed_product):
     g = perturbed_product.metric
     x0 = np.array([0.0, -0.4, 0.1])

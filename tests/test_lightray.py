@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lorlab import (GeodesicPath, PreconditionError, ftc_residual,
+from lorlab import (GeodesicPath, PreconditionError,
+                    connecting_geodesics_batch, ftc_residual,
                     kernel_conformal_test, kernel_potential_test,
                     light_ray_transform, magnetic_linearized_transform,
                     pairing_along, scatter, sym_diff)
@@ -136,6 +137,29 @@ def test_ftc_endpoint_identity(product_disk):
                                         path)
         vals = pairing_along(v, path)
         assert transform == pytest.approx(vals[-1] - vals[0], abs=1e-8)
+
+
+@pytest.mark.parametrize("kappa", [-1.5, 0.7, 1.5])
+def test_transform_of_a_time_dependent_integrand(product_disk, kappa):
+    """f = exp(kappa t) |dx|^2 along the null connector from x to y with
+    t_y - t_x = |y - x| = rho on product_disk, the straight line
+    (t_x + rho s, x + s (y - x)), gives rho^2 int_0^1 exp(kappa (t_x +
+    rho s)) ds = rho (exp(kappa t_y) - exp(kappa t_x)) / kappa.
+    Simpson's rule on the 400 steps of the connector errs by about
+    (kappa rho)^4 / (180 400^4) relative, 1.8e-11 at kappa rho = 3."""
+    th = np.array([0.3, 1.1, 2.0, 4.0])
+    dth = np.array([1.0, 2.2, 3.0, 2.6])
+    tx = np.array([-0.5, 0.0, 0.4, 0.2])
+    rho = 2.0 * np.sin(dth / 2.0)
+    xs = np.stack([tx, np.cos(th), np.sin(th)], axis=1)
+    ys = np.stack([tx + rho, np.cos(th + dth), np.sin(th + dth)], axis=1)
+    f = SymTwoTensorField(dim=3, func=lambda x: np.exp(
+        kappa * np.asarray(x, float)[..., 0])[..., None, None]
+        * np.diag([0.0, 1.0, 1.0]))
+    conns = connecting_geodesics_batch(product_disk.metric, xs, ys)
+    for c, r, a, b in zip(conns, rho, tx, tx + rho):
+        want = r * (np.exp(kappa * b) - np.exp(kappa * a)) / kappa
+        assert abs(light_ray_transform(f, c.path) - want) <= 1e-10 * abs(want)
 
 
 def test_magnetic_kernel_pairs(stationary_rot, rng):
