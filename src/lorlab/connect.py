@@ -328,8 +328,8 @@ def linearize_r(family: MetricFamily, xs: Array, ys: Array,
     """Central difference of tau -> r_tau against the light ray transform
     of the family derivative over the base connector (factor one half),
     one report per pair (xs, ys).  Three connecting_geodesics_batch
-    solves of 400 RK4 steps: g_0, then g_{+fd_step} and g_{-fd_step}
-    seeded by the g_0 connectors.  The family derivative is
+    solves sampled at 400 steps (50 pair steps): g_0, then g_{+fd_step}
+    and g_{-fd_step} seeded by the g_0 connectors.  The family derivative is
     derivative_at_0, else the central difference of those same two
     metrics, (g_{+fd_step} - g_{-fd_step}) / (2 fd_step).  Every pair
     must have |r| <= PAIR_TOL under g_0, and the relative error is

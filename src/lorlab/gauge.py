@@ -2,7 +2,7 @@
 
 Boundary-fixing gauge pairs (diffeomorphism plus potential) acting on
 magnetic data, conformal rescaling of Lorentzian metrics, the null-shell
-Hamiltonian flow (a right-hand side of the RK4 stepper in ``geometry``),
+Hamiltonian flow (a right-hand side of the fixed march of ``geometry``),
 the check that a conformal factor only reparametrizes it (a quadrature
 along the flow, ``lorlab.quadrature``), and scattering invariance checks.
 """
@@ -166,7 +166,7 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
     requires H(x0, xi0) = 0, where the reduction is valid.  Each stage
     solves g once: with u = g^{-1} xi, x' = u / c and, since
     d_i g^{kl} = -(g^{-1} d_i g g^{-1})^{kl},
-    xi'_i = (1/2) d_i g(u, u) / c; one call gives both at the samples."""
+    xi'_i = (1/2) d_i g(u, u) / c; samples at pair steps of about ``step``."""
     x0 = np.asarray(x0, float)
     xi0 = np.asarray(xi0, float)
     dim = x0.size
@@ -190,12 +190,11 @@ def hamiltonian_flow(g: MetricField, x0: Array, xi0: Array, sigma_max: float,
         dy = np.concatenate([u, xidot], axis=1)
         return dy if c is None else (1.0 / c(x)[..., None]) * dy
 
-    sigma, ys = _march_fixed(rhs, np.concatenate([x0, xi0])[None],
-                             sigma_max, step, names=("x", "xi"))
+    sigma, ys, fs = _march_fixed(rhs, np.concatenate([x0, xi0])[None],
+                                 sigma_max, step, names=("x", "xi"))
     xs, xis = ys[:, 0, :dim], ys[:, 0, dim:]
-    dys = rhs(ys[:, 0], False)
     return HamiltonianPath(sigma=sigma, x=xs, xi=xis, h_values=hval(xs, xis),
-                           xdot=dys[:, :dim], xidot=dys[:, dim:])
+                           xdot=fs[:, 0, :dim], xidot=fs[:, 0, dim:])
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +214,11 @@ def conformal_reparam_check(g: MetricField, c: ScalarField, x0: Array,
     """The flow of the c-scaled Hamiltonian started on the null shell
     traces the unscaled flow under the parameter change alpha with
     alpha'(s) = 1 / c(x(alpha(s))), alpha(0) = 0; the covector is
-    carried along unchanged.  Both flows take RK4 steps of 1e-3.  The
+    carried along unchanged.  Both flows take pair steps of 4e-3.  The
     inverse s(sigma), the integral of c along the unscaled flow, is taken
     exactly for c's cubic Hermite fit, and alpha is the Hermite fit of
     its inverse; PreconditionError when s does not increase."""
-    step = 1e-3
+    step = 4e-3
     base = hamiltonian_flow(g, x0, xi0, sigma_max, step=step)
     base_x = CubicHermiteSpline(base.sigma, base.x, base.xdot)
     base_xi = CubicHermiteSpline(base.sigma, base.xi, base.xidot)

@@ -2,14 +2,14 @@
 
 Metric evaluation, Christoffel symbols, causal classification, and
 boundary normals, projections and completions on batches (..., dim), a
-point being the batch of shape ().  Two steppers of y' = rhs(y) on a
-batch of flat states serve every flow: classical RK4, with one step
-length or one per row, for fixed steps over an interval (_fixed_path,
-and the flows of gauge and connect), and the Dormand-Prince 5(4) pair
-for error-controlled steps per ray to a surface
-(integrate_flow_to_surface, behind scatter_paths).  A check that fails
-on a batch runs again ray by ray, so its error names the first failing
-ray (_by_ray).
+point being the batch of shape ().  One stepper of y' = rhs(y) on a
+batch of flat states, the Dormand-Prince 5(4) pair, serves every flow:
+in uniform steps over an interval (_march_fixed, behind _fixed_path and
+the flows of gauge and connect) and in error-controlled steps per ray
+to a surface (integrate_flow_to_surface, behind scatter_paths), the
+caller's samples coming from the quintic Hermite fit of its knots.  A
+check that fails on a batch runs again ray by ray, so its error names
+the first failing ray (_by_ray).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ DET_FLOOR = 1e-12
 CAUSAL_TOL = 1e-9
 SURFACE_TOL = 1e-10
 TANGENCY_TOL = 1e-8
+FIXED_STRIDE = 8  # caller's steps per pair step of integrate_flow_fixed
 
 LORENTZIAN = "lorentzian"
 RIEMANNIAN = "riemannian"
@@ -80,7 +81,7 @@ class MetricField:
         # When the batch meets the symmetry bound at the smallest scale
         # (1) and the determinant floor at its largest scale, every matrix
         # meets them at its own; the per-matrix reductions are then
-        # skipped, which would add about a third to every RK4 step's check.
+        # skipped, which would add about a third to every step's check.
         if (asym.max(initial=0.0) <= 1e-12 and det.min(initial=np.inf)
                 >= DET_FLOOR * max(top, 1.0) ** self.dim):
             return
@@ -195,7 +196,7 @@ def geodesic_accel(g: MetricField):
 
     With ``check`` (the default) the metric values pass the checks of
     MetricField.matrix; without, only its chart-domain check.  The
-    steppers check at the state a step starts from and skip the check at
+    marches check at the state a step starts from and skip the check at
     the inner stages.
     """
 
@@ -370,25 +371,6 @@ def _by_ray(check, rays):
         raise
 
 
-def _rk4_step(rhs, y: Array, h: float, rays: Array) -> Array:
-    """One classical RK4 step of length h of the first-order system
-    y' = rhs(y, check) on a (B, n) state whose rows hold the rays
-    ``rays``; errors name their first ray (_by_ray).  Only stage 1, the
-    accepted state the step starts from, asks ``rhs`` for the metric
-    check.  Returns the new state."""
-    half = 0.5 * h
-
-    def step(r):
-        yr = y[r]
-        k1 = rhs(yr, True)
-        k2 = rhs(yr + half * k1, False)
-        k3 = rhs(yr + half * k2, False)
-        k4 = rhs(yr + h * k3, False)
-        return yr + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    return _by_ray(step, rays)
-
-
 # The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
 # 1980): the rows a_2 .. a_7 of its stage matrix, and the weights b of the
 # order-5 solution and b_hat of the order-4 one.  a_7 = b, so the 7th
@@ -464,32 +446,51 @@ def _check_step(k: int, yn: Array, y: Array, rays: Array,
                       f"{k}; last finite state {state}", ray=int(rays[i]))
 
 
+def _check_march(span: float, step: float) -> None:
+    """ValueError naming a march interval or step not finite and positive."""
+    for name, value in (("interval", span), ("step", step)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} {value!r} is not finite and positive")
+
+
 def _march_fixed(rhs, y: Array, sigma_max: float, step: float,
-                 names=("x", "v")) -> tuple[Array, Array]:
-    """March y' = rhs(y, check) from the float (B, n) state y to sigma_max
-    with uniform steps; returns (sigma (M,), ys (M, B, n)).  EscapeError
-    as soon as a state turns non-finite (see _check_step)."""
+                 names=("x", "v")) -> tuple[Array, Array, Array]:
+    """March y' = rhs(y, check) from the float (B, n) state y over
+    [0, sigma_max] in uniform pair steps of about step, each from the
+    checked derivative at its start; returns the knots (sigma (K,),
+    ys (K, B, n), fs = rhs(ys)); EscapeError on a non-finite state."""
+    _check_march(sigma_max, step)
     rays = np.arange(y.shape[0])
     n = max(1, int(round(sigma_max / step)))
-    h = sigma_max / n
-    ys = np.empty((n + 1,) + y.shape)
-    ys[0] = y
+    h = np.full(y.shape[0], sigma_max / n)
+    ys, fs = np.empty((2, n + 1) + y.shape)
+    ys[0], fs[0] = y, _by_ray(lambda r: rhs(y[r], True), rays)
     for i in range(n):
-        yn = _rk4_step(rhs, y, h, rays)
-        _check_step(i + 1, yn, y, rays, names)
-        y = ys[i + 1] = yn
-    return np.linspace(0.0, sigma_max, n + 1), ys
+        yn, _ = _dp54_step(rhs, ys[i], h, rays, fs[i])
+        _check_step(i + 1, yn, ys[i], rays, names)
+        ys[i + 1], fs[i + 1] = yn, _by_ray(lambda r: rhs(yn[r], True), rays)
+    return np.linspace(0.0, sigma_max, n + 1), ys, fs
 
 
 def integrate_flow_fixed(accel, x0: Array, v0: Array, sigma_max: float,
                          step: float) -> tuple[Array, Array, Array]:
-    """Integrate a batch of x'' = accel(x, x') to sigma_max with uniform
-    steps; returns (sigma (M,), xs (M, B, dim), vs (M, B, dim)).
-    EscapeError as soon as a state turns non-finite."""
-    sigma, ys = _march_fixed(_second_order(accel),
+    """Integrate a batch of x'' = accel(x, x') over [0, sigma_max] in pair
+    steps of about FIXED_STRIDE * step (_march_fixed); returns (sigma
+    (M,), xs, vs (M, B, dim)) at uniform steps of about step, the knots'
+    quintic Hermite fit (_hermite) ending on the last knot."""
+    _check_march(sigma_max, step)       # names the caller's step
+    s, ys, fs = _march_fixed(_second_order(accel),
                              np.hstack(np.atleast_2d(x0, v0)).astype(float),
-                             sigma_max, step)
-    return (sigma, *np.split(ys, 2, axis=2))
+                             sigma_max, FIXED_STRIDE * step)
+    B, dim = ys.shape[1], ys.shape[2] // 2
+    sigma = np.linspace(0.0, sigma_max,
+                        max(1, int(round(sigma_max / step))) + 1)
+    # the knots (K, 2 B dim) as one state: every ray's x, then every v
+    flat = [a.reshape(len(s), B, 2, dim).swapaxes(1, 2).reshape(len(s), -1)
+            for a in (ys, fs)]
+    out = np.vstack([np.vstack(_hermite(s, *flat, sigma[:-1])).T,
+                     flat[0][-1:]]).reshape(len(sigma), 2, B, dim)
+    return sigma, out[:, 0], out[:, 1]
 
 
 REFINE_TOL = 1e-15        # Newton correction at which a hit is accepted
@@ -599,8 +600,9 @@ def integrate_flow_to_surface(accel, x0: Array, v0: Array,
     {b=0}, which replaces a sample less than 1e-13 before it.  Raises
     EscapeError listing rays that never crossed within max_sigma, or
     naming the first ray whose state turns non-finite or whose refined
-    hit misses S.
+    hit misses S; ValueError names a max_sigma or step not in (0, inf).
     """
+    _check_march(max_sigma, step)
     rhs = _second_order(accel)
     y = np.hstack(np.atleast_2d(x0, v0)).astype(float)
     B, dim = y.shape[0], y.shape[1] // 2
@@ -775,8 +777,8 @@ def scatter_paths(accel, g: MetricField, U: BoundaryHypersurface,
 
 def _fixed_path(accel, g: MetricField, x0: Array, v0: Array, stop: float,
                 step: float, unit_speed: bool) -> GeodesicPath:
-    """The RK4 path of x'' = accel(x, x') from (x0, v0) over [0, stop],
-    after the _initial_speeds checks, which name ray 0."""
+    """The path of x'' = accel(x, x') from (x0, v0) over [0, stop] at
+    steps ``step``, after the _initial_speeds checks, which name ray 0."""
     x0, v0 = np.asarray(x0, float)[None], np.asarray(v0, float)[None]
 
     def speeds(r):
@@ -791,6 +793,6 @@ def _fixed_path(accel, g: MetricField, x0: Array, v0: Array, stop: float,
 
 def integrate_geodesic(g: MetricField, x0: Array, v0: Array, stop: float,
                        step: float = 1e-3) -> GeodesicPath:
-    """Fixed-step RK4 geodesic of g over [0, stop] (see _fixed_path); a
+    """Geodesic of g over [0, stop] at steps ``step`` (see _fixed_path); a
     geodesic stopped at a surface is the path of a scatter."""
     return _fixed_path(geodesic_accel(g), g, x0, v0, stop, step, False)

@@ -185,8 +185,8 @@ def magnetic_accel(mag: MagneticSystem, speed_from_velocity: bool = False):
 
 def magnetic_integrate(mag: MagneticSystem, x0: Array, u0: Array,
                        stop: float) -> GeodesicPath:
-    """Arc-length magnetic geodesic from (x0, u0) over [0, stop] in RK4
-    steps of 1e-3; u0 must be h-unit (see geometry._fixed_path)."""
+    """Arc-length magnetic geodesic from (x0, u0) over [0, stop], sampled
+    at steps of 1e-3; u0 must be h-unit (see geometry._fixed_path)."""
     return _fixed_path(magnetic_accel(mag), mag.base, x0, u0, stop, 1e-3,
                        True)
 

@@ -362,17 +362,18 @@ def test_broyden_updates_replace_jacobian_builds(marches, perturbed_product):
     coarse grid of 25 steps: one at the seeds, and one at the coarse
     solution, which the requested grid of 400 takes in place of the
     Broyden-updated one.  It then needs two residual marches over all
-    16 pairs and no Jacobian of its own.  With the Broyden-updated
-    Jacobian the requested grid took a third march, of the 10 pairs
-    still unfinished; one grid alone took one Jacobian and five
-    residual marches on 400 steps, and chord iterations with that
-    Jacobian took seven."""
+    16 pairs and a third over the 6 still unfinished, and no Jacobian
+    of its own.  With the Broyden-updated Jacobian the third march on
+    the requested grid took all 16 pairs; one grid alone took one
+    Jacobian and five residual marches on 400 steps, and chord
+    iterations with that Jacobian took six."""
     xs, ys = disk_pairs(16, 1)
     conns = connecting_geodesics_batch(perturbed_product.metric, xs, ys,
                                        tol=1e-12)
     assert marches.count((16 * 3, 25)) == 2
     assert marches.count((16 * 3, 400)) == 0
-    assert [m for m in marches if m and m[1] == 400] == [(16, 400)] * 2
+    assert [m for m in marches if m and m[1] == 400] == [(16, 400)] * 2 + [
+        (6, 400)]
     for c in conns:
         assert np.abs(c.path.x[-1] - c.y).max() <= 1e-12
 
@@ -381,20 +382,22 @@ def test_newton_marches_only_unfinished_pairs(marches, perturbed_product):
     """A residual march covers the pairs not yet within tolerance, and
     the connectors, whose rows come from different marches, are bit for
     bit one march of their solved velocities: rows are independent.
-    The solve marches 16,775 row-steps in 950 march steps: 159 rows of
-    25 steps on the coarse grid (3,975 row-steps), then two marches of
-    the 16 pairs on 400 (12,800).  Handing the requested grid the
-    Broyden-updated coarse Jacobian took 19,575 row-steps in 1,325
-    march steps: its third march on 400, of 10 pairs, costs more than
-    the 48-row switch build on 25 steps (1,200 row-steps) that saves
-    it.  With every residual march over all 16 rows the solve marched
-    16,800 row-steps."""
+    Steps here are those of the caller's grid, about FIXED_STRIDE to a
+    pair step.
+    The solve marches 19,175 row-steps in 1,350 march steps: 159 rows
+    of 25 steps on the coarse grid (3,975 row-steps), then two marches
+    of the 16 pairs and one of 6 on 400 (15,200).  Handing the
+    requested grid the Broyden-updated coarse Jacobian took 21,975
+    row-steps in 1,325 march steps: its third march on 400 covers all
+    16 pairs, which costs more than the 48-row switch build on 25 steps
+    (1,200 row-steps) that narrows it to 6.  With every residual march
+    over all 16 rows the solve marched 23,200 row-steps."""
     g = perturbed_product.metric
     xs, ys = disk_pairs(16, 1)
     conns = connecting_geodesics_batch(g, xs, ys, tol=1e-12)
     log = marches[:-1]
-    assert sum(rows * steps for rows, steps in log) == 16775
-    assert sum(steps for _, steps in log) == 950
+    assert sum(rows * steps for rows, steps in log) == 19175
+    assert sum(steps for _, steps in log) == 1350
     assert min(rows for rows, _ in log) < 16
     vs = np.array([c.path.v[0] for c in conns])
     _, px, pv = geometry.integrate_flow_fixed(geodesic_accel(g), xs, vs,

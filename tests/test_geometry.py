@@ -18,7 +18,7 @@ from lorlab import fields, geometry
 from lorlab.errors import LorlabError
 from lorlab.fields import CovectorField, _central_diff, _central_jet
 from lorlab.geometry import integrate_flow_fixed, integrate_flow_to_surface
-from lorlab.gauge import apply_gauge, scale_metric
+from lorlab.gauge import apply_gauge, hamiltonian_flow, scale_metric
 
 
 def minkowski(dim=3):
@@ -177,7 +177,7 @@ def test_speed_drift_on_curved_scenario(perturbed_product):
     assert path.speed_drift(perturbed_product.metric) < 1e-10
 
 
-def test_rk4_endpoint_convergence(perturbed_product):
+def test_march_endpoint_convergence(perturbed_product):
     x0 = np.array([0.0, -0.6, 0.2])
     v0 = np.array([1.1, 0.9, 0.35])
     ends = [integrate_geodesic(perturbed_product.metric, x0, v0, stop=1.0,
@@ -343,9 +343,10 @@ def _blowing_up_flow(calls):
     # takes both rays past t = 0.3; ray 0 is named first
     pytest.param("to_surface", "ray 0: state non-finite after step 4; last "
                  "finite state x = [0.105", id="to_surface"),
-    # ray 1 reaches t = 0.3 first, at step 30
-    pytest.param("fixed", "ray 1: state non-finite after step 30; last "
-                 "finite state x = [0.29", id="fixed")])
+    # pair steps of 8e-2 (FIXED_STRIDE caller's steps): ray 1 reaches
+    # t = 0.3 first, at step 4
+    pytest.param("fixed", "ray 1: state non-finite after step 4; last "
+                 "finite state x = [0.24", id="fixed")])
 def test_non_finite_state_stops_the_march(slab, march, first):
     """The march stops at the first step whose state is non-finite rather
     than spending the whole parameter budget (1000 steps here), naming
@@ -364,24 +365,64 @@ def test_non_finite_state_stops_the_march(slab, march, first):
     assert len(calls) <= 4 * 32
 
 
-def _pair_march(accel, x0, v0, step, n):
-    """The states (n + 1, B, 2 dim) of n fixed steps of the surface
-    march's pair (geometry._dp54_step), each from the metric-checked
-    derivative at the state it starts from."""
-    rhs = geometry._second_order(accel)
-    ys = [np.hstack([x0, v0])]
-    rays = np.arange(len(ys[0]))
-    for _ in range(n):
-        ys.append(geometry._dp54_step(rhs, ys[-1], np.full(len(rays), step),
-                                      rays, rhs(ys[-1], True))[0])
-    return np.array(ys)
+@pytest.mark.parametrize("march, value", [
+    ("geodesic step", 0.0), ("geodesic step", -1e-3),
+    ("geodesic step", np.nan), ("geodesic stop", np.inf),
+    ("geodesic stop", 0.0), ("hamiltonian sigma_max", 0.0),
+    ("hamiltonian sigma_max", -1.0), ("scatter step", 0.0),
+    ("scatter step", -1e-3), ("scatter step", np.nan)])
+def test_march_rejects_an_interval_or_step_not_finite_and_positive(
+        product_disk, march, value):
+    """A fixed march (integrate_geodesic, hamiltonian_flow) or a march to
+    a surface (scatter_batch) raises one ValueError naming the value,
+    before any step."""
+    g = product_disk.metric
+    x0, v0 = np.array([0.0, -0.5, 0.1]), np.array([1.0, 0.8, 0.6])
+    with pytest.raises(ValueError, match=rf"^\w+ {value!r} is not finite "
+                       "and positive$"):
+        if march == "geodesic step":
+            integrate_geodesic(g, x0, v0, stop=1.0, step=value)
+        elif march == "geodesic stop":
+            integrate_geodesic(g, x0, v0, stop=value)
+        elif march == "hamiltonian sigma_max":
+            hamiltonian_flow(g, x0, g.matrix(x0) @ v0, sigma_max=value)
+        else:
+            xs, vs = map(np.array, zip(*scenarios.scattering_entries(
+                product_disk, 2, seed=5)))
+            scatter_batch(g, product_disk.entry_surface,
+                          product_disk.exit_surface, xs, vs, step=value)
+
+
+def test_fixed_march_samples_each_ray_apart(perturbed_product):
+    """integrate_flow_fixed samples a batch as it samples each of its
+    rays marched alone, bit for bit: the Hermite fit mixes no rays.  On
+    a grid of FIXED_STRIDE steps per pair step, every FIXED_STRIDE-th
+    sample is a knot of the pair's march, bit for bit."""
+    accel = geodesic_accel(perturbed_product.metric)
+    xs = np.array([[0.0, -0.6, 0.2], [0.1, 0.3, -0.4], [0.2, 0.0, 0.5]])
+    vs = np.array([[1.1, 0.9, 0.35], [1.0, -0.5, 0.6], [1.2, 0.2, -0.8]])
+    sigma, px, pv = integrate_flow_fixed(accel, xs, vs, 1.0, 1.0 / 400)
+    assert px.shape == pv.shape == (401, 3, 3)
+    for b in range(3):
+        alone = integrate_flow_fixed(accel, xs[b:b + 1], vs[b:b + 1], 1.0,
+                                     1.0 / 400)
+        assert np.array_equal(alone[0], sigma)
+        assert np.array_equal(alone[1][:, 0], px[:, b])
+        assert np.array_equal(alone[2][:, 0], pv[:, b])
+    stride = geometry.FIXED_STRIDE
+    s, ys, _ = geometry._march_fixed(geometry._second_order(accel),
+                                     np.hstack([xs, vs]), 1.0,
+                                     stride / 400)
+    assert len(s) == 51 and np.array_equal(sigma[::stride], s)
+    assert np.array_equal(px[::stride], ys[:, :, :3])
+    assert np.array_equal(pv[::stride], ys[:, :, 3:])
 
 
 def test_march_without_tolerance_is_the_fixed_march(stationary_rot,
                                                    monkeypatch):
     """With MARCH_TOL = 0 no step passes the error test, so the march to
     the surface keeps every step at its floor: its samples before the
-    exits are, bit for bit, those of a loop of the pair's fixed steps
+    exits are, bit for bit, the knots of the fixed march of those steps
     from the same states."""
     monkeypatch.setattr(geometry, "MARCH_TOL", 0.0)
     sc, step = stationary_rot, 2.0 ** -8
@@ -390,8 +431,10 @@ def test_march_without_tolerance_is_the_fixed_march(stationary_rot,
         sc.metric, sc.entry_surface, sc.exit_surface, xs, vs, step=step,
         max_sigma=30.0, keep_paths=True)]
     n = max(len(p.sigma) for p in paths)
-    ys = _pair_march(geodesic_accel(sc.metric), [p.x[0] for p in paths],
-                     [p.v[0] for p in paths], step, n)
+    _, ys, _ = geometry._march_fixed(
+        geometry._second_order(geodesic_accel(sc.metric)),
+        np.array([np.hstack([p.x[0], p.v[0]]) for p in paths]), n * step,
+        step)
     for b, p in enumerate(paths):
         m = len(p.sigma) - 1
         assert np.array_equal(p.sigma[:-1], np.arange(m) * step)
@@ -414,8 +457,9 @@ def test_dormand_prince_tableau():
     assert geometry.DP54_A[-1] + (0.0,) == geometry.DP54_B
     accel = geodesic_accel(scenarios.build("perturbed_product").metric)
     x0, v0 = np.array([[0.0, -0.6, 0.2]]), np.array([[1.1, 0.9, 0.35]])
-    ends = [_pair_march(accel, x0, v0, h, n)[-1, 0]
-            for h, n in ((0.1, 10), (0.05, 20), (0.025, 40))]
+    ends = [geometry._march_fixed(geometry._second_order(accel),
+                                  np.hstack([x0, v0]), 1.0, h)[1][-1, 0]
+            for h in (0.1, 0.05, 0.025)]
     order = np.log2(np.linalg.norm(ends[0] - ends[1])
                     / np.linalg.norm(ends[1] - ends[2]))
     assert 4.8 <= order <= 5.2
@@ -506,11 +550,12 @@ def test_a_crossing_counts_after_the_ray_was_inside(product_disk):
     assert np.abs(x[-1] - [2.5, -1.0, 0.0]).max() <= 1e-12
 
 
-def test_geodesic_march_is_fourth_order():
+def test_geodesic_march_is_fifth_order():
     """Observed order of integrate_geodesic on perturbed_product from the
-    start of criterion 13 at the first three steps of its ladder.  The
-    end-point differences (about 6e-10 and 4e-11) measure truncation;
-    this checks the order from above too."""
+    start of criterion 13 at the first three steps of its ladder, 3, 6
+    and 12 pair steps.  The end-point differences (about 1.3e-8 and
+    3.1e-10) measure truncation; the order read 5.44, and 5.23 and 5.45
+    a rung and two finer.  This checks the order from above too."""
     g = scenarios.build("perturbed_product").metric
     x0 = np.array([0.0, -0.6, 0.2])
     v0 = np.array([1.1, 0.9, 0.35])
@@ -518,7 +563,7 @@ def test_geodesic_march_is_fourth_order():
             for h in (4e-2, 2e-2, 1e-2)]
     order = np.log2(np.linalg.norm(ends[0] - ends[1])
                     / np.linalg.norm(ends[1] - ends[2]))
-    assert 3.8 <= order <= 4.2
+    assert 4.8 <= order <= 5.8
 
 
 def _jet_metrics():

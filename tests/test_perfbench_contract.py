@@ -12,6 +12,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lorlab
@@ -44,6 +45,24 @@ def test_traced_names_resolve():
 def test_traced_extras_find_their_parameters(module, func, param):
     f = getattr(importlib.import_module(module), func)
     assert param in inspect.signature(f).parameters
+
+
+def test_fixed_march_has_the_shape_the_tracer_reads():
+    """The tracer's extra for integrate_flow_fixed reads the batch size
+    as out[1].shape[1]: the march returns (sigma (M,), xs (M, B, dim),
+    vs (M, B, dim))."""
+    (extra,) = [e for _, attr, _, e in _tracer().FUNCTIONS
+                if attr == "integrate_flow_fixed"]
+    geometry = importlib.import_module("lorlab.geometry")
+    g = scenarios.build("product_disk").metric
+    xs = np.zeros((2, 3))
+    vs = np.array([[1.0, 0.5, 0.0], [1.0, 0.0, -0.5]])
+    out = geometry.integrate_flow_fixed(geometry.geodesic_accel(g), xs, vs,
+                                        0.5, 0.05)
+    assert len(out) == 3
+    sigma, px, pv = out
+    assert sigma.shape == (11,) and px.shape == pv.shape == (11, 2, 3)
+    assert extra(None, out) == (2,)
 
 
 def _lorlab_calls():

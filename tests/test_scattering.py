@@ -300,7 +300,7 @@ def test_metric_failures_inside_the_march_name_the_ray(slab, metric, error,
     """Ray 1 runs into x1 > 0.4, where the determinant vanishes, the
     matrix is not symmetric or the chart ends, before it reaches t = 1;
     ray 0 runs the other way and exits normally.  The metric is checked fully only at
-    the state each RK4 step starts from, and the error names ray 1."""
+    the state each step starts from, and the error names ray 1."""
     xs = np.zeros((2, 3))
     vs = np.array([[0.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(error, match=rf"^ray 1: .*({message})"):
